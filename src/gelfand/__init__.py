@@ -35,15 +35,11 @@ from .wreath import (
     WreathElement,
     WreathProduct,
     embed_wreath_subgroup,
-    wreath_inverse,
     wreath_product,
 )
 from .hecke import (
-    BiInvariantFunction,
     DoubleCosetDecomposition,
     HeckeStructureConstants,
-    convolve,
-    convolve_via_constants,
     double_cosets,
     is_commutative,
     is_gelfand_hecke,
@@ -56,7 +52,6 @@ from .chartab import (
     class_coefficients,
     decompose_induced_trivial,
     inner_product,
-    irrep_dimensions,
     is_gelfand_character,
     load_character_table,
     permutation_character,

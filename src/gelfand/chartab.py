@@ -22,7 +22,13 @@ from .errors import (
     NumericalQualityError,
     ResourceLimitError,
 )
-from .groups import ConjugacyClasses, FiniteGroup, SubgroupEmbedding, conjugacy_classes
+from .groups import (
+    ConjugacyClasses,
+    FiniteGroup,
+    SubgroupEmbedding,
+    block_product_counts,
+    conjugacy_classes,
+)
 
 DEFAULT_CLASS_LIMIT = 80
 DEFAULT_ORDER_LIMIT = 2_000_000
@@ -59,26 +65,12 @@ class CharacterTable:
 def class_coefficients(group: FiniteGroup, classes: ConjugacyClasses) -> np.ndarray:
     """a[i][j][k] = #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k.
 
-    Counted by factoring z_k = x * (x^-1 z_k) over all x, which is exact and
-    costs one product per (element, class) pair.
+    One call to the shared block kernel, which also enforces the counting
+    identity sum_k a[i][j][k] |C_k| = |C_i| |C_j|.
     """
-    r = classes.count
-    class_of = classes.class_of
-    inv = [group.inv(x) for x in range(group.order)]
-    a = np.zeros((r, r, r), dtype=np.int64)
-    for k, z in enumerate(classes.representatives):
-        for x in range(group.order):
-            a[class_of[x], class_of[group.mul(inv[x], z)], k] += 1
-    # counting identity: sum_k a[i][j][k] |C_k| = |C_i| |C_j|
-    sizes = np.array(classes.sizes, dtype=np.int64)
-    totals = a @ sizes
-    expected = np.outer(sizes, sizes)
-    if not np.array_equal(totals, expected):
-        raise InternalConsistencyError(
-            f"class multiplication coefficients of {group.name} violate the "
-            "counting identity"
-        )
-    return a
+    return block_product_counts(
+        group, classes.class_of, classes.sizes, classes.representatives
+    )
 
 
 def validate_character_table(table: CharacterTable) -> None:
@@ -217,11 +209,6 @@ def character_table(
     )
 
 
-def irrep_dimensions(group: FiniteGroup, **kwargs) -> tuple[int, ...]:
-    """Degrees of the irreducible characters, ascending (trivial first)."""
-    return character_table(group, **kwargs).degrees
-
-
 def permutation_character(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
@@ -350,11 +337,14 @@ def _expect(condition: bool, message: str) -> None:
         raise InternalConsistencyError(f"character-table cache rejected: {message}")
 
 
-def load_character_table(path, group: FiniteGroup) -> CharacterTable:
+def load_character_table(
+    path, group: FiniteGroup, classes: ConjugacyClasses | None = None
+) -> CharacterTable:
     """Load a cached table and re-run every validation invariant.
 
-    Cache entries are never trusted blindly; any mismatch with the freshly
-    recomputed conjugacy classes, or any failed invariant, raises.
+    Cache entries are never trusted blindly; any mismatch with the group's
+    conjugacy classes (computed here unless given), or any failed invariant,
+    raises.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -362,7 +352,8 @@ def load_character_table(path, group: FiniteGroup) -> CharacterTable:
     _expect(lines[0] == f"{_CACHE_MAGIC} {_CACHE_VERSION}", f"bad header {lines[0]!r}")
     _expect(lines[1] == f"group {group.name}", "group spec mismatch")
     _expect(lines[2] == f"order {group.order}", "group order mismatch")
-    classes = conjugacy_classes(group)
+    if classes is None:
+        classes = conjugacy_classes(group)
     r = classes.count
     _expect(lines[3] == f"classes {r}", "class count mismatch")
     _expect(
@@ -401,27 +392,29 @@ def cached_character_table(
     group: FiniteGroup,
     cache_dir,
     *,
+    classes: ConjugacyClasses | None = None,
     seed: int = 0,
     class_limit: int = DEFAULT_CLASS_LIMIT,
     order_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> CharacterTable:
     """Load from cache_dir when valid, else compute and store.
 
-    cache_dir=None disables caching entirely.
+    cache_dir=None disables caching entirely.  classes, when given, are the
+    group's conjugacy classes, used instead of computing them again.
     """
     if cache_dir is None:
         return character_table(
-            group, seed=seed, class_limit=class_limit, order_limit=order_limit
+            group, classes, seed=seed, class_limit=class_limit, order_limit=order_limit
         )
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{group.name}.chartab")
     if os.path.exists(path):
         try:
-            return load_character_table(path, group)
+            return load_character_table(path, group, classes)
         except (OSError, ValueError, InternalConsistencyError):
             pass  # stale or corrupt entry: recompute and overwrite
     table = character_table(
-        group, seed=seed, class_limit=class_limit, order_limit=order_limit
+        group, classes, seed=seed, class_limit=class_limit, order_limit=order_limit
     )
     save_character_table(table, path)
     return table

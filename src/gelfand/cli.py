@@ -30,14 +30,15 @@ from .partitions import (
 )
 from .reports import (
     SCHEMA_VERSION,
+    build_pair,
     check_pair,
     format_branch_terms,
     format_report,
     report_record,
     scan_pairs,
 )
-from .specs import build_group, parse_group_spec, parse_pair_spec, render_pair_spec
-from .wreath import DEFAULT_SIZE_BUDGET, embed_wreath_subgroup
+from .specs import build_group, parse_group_spec, render_pair_spec
+from .wreath import DEFAULT_SIZE_BUDGET
 from . import __version__
 
 CACHE_ENV_VAR = "GELFAND_CACHE_DIR"
@@ -150,12 +151,8 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
-    base_ast, n = parse_pair_spec(args.pairspec)
-    if n < 2:
-        raise InvalidParameterError(f"pair spec needs n >= 2, got n={n}")
+    base_ast, n, base, embedding = build_pair(args.pairspec, args.size_budget)
     pairspec = render_pair_spec(base_ast, n)
-    base = build_group(base_ast)
-    embedding = embed_wreath_subgroup(base, n, args.size_budget)
     wreath = embedding.parent
     cosets = double_cosets(wreath, embedding)
     constants = structure_constants(wreath, embedding, cosets)
@@ -214,7 +211,9 @@ def _cmd_group(args) -> int:
     group = build_group(parse_group_spec(args.spec))
     classes = conjugacy_classes(group)
     abelian = is_abelian(group)
-    table = cached_character_table(group, _resolve_cache_dir(args), seed=args.seed)
+    table = cached_character_table(
+        group, _resolve_cache_dir(args), classes=classes, seed=args.seed
+    )
     if args.format == "machine":
         _emit_record(
             {

@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -420,6 +421,49 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
                 f"conjugacy class size {len(orbit)} does not divide |{group.name}|"
             )
     return ConjugacyClasses(tuple(classes), tuple(reps), tuple(class_of))
+
+
+def block_product_counts(
+    group: FiniteGroup,
+    block_of: Sequence[int],
+    sizes: Sequence[int],
+    targets: Sequence[int],
+) -> np.ndarray:
+    """a[i][j][k] = #{x in G : block(x) = i, block(x^-1 z_k) = j} for z_k = targets[k].
+
+    The one counting kernel behind both the class algebra and the
+    double-coset algebra: it counts the factorizations z_k = x * y with x in
+    block i and y in block j, which is the coefficient of B_k in the product
+    of block sums B_i B_j whenever the count is the same at every element of
+    B_k.  It costs one product per (element, block), r |G| in all.
+
+    targets[k] must lie in block k, and the counting identity
+    sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced; a violation of either
+    raises InternalConsistencyError.
+    """
+    r = len(sizes)
+    placed = [block_of[z] for z in targets]
+    if placed != list(range(r)):
+        raise InternalConsistencyError(
+            f"targets {tuple(targets)} of {group.name} lie in blocks {tuple(placed)}, "
+            f"expected 0..{r - 1} in order"
+        )
+    mul = group.mul
+    inverses = [group.inv(x) for x in range(group.order)]
+    left = np.asarray(block_of, dtype=np.int64) * r
+    a = np.empty((r, r, r), dtype=np.int64)
+    for k, z in enumerate(targets):
+        right = np.fromiter(
+            (block_of[mul(xi, z)] for xi in inverses), dtype=np.int64, count=group.order
+        )
+        a[:, :, k] = np.bincount(left + right, minlength=r * r).reshape(r, r)
+    sizes_arr = np.array(sizes, dtype=np.int64)
+    if not np.array_equal(a @ sizes_arr, np.outer(sizes_arr, sizes_arr)):
+        raise InternalConsistencyError(
+            f"block product counts of {group.name} violate the counting identity "
+            "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
+        )
+    return a
 
 
 def is_abelian(group: FiniteGroup) -> bool:

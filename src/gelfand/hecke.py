@@ -4,16 +4,30 @@ The pair is a Gelfand pair iff this algebra is commutative.  Everything that
 feeds the verdict is integer arithmetic: structure constants are counted
 exactly and commutativity is compared entry by entry, so the answer cannot be
 corrupted by rounding.
+
+One kernel, ``groups.block_product_counts``, counts both this algebra's
+structure constants and the class algebra's coefficients.  Every table of
+structure constants must satisfy:
+
+- the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| (in the kernel);
+- representative independence: a recount at a second element of every block
+  gives the same table;
+- the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk, since K = D_0;
+- associativity (f*g)*h = f*(g*h) on seeded random integer vectors.
+
+The decomposition itself must satisfy |KgK| * |K ∩ g^-1 K g| = |K|^2 at
+every representative.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError
-from .groups import FiniteGroup, SubgroupEmbedding
+from .groups import FiniteGroup, SubgroupEmbedding, block_product_counts
 
 
 @dataclass(frozen=True)
@@ -44,13 +58,6 @@ class HeckeStructureConstants:
 
     def __post_init__(self):
         self.table.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class BiInvariantFunction:
-    """A function on G constant on each double coset, one value per block."""
-
-    values: tuple[complex, ...]
 
 
 def double_cosets(
@@ -109,60 +116,52 @@ def structure_constants(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
     cosets: DoubleCosetDecomposition,
-    verify: bool = True,
 ) -> HeckeStructureConstants:
-    """Count c[i][j][k] by iterating D_i x D_j and bucketing products.
-
-    No early exits: the full table feeds the convolution cross-check.  With
-    verify=True every count is recomputed against a second representative of
-    each block, and the per-block totals must equal c[i][j][k] * |D_k| (each
-    element of a block is hit equally often).
-    """
-    mul = group.mul
-    r = cosets.rank
-    sizes = cosets.sizes
-    reps = cosets.representatives
-    # second representative per block, for the well-definedness recount
-    second = tuple(
-        block[1] if len(block) > 1 else block[0] for block in cosets.blocks
+    """Count c[i][j][k] and enforce the identities in the module docstring."""
+    ksize = embedding.subgroup.order
+    table = block_product_counts(
+        group, cosets.block_of, cosets.sizes, cosets.representatives
     )
-    block_of = cosets.block_of
-    table = np.zeros((r, r, r), dtype=np.int64)
-    for i in range(r):
-        di = cosets.blocks[i]
-        for j in range(r):
-            dj = cosets.blocks[j]
-            hit_rep = [0] * r
-            hit_second = [0] * r
-            per_block = [0] * r
-            for x in di:
-                for y in dj:
-                    p = mul(x, y)
-                    k = block_of[p]
-                    per_block[k] += 1
-                    if p == reps[k]:
-                        hit_rep[k] += 1
-                    if p == second[k]:
-                        hit_second[k] += 1
-            for k in range(r):
-                c = hit_rep[k]
-                if per_block[k] != c * sizes[k]:
-                    raise InternalConsistencyError(
-                        f"products from D_{i} x D_{j} do not hit block {k} "
-                        f"uniformly: {per_block[k]} != {c} * {sizes[k]}"
-                    )
-                if verify and hit_second[k] != c:
-                    raise InternalConsistencyError(
-                        f"structure constant c[{i}][{j}][{k}] depends on the "
-                        f"representative: {c} vs {hit_second[k]}"
-                    )
-                table[i, j, k] = c
+    second = tuple(block[1] if len(block) > 1 else block[0] for block in cosets.blocks)
+    recount = block_product_counts(group, cosets.block_of, cosets.sizes, second)
+    if not np.array_equal(table, recount):
+        i, j, k = np.argwhere(table != recount)[0]
+        raise InternalConsistencyError(
+            f"structure constant c[{i}][{j}][{k}] depends on the representative: "
+            f"{table[i, j, k]} vs {recount[i, j, k]}"
+        )
+    unit = ksize * np.eye(cosets.rank, dtype=np.int64)
+    if not (np.array_equal(table[0], unit) and np.array_equal(table[:, 0], unit)):
+        raise InternalConsistencyError(
+            f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
+        )
+    _check_associative(table)
     return HeckeStructureConstants(
-        rank=r,
-        block_sizes=sizes,
-        subgroup_order=embedding.subgroup.order,
+        rank=cosets.rank,
+        block_sizes=cosets.sizes,
+        subgroup_order=ksize,
         table=table,
     )
+
+
+def _convolve(f: list[int], g: list[int], c: list) -> list[int]:
+    """(f*g)_k = sum_{i,j} f_i g_j c[i][j][k] in Python integers."""
+    r = range(len(f))
+    return [sum(f[i] * g[j] * c[i][j][k] for i in r for j in r) for k in r]
+
+
+def _check_associative(table: np.ndarray) -> None:
+    """(f*g)*h = f*(g*h) exactly for three seeded random integer triples."""
+    c = table.tolist()
+    r = len(c)
+    rng = random.Random(0)
+    for _ in range(3):
+        f, g, h = ([rng.randrange(-5, 6) for _ in range(r)] for _ in range(3))
+        if _convolve(_convolve(f, g, c), h, c) != _convolve(f, _convolve(g, h, c), c):
+            raise InternalConsistencyError(
+                "structure constants are not associative: (f*g)*h != f*(g*h) "
+                f"for f={f}, g={g}, h={h}"
+            )
 
 
 def is_commutative(constants: HeckeStructureConstants) -> bool:
@@ -178,53 +177,6 @@ def noncommutative_witness(
         return None
     i, j, k = diff[0]
     return int(i), int(j), int(k)
-
-
-def convolve(
-    f: BiInvariantFunction,
-    g: BiInvariantFunction,
-    group: FiniteGroup,
-    cosets: DoubleCosetDecomposition,
-) -> BiInvariantFunction:
-    """(f*g)(x) = sum_y f(y) g(y^-1 x), evaluated once per block representative.
-
-    Stays in exact integer arithmetic when both inputs are integral.
-    """
-    block_of = cosets.block_of
-    inv = group.inv
-    mul = group.mul
-    fv = f.values
-    gv = g.values
-    out = []
-    for z in cosets.representatives:
-        acc = 0
-        for y in range(group.order):
-            acc += fv[block_of[y]] * gv[block_of[mul(inv(y), z)]]
-        out.append(acc)
-    return BiInvariantFunction(tuple(out))
-
-
-def convolve_via_constants(
-    f: BiInvariantFunction,
-    g: BiInvariantFunction,
-    constants: HeckeStructureConstants,
-) -> BiInvariantFunction:
-    """(f*g) on block k = sum_{i,j} f_i g_j c[i][j][k]; must agree with convolve."""
-    r = constants.rank
-    c = constants.table
-    out = []
-    for k in range(r):
-        acc = 0
-        for i in range(r):
-            fi = f.values[i]
-            if fi == 0:
-                continue
-            for j in range(r):
-                cij = int(c[i, j, k])
-                if cij:
-                    acc += fi * g.values[j] * cij
-        out.append(acc)
-    return BiInvariantFunction(tuple(out))
 
 
 def is_gelfand_hecke(

@@ -109,6 +109,20 @@ def _consistency_failures(report: PairReport) -> list[str]:
     return out
 
 
+def build_pair(pairspec: str, size_budget: int = DEFAULT_SIZE_BUDGET):
+    """Parse wr(<group>,<n>), build the base group and embed the pair.
+
+    Returns (base_ast, n, base, embedding), where embedding maps
+    G wr S_(n-1) into G wr S_n.  The wreath size budget is enforced here,
+    before any work proportional to a group's order.
+    """
+    base_ast, n = parse_pair_spec(pairspec)
+    if n < 2:
+        raise InvalidParameterError(f"pair spec needs n >= 2, got n={n}")
+    base = build_group(base_ast)
+    return base_ast, n, base, embed_wreath_subgroup(base, n, size_budget)
+
+
 def check_pair(
     pairspec: str,
     *,
@@ -129,20 +143,15 @@ def check_pair(
         raise InvalidParameterError(
             f"method must be 'hecke', 'character' or 'both', got {method!r}"
         )
-    base_ast, n = parse_pair_spec(pairspec)
-    if n < 2:
-        raise InvalidParameterError(f"pair spec needs n >= 2, got n={n}")
+    t0 = time.perf_counter()
+    base_ast, n, base, embedding = build_pair(pairspec, size_budget)
     report = PairReport(
         pair_spec=render_pair_spec(base_ast, n),
         base_spec=render_group_spec(base_ast),
         n=n,
     )
     timings = report.timings
-
-    t0 = time.perf_counter()
-    base = build_group(base_ast)
     report.base_abelian = is_abelian(base)
-    embedding = embed_wreath_subgroup(base, n, size_budget)
     wreath = embedding.parent
     report.group_order = wreath.order
     report.subgroup_order = embedding.subgroup.order
@@ -188,6 +197,7 @@ def check_pair(
                 table = cached_character_table(
                     wreath,
                     cache_dir,
+                    classes=classes,
                     seed=seed,
                     class_limit=class_limit,
                     order_limit=order_limit,

@@ -140,12 +140,6 @@ def wreath_product(
     return WreathProduct(base_group, n, size_budget)
 
 
-def wreath_inverse(element: WreathElement, base_group: FiniteGroup) -> WreathElement:
-    """Inverse of ((g); p): coordinate i carries g_{p(i)}^-1, top is p^-1."""
-    base = tuple(base_group.inv(element.base[element.top[i]]) for i in range(len(element.top)))
-    return WreathElement(base, perm_inverse(element.top))
-
-
 def embed_wreath_subgroup(
     base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> SubgroupEmbedding:

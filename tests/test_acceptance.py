@@ -16,8 +16,7 @@ import numpy as np
 
 from gelfand import (
     character_table,
-    convolve,
-    convolve_via_constants,
+    class_coefficients,
     decompose_induced_trivial,
     double_cosets,
     embed_wreath_subgroup,
@@ -25,12 +24,17 @@ from gelfand import (
     induced_trivial_prediction,
     inner_product,
     structure_constants,
-    BiInvariantFunction,
     build_group,
     is_commutative,
     parse_pair_spec,
 )
 from gelfand.cli import main as cli_main
+from hecke_oracle import (
+    BiInvariantFunction,
+    bucketed_constants,
+    convolve,
+    convolve_via_constants,
+)
 
 SYMMETRIC_PAIRS = ["wr(Z1,3)", "wr(Z1,4)", "wr(Z1,5)"]
 ABELIAN_PAIRS = ["wr(Z2,2)", "wr(Z2,3)", "wr(Z3,2)", "wr(Z2xZ2,2)"]
@@ -219,6 +223,15 @@ def test_criterion_8_counting_identities():
             assert (
                 convolve(f, g, grp, dc).values
                 == convolve_via_constants(f, g, sc).values
+            ), spec
+            # both algebras' counts equal the brute-force bucketing oracle
+            assert np.array_equal(
+                sc.table, bucketed_constants(grp, dc.blocks, dc.representatives)
+            ), spec
+            cc = b.table.classes
+            assert np.array_equal(
+                class_coefficients(grp, cc),
+                bucketed_constants(grp, cc.classes, cc.representatives),
             ), spec
 
 

@@ -15,7 +15,6 @@ from gelfand import (
     embed_wreath_subgroup,
     full_embedding,
     inner_product,
-    irrep_dimensions,
     is_abelian,
     is_gelfand_character,
     load_character_table,
@@ -75,18 +74,18 @@ def test_class_coefficients_counting_identity():
 
 
 def test_degrees():
-    assert irrep_dimensions(make_cyclic(4)) == (1, 1, 1, 1)
-    assert irrep_dimensions(make_cyclic(6)) == (1, 1, 1, 1, 1, 1)
-    assert irrep_dimensions(make_symmetric(3)) == (1, 1, 2)
-    assert irrep_dimensions(make_symmetric(4)) == (1, 1, 2, 3, 3)
-    assert irrep_dimensions(make_dihedral(4)) == (1, 1, 1, 1, 2)
+    assert character_table(make_cyclic(4)).degrees == (1, 1, 1, 1)
+    assert character_table(make_cyclic(6)).degrees == (1, 1, 1, 1, 1, 1)
+    assert character_table(make_symmetric(3)).degrees == (1, 1, 2)
+    assert character_table(make_symmetric(4)).degrees == (1, 1, 2, 3, 3)
+    assert character_table(make_dihedral(4)).degrees == (1, 1, 1, 1, 2)
 
 
 def test_degrees_dihedral_family():
     # odd k: 2 linear + (k-1)/2 planar; even k: 4 linear + (k-2)/2 planar
-    assert irrep_dimensions(make_dihedral(5)) == (1, 1, 2, 2)
-    assert irrep_dimensions(make_dihedral(6)) == (1, 1, 1, 1, 2, 2)
-    assert irrep_dimensions(make_dihedral(7)) == (1, 1, 2, 2, 2)
+    assert character_table(make_dihedral(5)).degrees == (1, 1, 2, 2)
+    assert character_table(make_dihedral(6)).degrees == (1, 1, 1, 1, 2, 2)
+    assert character_table(make_dihedral(7)).degrees == (1, 1, 2, 2, 2)
 
 
 def test_degrees_multiply_over_direct_products():
@@ -97,7 +96,7 @@ def test_degrees_multiply_over_direct_products():
          (1, 1, 1, 1, 2, 2, 2, 2, 4)),
     ]
     for grp, expected in cases:
-        assert irrep_dimensions(grp) == expected
+        assert character_table(grp).degrees == expected
 
 
 def test_wreath_class_count_matches_multipartition_count():

@@ -1,7 +1,11 @@
 """CLI behaviour: commands, formats, exit codes and cache interaction."""
 
 import json
+import os
+import subprocess
+import sys
 
+import gelfand
 from gelfand.cli import main
 
 
@@ -251,3 +255,21 @@ def test_cache_env_var_used(capsys, tmp_path, monkeypatch):
     code, _, _ = run(capsys, "group", "S3")
     assert code == 0
     assert (tmp_path / "envcache" / "S3.chartab").exists()
+
+
+def test_over_budget_pair_exits_before_order_sized_work(tmp_path):
+    # |Z100000| is small, but wr(Z100000,2) is far over the size budget; the
+    # budget must be enforced before any O(|G|^2) work on the base group
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gelfand.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gelfand.cli", "pair-check", "wr(Z100000,2)",
+         "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=30,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "size budget" in proc.stderr

@@ -3,11 +3,12 @@
 import random
 
 import numpy as np
+import pytest
 
 from gelfand import (
-    BiInvariantFunction,
-    convolve,
-    convolve_via_constants,
+    InternalConsistencyError,
+    class_coefficients,
+    conjugacy_classes,
     double_cosets,
     embed_wreath_subgroup,
     full_embedding,
@@ -19,7 +20,14 @@ from gelfand import (
     structure_constants,
     subgroup_from_generators,
 )
+from gelfand.groups import block_product_counts
 from gelfand.hecke import noncommutative_witness
+from hecke_oracle import (
+    BiInvariantFunction,
+    bucketed_constants,
+    convolve,
+    convolve_via_constants,
+)
 
 
 def s3_pair():
@@ -221,3 +229,100 @@ def test_convolution_associative():
     right = convolve(f, convolve(g, h, grp, dc), grp, dc)
     scale = max(max(abs(v) for v in left.values), 1.0)
     assert max(abs(a - b) for a, b in zip(left.values, right.values)) / scale < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the shared block kernel against the brute-force oracle, and its checks
+
+
+def small_pairs():
+    """(S3, S2), whole-group pairs and the small wreath pairs, as (group, embedding)."""
+    cases = [s3_pair()]
+    cases += [(grp, full_embedding(grp)) for grp in (make_symmetric(3), make_dihedral(4))]
+    for base, n in ((make_cyclic(2), 3), (make_symmetric(3), 2), (make_cyclic(1), 5)):
+        emb = embed_wreath_subgroup(base, n)
+        cases.append((emb.parent, emb))
+    return cases
+
+
+def test_kernel_matches_bucketing_oracle():
+    for grp, emb in small_pairs():
+        dc = double_cosets(grp, emb)
+        sc = structure_constants(grp, emb, dc)
+        assert np.array_equal(
+            sc.table, bucketed_constants(grp, dc.blocks, dc.representatives)
+        ), grp.name
+        cc = conjugacy_classes(grp)
+        assert np.array_equal(
+            class_coefficients(grp, cc),
+            bucketed_constants(grp, cc.classes, cc.representatives),
+        ), grp.name
+
+
+def wr_z2_3():
+    emb = embed_wreath_subgroup(make_cyclic(2), 3)
+    return emb.parent, emb, double_cosets(emb.parent, emb)
+
+
+def corrupt_kernel(monkeypatch, corrupt, calls=(0, 1)):
+    """Make hecke's kernel return a corrupted table on the given call numbers."""
+    seen = []
+
+    def kernel(*args):
+        table = block_product_counts(*args)
+        if len(seen) in calls:
+            corrupt(table)
+        seen.append(1)
+        return table
+
+    monkeypatch.setattr("gelfand.hecke.block_product_counts", kernel)
+
+
+def test_kernel_rejects_target_outside_its_block():
+    grp, emb, dc = wr_z2_3()
+    targets = list(dc.representatives)
+    targets[1], targets[2] = targets[2], targets[1]
+    with pytest.raises(InternalConsistencyError, match="lie in blocks"):
+        block_product_counts(grp, dc.block_of, dc.sizes, targets)
+
+
+def test_kernel_enforces_counting_identity():
+    grp, emb, dc = wr_z2_3()
+    sizes = list(dc.sizes)
+    sizes[1] += 1
+    with pytest.raises(InternalConsistencyError, match="counting identity"):
+        block_product_counts(grp, dc.block_of, sizes, dc.representatives)
+
+
+def test_representative_recount_is_enforced(monkeypatch):
+    grp, emb, dc = wr_z2_3()
+
+    def bump(table):
+        table[1, 1, 2] += 1
+
+    corrupt_kernel(monkeypatch, bump, calls=(1,))
+    with pytest.raises(InternalConsistencyError, match="depends on the representative"):
+        structure_constants(grp, emb, dc)
+
+
+def test_unit_identity_is_enforced(monkeypatch):
+    grp, emb, dc = wr_z2_3()
+
+    def bump(table):
+        table[0, 1, 1] += 1
+
+    corrupt_kernel(monkeypatch, bump)
+    with pytest.raises(InternalConsistencyError, match="unit"):
+        structure_constants(grp, emb, dc)
+
+
+def test_associativity_is_enforced(monkeypatch):
+    grp, emb, dc = wr_z2_3()
+    assert dc.rank >= 3
+
+    def bump(table):
+        table[1, 1, 2] += 1
+
+    corrupt_kernel(monkeypatch, bump)
+    with pytest.raises(InternalConsistencyError, match="not associative"):
+        structure_constants(grp, emb, dc)

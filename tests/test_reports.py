@@ -1,6 +1,11 @@
 """Pair reports: dual-method agreement, predictions and failure capture."""
 
+from collections import Counter
+
 import pytest
+
+import gelfand.chartab
+import gelfand.reports
 
 from gelfand import (
     InvalidParameterError,
@@ -116,3 +121,22 @@ def test_format_report_mentions_verdict():
     assert "is NOT a Gelfand pair" in text
     text = format_report(check_pair("wr(Z2,2)", cache_dir=None))
     assert "IS a Gelfand pair" in text
+
+
+def test_wreath_classes_computed_once_per_pair(monkeypatch, tmp_path):
+    calls = Counter()
+    real = gelfand.reports.conjugacy_classes
+
+    def counted(group):
+        calls[group.name] += 1
+        return real(group)
+
+    monkeypatch.setattr(gelfand.reports, "conjugacy_classes", counted)
+    monkeypatch.setattr(gelfand.chartab, "conjugacy_classes", counted)
+    for method in ("character", "both"):
+        cache = tmp_path / method
+        for state in ("cold", "warm"):
+            calls.clear()
+            r = check_pair("wr(S3,2)", method=method, cache_dir=str(cache))
+            assert r.consistent
+            assert calls["wr(S3,2)"] == 1, (method, state)
