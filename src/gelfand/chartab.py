@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,24 +218,19 @@ def permutation_character(
     """chi(g) = number of left cosets xK with gxK = xK, per class."""
     if classes is None:
         classes = conjugacy_classes(group)
-    image = sorted(embedding.image)
-    mul = group.mul
-    coset_of = [-1] * group.order
+    image = np.array(sorted(embedding.image), dtype=np.int64)
+    coset_of = np.full(group.order, -1, dtype=np.int64)
     coset_reps = []
     for x in range(group.order):
         if coset_of[x] >= 0:
             continue
-        idx = len(coset_reps)
-        for k in image:
-            coset_of[mul(x, k)] = idx
+        coset_of[group.mul_many(x, image)] = len(coset_reps)
         coset_reps.append(x)
     if len(coset_reps) * embedding.subgroup.order != group.order:
         raise InternalConsistencyError("left cosets do not partition the group")
-    values = []
-    for z in classes.representatives:
-        fixed = sum(1 for x in coset_reps if coset_of[mul(z, x)] == coset_of[x])
-        values.append(fixed)
-    return tuple(values)
+    reps = np.array(coset_reps, dtype=np.int64)
+    moved = coset_of[group.mul_many(np.array(classes.representatives)[:, None], reps)]
+    return tuple(np.count_nonzero(moved == coset_of[reps], axis=1).tolist())
 
 
 def inner_product(f, h, classes: ConjugacyClasses) -> complex:
@@ -326,7 +322,7 @@ def save_character_table(table: CharacterTable, path) -> None:
     ]
     for row in table.values:
         lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     os.replace(tmp, path)

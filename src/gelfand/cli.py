@@ -38,7 +38,7 @@ from .reports import (
     scan_pairs,
 )
 from .specs import build_group, parse_group_spec, render_pair_spec
-from .wreath import DEFAULT_SIZE_BUDGET
+from .wreath import DEFAULT_SIZE_BUDGET, wreath_order
 from . import __version__
 
 CACHE_ENV_VAR = "GELFAND_CACHE_DIR"
@@ -137,6 +137,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_branch(args) -> int:
     base = build_group(parse_group_spec(args.base))
+    wreath_order(base, args.n, args.size_budget)
     table = cached_character_table(base, _resolve_cache_dir(args), seed=args.seed)
     prediction = induced_trivial_prediction(table.degrees, args.n)
     print(f"base {base.name}: irreducible dimensions {list(table.degrees)}")

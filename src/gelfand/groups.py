@@ -12,6 +12,16 @@ encoding ``id = a * |B| + b``.
 Composition convention for permutations: ``(p * q)(i) = p(q(i))`` -- the right
 factor acts first.  Commutativity and multiplicity verdicts do not depend on
 the convention, but it is fixed once so ids never move.
+
+Batched contract: ``mul_many(xs, ys)`` and ``inv_many(xs)`` take int64 id
+arrays (or anything ``np.asarray`` accepts, broadcast against each other) and
+return an int64 array of ids of the broadcast shape, elementwise equal to the
+scalar ``mul``/``inv`` under the same encodings.  Ids in, ids out: no group
+keeps a second representation.  The base class loops over the scalar oracle;
+cyclic, dihedral, symmetric, direct-product and wreath groups override it
+with array arithmetic.  Every loop over the elements of a group (conjugacy
+classes, double cosets, the block kernel, the permutation character,
+embedding checks) runs on the batched ops.
 """
 
 from __future__ import annotations
@@ -25,12 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 
 # Exhaustive axiom / homomorphism checks up to this order, seeded sampling above.
 AXIOM_EXHAUSTIVE_LIMIT = 200
-# Cayley tables are only materialized up to this order.
-TABLE_LIMIT = 4096
+# Batched ops hold ids in int64; the sum of two ids must not wrap.
+_BATCH_ORDER_LIMIT = 2**62
 # Image tuples of S_n are pre-listed up to this many elements (n <= 8).
 _PERM_MATERIALIZE_LIMIT = 40320
 
@@ -70,6 +80,57 @@ def perm_unrank(n: int, rank: int) -> tuple[int, ...]:
         digits.append(d)
     available = list(range(n))
     return tuple(available.pop(d) for d in reversed(digits))
+
+
+# Batched permutations are int8 arrays with the positions on axis 0:
+# perms[i] holds the image of point i for every permutation at once.  Any
+# S_n whose ids fit the batched int64 ids has n <= 20.
+
+
+def perm_rank_many(perms: np.ndarray) -> np.ndarray:
+    """perm_rank of every permutation in a positions-first array."""
+    n = len(perms)
+    rank = np.zeros(perms.shape[1:], dtype=np.int64)
+    for i in range(n):
+        smaller = (perms[i + 1 :] < perms[i]).sum(axis=0)
+        rank = rank * (n - i) + smaller
+    return rank
+
+
+def perm_unrank_many(n: int, ranks) -> np.ndarray:
+    """perm_unrank of every rank, as a positions-first array."""
+    rest = np.asarray(ranks, dtype=np.int64)
+    perms = np.empty((n,) + rest.shape, dtype=np.int8)
+    # Lehmer digits: position i picks among the n - i points still unused
+    for i in range(n - 1, -1, -1):
+        rest, perms[i] = np.divmod(rest, n - i)
+    # turn "k-th unused point" into the point itself, last position first
+    for i in range(n - 2, -1, -1):
+        later = perms[i + 1 :]
+        later += later >= perms[i]
+    return perms
+
+
+def perm_compose_many(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """perm_compose elementwise: result[i] = p[q[i]]."""
+    return np.take_along_axis(p, q, axis=0)
+
+
+def perm_inverse_many(perms: np.ndarray) -> np.ndarray:
+    """perm_inverse elementwise: result[perms[i]] = i."""
+    inverse = np.empty_like(perms)
+    points = np.arange(len(perms)).reshape((-1,) + (1,) * (perms.ndim - 1))
+    np.put_along_axis(inverse, perms, points, axis=0)
+    return inverse
+
+
+def as_id_arrays(group: "FiniteGroup", *arrays) -> list[np.ndarray]:
+    """The arrays as int64 ids broadcast to one shape."""
+    if group.order > _BATCH_ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"|{group.name}| = {group.order} does not fit batched int64 ids"
+        )
+    return np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in arrays))
 
 
 class _PermIndexer:
@@ -121,25 +182,20 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         raise NotImplementedError
 
+    def mul_many(self, xs, ys) -> np.ndarray:
+        """Elementwise products of two broadcast id arrays (scalar fallback)."""
+        xs, ys = as_id_arrays(self, xs, ys)
+        products = map(self.mul, xs.ravel().tolist(), ys.ravel().tolist())
+        return np.fromiter(products, dtype=np.int64, count=xs.size).reshape(xs.shape)
+
+    def inv_many(self, xs) -> np.ndarray:
+        """Elementwise inverses of an id array (scalar fallback)."""
+        (xs,) = as_id_arrays(self, xs)
+        inverses = map(self.inv, xs.ravel().tolist())
+        return np.fromiter(inverses, dtype=np.int64, count=xs.size).reshape(xs.shape)
+
     def elements(self) -> range:
         return range(self.order)
-
-    def cayley_table(self) -> np.ndarray:
-        """Full multiplication table as an int array (order <= TABLE_LIMIT)."""
-        if self.order > TABLE_LIMIT:
-            raise InvalidParameterError(
-                f"refusing to materialize a {self.order}x{self.order} Cayley table "
-                f"(limit {TABLE_LIMIT})"
-            )
-        table = getattr(self, "_cayley_cache", None)
-        if table is None:
-            n = self.order
-            table = np.empty((n, n), dtype=np.int32)
-            for a in range(n):
-                for b in range(n):
-                    table[a, b] = self.mul(a, b)
-            self._cayley_cache = table
-        return table
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
@@ -160,6 +216,14 @@ class CyclicGroup(FiniteGroup):
 
     def inv(self, a: int) -> int:
         return (-a) % self.k
+
+    def mul_many(self, xs, ys) -> np.ndarray:
+        xs, ys = as_id_arrays(self, xs, ys)
+        return (xs + ys) % self.k
+
+    def inv_many(self, xs) -> np.ndarray:
+        (xs,) = as_id_arrays(self, xs)
+        return -xs % self.k
 
 
 class SymmetricGroup(FiniteGroup):
@@ -189,6 +253,16 @@ class SymmetricGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return self._idx.rank(perm_inverse(self._idx.unrank(a)))
 
+    def mul_many(self, xs, ys) -> np.ndarray:
+        xs, ys = as_id_arrays(self, xs, ys)
+        p = perm_unrank_many(self.n, xs)
+        q = perm_unrank_many(self.n, ys)
+        return perm_rank_many(perm_compose_many(p, q))
+
+    def inv_many(self, xs) -> np.ndarray:
+        (xs,) = as_id_arrays(self, xs)
+        return perm_rank_many(perm_inverse_many(perm_unrank_many(self.n, xs)))
+
 
 class DihedralGroup(FiniteGroup):
     """D_k of order 2k: <r, s | r^k = s^2 = 1, s r s = r^-1>.
@@ -217,6 +291,21 @@ class DihedralGroup(FiniteGroup):
             return a  # reflections are involutions
         return (-j) % self.k
 
+    # ids lie in 0..2k-1: comparisons and conditional subtractions replace
+    # the int64 divmod and remainder, which cost twice as much here
+    def mul_many(self, xs, ys) -> np.ndarray:
+        xs, ys = as_id_arrays(self, xs, ys)
+        k = self.k
+        e1 = xs >= k
+        e2 = ys >= k
+        j1 = xs - k * e1
+        j = np.where(e2, -j1, j1) + ys - k * e2  # in -k+1 .. 2k-2
+        return k * (e1 ^ e2) + j + k * (j < 0) - k * (j >= k)
+
+    def inv_many(self, xs) -> np.ndarray:
+        (xs,) = as_id_arrays(self, xs)
+        return np.where((xs == 0) | (xs >= self.k), xs, self.k - xs)
+
 
 class DirectProductGroup(FiniteGroup):
     """A x B with componentwise product and id encoding a * |B| + b."""
@@ -242,6 +331,17 @@ class DirectProductGroup(FiniteGroup):
     def inv(self, x: int) -> int:
         xa, xb = self.decode(x)
         return self.encode(self.a.inv(xa), self.b.inv(xb))
+
+    def mul_many(self, xs, ys) -> np.ndarray:
+        xs, ys = as_id_arrays(self, xs, ys)
+        xa, xb = np.divmod(xs, self.b.order)
+        ya, yb = np.divmod(ys, self.b.order)
+        return self.a.mul_many(xa, ya) * self.b.order + self.b.mul_many(xb, yb)
+
+    def inv_many(self, xs) -> np.ndarray:
+        (xs,) = as_id_arrays(self, xs)
+        xa, xb = np.divmod(xs, self.b.order)
+        return self.a.inv_many(xa) * self.b.order + self.b.inv_many(xb)
 
 
 class GeneratedSubgroup(FiniteGroup):
@@ -288,7 +388,10 @@ class SubgroupEmbedding:
         """Check injectivity, identity and the homomorphism property.
 
         Exhaustive over all pairs up to AXIOM_EXHAUSTIVE_LIMIT subgroup
-        elements, seeded sampling (10 * |K| pairs) above.
+        elements, seeded sampling (10 * |K| pairs) above; the pairs are
+        checked in batches of |parent| products, the batch size of every
+        other loop over the parent, so the check never needs more memory
+        than the pipeline after it.
         """
         k = self.subgroup
         if len(self.map) != k.order or len(self.image) != k.order:
@@ -298,18 +401,23 @@ class SubgroupEmbedding:
         if self.map[k.identity] != self.parent.identity:
             raise InternalConsistencyError("embedding does not preserve the identity")
         if k.order <= AXIOM_EXHAUSTIVE_LIMIT:
-            pairs = itertools.product(range(k.order), repeat=2)
+            a, b = np.divmod(np.arange(k.order**2, dtype=np.int64), k.order)
         else:
             rng = random.Random(seed)
-            pairs = (
+            pairs = [
                 (rng.randrange(k.order), rng.randrange(k.order))
                 for _ in range(10 * k.order)
-            )
-        for a, b in pairs:
-            if self.map[k.mul(a, b)] != self.parent.mul(self.map[a], self.map[b]):
+            ]
+            a, b = np.array(pairs, dtype=np.int64).T
+        m = np.array(self.map, dtype=np.int64)
+        for start in range(0, len(a), self.parent.order):
+            x = a[start : start + self.parent.order]
+            y = b[start : start + self.parent.order]
+            bad = np.flatnonzero(m[k.mul_many(x, y)] != self.parent.mul_many(m[x], m[y]))
+            if len(bad):
                 raise InternalConsistencyError(
                     f"embedding of {k.name} into {self.parent.name} is not a "
-                    f"homomorphism at ids ({a}, {b})"
+                    f"homomorphism at ids ({x[bad[0]]}, {y[bad[0]]})"
                 )
 
 
@@ -397,30 +505,32 @@ def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
-    """Conjugation orbits, each sorted, ordered by their minimal element id."""
+    """Conjugation orbits, each sorted, ordered by their minimal element id.
+
+    One batch h g h^-1 over all h per class.
+    """
     order = group.order
-    inv = [group.inv(g) for g in range(order)]
-    class_of = [-1] * order
+    everything = np.arange(order, dtype=np.int64)
+    inverses = group.inv_many(everything)
+    class_of = np.full(order, -1, dtype=np.int64)
     classes: list[tuple[int, ...]] = []
     reps: list[int] = []
     for g in range(order):
         if class_of[g] >= 0:
             continue
-        orbit = sorted({group.mul(h, group.mul(g, inv[h])) for h in range(order)})
-        idx = len(classes)
-        for x in orbit:
-            if class_of[x] >= 0:
-                raise InternalConsistencyError(
-                    f"conjugacy orbits of {group.name} are not disjoint"
-                )
-            class_of[x] = idx
-        classes.append(tuple(orbit))
+        orbit = np.unique(group.mul_many(everything, group.mul_many(g, inverses)))
+        if (class_of[orbit] >= 0).any():
+            raise InternalConsistencyError(
+                f"conjugacy orbits of {group.name} are not disjoint"
+            )
+        class_of[orbit] = len(classes)
+        classes.append(tuple(orbit.tolist()))
         reps.append(g)
         if order % len(orbit) != 0:
             raise InternalConsistencyError(
                 f"conjugacy class size {len(orbit)} does not divide |{group.name}|"
             )
-    return ConjugacyClasses(tuple(classes), tuple(reps), tuple(class_of))
+    return ConjugacyClasses(tuple(classes), tuple(reps), tuple(class_of.tolist()))
 
 
 def block_product_counts(
@@ -448,14 +558,12 @@ def block_product_counts(
             f"targets {tuple(targets)} of {group.name} lie in blocks {tuple(placed)}, "
             f"expected 0..{r - 1} in order"
         )
-    mul = group.mul
-    inverses = [group.inv(x) for x in range(group.order)]
-    left = np.asarray(block_of, dtype=np.int64) * r
+    inverses = group.inv_many(np.arange(group.order, dtype=np.int64))
+    labels = np.asarray(block_of, dtype=np.int64)
+    left = labels * r
     a = np.empty((r, r, r), dtype=np.int64)
     for k, z in enumerate(targets):
-        right = np.fromiter(
-            (block_of[mul(xi, z)] for xi in inverses), dtype=np.int64, count=group.order
-        )
+        right = labels[group.mul_many(inverses, z)]
         a[:, :, k] = np.bincount(left + right, minlength=r * r).reshape(r, r)
     sizes_arr = np.array(sizes, dtype=np.int64)
     if not np.array_equal(a @ sizes_arr, np.outer(sizes_arr, sizes_arr)):
@@ -486,35 +594,60 @@ def commutator_subgroup(group: FiniteGroup) -> SubgroupEmbedding:
 
 
 def verify_group_axioms(group: FiniteGroup, seed: int = 0) -> None:
-    """Check associativity, identity and inverses.
+    """Check associativity, identity and inverses, and the batched ops.
 
-    Exhaustive (vectorized over the Cayley table) up to
-    AXIOM_EXHAUSTIVE_LIMIT; above that, 10 * |G| seeded random triples.
-    Raises InternalConsistencyError on any violation.
+    Exhaustive (vectorized over a multiplication table built from the scalar
+    ``mul``) up to AXIOM_EXHAUSTIVE_LIMIT; above that, 10 * |G| seeded random
+    triples.  Either way ``mul_many``/``inv_many`` must reproduce the scalar
+    products and inverses at every pair checked.  Raises
+    InternalConsistencyError on any violation.
     """
     n = group.order
     e = group.identity
     if n <= AXIOM_EXHAUSTIVE_LIMIT:
-        t = group.cayley_table()
+        t = np.array(
+            [[group.mul(a, b) for b in range(n)] for a in range(n)], dtype=np.int64
+        )
         if not ((t[e, :] == np.arange(n)).all() and (t[:, e] == np.arange(n)).all()):
             raise InternalConsistencyError(f"{group.name}: identity is not neutral")
-        invs = np.array([group.inv(a) for a in range(n)])
+        invs = np.array([group.inv(a) for a in range(n)], dtype=np.int64)
         if not (t[np.arange(n), invs] == e).all():
             raise InternalConsistencyError(f"{group.name}: inverses are broken")
         # (ab)c == a(bc): t[t][a,b,c] = t[t[a,b],c] and t[:,t][a,b,c] = t[a,t[b,c]]
         if not np.array_equal(t[t], t[:, t]):
             raise InternalConsistencyError(f"{group.name}: multiplication is not associative")
+        xs, ys = np.divmod(np.arange(n * n, dtype=np.int64), n)
+        _check_batched(group, xs, ys, t.ravel(), invs[xs])
         return
     rng = random.Random(seed)
-    for _ in range(10 * n):
-        a = rng.randrange(n)
-        b = rng.randrange(n)
-        c = rng.randrange(n)
+    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(10 * n)]
+    products = []
+    inverses = []
+    for a, b, c in triples:
         if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
             raise InternalConsistencyError(
                 f"{group.name}: associativity fails at ({a}, {b}, {c})"
             )
         if group.mul(a, e) != a or group.mul(e, a) != a:
             raise InternalConsistencyError(f"{group.name}: identity fails at {a}")
-        if group.mul(a, group.inv(a)) != e:
+        inv_a = group.inv(a)
+        if group.mul(a, inv_a) != e:
             raise InternalConsistencyError(f"{group.name}: inverse fails at {a}")
+        products.append(group.mul(a, b))
+        inverses.append(inv_a)
+    xs, ys, _ = np.array(triples, dtype=np.int64).T
+    _check_batched(group, xs, ys, np.array(products), np.array(inverses))
+
+
+def _check_batched(group, xs, ys, products, inverses) -> None:
+    """mul_many(xs, ys) and inv_many(xs) must equal the scalar results."""
+    bad = np.flatnonzero(group.mul_many(xs, ys) != products)
+    if len(bad):
+        raise InternalConsistencyError(
+            f"{group.name}: mul_many disagrees with mul at ({xs[bad[0]]}, {ys[bad[0]]})"
+        )
+    bad = np.flatnonzero(group.inv_many(xs) != inverses)
+    if len(bad):
+        raise InternalConsistencyError(
+            f"{group.name}: inv_many disagrees with inv at {xs[bad[0]]}"
+        )

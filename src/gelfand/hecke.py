@@ -66,45 +66,47 @@ def double_cosets(
     """Expand each unvisited g to its full orbit {k g k'}.
 
     Scanning g in id order makes the block order ascending-minimal-id, which
-    puts K (the block of the identity) first.
+    puts K (the block of the identity) first.  The orbit is one batch K g,
+    then (K g) x K in batches of [G:K] rows, so no batch holds more than |G|
+    products, the size of every other batch on a group.
     """
     if embedding.parent is not group:
         raise InvalidParameterError("embedding does not target the given group")
-    image = sorted(embedding.image)
-    mul = group.mul
-    block_of = [-1] * group.order
+    image = np.array(sorted(embedding.image), dtype=np.int64)
+    step = group.order // len(image)
+    block_of = np.full(group.order, -1, dtype=np.int64)
     blocks: list[tuple[int, ...]] = []
     reps: list[int] = []
     for g in range(group.order):
         if block_of[g] >= 0:
             continue
-        left = {mul(k, g) for k in image}
-        orbit = sorted({mul(x, k) for x in left for k in image})
-        idx = len(blocks)
-        for x in orbit:
-            if block_of[x] >= 0:
-                raise InternalConsistencyError("double cosets are not disjoint")
-            block_of[x] = idx
-        blocks.append(tuple(orbit))
+        left = np.unique(group.mul_many(image, g))
+        in_orbit = np.zeros(group.order, dtype=bool)
+        for i in range(0, len(left), step):
+            in_orbit[group.mul_many(left[i : i + step, None], image)] = True
+        orbit = np.flatnonzero(in_orbit)
+        if (block_of[orbit] >= 0).any():
+            raise InternalConsistencyError("double cosets are not disjoint")
+        block_of[orbit] = len(blocks)
+        blocks.append(tuple(orbit.tolist()))
         reps.append(g)
-    dc = DoubleCosetDecomposition(tuple(blocks), tuple(reps), tuple(block_of))
+    dc = DoubleCosetDecomposition(tuple(blocks), tuple(reps), tuple(block_of.tolist()))
     _check_decomposition(group, embedding, dc, image)
     return dc
 
 
 def _check_decomposition(group, embedding, dc, image):
     ksize = embedding.subgroup.order
-    if dc.blocks[dc.block_of[group.identity]] != tuple(image):
+    if dc.blocks[dc.block_of[group.identity]] != tuple(image.tolist()):
         raise InternalConsistencyError("block of the identity is not K itself")
     if dc.block_of[group.identity] != 0:
         raise InternalConsistencyError("block of the identity is not block 0")
     # |KgK| * |K ∩ g^-1 K g| = |K|^2 for every representative
-    image_set = embedding.image
-    for block, g in zip(dc.blocks, dc.representatives):
-        ginv = group.inv(g)
-        stab = sum(
-            1 for k in image if group.mul(group.mul(g, k), ginv) in image_set
-        )
+    in_image = np.zeros(group.order, dtype=bool)
+    in_image[image] = True
+    rep_inverses = group.inv_many(dc.representatives)
+    for block, g, ginv in zip(dc.blocks, dc.representatives, rep_inverses):
+        stab = int(np.count_nonzero(in_image[group.mul_many(group.mul_many(g, image), ginv)]))
         if len(block) * stab != ksize * ksize:
             raise InternalConsistencyError(
                 f"|KgK|*|K ∩ g^-1Kg| = {len(block)}*{stab} != |K|^2 = {ksize * ksize} "

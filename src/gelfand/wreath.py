@@ -15,16 +15,40 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidParameterError, ResourceLimitError
 from .groups import (
     FiniteGroup,
     SubgroupEmbedding,
+    as_id_arrays,
     perm_compose,
+    perm_compose_many,
     perm_indexer,
     perm_inverse,
+    perm_inverse_many,
+    perm_rank_many,
+    perm_unrank_many,
 )
 
 DEFAULT_SIZE_BUDGET = 2_000_000
+
+
+def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET) -> int:
+    """|G wr S_n| = |G|^n * n!, or ResourceLimitError if over the size budget.
+
+    Computed from |G| and n alone, so it is safe to call before any work
+    proportional to |G|.
+    """
+    if n < 1:
+        raise InvalidParameterError(f"wreath product needs n >= 1, got {n}")
+    order = base_group.order**n * math.factorial(n)
+    if order > size_budget:
+        raise ResourceLimitError(
+            f"wr({base_group.name},{n}) needs {order} elements, "
+            f"over the size budget of {size_budget}"
+        )
+    return order
 
 
 @dataclass(frozen=True)
@@ -38,40 +62,19 @@ class WreathElement:
 class WreathProduct(FiniteGroup):
     """G wr S_n as a FiniteGroup over encoded WreathElements.
 
-    Small instances keep a decoded-element list and a base multiplication
-    table, so the quadratic double-coset work runs on lookups instead of
-    repeated radix arithmetic; larger instances compute on the fly.
+    The batched ops decode ids to an (n, ...) array of base ids plus top
+    ranks, multiply coordinates with the base group's ``mul_many``, compose
+    the tops as permutation arrays and re-encode; the scalar ops do the same
+    one element at a time.
     """
 
-    # decoded elements are cached up to this order, matching the group-core
-    # table policy; the base table is kept only for genuinely small bases
-    _DECODE_CACHE_LIMIT = 4096
-    _BASE_TABLE_LIMIT = 256
-
     def __init__(self, base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET):
-        if n < 1:
-            raise InvalidParameterError(f"wreath product needs n >= 1, got {n}")
-        order = base_group.order**n * math.factorial(n)
-        if order > size_budget:
-            raise ResourceLimitError(
-                f"wr({base_group.name},{n}) needs {order} elements, "
-                f"over the size budget of {size_budget}"
-            )
+        self.order = wreath_order(base_group, n, size_budget)
         self.base_group = base_group
         self.n = n
-        self.order = order
         self.name = f"wr({base_group.name},{n})"
         self._nfact = math.factorial(n)
         self._idx = perm_indexer(n)
-        if base_group.order <= self._BASE_TABLE_LIMIT:
-            bmul = base_group.mul
-            rng = range(base_group.order)
-            self._base_table = tuple(tuple(bmul(a, b) for b in rng) for a in rng)
-        else:
-            self._base_table = None
-        self._decoded = None
-        if order <= self._DECODE_CACHE_LIMIT:
-            self._decoded = tuple(self.decode(x) for x in range(order))
 
     def encode(self, element: WreathElement) -> int:
         if len(element.base) != self.n or len(element.top) != self.n:
@@ -86,14 +89,12 @@ class WreathProduct(FiniteGroup):
                     f"top {element.top} is not a permutation of 0..{self.n - 1}"
                 )
             seen |= 1 << v
-        code = 0
         for g in element.base:
             if not 0 <= g < self.base_group.order:
                 raise InvalidParameterError(
                     f"base id {g} out of range for {self.base_group.name}"
                 )
-            code = code * self.base_group.order + g
-        return code * self._nfact + self._idx.rank(element.top)
+        return self._encode_raw(element.base, element.top)
 
     def decode(self, x: int) -> WreathElement:
         if not 0 <= x < self.order:
@@ -104,34 +105,60 @@ class WreathProduct(FiniteGroup):
             code, base[i] = divmod(code, self.base_group.order)
         return WreathElement(tuple(base), self._idx.unrank(top_rank))
 
-    def _decode_cached(self, x: int) -> WreathElement:
-        if self._decoded is not None:
-            return self._decoded[x]
-        return self.decode(x)
-
     def _encode_raw(self, base: tuple[int, ...], top: tuple[int, ...]) -> int:
         code = 0
         for g in base:
             code = code * self.base_group.order + g
         return code * self._nfact + self._idx.rank(top)
 
+    def decode_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids -> (base ids with the n coordinates on axis 0, top ranks in S_n)."""
+        code, top = np.divmod(xs, self._nfact)
+        base = np.empty((self.n,) + np.shape(xs), dtype=np.int64)
+        for i in range(self.n - 1, -1, -1):
+            code, base[i] = np.divmod(code, self.base_group.order)
+        return base, top
+
+    def encode_many(self, base: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """Inverse of decode_many."""
+        code = np.zeros(base.shape[1:], dtype=np.int64)
+        for coordinate in base:
+            code = code * self.base_group.order + coordinate
+        return code * self._nfact + top
+
     def mul(self, x: int, y: int) -> int:
-        a = self._decode_cached(x)
-        b = self._decode_cached(y)
+        a = self.decode(x)
+        b = self.decode(y)
         pinv = perm_inverse(a.top)
-        table = self._base_table
-        if table is not None:
-            base = tuple(table[a.base[i]][b.base[pinv[i]]] for i in range(self.n))
-        else:
-            gmul = self.base_group.mul
-            base = tuple(gmul(a.base[i], b.base[pinv[i]]) for i in range(self.n))
+        gmul = self.base_group.mul
+        base = tuple(gmul(a.base[i], b.base[pinv[i]]) for i in range(self.n))
         return self._encode_raw(base, perm_compose(a.top, b.top))
 
     def inv(self, x: int) -> int:
-        a = self._decode_cached(x)
+        a = self.decode(x)
         ginv = self.base_group.inv
         base = tuple(ginv(a.base[a.top[i]]) for i in range(self.n))
         return self._encode_raw(base, perm_inverse(a.top))
+
+    def mul_many(self, xs, ys) -> np.ndarray:
+        xs, ys = as_id_arrays(self, xs, ys)
+        x_base, x_top = self.decode_many(xs)
+        y_base, y_top = self.decode_many(ys)
+        p = perm_unrank_many(self.n, x_top)
+        top = perm_rank_many(perm_compose_many(p, perm_unrank_many(self.n, y_top)))
+        # coordinate p[j] of the product is x_(p[j]) * y_j: gather x into y's
+        # order, multiply, and scatter back into the gathered buffer
+        x_base = np.take_along_axis(x_base, p, axis=0)
+        products = self.base_group.mul_many(x_base, y_base)
+        np.put_along_axis(x_base, p, products, axis=0)
+        return self.encode_many(x_base, top)
+
+    def inv_many(self, xs) -> np.ndarray:
+        (xs,) = as_id_arrays(self, xs)
+        base, top = self.decode_many(xs)
+        p = perm_unrank_many(self.n, top)
+        moved = self.base_group.inv_many(np.take_along_axis(base, p, axis=0))
+        return self.encode_many(moved, perm_rank_many(perm_inverse_many(p)))
 
 
 def wreath_product(
@@ -154,11 +181,11 @@ def embed_wreath_subgroup(
         )
     parent = WreathProduct(base_group, n, size_budget)
     sub = WreathProduct(base_group, n - 1, size_budget)
-    mapping = []
-    for x in range(sub.order):
-        el = sub.decode(x)
-        widened = WreathElement(el.base + (base_group.identity,), el.top + (n - 1,))
-        mapping.append(parent.encode(widened))
-    emb = SubgroupEmbedding(subgroup=sub, parent=parent, map=tuple(mapping))
+    base, top = sub.decode_many(np.arange(sub.order, dtype=np.int64))
+    fixed = np.ones((1, sub.order), dtype=np.int64)
+    widened_base = np.vstack([base, base_group.identity * fixed])
+    widened_top = np.vstack([perm_unrank_many(n - 1, top), (n - 1) * fixed])
+    mapping = parent.encode_many(widened_base, perm_rank_many(widened_top))
+    emb = SubgroupEmbedding(subgroup=sub, parent=parent, map=tuple(mapping.tolist()))
     emb.validate()
     return emb

@@ -1,0 +1,70 @@
+"""Scalar reference versions of the batched orbit walks, used only by the tests.
+
+Each function is the one-product-at-a-time loop over ``group.mul``/``group.inv``
+that ``groups.conjugacy_classes``, ``hecke.double_cosets`` and
+``chartab.permutation_character`` replaced with ``mul_many``/``inv_many``.
+They share no code with the batched layer, so exact agreement is evidence
+that the batched ops and the array bookkeeping reproduce the scalar oracle.
+"""
+
+from __future__ import annotations
+
+from gelfand.groups import ConjugacyClasses
+from gelfand.hecke import DoubleCosetDecomposition
+
+
+def conjugacy_classes(group) -> ConjugacyClasses:
+    """Conjugation orbits {h g h^-1}, each sorted, ordered by minimal id."""
+    order = group.order
+    inv = [group.inv(g) for g in range(order)]
+    class_of = [-1] * order
+    classes = []
+    reps = []
+    for g in range(order):
+        if class_of[g] >= 0:
+            continue
+        orbit = sorted({group.mul(h, group.mul(g, inv[h])) for h in range(order)})
+        for x in orbit:
+            assert class_of[x] < 0, "conjugacy orbits are not disjoint"
+            class_of[x] = len(classes)
+        classes.append(tuple(orbit))
+        reps.append(g)
+    return ConjugacyClasses(tuple(classes), tuple(reps), tuple(class_of))
+
+
+def double_cosets(group, embedding) -> DoubleCosetDecomposition:
+    """K g K expanded element by element, blocks ordered by minimal id."""
+    image = sorted(embedding.image)
+    mul = group.mul
+    block_of = [-1] * group.order
+    blocks = []
+    reps = []
+    for g in range(group.order):
+        if block_of[g] >= 0:
+            continue
+        left = {mul(k, g) for k in image}
+        orbit = sorted({mul(x, k) for x in left for k in image})
+        for x in orbit:
+            assert block_of[x] < 0, "double cosets are not disjoint"
+            block_of[x] = len(blocks)
+        blocks.append(tuple(orbit))
+        reps.append(g)
+    return DoubleCosetDecomposition(tuple(blocks), tuple(reps), tuple(block_of))
+
+
+def permutation_character(group, embedding, classes) -> tuple[int, ...]:
+    """Fixed left cosets xK of each class representative, coset by coset."""
+    image = sorted(embedding.image)
+    mul = group.mul
+    coset_of = [-1] * group.order
+    coset_reps = []
+    for x in range(group.order):
+        if coset_of[x] >= 0:
+            continue
+        for k in image:
+            coset_of[mul(x, k)] = len(coset_reps)
+        coset_reps.append(x)
+    return tuple(
+        sum(1 for x in coset_reps if coset_of[mul(z, x)] == coset_of[x])
+        for z in classes.representatives
+    )

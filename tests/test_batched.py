@@ -1,0 +1,138 @@
+"""The batched group layer: mul_many/inv_many against the scalar oracle.
+
+Every group class must give, elementwise, the ids that its scalar mul/inv
+give: exhaustively up to order 200, on seeded samples above.  The orbit walks
+built on the batched ops must reproduce their scalar versions
+(tests/scalar_oracle.py) exactly on every pair of the benchmark ladder.
+"""
+
+import numpy as np
+import pytest
+
+import scalar_oracle
+from gelfand import (
+    InternalConsistencyError,
+    ResourceLimitError,
+    conjugacy_classes,
+    double_cosets,
+    make_cyclic,
+    make_dihedral,
+    make_symmetric,
+    permutation_character,
+    subgroup_from_generators,
+    verify_group_axioms,
+)
+from gelfand.groups import CyclicGroup
+from gelfand.reports import build_pair
+from gelfand.specs import build_group
+from gelfand.wreath import wreath_product
+
+EXHAUSTIVE_ORDER = 200
+SAMPLES = 4000
+
+# the pairs of perfbench/workloads.py (ladder-both, character-cold/-warm)
+BENCHMARK_PAIRS = (
+    "wr(Z1,5)", "wr(S3,2)", "wr(Z2,4)", "wr(Z1,6)", "wr(S4,2)",
+    "wr(S3,3)", "wr(Z3,4)", "wr(D4,3)", "wr(Z2,5)",
+)
+
+
+def _groups():
+    yield make_cyclic(1)
+    yield make_cyclic(7)
+    yield make_dihedral(4)
+    yield make_dihedral(5)
+    for n in (1, 2, 3, 4, 5, 7, 9):  # S9 is past _PERM_MATERIALIZE_LIMIT
+        yield make_symmetric(n)
+    for spec in ("D4xZ3", "Z2xS3", "Z2x(Z3xS3)"):
+        yield build_group(spec)
+    # generated subgroups fall back to the scalar loop of the base class
+    yield subgroup_from_generators(make_symmetric(4), [1, 6]).subgroup
+    for spec, n in (("Z2xS3", 2), ("S3", 2), ("Z1", 5), ("Z3", 1), ("D4", 3), ("Z2", 5)):
+        yield wreath_product(build_group(spec), n)
+
+
+GROUPS = list(_groups())
+
+
+def _pairs(group):
+    """All (x, y) up to EXHAUSTIVE_ORDER, else SAMPLES seeded pairs."""
+    n = group.order
+    if n <= EXHAUSTIVE_ORDER:
+        return np.divmod(np.arange(n * n, dtype=np.int64), n)
+    rng = np.random.default_rng(n)
+    return rng.integers(0, n, SAMPLES), rng.integers(0, n, SAMPLES)
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_mul_many_matches_mul(group):
+    xs, ys = _pairs(group)
+    got = group.mul_many(xs, ys)
+    assert got.dtype == np.int64 and got.shape == xs.shape
+    assert got.tolist() == [group.mul(x, y) for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_inv_many_matches_inv(group):
+    xs, _ = _pairs(group)
+    xs = np.unique(xs)
+    got = group.inv_many(xs)
+    assert got.dtype == np.int64
+    assert got.tolist() == [group.inv(x) for x in xs.tolist()]
+
+
+@pytest.mark.parametrize("group", GROUPS, ids=lambda g: g.name)
+def test_batched_ops_broadcast(group):
+    rng = np.random.default_rng(1)
+    xs = rng.integers(0, group.order, (3, 1))
+    ys = rng.integers(0, group.order, (1, 4))
+    expected = [[group.mul(x, y) for y in ys[0].tolist()] for x in xs[:, 0].tolist()]
+    assert group.mul_many(xs, ys).tolist() == expected
+    z = int(ys[0, 0])
+    assert group.mul_many(xs[:, 0], z).tolist() == [row[0] for row in expected]
+    assert group.inv_many(z).shape == ()
+    assert int(group.inv_many(z)) == group.inv(z)
+
+
+def test_batched_ops_refuse_ids_that_do_not_fit_int64():
+    huge = make_cyclic(2**63)
+    with pytest.raises(ResourceLimitError):
+        huge.mul_many([0], [1])
+    with pytest.raises(ResourceLimitError):
+        huge.inv_many([1])
+
+
+class _BrokenBatch(CyclicGroup):
+    """Correct scalar oracle; the batched product is off by one at odd x."""
+
+    def mul_many(self, xs, ys):
+        return (super().mul_many(xs, ys) + np.asarray(xs) % 2) % self.k
+
+
+class _BrokenBatchInverse(CyclicGroup):
+    """Correct scalar oracle; the batched inverse is always the identity."""
+
+    def inv_many(self, xs):
+        return np.zeros_like(super().inv_many(xs))
+
+
+@pytest.mark.parametrize("k", [5, EXHAUSTIVE_ORDER + 101])
+def test_axiom_check_catches_batched_disagreement(k):
+    # exhaustive below the limit, seeded triples above it
+    with pytest.raises(InternalConsistencyError, match="mul_many"):
+        verify_group_axioms(_BrokenBatch(k))
+    with pytest.raises(InternalConsistencyError, match="inv_many"):
+        verify_group_axioms(_BrokenBatchInverse(k))
+    verify_group_axioms(CyclicGroup(k))
+
+
+@pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)
+def test_orbit_walks_match_scalar_oracle(pairspec):
+    _, _, _, embedding = build_pair(pairspec)
+    group = embedding.parent
+    classes = conjugacy_classes(group)
+    assert classes == scalar_oracle.conjugacy_classes(group)
+    assert double_cosets(group, embedding) == scalar_oracle.double_cosets(group, embedding)
+    assert permutation_character(group, embedding, classes) == (
+        scalar_oracle.permutation_character(group, embedding, classes)
+    )

@@ -257,19 +257,32 @@ def test_cache_env_var_used(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "envcache" / "S3.chartab").exists()
 
 
-def test_over_budget_pair_exits_before_order_sized_work(tmp_path):
-    # |Z100000| is small, but wr(Z100000,2) is far over the size budget; the
-    # budget must be enforced before any O(|G|^2) work on the base group
+def _run_module(*argv):
+    """Run the CLI in a fresh interpreter, killed after 30 s."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(gelfand.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gelfand.cli", "pair-check", "wr(Z100000,2)",
-         "--cache-dir", str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "gelfand.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=30,
     )
+
+
+def test_over_budget_pair_exits_before_order_sized_work(tmp_path):
+    # |Z100000| is small, but wr(Z100000,2) is far over the size budget; the
+    # budget must be enforced before any O(|G|^2) work on the base group
+    proc = _run_module("pair-check", "wr(Z100000,2)", "--cache-dir", str(tmp_path))
     assert proc.returncode == 3, proc.stderr
     assert "size budget" in proc.stderr
+
+
+def test_over_budget_branch_exits_before_base_character_table(tmp_path):
+    # wr(S9,2) has 2 * 362880^2 elements; the budget must stop `branch`
+    # before the character table of S9 is computed
+    proc = _run_module("branch", "S9", "--n", "2", "--cache-dir", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert "size budget" in proc.stderr
+    assert not list(tmp_path.iterdir())
