@@ -59,7 +59,6 @@ from .chartab import (
 )
 from .partitions import (
     BranchingPrediction,
-    branch_induce,
     extensions,
     format_multipartition,
     format_partition,
@@ -67,7 +66,6 @@ from .partitions import (
     multipartitions,
     parse_partition,
     partitions_of,
-    predicted_is_multiplicity_free,
 )
 from .specs import (
     Cyclic,

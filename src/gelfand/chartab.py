@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     InternalConsistencyError,
+    InvalidParameterError,
     NumericalQualityError,
     ResourceLimitError,
 )
@@ -216,21 +217,13 @@ def permutation_character(
     classes: ConjugacyClasses | None = None,
 ) -> tuple[int, ...]:
     """chi(g) = number of left cosets xK with gxK = xK, per class."""
+    if embedding.parent is not group:
+        raise InvalidParameterError("embedding does not target the given group")
     if classes is None:
         classes = conjugacy_classes(group)
-    image = np.array(sorted(embedding.image), dtype=np.int64)
-    coset_of = np.full(group.order, -1, dtype=np.int64)
-    coset_reps = []
-    for x in range(group.order):
-        if coset_of[x] >= 0:
-            continue
-        coset_of[group.mul_many(x, image)] = len(coset_reps)
-        coset_reps.append(x)
-    if len(coset_reps) * embedding.subgroup.order != group.order:
-        raise InternalConsistencyError("left cosets do not partition the group")
-    reps = np.array(coset_reps, dtype=np.int64)
+    coset_of, reps = embedding.left_cosets
     moved = coset_of[group.mul_many(np.array(classes.representatives)[:, None], reps)]
-    return tuple(np.count_nonzero(moved == coset_of[reps], axis=1).tolist())
+    return tuple(np.count_nonzero(moved == np.arange(len(reps)), axis=1).tolist())
 
 
 def inner_product(f, h, classes: ConjugacyClasses) -> complex:

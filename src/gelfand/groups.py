@@ -20,8 +20,9 @@ scalar ``mul``/``inv`` under the same encodings.  Ids in, ids out: no group
 keeps a second representation.  The base class loops over the scalar oracle;
 cyclic, dihedral, symmetric, direct-product and wreath groups override it
 with array arithmetic.  Every loop over the elements of a group (conjugacy
-classes, double cosets, the block kernel, the permutation character,
-embedding checks) runs on the batched ops.
+classes, left cosets, the block kernel, embedding checks) runs on the batched
+ops.  ``SubgroupEmbedding.left_cosets`` is the one enumeration of G/K: the
+permutation character and the double cosets both read it.
 """
 
 from __future__ import annotations
@@ -383,6 +384,30 @@ class SubgroupEmbedding:
     @property
     def index(self) -> int:
         return self.parent.order // self.subgroup.order
+
+    @functools.cached_property
+    def left_cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coset_of, reps): the left coset xK of every parent id and, in
+        ascending order, the minimal id of each coset.
+
+        No batch x * K labels more than |K| ids, so [G:K] cosets that cover the
+        parent are disjoint and have |K| elements each.
+        """
+        parent = self.parent
+        image = np.array(sorted(self.image), dtype=np.int64)
+        coset_of = np.full(parent.order, -1, dtype=np.int64)
+        reps = []
+        for x in range(parent.order):
+            if coset_of[x] >= 0:
+                continue
+            coset_of[parent.mul_many(x, image)] = len(reps)
+            reps.append(x)
+        if len(reps) * self.subgroup.order != parent.order or (coset_of < 0).any():
+            raise InternalConsistencyError("left cosets do not partition the group")
+        reps = np.array(reps, dtype=np.int64)
+        coset_of.setflags(write=False)
+        reps.setflags(write=False)
+        return coset_of, reps
 
     def validate(self, seed: int = 0) -> None:
         """Check injectivity, identity and the homomorphism property.

@@ -15,8 +15,9 @@ structure constants must satisfy:
 - the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk, since K = D_0;
 - associativity (f*g)*h = f*(g*h) on seeded random integer vectors.
 
-The decomposition itself must satisfy |KgK| * |K ∩ g^-1 K g| = |K|^2 at
-every representative.
+The double cosets are the K-orbits on the embedding's left cosets G/K.  They
+must be disjoint and cover G/K, block 0 must be K, and every representative
+must satisfy |KgK| * |K ∩ g^-1 K g| = |K|^2.
 """
 
 from __future__ import annotations
@@ -63,34 +64,31 @@ class HeckeStructureConstants:
 def double_cosets(
     group: FiniteGroup, embedding: SubgroupEmbedding
 ) -> DoubleCosetDecomposition:
-    """Expand each unvisited g to its full orbit {k g k'}.
+    """The K-orbits on the left cosets G/K, each expanded to its elements.
 
-    Scanning g in id order makes the block order ascending-minimal-id, which
-    puts K (the block of the identity) first.  The orbit is one batch K g,
-    then (K g) x K in batches of [G:K] rows, so no batch holds more than |G|
-    products, the size of every other batch on a group.
+    The orbit of coset c is the set of cosets hit by K * rep_c, one batch of
+    |K| products.  Walking the cosets in ascending order of minimal id makes
+    each representative the minimal id of its block and puts K first.
     """
     if embedding.parent is not group:
         raise InvalidParameterError("embedding does not target the given group")
+    coset_of, coset_reps = embedding.left_cosets
     image = np.array(sorted(embedding.image), dtype=np.int64)
-    step = group.order // len(image)
-    block_of = np.full(group.order, -1, dtype=np.int64)
-    blocks: list[tuple[int, ...]] = []
+    block_of_coset = np.full(len(coset_reps), -1, dtype=np.int64)
     reps: list[int] = []
-    for g in range(group.order):
-        if block_of[g] >= 0:
+    for c, x in enumerate(coset_reps.tolist()):
+        if block_of_coset[c] >= 0:
             continue
-        left = np.unique(group.mul_many(image, g))
-        in_orbit = np.zeros(group.order, dtype=bool)
-        for i in range(0, len(left), step):
-            in_orbit[group.mul_many(left[i : i + step, None], image)] = True
-        orbit = np.flatnonzero(in_orbit)
-        if (block_of[orbit] >= 0).any():
+        orbit = coset_of[group.mul_many(image, x)]
+        if (block_of_coset[orbit] >= 0).any():
             raise InternalConsistencyError("double cosets are not disjoint")
-        block_of[orbit] = len(blocks)
-        blocks.append(tuple(orbit.tolist()))
-        reps.append(g)
-    dc = DoubleCosetDecomposition(tuple(blocks), tuple(reps), tuple(block_of.tolist()))
+        block_of_coset[orbit] = len(reps)
+        reps.append(x)
+    if (block_of_coset < 0).any():
+        raise InternalConsistencyError("double cosets do not cover the group")
+    block_of = block_of_coset[coset_of]
+    blocks = tuple(tuple(np.flatnonzero(block_of == b).tolist()) for b in range(len(reps)))
+    dc = DoubleCosetDecomposition(blocks, tuple(reps), tuple(block_of.tolist()))
     _check_decomposition(group, embedding, dc, image)
     return dc
 

@@ -90,20 +90,6 @@ class BranchingPrediction:
         return sum(m * m for _, m in self.terms)
 
 
-def branch_induce(mp: Multipartition, dims: tuple[int, ...]) -> BranchingPrediction:
-    """Induce one level up: add a box to component i with weight dims[i]."""
-    if len(dims) != len(mp):
-        raise InvalidParameterError(
-            f"{len(mp)} components but {len(dims)} dimensions"
-        )
-    terms = []
-    for i, part in enumerate(mp):
-        for delta in sorted(extensions(part), reverse=True):
-            label = mp[:i] + (delta,) + mp[i + 1 :]
-            terms.append((label, dims[i]))
-    return BranchingPrediction(tuple(terms))
-
-
 def induced_trivial_prediction(dims: tuple[int, ...], n: int) -> BranchingPrediction:
     """The l+1 terms of the induced trivial representation of a wreath pair.
 
@@ -126,10 +112,6 @@ def induced_trivial_prediction(dims: tuple[int, ...], n: int) -> BranchingPredic
         label = ((n - 1,),) + ((),) * (i - 1) + ((1,),) + ((),) * (l - 1 - i)
         terms.append((label, dims[i]))
     return BranchingPrediction(tuple(terms))
-
-
-def predicted_is_multiplicity_free(dims: tuple[int, ...]) -> bool:
-    return all(d == 1 for d in dims)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ that ``groups.conjugacy_classes``, ``hecke.double_cosets`` and
 ``chartab.permutation_character`` replaced with ``mul_many``/``inv_many``.
 They share no code with the batched layer, so exact agreement is evidence
 that the batched ops and the array bookkeeping reproduce the scalar oracle.
+The double cosets here are expanded element by element as (K g) K, not read
+off the left cosets G/K, so they also check the orbit walk on G/K.
 """
 
 from __future__ import annotations

@@ -13,6 +13,7 @@ import scalar_oracle
 from gelfand import (
     InternalConsistencyError,
     ResourceLimitError,
+    SubgroupEmbedding,
     conjugacy_classes,
     double_cosets,
     make_cyclic,
@@ -136,3 +137,34 @@ def test_orbit_walks_match_scalar_oracle(pairspec):
     assert permutation_character(group, embedding, classes) == (
         scalar_oracle.permutation_character(group, embedding, classes)
     )
+
+
+def test_left_cosets_must_partition_the_group():
+    # x * {0, 2, 4} in the broken Z6 overlaps an earlier coset at odd x
+    embedding = SubgroupEmbedding(CyclicGroup(3), _BrokenBatch(6), (0, 2, 4))
+    with pytest.raises(InternalConsistencyError, match="left cosets do not partition"):
+        permutation_character(embedding.parent, embedding)
+    with pytest.raises(InternalConsistencyError, match="left cosets do not partition"):
+        double_cosets(embedding.parent, embedding)
+
+
+def _corrupt_cosets(coset_of):
+    """K = {0, 3} in Z6 with the given coset labels in place of the true ones."""
+    embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), (0, 3))
+    assert embedding.left_cosets[0].tolist() == [0, 1, 2, 0, 1, 2]
+    embedding.__dict__["left_cosets"] = (np.array(coset_of), np.array([0, 1, 2]))
+    return embedding
+
+
+def test_double_cosets_must_be_disjoint():
+    # K * 2 hits cosets 2 and 0, but coset 0 is already the block K
+    embedding = _corrupt_cosets([0, 1, 2, 0, 1, 0])
+    with pytest.raises(InternalConsistencyError, match="double cosets are not disjoint"):
+        double_cosets(embedding.parent, embedding)
+
+
+def test_double_cosets_must_cover_the_group():
+    # K * 1 hits coset 2 only, so coset 1 lies in no orbit
+    embedding = _corrupt_cosets([0, 2, 1, 0, 2, 1])
+    with pytest.raises(InternalConsistencyError, match="double cosets do not cover"):
+        double_cosets(embedding.parent, embedding)

@@ -5,6 +5,7 @@ import pytest
 
 from gelfand import (
     InternalConsistencyError,
+    InvalidParameterError,
     ResourceLimitError,
     character_table,
     class_coefficients,
@@ -193,6 +194,13 @@ def test_permutation_character_wreath_identity_value():
     emb = embed_wreath_subgroup(make_cyclic(2), 2)
     chi = permutation_character(emb.parent, emb)
     assert chi[0] == emb.parent.order // emb.subgroup.order == 4
+
+
+def test_permutation_character_rejects_embedding_of_another_group():
+    # an equal but distinct group object: the cosets were labelled for the other one
+    _, emb = s3_pair()
+    with pytest.raises(InvalidParameterError, match="does not target"):
+        permutation_character(make_symmetric(3), emb)
 
 
 def test_inner_products():

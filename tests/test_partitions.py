@@ -7,7 +7,6 @@ import pytest
 from gelfand import (
     InvalidParameterError,
     SpecParseError,
-    branch_induce,
     extensions,
     format_multipartition,
     format_partition,
@@ -15,8 +14,8 @@ from gelfand import (
     multipartitions,
     parse_partition,
     partitions_of,
-    predicted_is_multiplicity_free,
 )
+from partitions_oracle import branch_induce
 
 
 def partition_count(n):
@@ -185,12 +184,6 @@ def test_prediction_rejects_bad_input():
         induced_trivial_prediction((2, 1), 3)
     with pytest.raises(InvalidParameterError):
         induced_trivial_prediction((1, 1), 1)
-
-
-def test_predicted_is_multiplicity_free():
-    assert predicted_is_multiplicity_free((1, 1, 1))
-    assert predicted_is_multiplicity_free((1,))
-    assert not predicted_is_multiplicity_free((1, 1, 2))
 
 
 # ---------------------------------------------------------------------------

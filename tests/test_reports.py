@@ -49,6 +49,15 @@ def test_trivial_base_gives_symmetric_pair():
     assert r.consistent
 
 
+@pytest.mark.parametrize("pairspec, rank", [("wr(Z2,6)", 3), ("wr(S3,4)", 7)])
+def test_hecke_verdict_above_the_benchmark_ladder(pairspec, rank):
+    # 46,080 and 31,104 elements: exact Hecke verdicts past wr(Z2,5)
+    r = check_pair(pairspec, method="hecke", cache_dir=None)
+    assert r.rank == r.predicted_rank == rank
+    assert r.gelfand_hecke is r.base_abelian
+    assert r.consistent
+
+
 def test_hecke_only_method():
     r = check_pair("wr(Z3,2)", method="hecke", cache_dir=None)
     assert r.gelfand_hecke is True
