@@ -32,8 +32,8 @@ from .groups import (
     conjugacy_classes,
 )
 
-DEFAULT_CLASS_LIMIT = 80
-DEFAULT_ORDER_LIMIT = 2_000_000
+CLASS_LIMIT = 80
+ORDER_LIMIT = 2_000_000
 _ORTHOGONALITY_TOL = 1e-8
 _INTEGRALITY_TOL = 1e-6
 _MAX_ATTEMPTS = 12
@@ -143,32 +143,44 @@ def _extract_rows(m, sizes, order):
     return degrees, rows
 
 
+def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
+    """Raise ResourceLimitError if group is past the character-table limits.
+
+    The order is tested first, from group.order alone, so this can run before
+    any work proportional to |G|; the class count is tested when given.
+    """
+    if group.order > ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"|{group.name}| = {group.order} exceeds the character-table order "
+            f"limit {ORDER_LIMIT}"
+        )
+    if class_count is not None and class_count > CLASS_LIMIT:
+        raise ResourceLimitError(
+            f"{group.name} has {class_count} conjugacy classes, over the limit "
+            f"{CLASS_LIMIT}"
+        )
+
+
 def character_table(
     group: FiniteGroup,
     classes: ConjugacyClasses | None = None,
     *,
     seed: int = 0,
-    class_limit: int = DEFAULT_CLASS_LIMIT,
-    order_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> CharacterTable:
     """Compute and fully validate the character table of a finite group.
 
-    Defective random combinations are retried with fresh coefficients (the
-    random stream is seeded, so results are reproducible); persistent failure
-    raises NumericalQualityError with the last diagnostic.
+    Groups past ORDER_LIMIT elements are refused before any class is
+    computed, groups past CLASS_LIMIT classes before the class algebra is
+    built (see check_limits).  Defective random combinations are retried
+    with fresh coefficients (the random stream is seeded, so results are
+    reproducible); persistent failure raises NumericalQualityError with the
+    last diagnostic.
     """
-    if group.order > order_limit:
-        raise ResourceLimitError(
-            f"|{group.name}| = {group.order} exceeds the character-table order "
-            f"limit {order_limit}"
-        )
+    check_limits(group)
     if classes is None:
         classes = conjugacy_classes(group)
     r = classes.count
-    if r > class_limit:
-        raise ResourceLimitError(
-            f"{group.name} has {r} conjugacy classes, over the limit {class_limit}"
-        )
+    check_limits(group, r)
     # class 0 must be the singleton class of the identity: row extraction
     # normalizes central characters there and column 0 carries the degrees
     if classes.classes[0] != (group.identity,):
@@ -264,11 +276,10 @@ def decompose_induced_trivial(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
     table: CharacterTable | None = None,
-    **kwargs,
 ) -> InducedTrivialDecomposition:
     """Multiplicities <perm char, chi_i>, validated against exact identities."""
     if table is None:
-        table = character_table(group, **kwargs)
+        table = character_table(group)
     perm = permutation_character(group, embedding, table.classes)
     ms = []
     for i in range(table.num_classes):
@@ -291,10 +302,9 @@ def is_gelfand_character(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
     table: CharacterTable | None = None,
-    **kwargs,
 ) -> bool:
     """True iff the induced trivial representation is multiplicity free."""
-    decomp = decompose_induced_trivial(group, embedding, table, **kwargs)
+    decomp = decompose_induced_trivial(group, embedding, table)
     return all(m <= 1 for m in decomp.multiplicities)
 
 
@@ -383,8 +393,6 @@ def cached_character_table(
     *,
     classes: ConjugacyClasses | None = None,
     seed: int = 0,
-    class_limit: int = DEFAULT_CLASS_LIMIT,
-    order_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> CharacterTable:
     """Load from cache_dir when valid, else compute and store.
 
@@ -392,9 +400,7 @@ def cached_character_table(
     group's conjugacy classes, used instead of computing them again.
     """
     if cache_dir is None:
-        return character_table(
-            group, classes, seed=seed, class_limit=class_limit, order_limit=order_limit
-        )
+        return character_table(group, classes, seed=seed)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{group.name}.chartab")
     if os.path.exists(path):
@@ -402,8 +408,6 @@ def cached_character_table(
             return load_character_table(path, group, classes)
         except (OSError, ValueError, InternalConsistencyError):
             pass  # stale or corrupt entry: recompute and overwrite
-    table = character_table(
-        group, classes, seed=seed, class_limit=class_limit, order_limit=order_limit
-    )
+    table = character_table(group, classes, seed=seed)
     save_character_table(table, path)
     return table

@@ -12,7 +12,7 @@ import json
 import os
 import sys
 
-from .chartab import cached_character_table
+from .chartab import cached_character_table, check_limits
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
@@ -210,6 +210,7 @@ def _cmd_partitions(args) -> int:
 
 def _cmd_group(args) -> int:
     group = build_group(parse_group_spec(args.spec))
+    check_limits(group)
     classes = conjugacy_classes(group)
     abelian = is_abelian(group)
     table = cached_character_table(

@@ -13,19 +13,15 @@ import time
 from dataclasses import dataclass, field
 
 from . import __version__
-from .chartab import (
-    DEFAULT_CLASS_LIMIT,
-    DEFAULT_ORDER_LIMIT,
-    cached_character_table,
-    decompose_induced_trivial,
-)
-from .errors import InvalidParameterError, ResourceLimitError
+from .chartab import cached_character_table, check_limits, decompose_induced_trivial
+from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .groups import conjugacy_classes, is_abelian
 from .hecke import double_cosets, is_commutative, structure_constants
 from .partitions import (
     format_multipartition,
     format_partition,
     induced_trivial_prediction,
+    multipartitions,
 )
 from .specs import build_group, parse_pair_spec, render_group_spec, render_pair_spec
 from .wreath import DEFAULT_SIZE_BUDGET, embed_wreath_subgroup
@@ -130,14 +126,16 @@ def check_pair(
     seed: int = 0,
     size_budget: int = DEFAULT_SIZE_BUDGET,
     cache_dir=None,
-    class_limit: int = DEFAULT_CLASS_LIMIT,
-    order_limit: int = DEFAULT_ORDER_LIMIT,
 ) -> PairReport:
     """Verify one pair with the selected method(s) and cross-check the results.
 
-    With method="both", a wreath group too large for the character-table
-    limits degrades to the Hecke criterion alone (itself a complete exact
-    verdict) and marks the character verdict "skipped".
+    The character route checks the wreath group against the character-table
+    limits (chartab.check_limits) before any wreath class is computed: the
+    classes of G wr S_n are indexed by the multipartitions of n over the
+    classes of G, so their count is known from the base table.  A wreath
+    group past the limits raises ResourceLimitError with method="character";
+    with method="both" it degrades to the Hecke criterion alone (itself a
+    complete exact verdict) and marks the character verdict "skipped".
     """
     if method not in ("hecke", "character", "both"):
         raise InvalidParameterError(
@@ -158,9 +156,7 @@ def check_pair(
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    base_table = cached_character_table(
-        base, cache_dir, seed=seed, class_limit=class_limit, order_limit=order_limit
-    )
+    base_table = cached_character_table(base, cache_dir, seed=seed)
     prediction = induced_trivial_prediction(base_table.degrees, n)
     report.predicted_term_count = prediction.term_count
     report.predicted_rank = prediction.predicted_rank
@@ -177,36 +173,26 @@ def check_pair(
 
     if method in ("character", "both"):
         t0 = time.perf_counter()
-        if wreath.order > order_limit:
+        class_count = len(multipartitions(base_table.num_classes, n))
+        try:
+            check_limits(wreath, class_count)
+        except ResourceLimitError:
             if method == "character":
-                raise ResourceLimitError(
-                    f"|{wreath.name}| = {wreath.order} exceeds the character-table "
-                    f"order limit {order_limit}"
-                )
+                raise
             report.gelfand_character = SKIPPED
         else:
             classes = conjugacy_classes(wreath)
-            if classes.count > class_limit:
-                if method == "character":
-                    raise ResourceLimitError(
-                        f"{wreath.name} has {classes.count} conjugacy classes, "
-                        f"over the limit {class_limit}"
-                    )
-                report.gelfand_character = SKIPPED
-            else:
-                table = cached_character_table(
-                    wreath,
-                    cache_dir,
-                    classes=classes,
-                    seed=seed,
-                    class_limit=class_limit,
-                    order_limit=order_limit,
+            if classes.count != class_count:
+                raise InternalConsistencyError(
+                    f"{wreath.name} has {classes.count} conjugacy classes, but "
+                    f"{class_count} multipartitions index them"
                 )
-                decomp = decompose_induced_trivial(wreath, embedding, table)
-                report.multiplicities = decomp.nonzero
-                report.gelfand_character = all(
-                    m <= 1 for m in decomp.multiplicities
-                )
+            table = cached_character_table(
+                wreath, cache_dir, classes=classes, seed=seed
+            )
+            decomp = decompose_induced_trivial(wreath, embedding, table)
+            report.multiplicities = decomp.nonzero
+            report.gelfand_character = all(m <= 1 for m in decomp.multiplicities)
         timings["character"] = time.perf_counter() - t0
 
     report.failures = tuple(_consistency_failures(report))

@@ -26,7 +26,7 @@ from gelfand import (
     save_character_table,
     subgroup_from_generators,
 )
-from gelfand.chartab import cached_character_table, validate_character_table
+from gelfand.chartab import ORDER_LIMIT, cached_character_table, validate_character_table
 
 
 def s3_pair():
@@ -169,10 +169,13 @@ def test_determinism_and_seed():
 
 
 def test_class_limit_enforced():
-    with pytest.raises(ResourceLimitError):
-        character_table(make_cyclic(100), class_limit=80)
-    with pytest.raises(ResourceLimitError):
-        character_table(make_cyclic(100), order_limit=50)
+    # Z100 has 100 classes, over CLASS_LIMIT = 80
+    with pytest.raises(ResourceLimitError, match="100 conjugacy classes"):
+        character_table(make_cyclic(100))
+    # the order limit is checked before any class is computed: walking the
+    # classes of a group this size would not finish in test time
+    with pytest.raises(ResourceLimitError, match="order limit"):
+        character_table(make_cyclic(ORDER_LIMIT + 1))
 
 
 # ---------------------------------------------------------------------------

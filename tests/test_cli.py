@@ -1,11 +1,13 @@
 """CLI behaviour: commands, formats, exit codes and cache interaction."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 
 import gelfand
+import gelfand.reports
 from gelfand.cli import main
 
 
@@ -286,3 +288,35 @@ def test_over_budget_branch_exits_before_base_character_table(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "size budget" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_group_over_order_limit_exits_before_class_walk(tmp_path):
+    # |S10| = 3628800 is over the character-table order limit; `group` must
+    # stop before walking the classes or testing commutativity
+    proc = _run_module("group", "S10", "--cache-dir", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert "order limit" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_character_route_exits_before_wreath_classes(tmp_path):
+    # wr(Z8,4) has 726 classes, counted from the 8 classes of Z8 before any
+    # wreath class is computed
+    proc = _run_module(
+        "pair-check", "wr(Z8,4)", "--method", "character", "--cache-dir", str(tmp_path)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "726 conjugacy classes" in proc.stderr
+
+
+def test_wrong_wreath_class_count_is_an_internal_failure(capsys, tmp_path, monkeypatch):
+    real = gelfand.reports.conjugacy_classes
+
+    def one_class_short(group):
+        classes = real(group)
+        return dataclasses.replace(classes, classes=classes.classes[:-1])
+
+    monkeypatch.setattr(gelfand.reports, "conjugacy_classes", one_class_short)
+    code, _, err = run(capsys, "pair-check", "wr(Z2,3)", "--cache-dir", str(tmp_path))
+    assert code == 4
+    assert "internal failure" in err and "multipartitions" in err

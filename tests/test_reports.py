@@ -75,23 +75,44 @@ def test_character_only_method():
     assert r.consistent
 
 
-def test_character_skipped_when_over_limits():
-    # class limit 3 is below the 10 classes of wr(Z2,3): method=both degrades
-    r = check_pair("wr(Z2,3)", cache_dir=None, class_limit=3)
+def test_character_skipped_when_over_limits(monkeypatch):
+    # wr(Z13,2) has 104 classes, over the class limit 80: method=both degrades
+    r = check_pair("wr(Z13,2)", cache_dir=None)
     assert r.gelfand_hecke is True
     assert r.gelfand_character == SKIPPED
     assert r.consistent
     # same degradation when the wreath order exceeds the order limit; the
     # base group (order 2) stays under it so the prediction still runs
-    r = check_pair("wr(Z2,3)", cache_dir=None, order_limit=40)
+    monkeypatch.setattr(gelfand.chartab, "ORDER_LIMIT", 40)
+    r = check_pair("wr(Z2,3)", cache_dir=None)
     assert r.gelfand_character == SKIPPED
     assert r.rank == r.predicted_rank == 3
     assert r.consistent
 
 
-def test_character_only_over_limit_raises():
-    with pytest.raises(ResourceLimitError):
-        check_pair("wr(Z2,3)", method="character", cache_dir=None, order_limit=40)
+def test_character_only_over_limit_raises(monkeypatch):
+    with pytest.raises(ResourceLimitError, match="104 conjugacy classes"):
+        check_pair("wr(Z13,2)", method="character", cache_dir=None)
+    monkeypatch.setattr(gelfand.chartab, "ORDER_LIMIT", 40)
+    with pytest.raises(ResourceLimitError, match="order limit 40"):
+        check_pair("wr(Z2,3)", method="character", cache_dir=None)
+
+
+def test_class_limit_checked_before_wreath_classes(monkeypatch):
+    # the 104 classes of wr(Z13,2) are counted from the base table, so the
+    # wreath classes are never computed; the Hecke side still runs in full
+    calls = []
+    real = gelfand.reports.conjugacy_classes
+    monkeypatch.setattr(
+        gelfand.reports,
+        "conjugacy_classes",
+        lambda group: calls.append(group.name) or real(group),
+    )
+    r = check_pair("wr(Z13,2)", cache_dir=None)
+    assert calls == []
+    assert (r.group_order, r.rank, r.predicted_rank) == (338, 14, 14)
+    assert r.gelfand_hecke is True and r.gelfand_character == SKIPPED
+    assert r.consistent
 
 
 def test_seed_does_not_change_verdicts():
