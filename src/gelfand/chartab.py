@@ -146,14 +146,17 @@ def _extract_rows(m, sizes, order):
 def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
     """Raise ResourceLimitError if group is past the character-table limits.
 
-    The order is tested first, from group.order alone, so this can run before
-    any work proportional to |G|; the class count is tested when given.
+    The order is tested first, from group.order alone, then the class count:
+    class_count when given, else the count group.class_count states from the
+    construction, when known.  Neither needs any work proportional to |G|.
     """
     if group.order > ORDER_LIMIT:
         raise ResourceLimitError(
             f"|{group.name}| = {group.order} exceeds the character-table order "
             f"limit {ORDER_LIMIT}"
         )
+    if class_count is None:
+        class_count = group.class_count
     if class_count is not None and class_count > CLASS_LIMIT:
         raise ResourceLimitError(
             f"{group.name} has {class_count} conjugacy classes, over the limit "
@@ -169,9 +172,10 @@ def character_table(
 ) -> CharacterTable:
     """Compute and fully validate the character table of a finite group.
 
-    Groups past ORDER_LIMIT elements are refused before any class is
-    computed, groups past CLASS_LIMIT classes before the class algebra is
-    built (see check_limits).  Defective random combinations are retried
+    Groups past ORDER_LIMIT elements or past CLASS_LIMIT classes are refused
+    before any class is computed (see check_limits); a group whose class
+    count is not known from its construction is refused past CLASS_LIMIT
+    before the class algebra is built.  Defective random combinations are retried
     with fresh coefficients (the random stream is seeded, so results are
     reproducible); persistent failure raises NumericalQualityError with the
     last diagnostic.
@@ -231,9 +235,9 @@ def permutation_character(
     """chi(g) = number of left cosets xK with gxK = xK, per class."""
     if embedding.parent is not group:
         raise InvalidParameterError("embedding does not target the given group")
+    coset_of, reps = embedding.left_cosets
     if classes is None:
         classes = conjugacy_classes(group)
-    coset_of, reps = embedding.left_cosets
     moved = coset_of[group.mul_many(np.array(classes.representatives)[:, None], reps)]
     return tuple(np.count_nonzero(moved == np.arange(len(reps)), axis=1).tolist())
 

@@ -23,6 +23,17 @@ with array arithmetic.  Every loop over the elements of a group (conjugacy
 classes, left cosets, the block kernel, embedding checks) runs on the batched
 ops.  ``SubgroupEmbedding.left_cosets`` is the one enumeration of G/K: the
 permutation character and the double cosets both read it.
+
+Every group states what its construction fixes: ``generators`` (ids that
+generate it) and ``class_count`` (its number of conjugacy classes, or None
+when unknown), so limits on the class count apply before any class is
+computed.  ``conjugacy_classes`` is the one entry point for classes: it takes
+a label per id from ``group.class_labels()`` (the batched orbit walk by
+default; wreath products override it with their type pass) and checks any
+labelling exactly: the generators must generate the group, the labels must be
+invariant under conjugation by every generator, and their count must equal
+``class_count``.  ``closure`` over the tables of ``right_products`` is the one
+batched closure, behind both that check and ``subgroup_from_generators``.
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
+from .partitions import multipartition_count
 
 # Exhaustive axiom / homomorphism checks up to this order, seeded sampling above.
 AXIOM_EXHAUSTIVE_LIMIT = 200
@@ -176,6 +188,10 @@ class FiniteGroup:
     name: str
     order: int
     identity: int = 0
+    # ids that generate the group; conjugacy_classes checks that they do
+    generators: tuple[int, ...] = ()
+    # the number of conjugacy classes, known from the construction (None if not)
+    class_count: int | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -198,6 +214,35 @@ class FiniteGroup:
     def elements(self) -> range:
         return range(self.order)
 
+    def class_labels(self) -> np.ndarray:
+        """A conjugacy-class label for every id, equal iff the ids are conjugate.
+
+        This is the orbit walk: one batch h g h^-1 over all h per class;
+        orbits must be disjoint and their sizes must divide |G|.  Groups that
+        know their classes better override it (wreath products label every
+        id by its type).  conjugacy_classes numbers the labels by minimal id.
+        """
+        order = self.order
+        everything = np.arange(order, dtype=np.int64)
+        inverses = self.inv_many(everything)
+        class_of = np.full(order, -1, dtype=np.int64)
+        count = 0
+        for g in range(order):
+            if class_of[g] >= 0:
+                continue
+            orbit = np.unique(self.mul_many(everything, self.mul_many(g, inverses)))
+            if (class_of[orbit] >= 0).any():
+                raise InternalConsistencyError(
+                    f"conjugacy orbits of {self.name} are not disjoint"
+                )
+            if order % len(orbit) != 0:
+                raise InternalConsistencyError(
+                    f"conjugacy class size {len(orbit)} does not divide |{self.name}|"
+                )
+            class_of[orbit] = count
+            count += 1
+        return class_of
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
 
@@ -211,6 +256,8 @@ class CyclicGroup(FiniteGroup):
         self.k = k
         self.order = k
         self.name = f"Z{k}"
+        self.generators = (1,) if k > 1 else ()
+        self.class_count = k
 
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.k
@@ -239,6 +286,20 @@ class SymmetricGroup(FiniteGroup):
         self.order = math.factorial(n)
         self.name = f"S{n}"
         self._idx = perm_indexer(n)
+
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The transposition (0 1) and the n-cycle i -> i + 1."""
+        if self.n == 1:
+            return ()
+        points = tuple(range(self.n))
+        swap = (1, 0) + points[2:]
+        return (self.id_of(swap), self.id_of(points[1:] + (0,)))
+
+    @functools.cached_property
+    def class_count(self) -> int:
+        """One class per cycle type: the partitions of n."""
+        return multipartition_count(1, self.n)
 
     def permutation(self, a: int) -> tuple[int, ...]:
         if not 0 <= a < self.order:
@@ -277,6 +338,10 @@ class DihedralGroup(FiniteGroup):
         self.k = k
         self.order = 2 * k
         self.name = f"D{k}"
+        self.generators = (1, k)  # r and s
+        # {1}, the rotation pairs {r^j, r^-j}, and one (odd k) or two (even
+        # k) classes of reflections, plus the central r^(k/2) for even k
+        self.class_count = (k + 3) // 2 if k % 2 else k // 2 + 3
 
     def mul(self, a: int, b: int) -> int:
         k = self.k
@@ -318,6 +383,18 @@ class DirectProductGroup(FiniteGroup):
         right = f"({b.name})" if isinstance(b, DirectProductGroup) else b.name
         self.name = f"{a.name}x{right}"
 
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        return tuple(self.encode(g, self.b.identity) for g in self.a.generators) + tuple(
+            self.encode(self.a.identity, g) for g in self.b.generators
+        )
+
+    @functools.cached_property
+    def class_count(self) -> int | None:
+        if self.a.class_count is None or self.b.class_count is None:
+            return None
+        return self.a.class_count * self.b.class_count
+
     def encode(self, xa: int, xb: int) -> int:
         return xa * self.b.order + xb
 
@@ -346,15 +423,19 @@ class DirectProductGroup(FiniteGroup):
 
 
 class GeneratedSubgroup(FiniteGroup):
-    """Subgroup realized by its sorted parent ids and the parent's oracle."""
+    """Subgroup realized by its sorted parent ids and the parent's oracle.
 
-    def __init__(self, parent: FiniteGroup, ids: tuple[int, ...]):
+    generators are parent ids that generate the subgroup.
+    """
+
+    def __init__(self, parent: FiniteGroup, ids: tuple[int, ...], generators: tuple[int, ...]):
         self.parent = parent
         self.ids = ids
         self._index = {g: i for i, g in enumerate(ids)}
         self.order = len(ids)
         self.identity = self._index[parent.identity]
         self.name = f"subgroup(order {len(ids)}) of {parent.name}"
+        self.generators = tuple(self._index[g] for g in generators)
 
     def mul(self, a: int, b: int) -> int:
         p = self.parent.mul(self.ids[a], self.ids[b])
@@ -480,28 +561,36 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> DirectProductGroup:
     return DirectProductGroup(a, b)
 
 
-def _closure(group: FiniteGroup, generators: tuple[int, ...]) -> tuple[int, ...]:
-    """BFS closure under right multiplication by the generators.
+def right_products(group: FiniteGroup, generators: Sequence[int]) -> np.ndarray:
+    """table[i][x] = x * generators[i] for every id x: one batch per generator."""
+    everything = np.arange(group.order, dtype=np.int64)
+    return np.array(
+        [group.mul_many(everything, g) for g in generators], dtype=np.int64
+    ).reshape(len(generators), group.order)
 
-    Inverses need no special handling in a finite group (g^-1 is a power of g).
+
+def closure(group: FiniteGroup, steps: np.ndarray) -> np.ndarray:
+    """Sorted ids of the subgroup generated by the generators whose right
+    products are tabulated in steps (see right_products).
+
+    The ids reachable from the identity by right multiplication, found by
+    array indexing alone; inverses need no special handling in a finite
+    group (g^-1 is a power of g).  A product outside 0..|G|-1 means a broken
+    multiplication oracle and raises InternalConsistencyError.
     """
-    seen = {group.identity}
-    frontier = [group.identity]
-    while frontier:
-        new = []
-        for x in frontier:
-            for g in generators:
-                p = group.mul(x, g)
-                if p not in seen:
-                    if len(seen) >= group.order:
-                        raise InternalConsistencyError(
-                            f"closure in {group.name} exceeded the group order; "
-                            "multiplication oracle is broken"
-                        )
-                    seen.add(p)
-                    new.append(p)
-        frontier = new
-    return tuple(sorted(seen))
+    if steps.size and (steps.min() < 0 or steps.max() >= group.order):
+        raise InternalConsistencyError(
+            f"products in {group.name} leave the ids 0..{group.order - 1}; "
+            "multiplication oracle is broken"
+        )
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity], dtype=np.int64)
+    while len(frontier):
+        reached = steps[:, frontier].ravel()
+        frontier = np.unique(reached[~seen[reached]])
+        seen[frontier] = True
+    return np.flatnonzero(seen)
 
 
 def subgroup_from_generators(
@@ -512,12 +601,12 @@ def subgroup_from_generators(
     for g in gens:
         if not 0 <= g < group.order:
             raise InvalidParameterError(f"generator id {g} out of range for {group.name}")
-    ids = _closure(group, gens)
+    ids = tuple(closure(group, right_products(group, gens)).tolist())
     if group.order % len(ids) != 0:
         raise InternalConsistencyError(
             f"subgroup order {len(ids)} does not divide |{group.name}| = {group.order}"
         )
-    sub = GeneratedSubgroup(group, ids)
+    sub = GeneratedSubgroup(group, ids, gens)
     emb = SubgroupEmbedding(subgroup=sub, parent=group, map=ids)
     emb.validate()
     return emb
@@ -531,32 +620,52 @@ def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
-    """Conjugation orbits, each sorted, ordered by their minimal element id.
+    """Conjugacy classes, each sorted, ordered by their minimal element id.
 
-    One batch h g h^-1 over all h per class.
+    The labels come from group.class_labels() (the orbit walk, or a group's
+    own labelling) and are checked exactly here, whatever produced them; a
+    violation raises InternalConsistencyError:
+    - the generators generate the group (their closure reaches |G|);
+    - the labels are invariant under conjugation by every generator, so
+      every label is a union of classes;
+    - the label count equals group.class_count, when known, so every label
+      is exactly one class.
+    Costs 2 |G| products per generator: x * s for every x (the closure) and
+    s * x (invariance: s x s^-1 has the label of x for every x iff s y has
+    the label of y s for every y).
     """
     order = group.order
+    labels = np.asarray(group.class_labels(), dtype=np.int64)
+    right = right_products(group, group.generators)
+    reached = len(closure(group, right))
+    if reached != order:
+        raise InternalConsistencyError(
+            f"generators {group.generators} of {group.name} generate {reached} "
+            f"of its {order} elements"
+        )
     everything = np.arange(order, dtype=np.int64)
-    inverses = group.inv_many(everything)
-    class_of = np.full(order, -1, dtype=np.int64)
-    classes: list[tuple[int, ...]] = []
-    reps: list[int] = []
-    for g in range(order):
-        if class_of[g] >= 0:
-            continue
-        orbit = np.unique(group.mul_many(everything, group.mul_many(g, inverses)))
-        if (class_of[orbit] >= 0).any():
+    for s, times_s in zip(group.generators, right):
+        bad = np.flatnonzero(labels[group.mul_many(s, everything)] != labels[times_s])
+        if len(bad):
             raise InternalConsistencyError(
-                f"conjugacy orbits of {group.name} are not disjoint"
+                f"class labels of {group.name} are not invariant under "
+                f"conjugation by generator {s} (s y and y s differ at y = {bad[0]})"
             )
-        class_of[orbit] = len(classes)
-        classes.append(tuple(orbit.tolist()))
-        reps.append(g)
-        if order % len(orbit) != 0:
-            raise InternalConsistencyError(
-                f"conjugacy class size {len(orbit)} does not divide |{group.name}|"
-            )
-    return ConjugacyClasses(tuple(classes), tuple(reps), tuple(class_of.tolist()))
+    _, first, label = np.unique(labels, return_index=True, return_inverse=True)
+    count = len(first)
+    if group.class_count is not None and count != group.class_count:
+        raise InternalConsistencyError(
+            f"{group.name} has {count} class labels, but {group.class_count} "
+            "conjugacy classes"
+        )
+    # number the classes by their minimal ids, then list each one's members
+    by_minimal_id = np.empty(count, dtype=np.int64)
+    by_minimal_id[np.argsort(first)] = np.arange(count)
+    class_of = by_minimal_id[label]
+    members = np.argsort(class_of, kind="stable")
+    bounds = np.cumsum(np.bincount(class_of, minlength=count))[:-1]
+    classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
+    return ConjugacyClasses(classes, tuple(np.sort(first).tolist()), tuple(class_of.tolist()))
 
 
 def block_product_counts(

@@ -66,6 +66,25 @@ def multipartitions(components: int, n: int) -> list[Multipartition]:
     return out
 
 
+def multipartition_count(components: int, n: int) -> int:
+    """len(multipartitions(components, n)) without listing them.
+
+    The count is the coefficient of x^n in prod_k (1 - x^k)^-components, so
+    a(m) = (components / m) sum_{j=1..m} sigma(j) a(m - j) with sigma the
+    divisor sum (Euler transform); O(n^2) exact integer steps whatever the
+    number of components.  components = 1 counts the partitions of n.
+    """
+    if components < 1:
+        raise InvalidParameterError(f"need at least one component, got {components}")
+    if n < 0:
+        raise InvalidParameterError(f"total size must be >= 0, got {n}")
+    sigma = [0] + [sum(d for d in range(1, j + 1) if j % d == 0) for j in range(1, n + 1)]
+    a = [1]
+    for m in range(1, n + 1):
+        a.append(components * sum(sigma[j] * a[m - j] for j in range(1, m + 1)) // m)
+    return a[n]
+
+
 @dataclass(frozen=True)
 class BranchingPrediction:
     """Distinct multipartition labels with positive multiplicities."""

@@ -21,7 +21,6 @@ from .partitions import (
     format_multipartition,
     format_partition,
     induced_trivial_prediction,
-    multipartitions,
 )
 from .specs import build_group, parse_pair_spec, render_group_spec, render_pair_spec
 from .wreath import DEFAULT_SIZE_BUDGET, embed_wreath_subgroup
@@ -132,7 +131,7 @@ def check_pair(
     The character route checks the wreath group against the character-table
     limits (chartab.check_limits) before any wreath class is computed: the
     classes of G wr S_n are indexed by the multipartitions of n over the
-    classes of G, so their count is known from the base table.  A wreath
+    classes of G, so their count is known from the construction.  A wreath
     group past the limits raises ResourceLimitError with method="character";
     with method="both" it degrades to the Hecke criterion alone (itself a
     complete exact verdict) and marks the character verdict "skipped".
@@ -173,9 +172,9 @@ def check_pair(
 
     if method in ("character", "both"):
         t0 = time.perf_counter()
-        class_count = len(multipartitions(base_table.num_classes, n))
+        class_count = wreath.class_count
         try:
-            check_limits(wreath, class_count)
+            check_limits(wreath)
         except ResourceLimitError:
             if method == "character":
                 raise

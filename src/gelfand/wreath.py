@@ -8,20 +8,32 @@ coordinates before multiplying componentwise:
 
 Ids pack the base tuple big-endian in radix |G| and append the top
 permutation's lexicographic rank: id = code(base) * n! + rank(top).
+
+Conjugacy classes come from types, not from an orbit walk: the class of an
+element is fixed by the base class of each top cycle's product (James &
+Kerber, *The Representation Theory of the Symmetric Group*, ch. 4; Macdonald,
+*Symmetric Functions and Hall Polynomials*, ch. I app. B).  So the classes
+are indexed by the multipartitions of n over the base classes, their count is
+known from the construction, and ``WreathProduct.class_labels`` labels every
+element in one vectorized pass; ``groups.conjugacy_classes`` checks the
+labels, and the pass checks every class size against the centralizer order
+of its type.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .groups import (
     FiniteGroup,
     SubgroupEmbedding,
     as_id_arrays,
+    conjugacy_classes,
     perm_compose,
     perm_compose_many,
     perm_indexer,
@@ -30,6 +42,7 @@ from .groups import (
     perm_rank_many,
     perm_unrank_many,
 )
+from .partitions import multipartition_count
 
 DEFAULT_SIZE_BUDGET = 2_000_000
 
@@ -159,6 +172,98 @@ class WreathProduct(FiniteGroup):
         p = perm_unrank_many(self.n, top)
         moved = self.base_group.inv_many(np.take_along_axis(base, p, axis=0))
         return self.encode_many(moved, perm_rank_many(perm_inverse_many(p)))
+
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The base generators on coordinate 0, then (0 1) and the n-cycle."""
+        rest = (self.base_group.identity,) * (self.n - 1)
+        points = tuple(range(self.n))
+        gens = [self._encode_raw((g,) + rest, points) for g in self.base_group.generators]
+        if self.n > 1:
+            unit = (self.base_group.identity,) * self.n
+            gens.append(self._encode_raw(unit, (1, 0) + points[2:]))
+            gens.append(self._encode_raw(unit, points[1:] + (0,)))
+        return tuple(gens)
+
+    @functools.cached_property
+    def class_count(self) -> int:
+        """One class per multipartition of n over the classes of the base."""
+        base_count = self.base_group.class_count
+        if base_count is None:
+            base_count = conjugacy_classes(self.base_group).count
+        return multipartition_count(base_count, self.n)
+
+    def class_labels(self) -> np.ndarray:
+        """Label every id by its type in one vectorized pass.
+
+        For x = ((g); p), the cycle of p through point i, of length m, has the
+        cycle product g_i g_(p^-1(i)) ... g_(p^-(m-1)(i)), coordinate i of x^m.
+        The type of x is the multiset of (m, base class of the cycle product)
+        over the cycles of p, and two elements are conjugate iff their types
+        agree (James & Kerber, The Representation Theory of the Symmetric
+        Group, ch. 4).  Every point carries the code of its cycle, so the n
+        codes of an id, sorted, are its type; n - 1 batched base products
+        over (n, |G|) arrays find them all.
+
+        Each class size must equal |G| / |C(type)| with
+        |C(type)| = prod (m |C_G(c)|)^a a!, a = a_(m,c) the number of cycles
+        of length m and class c; else InternalConsistencyError.
+        """
+        base_group, n = self.base_group, self.n
+        base_classes = conjugacy_classes(base_group)
+        r = base_classes.count
+        base, top = self.decode_many(np.arange(self.order, dtype=np.int64))
+        back = perm_inverse_many(perm_unrank_many(n, top))  # back[i] = p^-1(i)
+        points = np.arange(n, dtype=back.dtype)[:, None]
+        length = np.zeros(base.shape, dtype=np.int64)  # 0 while the cycle is open
+        product = base
+        cursor = back
+        for step in range(1, n + 1):
+            length[(length == 0) & (cursor == points)] = step
+            if step == n:
+                break
+            factor = np.take_along_axis(base, cursor, axis=0)
+            product = np.where(length == 0, base_group.mul_many(product, factor), product)
+            cursor = np.take_along_axis(back, cursor, axis=0)
+        codes = (length - 1) * r + np.asarray(base_classes.class_of)[product]
+        codes.sort(axis=0)
+        # one integer key per type, Horner in radix n r, renumbered densely
+        # whenever the next digit could overflow int64
+        radix = n * r
+        key = np.zeros(self.order, dtype=np.int64)
+        bound = 1
+        for row in codes:
+            if bound * radix > 2**62:
+                key = np.unique(key, return_inverse=True)[1]
+                bound = int(key.max()) + 1
+            key = key * radix + row
+            bound *= radix
+        _, first, label = np.unique(key, return_index=True, return_inverse=True)
+        self._check_class_sizes(
+            codes[:, first], np.bincount(label), base_classes.sizes, r
+        )
+        return label
+
+    def _check_class_sizes(self, types, sizes, base_sizes, r) -> None:
+        """sizes[t] == |G| / |C(type t)| for the sorted codes types[:, t]."""
+        base_order = self.base_group.order
+        for t, size in enumerate(sizes.tolist()):
+            codes, repeats = np.unique(types[:, t], return_counts=True)
+            centralizer = 1
+            whole = True
+            for code, points in zip(codes.tolist(), repeats.tolist()):
+                m, c = divmod(code, r)
+                m += 1
+                cycles, rest = divmod(points, m)
+                whole = whole and rest == 0
+                centralizer *= (m * (base_order // base_sizes[c])) ** cycles
+                centralizer *= math.factorial(cycles)
+            if not whole or centralizer * size != self.order:
+                raise InternalConsistencyError(
+                    f"a class of {self.name} has {size} elements, but its type "
+                    f"has a centralizer of order {centralizer} in a group of "
+                    f"order {self.order}"
+                )
 
 
 def wreath_product(

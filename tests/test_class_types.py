@@ -1,0 +1,166 @@
+"""Conjugacy classes from the construction: generators, class counts and
+wreath classes labelled by type.
+
+Wreath products label every element by its type in one pass; the batched
+orbit walk (FiniteGroup.class_labels) and the scalar walk of
+tests/scalar_oracle.py are the oracles.  conjugacy_classes checks any
+labelling exactly (generation, invariance, count), and the type pass checks
+every class size against the centralizer order of its type; each check has
+a test here that breaks it.
+"""
+
+import dataclasses
+import types
+
+import numpy as np
+import pytest
+
+import gelfand.wreath
+import scalar_oracle
+from gelfand import (
+    InternalConsistencyError,
+    conjugacy_classes,
+    make_cyclic,
+    make_dihedral,
+    make_symmetric,
+    subgroup_from_generators,
+    wreath_product,
+)
+from gelfand.groups import CyclicGroup, FiniteGroup, closure, right_products
+from gelfand.specs import build_group
+
+
+def _walked(group):
+    """The same group with its classes found by the batched orbit walk."""
+    group.class_labels = types.MethodType(FiniteGroup.class_labels, group)
+    return group
+
+
+def _wreath(spec, n):
+    return wreath_product(build_group(spec), n)
+
+
+@pytest.mark.parametrize(
+    "spec, n, scalar",
+    [
+        ("Z2xS3", 2, True),
+        ("D5", 2, True),
+        ("D4", 3, True),
+        # the scalar walk takes ~25 s and ~50 s on these two
+        ("Z1", 8, False),
+        ("S3", 4, False),
+    ],
+)
+def test_typed_classes_match_the_orbit_walks(spec, n, scalar):
+    typed = conjugacy_classes(_wreath(spec, n))
+    assert typed == conjugacy_classes(_walked(_wreath(spec, n)))
+    if scalar:
+        assert typed == scalar_oracle.conjugacy_classes(_wreath(spec, n))
+
+
+def test_typed_classes_over_a_base_of_unknown_class_count():
+    # a generated subgroup states no class count; the wreath walks its base
+    base = subgroup_from_generators(make_symmetric(4), [1, 6]).subgroup
+    assert base.class_count is None
+    w = wreath_product(base, 2)
+    assert w.class_count == conjugacy_classes(_walked(wreath_product(base, 2))).count
+    assert conjugacy_classes(w) == conjugacy_classes(_walked(wreath_product(base, 2)))
+
+
+def _groups():
+    for k in range(1, 13):
+        yield make_cyclic(k)
+    for k in range(3, 13):
+        yield make_dihedral(k)
+    for n in range(1, 7):
+        yield make_symmetric(n)
+    for spec in ("Z2xS3", "D4xZ3", "Z2x(Z3xS3)", "S3xD5"):
+        yield build_group(spec)
+    for spec, n in (("Z3", 1), ("S3", 2), ("Z2", 3), ("Z1", 4), ("D4", 2)):
+        yield _wreath(spec, n)
+
+
+@pytest.mark.parametrize("group", list(_groups()), ids=lambda g: g.name)
+def test_class_count_known_from_the_construction(group):
+    assert len(closure(group, right_products(group, group.generators))) == group.order
+    assert group.class_count == conjugacy_classes(_walked(group)).count
+
+
+def test_generators_as_specified():
+    s4 = make_symmetric(4)
+    assert make_cyclic(6).generators == (1,)
+    assert make_cyclic(1).generators == ()
+    assert make_dihedral(5).generators == (1, 5)  # r and s
+    assert s4.generators == (s4.id_of((1, 0, 2, 3)), s4.id_of((1, 2, 3, 0)))
+    z2s3 = build_group("Z2xS3")
+    assert z2s3.generators == (6, 2, 3)  # (1, e), then (0, (0 1)), (0, 3-cycle)
+    w = _wreath("S3", 3)
+    decoded = [w.decode(g) for g in w.generators]
+    assert [(e.base, e.top) for e in decoded] == [
+        ((2, 0, 0), (0, 1, 2)),
+        ((3, 0, 0), (0, 1, 2)),
+        ((0, 0, 0), (1, 0, 2)),
+        ((0, 0, 0), (1, 2, 0)),
+    ]
+
+
+def test_corrupted_label_breaks_invariance():
+    w = _wreath("S3", 2)
+    labels = np.array(w.class_labels())
+    # move a non-minimal member of a class into another class
+    x = next(x for x in range(w.order) if labels[x] != labels.tolist().index(labels[x]))
+    labels[x] = (labels[x] + 1) % labels.max()
+    w.class_labels = lambda: labels
+    with pytest.raises(InternalConsistencyError, match="not invariant under conjugation"):
+        conjugacy_classes(w)
+
+
+def test_non_generating_set_falls_short_of_the_group():
+    w = _wreath("S3", 3)
+    w.generators = w.generators[:-1]  # no n-cycle: coordinate 2 stays fixed
+    with pytest.raises(InternalConsistencyError, match=f"of its {w.order} elements"):
+        conjugacy_classes(w)
+    s4 = make_symmetric(4)
+    s4.generators = s4.generators[:1]
+    with pytest.raises(InternalConsistencyError, match="generate 2 of its 24"):
+        conjugacy_classes(s4)
+
+
+def test_wrong_class_size_fails_the_centralizer_check(monkeypatch):
+    real = gelfand.wreath.conjugacy_classes
+
+    def sizes_swapped(group):
+        # S3: the 3 transpositions and the 2 three-cycles trade their sizes
+        classes = real(group)
+        members = classes.classes
+        wrong = (members[0], members[2], members[1])
+        return dataclasses.replace(classes, classes=wrong)
+
+    monkeypatch.setattr(gelfand.wreath, "conjugacy_classes", sizes_swapped)
+    with pytest.raises(InternalConsistencyError, match="centralizer"):
+        conjugacy_classes(_wreath("S3", 2))
+
+
+def test_label_count_must_equal_the_class_count():
+    w = _wreath("Z2", 3)
+    w.class_count += 1
+    with pytest.raises(InternalConsistencyError, match="10 class labels, but 11"):
+        conjugacy_classes(w)
+    z5 = make_cyclic(5)
+    z5.class_count = 4
+    with pytest.raises(InternalConsistencyError, match="5 class labels, but 4"):
+        conjugacy_classes(z5)
+
+
+class _Unbounded(CyclicGroup):
+    """The batched product forgets to reduce mod k."""
+
+    def mul_many(self, xs, ys):
+        return np.asarray(xs) + np.asarray(ys)
+
+
+def test_closure_rejects_products_outside_the_group():
+    with pytest.raises(InternalConsistencyError, match="multiplication oracle is broken"):
+        closure(_Unbounded(5), right_products(_Unbounded(5), [1]))
+    with pytest.raises(InternalConsistencyError, match="multiplication oracle is broken"):
+        subgroup_from_generators(_Unbounded(5), [1])

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import gelfand
 import gelfand.reports
@@ -296,6 +297,18 @@ def test_group_over_order_limit_exits_before_class_walk(tmp_path):
     proc = _run_module("group", "S10", "--cache-dir", str(tmp_path))
     assert proc.returncode == 3, proc.stderr
     assert "order limit" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
+def test_group_over_class_limit_exits_before_class_walk(tmp_path):
+    # Z200000 is under the order limit, but its 200000 classes are known from
+    # the construction, so `group` must stop before walking any of them
+    start = time.perf_counter()
+    proc = _run_module("group", "Z200000", "--cache-dir", str(tmp_path))
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "200000 conjugacy classes, over the limit 80" in proc.stderr
+    assert elapsed < 5, elapsed
     assert not list(tmp_path.iterdir())
 
 

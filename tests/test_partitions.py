@@ -15,6 +15,7 @@ from gelfand import (
     parse_partition,
     partitions_of,
 )
+from gelfand.partitions import multipartition_count
 from partitions_oracle import branch_induce
 
 
@@ -220,3 +221,17 @@ def test_parse_partition_rejects_increasing():
         parse_partition("a,b")
     with pytest.raises(SpecParseError):
         parse_partition("0^2")
+
+
+def test_multipartition_count_matches_the_enumeration():
+    for components in range(1, 7):
+        for n in range(0, 8):
+            assert multipartition_count(components, n) == len(multipartitions(components, n))
+    for n in range(0, 41):
+        assert multipartition_count(1, n) == partition_count(n)
+    # far past the recursion depth of the enumerator: pairs over 1000 classes
+    assert multipartition_count(1000, 2) == 1000 * 1001 // 2 + 1000
+    with pytest.raises(InvalidParameterError):
+        multipartition_count(0, 3)
+    with pytest.raises(InvalidParameterError):
+        multipartition_count(2, -1)
