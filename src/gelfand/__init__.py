@@ -17,10 +17,9 @@ from .errors import (
     SpecParseError,
 )
 from .groups import (
-    ConjugacyClasses,
     FiniteGroup,
+    GroupPartition,
     SubgroupEmbedding,
-    commutator_subgroup,
     conjugacy_classes,
     direct_product,
     full_embedding,

@@ -25,8 +25,8 @@ from .errors import (
     ResourceLimitError,
 )
 from .groups import (
-    ConjugacyClasses,
     FiniteGroup,
+    GroupPartition,
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
@@ -52,7 +52,7 @@ class CharacterTable:
 
     group_name: str
     group_order: int
-    classes: ConjugacyClasses
+    classes: GroupPartition
     degrees: tuple[int, ...]
     values: np.ndarray  # shape (r, r), complex128
 
@@ -64,14 +64,14 @@ class CharacterTable:
         return self.classes.count
 
 
-def class_coefficients(group: FiniteGroup, classes: ConjugacyClasses) -> np.ndarray:
+def class_coefficients(group: FiniteGroup, classes: GroupPartition) -> np.ndarray:
     """a[i][j][k] = #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k.
 
     One call to the shared block kernel, which also enforces the counting
     identity sum_k a[i][j][k] |C_k| = |C_i| |C_j|.
     """
     return block_product_counts(
-        group, classes.class_of, classes.sizes, classes.representatives
+        group, classes.block_of, classes.sizes, classes.representatives
     )
 
 
@@ -166,7 +166,7 @@ def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
 
 def character_table(
     group: FiniteGroup,
-    classes: ConjugacyClasses | None = None,
+    classes: GroupPartition | None = None,
     *,
     seed: int = 0,
 ) -> CharacterTable:
@@ -187,10 +187,9 @@ def character_table(
     check_limits(group, r)
     # class 0 must be the singleton class of the identity: row extraction
     # normalizes central characters there and column 0 carries the degrees
-    if classes.classes[0] != (group.identity,):
+    if classes.sizes[0] != 1 or classes.block_of[group.identity] != 0:
         raise InternalConsistencyError(
-            f"{group.name}: class 0 is {classes.classes[0]}, expected the "
-            f"identity singleton ({group.identity},)"
+            f"{group.name}: class 0 is not the identity singleton ({group.identity},)"
         )
     coeffs = class_coefficients(group, classes)
     sizes = np.array(classes.sizes, dtype=np.float64)
@@ -230,7 +229,7 @@ def character_table(
 def permutation_character(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
-    classes: ConjugacyClasses | None = None,
+    classes: GroupPartition | None = None,
 ) -> tuple[int, ...]:
     """chi(g) = number of left cosets xK with gxK = xK, per class."""
     if embedding.parent is not group:
@@ -242,7 +241,7 @@ def permutation_character(
     return tuple(np.count_nonzero(moved == np.arange(len(reps)), axis=1).tolist())
 
 
-def inner_product(f, h, classes: ConjugacyClasses) -> complex:
+def inner_product(f, h, classes: GroupPartition) -> complex:
     """(1/|G|) sum_k |C_k| f(k) conj(h(k)) over the classes."""
     sizes = classes.sizes
     order = sum(sizes)
@@ -341,7 +340,7 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def load_character_table(
-    path, group: FiniteGroup, classes: ConjugacyClasses | None = None
+    path, group: FiniteGroup, classes: GroupPartition | None = None
 ) -> CharacterTable:
     """Load a cached table and re-run every validation invariant.
 
@@ -395,7 +394,7 @@ def cached_character_table(
     group: FiniteGroup,
     cache_dir,
     *,
-    classes: ConjugacyClasses | None = None,
+    classes: GroupPartition | None = None,
     seed: int = 0,
 ) -> CharacterTable:
     """Load from cache_dir when valid, else compute and store.

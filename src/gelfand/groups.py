@@ -22,7 +22,9 @@ cyclic, dihedral, symmetric, direct-product and wreath groups override it
 with array arithmetic.  Every loop over the elements of a group (conjugacy
 classes, left cosets, the block kernel, embedding checks) runs on the batched
 ops.  ``SubgroupEmbedding.left_cosets`` is the one enumeration of G/K: the
-permutation character and the double cosets both read it.
+permutation character and the double cosets both read it.  Conjugacy classes
+and double cosets are one ``GroupPartition``: a read-only int64 block label per
+id, blocks numbered by minimal id; embedding maps are read-only int64 too.
 
 Every group states what its construction fixes: ``generators`` (ids that
 generate it) and ``class_count`` (its number of conjugacy classes, or None
@@ -33,7 +35,7 @@ default; wreath products override it with their type pass) and checks any
 labelling exactly: the generators must generate the group, the labels must be
 invariant under conjugation by every generator, and their count must equal
 ``class_count``.  ``closure`` over the tables of ``right_products`` is the one
-batched closure, behind both that check and ``subgroup_from_generators``.
+batched closure, behind that check, ``is_abelian`` and ``subgroup_from_generators``.
 """
 
 from __future__ import annotations
@@ -450,17 +452,24 @@ class GeneratedSubgroup(FiniteGroup):
         return self._index[self.parent.inv(self.ids[a])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubgroupEmbedding:
-    """Injective product-preserving map from subgroup ids into parent ids."""
+    """Injective product-preserving map from subgroup ids into parent ids (int64)."""
 
     subgroup: FiniteGroup
     parent: FiniteGroup
-    map: tuple[int, ...]
+    map: np.ndarray
+
+    def __post_init__(self):
+        mapping = np.array(self.map, dtype=np.int64)
+        mapping.setflags(write=False)
+        object.__setattr__(self, "map", mapping)
 
     @functools.cached_property
-    def image(self) -> frozenset[int]:
-        return frozenset(self.map)
+    def image(self) -> np.ndarray:
+        image = np.unique(self.map)
+        image.setflags(write=False)
+        return image
 
     @property
     def index(self) -> int:
@@ -475,14 +484,17 @@ class SubgroupEmbedding:
         parent are disjoint and have |K| elements each.
         """
         parent = self.parent
-        image = np.array(sorted(self.image), dtype=np.int64)
         coset_of = np.full(parent.order, -1, dtype=np.int64)
+        # free[x] is 1 until x is labelled; find() skips labelled ids in C
+        free = bytearray(b"\x01") * parent.order
         reps = []
-        for x in range(parent.order):
-            if coset_of[x] >= 0:
-                continue
-            coset_of[parent.mul_many(x, image)] = len(reps)
+        x = free.find(1)
+        while x >= 0:
+            coset = parent.mul_many(x, self.image)
+            coset_of[coset] = len(reps)
+            np.frombuffer(free, dtype=np.uint8)[coset] = 0
             reps.append(x)
+            x = free.find(1, x + 1)
         if len(reps) * self.subgroup.order != parent.order or (coset_of < 0).any():
             raise InternalConsistencyError("left cosets do not partition the group")
         reps = np.array(reps, dtype=np.int64)
@@ -491,7 +503,7 @@ class SubgroupEmbedding:
         return coset_of, reps
 
     def validate(self) -> None:
-        """Check injectivity, identity and the homomorphism property.
+        """Check injectivity, range, identity and the homomorphism property.
 
         Exhaustive over all pairs up to AXIOM_EXHAUSTIVE_LIMIT subgroup
         elements, 10 * |K| pairs sampled with the fixed seed 0 above (the
@@ -503,7 +515,7 @@ class SubgroupEmbedding:
         k = self.subgroup
         if len(self.map) != k.order or len(self.image) != k.order:
             raise InternalConsistencyError(f"embedding of {k.name} is not injective")
-        if any(not 0 <= g < self.parent.order for g in self.map):
+        if self.image[0] < 0 or self.image[-1] >= self.parent.order:
             raise InternalConsistencyError("embedding maps outside the parent group")
         if self.map[k.identity] != self.parent.identity:
             raise InternalConsistencyError("embedding does not preserve the identity")
@@ -516,7 +528,7 @@ class SubgroupEmbedding:
                 for _ in range(10 * k.order)
             ]
             a, b = np.array(pairs, dtype=np.int64).T
-        m = np.array(self.map, dtype=np.int64)
+        m = self.map
         for start in range(0, len(a), self.parent.order):
             x = a[start : start + self.parent.order]
             y = b[start : start + self.parent.order]
@@ -528,21 +540,31 @@ class SubgroupEmbedding:
                 )
 
 
-@dataclass(frozen=True)
-class ConjugacyClasses:
-    """Partition of a group into conjugation orbits, ordered by minimal id."""
+@dataclass(frozen=True, eq=False)
+class GroupPartition:
+    """Block label of every id, blocks numbered by minimal id; no member lists."""
 
-    classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    class_of: tuple[int, ...]
+    block_of: np.ndarray  # int64, read-only when built by from_labels
+    representatives: tuple[int, ...]  # the minimal id of each block, ascending
+    sizes: tuple[int, ...]
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        same = (self.representatives, self.sizes) == (other.representatives, other.sizes)
+        return same and np.array_equal(self.block_of, other.block_of)
+
+    @classmethod
+    def from_labels(cls, labels: np.ndarray):
+        """The partition whose blocks are the ids sharing a label."""
+        _, first, label = np.unique(labels, return_index=True, return_inverse=True)
+        block_of = np.argsort(np.argsort(first))[label]  # rank of each label's first id
+        block_of.setflags(write=False)
+        return cls(block_of, tuple(np.sort(first).tolist()), tuple(np.bincount(block_of).tolist()))
 
     @property
     def count(self) -> int:
-        return len(self.classes)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return len(self.sizes)
 
 
 def make_cyclic(k: int) -> CyclicGroup:
@@ -614,13 +636,23 @@ def subgroup_from_generators(
 
 def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
     """The identity embedding of a group into itself (the pair (G, G))."""
-    return SubgroupEmbedding(
-        subgroup=group, parent=group, map=tuple(range(group.order))
-    )
+    return SubgroupEmbedding(subgroup=group, parent=group, map=np.arange(group.order))
 
 
-def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
-    """Conjugacy classes, each sorted, ordered by their minimal element id.
+def _generator_products(group: FiniteGroup) -> np.ndarray:
+    """right_products of the generators, checked to generate all of G."""
+    right = right_products(group, group.generators)
+    reached = len(closure(group, right))
+    if reached != group.order:
+        raise InternalConsistencyError(
+            f"generators {group.generators} of {group.name} generate {reached} "
+            f"of its {group.order} elements"
+        )
+    return right
+
+
+def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
+    """Conjugacy classes as a partition numbered by minimal element id.
 
     The labels come from group.class_labels() (the orbit walk, or a group's
     own labelling) and are checked exactly here, whatever produced them; a
@@ -634,16 +666,9 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
     s * x (invariance: s x s^-1 has the label of x for every x iff s y has
     the label of y s for every y).
     """
-    order = group.order
     labels = np.asarray(group.class_labels(), dtype=np.int64)
-    right = right_products(group, group.generators)
-    reached = len(closure(group, right))
-    if reached != order:
-        raise InternalConsistencyError(
-            f"generators {group.generators} of {group.name} generate {reached} "
-            f"of its {order} elements"
-        )
-    everything = np.arange(order, dtype=np.int64)
+    right = _generator_products(group)
+    everything = np.arange(group.order, dtype=np.int64)
     for s, times_s in zip(group.generators, right):
         bad = np.flatnonzero(labels[group.mul_many(s, everything)] != labels[times_s])
         if len(bad):
@@ -651,26 +676,18 @@ def conjugacy_classes(group: FiniteGroup) -> ConjugacyClasses:
                 f"class labels of {group.name} are not invariant under "
                 f"conjugation by generator {s} (s y and y s differ at y = {bad[0]})"
             )
-    _, first, label = np.unique(labels, return_index=True, return_inverse=True)
-    count = len(first)
-    if group.class_count is not None and count != group.class_count:
+    classes = GroupPartition.from_labels(labels)
+    if group.class_count is not None and classes.count != group.class_count:
         raise InternalConsistencyError(
-            f"{group.name} has {count} class labels, but {group.class_count} "
+            f"{group.name} has {classes.count} class labels, but {group.class_count} "
             "conjugacy classes"
         )
-    # number the classes by their minimal ids, then list each one's members
-    by_minimal_id = np.empty(count, dtype=np.int64)
-    by_minimal_id[np.argsort(first)] = np.arange(count)
-    class_of = by_minimal_id[label]
-    members = np.argsort(class_of, kind="stable")
-    bounds = np.cumsum(np.bincount(class_of, minlength=count))[:-1]
-    classes = tuple(tuple(c.tolist()) for c in np.split(members, bounds))
-    return ConjugacyClasses(classes, tuple(np.sort(first).tolist()), tuple(class_of.tolist()))
+    return classes
 
 
 def block_product_counts(
     group: FiniteGroup,
-    block_of: Sequence[int],
+    block_of: np.ndarray,
     sizes: Sequence[int],
     targets: Sequence[int],
 ) -> np.ndarray:
@@ -687,18 +704,17 @@ def block_product_counts(
     raises InternalConsistencyError.
     """
     r = len(sizes)
-    placed = [block_of[z] for z in targets]
-    if placed != list(range(r)):
+    placed = block_of[list(targets)]
+    if not np.array_equal(placed, np.arange(r)):
         raise InternalConsistencyError(
-            f"targets {tuple(targets)} of {group.name} lie in blocks {tuple(placed)}, "
+            f"targets {tuple(targets)} of {group.name} lie in blocks {placed.tolist()}, "
             f"expected 0..{r - 1} in order"
         )
     inverses = group.inv_many(np.arange(group.order, dtype=np.int64))
-    labels = np.asarray(block_of, dtype=np.int64)
-    left = labels * r
+    left = block_of * r
     a = np.empty((r, r, r), dtype=np.int64)
     for k, z in enumerate(targets):
-        right = labels[group.mul_many(inverses, z)]
+        right = block_of[group.mul_many(inverses, z)]
         a[:, :, k] = np.bincount(left + right, minlength=r * r).reshape(r, r)
     sizes_arr = np.array(sizes, dtype=np.int64)
     if not np.array_equal(a @ sizes_arr, np.outer(sizes_arr, sizes_arr)):
@@ -710,22 +726,9 @@ def block_product_counts(
 
 
 def is_abelian(group: FiniteGroup) -> bool:
-    for a in range(group.order):
-        for b in range(a + 1, group.order):
-            if group.mul(a, b) != group.mul(b, a):
-                return False
-    return True
-
-
-def commutator_subgroup(group: FiniteGroup) -> SubgroupEmbedding:
-    """Closure of all commutators a^-1 b^-1 a b."""
-    inv = [group.inv(g) for g in range(group.order)]
-    commutators = set()
-    for a in range(group.order):
-        for b in range(group.order):
-            c = group.mul(inv[a], group.mul(inv[b], group.mul(a, b)))
-            commutators.add(c)
-    return subgroup_from_generators(group, sorted(commutators))
+    """True iff the generators, checked to generate G, commute pairwise."""
+    products = _generator_products(group)[:, list(group.generators)]  # [j][i] = g_i g_j
+    return bool(np.array_equal(products, products.T))
 
 
 def verify_group_axioms(group: FiniteGroup, seed: int = 0) -> None:

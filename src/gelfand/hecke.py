@@ -15,9 +15,10 @@ structure constants must satisfy:
 - the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk, since K = D_0;
 - associativity (f*g)*h = f*(g*h) on seeded random integer vectors.
 
-The double cosets are the K-orbits on the embedding's left cosets G/K.  They
-must be disjoint and cover G/K, block 0 must be K, and every representative
-must satisfy |KgK| * |K ∩ g^-1 K g| = |K|^2.
+The double cosets are the K-orbits on the embedding's left cosets G/K, held
+as a ``groups.GroupPartition`` of G.  They must be disjoint and cover G/K,
+block 0 must be K, and every representative must satisfy
+|KgK| * |K ∩ g^-1 K g| = |K|^2.
 """
 
 from __future__ import annotations
@@ -28,24 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError
-from .groups import FiniteGroup, SubgroupEmbedding, block_product_counts
+from .groups import FiniteGroup, GroupPartition, SubgroupEmbedding, block_product_counts
 
 
-@dataclass(frozen=True)
-class DoubleCosetDecomposition:
-    """K-double cosets of G, ordered by minimal element id (K itself first)."""
+class DoubleCosetDecomposition(GroupPartition):
+    """K-double cosets of G, numbered by minimal id, so K is block 0."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
-    block_of: tuple[int, ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
+    rank = GroupPartition.count
 
 
 @dataclass(frozen=True)
@@ -64,7 +54,7 @@ class HeckeStructureConstants:
 def double_cosets(
     group: FiniteGroup, embedding: SubgroupEmbedding
 ) -> DoubleCosetDecomposition:
-    """The K-orbits on the left cosets G/K, each expanded to its elements.
+    """The K-orbits on the left cosets G/K, labelled on every id of G.
 
     The orbit of coset c is the set of cosets hit by K * rep_c, one batch of
     |K| products.  Walking the cosets in ascending order of minimal id makes
@@ -73,41 +63,36 @@ def double_cosets(
     if embedding.parent is not group:
         raise InvalidParameterError("embedding does not target the given group")
     coset_of, coset_reps = embedding.left_cosets
-    image = np.array(sorted(embedding.image), dtype=np.int64)
     block_of_coset = np.full(len(coset_reps), -1, dtype=np.int64)
-    reps: list[int] = []
+    count = 0
     for c, x in enumerate(coset_reps.tolist()):
         if block_of_coset[c] >= 0:
             continue
-        orbit = coset_of[group.mul_many(image, x)]
+        orbit = coset_of[group.mul_many(embedding.image, x)]
         if (block_of_coset[orbit] >= 0).any():
             raise InternalConsistencyError("double cosets are not disjoint")
-        block_of_coset[orbit] = len(reps)
-        reps.append(x)
+        block_of_coset[orbit] = count
+        count += 1
     if (block_of_coset < 0).any():
         raise InternalConsistencyError("double cosets do not cover the group")
-    block_of = block_of_coset[coset_of]
-    blocks = tuple(tuple(np.flatnonzero(block_of == b).tolist()) for b in range(len(reps)))
-    dc = DoubleCosetDecomposition(blocks, tuple(reps), tuple(block_of.tolist()))
-    _check_decomposition(group, embedding, dc, image)
+    dc = DoubleCosetDecomposition.from_labels(block_of_coset[coset_of])
+    _check_decomposition(group, embedding, dc, embedding.image)
     return dc
 
 
 def _check_decomposition(group, embedding, dc, image):
     ksize = embedding.subgroup.order
-    if dc.blocks[dc.block_of[group.identity]] != tuple(image.tolist()):
-        raise InternalConsistencyError("block of the identity is not K itself")
-    if dc.block_of[group.identity] != 0:
-        raise InternalConsistencyError("block of the identity is not block 0")
+    if not np.array_equal(np.flatnonzero(dc.block_of == 0), image):
+        raise InternalConsistencyError("block 0 is not K itself")
     # |KgK| * |K ∩ g^-1 K g| = |K|^2 for every representative
     in_image = np.zeros(group.order, dtype=bool)
     in_image[image] = True
     rep_inverses = group.inv_many(dc.representatives)
-    for block, g, ginv in zip(dc.blocks, dc.representatives, rep_inverses):
+    for size, g, ginv in zip(dc.sizes, dc.representatives, rep_inverses):
         stab = int(np.count_nonzero(in_image[group.mul_many(group.mul_many(g, image), ginv)]))
-        if len(block) * stab != ksize * ksize:
+        if size * stab != ksize * ksize:
             raise InternalConsistencyError(
-                f"|KgK|*|K ∩ g^-1Kg| = {len(block)}*{stab} != |K|^2 = {ksize * ksize} "
+                f"|KgK|*|K ∩ g^-1Kg| = {size}*{stab} != |K|^2 = {ksize * ksize} "
                 f"at representative {g}"
             )
 
@@ -122,8 +107,10 @@ def structure_constants(
     table = block_product_counts(
         group, cosets.block_of, cosets.sizes, cosets.representatives
     )
-    second = tuple(block[1] if len(block) > 1 else block[0] for block in cosets.blocks)
-    recount = block_product_counts(group, cosets.block_of, cosets.sizes, second)
+    # the second-smallest id of each block, or the only id of a singleton
+    sizes = np.array(cosets.sizes)
+    second = np.argsort(cosets.block_of, kind="stable")[np.cumsum(sizes) - sizes + (sizes > 1)]
+    recount = block_product_counts(group, cosets.block_of, cosets.sizes, second.tolist())
     if not np.array_equal(table, recount):
         i, j, k = np.argwhere(table != recount)[0]
         raise InternalConsistencyError(

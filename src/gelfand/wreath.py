@@ -225,7 +225,7 @@ class WreathProduct(FiniteGroup):
             factor = np.take_along_axis(base, cursor, axis=0)
             product = np.where(length == 0, base_group.mul_many(product, factor), product)
             cursor = np.take_along_axis(back, cursor, axis=0)
-        codes = (length - 1) * r + np.asarray(base_classes.class_of)[product]
+        codes = (length - 1) * r + base_classes.block_of[product]
         codes.sort(axis=0)
         # one integer key per type, Horner in radix n r, renumbered densely
         # whenever the next digit could overflow int64
@@ -291,6 +291,6 @@ def embed_wreath_subgroup(
     widened_base = np.vstack([base, base_group.identity * fixed])
     widened_top = np.vstack([perm_unrank_many(n - 1, top), (n - 1) * fixed])
     mapping = parent.encode_many(widened_base, perm_rank_many(widened_top))
-    emb = SubgroupEmbedding(subgroup=sub, parent=parent, map=tuple(mapping.tolist()))
+    emb = SubgroupEmbedding(subgroup=sub, parent=parent, map=mapping)
     emb.validate()
     return emb

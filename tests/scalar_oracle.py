@@ -5,18 +5,38 @@ that ``groups.conjugacy_classes``, ``hecke.double_cosets`` and
 ``chartab.permutation_character`` replaced with ``mul_many``/``inv_many``.
 They share no code with the batched layer, so exact agreement is evidence
 that the batched ops and the array bookkeeping reproduce the scalar oracle.
-The double cosets here are expanded element by element as (K g) K, not read
-off the left cosets G/K, so they also check the orbit walk on G/K.
+The partitions are built field by field from the walks' own lists, never
+through ``GroupPartition.from_labels``.  The double cosets here are expanded
+element by element as (K g) K, not read off the left cosets G/K, so they
+also check the orbit walk on G/K.
 """
 
 from __future__ import annotations
 
-from gelfand.groups import ConjugacyClasses
+import numpy as np
+
+from gelfand.groups import GroupPartition, subgroup_from_generators
 from gelfand.hecke import DoubleCosetDecomposition
 
 
-def conjugacy_classes(group) -> ConjugacyClasses:
-    """Conjugation orbits {h g h^-1}, each sorted, ordered by minimal id."""
+def members(partition) -> tuple[tuple[int, ...], ...]:
+    """The ids of every block, ascending, read off the labels."""
+    blocks = [[] for _ in partition.sizes]
+    for x, b in enumerate(partition.block_of.tolist()):
+        blocks[b].append(x)
+    return tuple(tuple(block) for block in blocks)
+
+
+def _partition(cls, blocks, reps, block_of):
+    return cls(
+        np.array(block_of, dtype=np.int64),
+        tuple(reps),
+        tuple(len(block) for block in blocks),
+    )
+
+
+def conjugacy_classes(group) -> GroupPartition:
+    """Conjugation orbits {h g h^-1}, numbered by minimal id."""
     order = group.order
     inv = [group.inv(g) for g in range(order)]
     class_of = [-1] * order
@@ -25,18 +45,18 @@ def conjugacy_classes(group) -> ConjugacyClasses:
     for g in range(order):
         if class_of[g] >= 0:
             continue
-        orbit = sorted({group.mul(h, group.mul(g, inv[h])) for h in range(order)})
+        orbit = {group.mul(h, group.mul(g, inv[h])) for h in range(order)}
         for x in orbit:
             assert class_of[x] < 0, "conjugacy orbits are not disjoint"
             class_of[x] = len(classes)
-        classes.append(tuple(orbit))
+        classes.append(orbit)
         reps.append(g)
-    return ConjugacyClasses(tuple(classes), tuple(reps), tuple(class_of))
+    return _partition(GroupPartition, classes, reps, class_of)
 
 
 def double_cosets(group, embedding) -> DoubleCosetDecomposition:
-    """K g K expanded element by element, blocks ordered by minimal id."""
-    image = sorted(embedding.image)
+    """K g K expanded element by element, blocks numbered by minimal id."""
+    image = embedding.image.tolist()
     mul = group.mul
     block_of = [-1] * group.order
     blocks = []
@@ -45,18 +65,18 @@ def double_cosets(group, embedding) -> DoubleCosetDecomposition:
         if block_of[g] >= 0:
             continue
         left = {mul(k, g) for k in image}
-        orbit = sorted({mul(x, k) for x in left for k in image})
+        orbit = {mul(x, k) for x in left for k in image}
         for x in orbit:
             assert block_of[x] < 0, "double cosets are not disjoint"
             block_of[x] = len(blocks)
-        blocks.append(tuple(orbit))
+        blocks.append(orbit)
         reps.append(g)
-    return DoubleCosetDecomposition(tuple(blocks), tuple(reps), tuple(block_of))
+    return _partition(DoubleCosetDecomposition, blocks, reps, block_of)
 
 
 def permutation_character(group, embedding, classes) -> tuple[int, ...]:
     """Fixed left cosets xK of each class representative, coset by coset."""
-    image = sorted(embedding.image)
+    image = embedding.image.tolist()
     mul = group.mul
     coset_of = [-1] * group.order
     coset_reps = []
@@ -70,3 +90,14 @@ def permutation_character(group, embedding, classes) -> tuple[int, ...]:
         sum(1 for x in coset_reps if coset_of[mul(z, x)] == coset_of[x])
         for z in classes.representatives
     )
+
+
+def commutator_subgroup(group):
+    """Closure of all commutators a^-1 b^-1 a b, as an embedding."""
+    inv = [group.inv(g) for g in range(group.order)]
+    commutators = set()
+    for a in range(group.order):
+        for b in range(group.order):
+            c = group.mul(inv[a], group.mul(inv[b], group.mul(a, b)))
+            commutators.add(c)
+    return subgroup_from_generators(group, sorted(commutators))

@@ -35,6 +35,7 @@ from hecke_oracle import (
     convolve,
     convolve_via_constants,
 )
+from scalar_oracle import members
 
 SYMMETRIC_PAIRS = ["wr(Z1,3)", "wr(Z1,4)", "wr(Z1,5)"]
 ABELIAN_PAIRS = ["wr(Z2,2)", "wr(Z2,3)", "wr(Z3,2)", "wr(Z2xZ2,2)"]
@@ -204,12 +205,12 @@ def test_criterion_8_counting_identities():
             b = bundle(spec)
             grp, emb, dc, sc = b.wreath, b.emb, b.dc, b.sc
             # double cosets partition G
-            covered = sorted(x for block in dc.blocks for x in block)
+            covered = sorted(x for block in members(dc) for x in block)
             assert covered == list(range(grp.order)), spec
             # |KgK| * |K ∩ g^-1 K g| = |K|^2
-            image = set(emb.image)
+            image = set(emb.image.tolist())
             ksq = emb.subgroup.order ** 2
-            for block, g in zip(dc.blocks, dc.representatives):
+            for block, g in zip(members(dc), dc.representatives):
                 ginv = grp.inv(g)
                 stab = sum(1 for k in image if grp.mul(grp.mul(g, k), ginv) in image)
                 assert len(block) * stab == ksq, spec
@@ -226,12 +227,12 @@ def test_criterion_8_counting_identities():
             ), spec
             # both algebras' counts equal the brute-force bucketing oracle
             assert np.array_equal(
-                sc.table, bucketed_constants(grp, dc.blocks, dc.representatives)
+                sc.table, bucketed_constants(grp, members(dc), dc.representatives)
             ), spec
             cc = b.table.classes
             assert np.array_equal(
                 class_coefficients(grp, cc),
-                bucketed_constants(grp, cc.classes, cc.representatives),
+                bucketed_constants(grp, members(cc), cc.representatives),
             ), spec
 
 

@@ -139,6 +139,30 @@ def test_orbit_walks_match_scalar_oracle(pairspec):
     )
 
 
+def test_double_cosets_match_scalar_oracle_above_the_ladder():
+    # rank 31, past every rank on the benchmark ladder
+    _, _, _, embedding = build_pair("wr(Z30,2)")
+    group = embedding.parent
+    dc = double_cosets(group, embedding)
+    assert dc.rank == 31
+    assert dc == scalar_oracle.double_cosets(group, embedding)
+
+
+def test_label_arrays_are_read_only_int64():
+    _, _, _, embedding = build_pair("wr(S3,2)")
+    group = embedding.parent
+    arrays = (
+        conjugacy_classes(group).block_of,
+        double_cosets(group, embedding).block_of,
+        embedding.map,
+        embedding.image,
+    )
+    for labels in arrays:
+        assert labels.dtype == np.int64
+        with pytest.raises(ValueError):
+            labels[0] = 1
+
+
 def test_left_cosets_must_partition_the_group():
     # x * {0, 2, 4} in the broken Z6 overlaps an earlier coset at odd x
     embedding = SubgroupEmbedding(CyclicGroup(3), _BrokenBatch(6), (0, 2, 4))

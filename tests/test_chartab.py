@@ -9,7 +9,6 @@ from gelfand import (
     ResourceLimitError,
     character_table,
     class_coefficients,
-    commutator_subgroup,
     conjugacy_classes,
     decompose_induced_trivial,
     direct_product,
@@ -27,6 +26,7 @@ from gelfand import (
     subgroup_from_generators,
 )
 from gelfand.chartab import ORDER_LIMIT, cached_character_table, validate_character_table
+from scalar_oracle import commutator_subgroup
 
 
 def s3_pair():

@@ -20,6 +20,7 @@ import scalar_oracle
 from gelfand import (
     InternalConsistencyError,
     conjugacy_classes,
+    is_abelian,
     make_cyclic,
     make_dihedral,
     make_symmetric,
@@ -86,6 +87,23 @@ def test_class_count_known_from_the_construction(group):
     assert group.class_count == conjugacy_classes(_walked(group)).count
 
 
+@pytest.mark.parametrize(
+    "group", [g for g in _groups() if g.order <= 720], ids=lambda g: g.name
+)
+def test_is_abelian_matches_brute_force(group):
+    xs, ys = np.divmod(np.arange(group.order**2, dtype=np.int64), group.order)
+    commute = np.array_equal(group.mul_many(xs, ys), group.mul_many(ys, xs))
+    assert is_abelian(group) == commute
+
+
+def test_is_abelian_needs_a_generating_set():
+    # (0 1) alone commutes with itself, but generates 2 of the 24 elements
+    s4 = make_symmetric(4)
+    s4.generators = s4.generators[:1]
+    with pytest.raises(InternalConsistencyError, match="generate 2 of its 24"):
+        is_abelian(s4)
+
+
 def test_generators_as_specified():
     s4 = make_symmetric(4)
     assert make_cyclic(6).generators == (1,)
@@ -132,9 +150,8 @@ def test_wrong_class_size_fails_the_centralizer_check(monkeypatch):
     def sizes_swapped(group):
         # S3: the 3 transpositions and the 2 three-cycles trade their sizes
         classes = real(group)
-        members = classes.classes
-        wrong = (members[0], members[2], members[1])
-        return dataclasses.replace(classes, classes=wrong)
+        sizes = classes.sizes
+        return dataclasses.replace(classes, sizes=(sizes[0], sizes[2], sizes[1]))
 
     monkeypatch.setattr(gelfand.wreath, "conjugacy_classes", sizes_swapped)
     with pytest.raises(InternalConsistencyError, match="centralizer"):
