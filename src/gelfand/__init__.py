@@ -38,7 +38,6 @@ from .wreath import (
 )
 from .hecke import (
     DoubleCosetDecomposition,
-    HeckeStructureConstants,
     double_cosets,
     is_commutative,
     is_gelfand_hecke,

@@ -345,8 +345,8 @@ def load_character_table(
     """Load a cached table and re-run every validation invariant.
 
     Cache entries are never trusted blindly; any mismatch with the group's
-    conjugacy classes (computed here unless given), or any failed invariant,
-    raises.
+    conjugacy classes (computed here unless given, after check_limits), or any
+    failed invariant, raises.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -354,6 +354,7 @@ def load_character_table(
     _expect(lines[0] == f"{_CACHE_MAGIC} {_CACHE_VERSION}", f"bad header {lines[0]!r}")
     _expect(lines[1] == f"group {group.name}", "group spec mismatch")
     _expect(lines[2] == f"order {group.order}", "group order mismatch")
+    check_limits(group)
     if classes is None:
         classes = conjugacy_classes(group)
     r = classes.count

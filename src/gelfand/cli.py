@@ -21,7 +21,7 @@ from .errors import (
     SpecParseError,
 )
 from .groups import conjugacy_classes, is_abelian
-from .hecke import double_cosets, is_commutative, noncommutative_witness, structure_constants
+from .hecke import double_cosets, noncommutative_witness, structure_constants
 from .partitions import (
     format_partition,
     induced_trivial_prediction,
@@ -136,6 +136,8 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_branch(args) -> int:
+    if args.n < 2:
+        raise InvalidParameterError(f"induction to level n needs n >= 2, got {args.n}")
     base = build_group(parse_group_spec(args.base))
     wreath_order(base, args.n, args.size_budget)
     table = cached_character_table(base, _resolve_cache_dir(args), seed=args.seed)
@@ -156,8 +158,9 @@ def _cmd_hecke(args) -> int:
     pairspec = render_pair_spec(base_ast, n)
     wreath = embedding.parent
     cosets = double_cosets(wreath, embedding)
-    constants = structure_constants(wreath, embedding, cosets)
-    commutative = is_commutative(constants)
+    c = structure_constants(wreath, embedding, cosets)
+    witness = noncommutative_witness(c)
+    commutative = witness is None
     if args.format == "machine":
         record = {
             "kind": "hecke_report",
@@ -169,10 +172,10 @@ def _cmd_hecke(args) -> int:
             "rank": cosets.rank,
             "block_sizes": list(cosets.sizes),
             "commutative": commutative,
-            "witness": list(noncommutative_witness(constants) or ()) or None,
+            "witness": list(witness) if witness else None,
         }
         if args.show_constants and cosets.rank <= _CONSTANTS_DISPLAY_LIMIT:
-            record["constants"] = constants.table.tolist()
+            record["constants"] = c.tolist()
         _emit_record(record)
         return 0
     print(f"pair {wreath.name} over wr({base.name},{n - 1})")
@@ -180,8 +183,7 @@ def _cmd_hecke(args) -> int:
     print(f"  rank {cosets.rank}, block sizes {list(cosets.sizes)}")
     print(f"  double-coset algebra {'commutative' if commutative else 'NOT commutative'}")
     if not commutative:
-        i, j, k = noncommutative_witness(constants)
-        c = constants.table
+        i, j, k = witness
         print(
             f"  witness: c[{i}][{j}][{k}] = {c[i, j, k]} != c[{j}][{i}][{k}] = {c[j, i, k]}"
         )
@@ -189,7 +191,7 @@ def _cmd_hecke(args) -> int:
         if cosets.rank <= _CONSTANTS_DISPLAY_LIMIT:
             for i in range(cosets.rank):
                 for j in range(cosets.rank):
-                    row = " ".join(str(int(x)) for x in constants.table[i, j])
+                    row = " ".join(str(int(x)) for x in c[i, j])
                     print(f"  c[{i}][{j}] = [{row}]")
         else:
             print(

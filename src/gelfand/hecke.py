@@ -6,29 +6,32 @@ exactly and commutativity is compared entry by entry, so the answer cannot be
 corrupted by rounding.
 
 One kernel, ``groups.block_product_counts``, counts both this algebra's
-structure constants and the class algebra's coefficients.  Every table of
-structure constants must satisfy:
+structure constants and the class algebra's coefficients.  The table is a
+read-only int64 array c of shape (r, r, r), and it must satisfy:
 
 - the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| (in the kernel);
 - representative independence: a recount at a second element of every block
   gives the same table;
 - the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk, since K = D_0;
-- associativity (f*g)*h = f*(g*h) on seeded random integer vectors.
+- associativity (f*g)*h = f*(g*h) on seeded random integer vectors, exact in
+  int64: with entries in -5..5 every partial sum is at most 125 s^2, where
+  s = max_k sum_{i,j} |c[i][j][k]| (|G| for a correct table), so a table with
+  125 s^2 >= 2^63 (|G| >= 2.7e8) raises ResourceLimitError.
 
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
 as a ``groups.GroupPartition`` of G.  They must be disjoint and cover G/K,
 block 0 must be K, and every representative must satisfy
-|KgK| * |K ∩ g^-1 K g| = |K|^2.
+|KgK| * |K ∩ g^-1 K g| = |K|^2, checked for all r representatives in one
+batch of r |K| <= |G| products.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .groups import FiniteGroup, GroupPartition, SubgroupEmbedding, block_product_counts
 
 
@@ -36,19 +39,6 @@ class DoubleCosetDecomposition(GroupPartition):
     """K-double cosets of G, numbered by minimal id, so K is block 0."""
 
     rank = GroupPartition.count
-
-
-@dataclass(frozen=True)
-class HeckeStructureConstants:
-    """Integer table c[i][j][k] = #{(x,y) in D_i x D_j : x*y = z_k}."""
-
-    rank: int
-    block_sizes: tuple[int, ...]
-    subgroup_order: int
-    table: np.ndarray  # shape (rank, rank, rank), int64
-
-    def __post_init__(self):
-        self.table.setflags(write=False)
 
 
 def double_cosets(
@@ -84,25 +74,28 @@ def _check_decomposition(group, embedding, dc, image):
     ksize = embedding.subgroup.order
     if not np.array_equal(np.flatnonzero(dc.block_of == 0), image):
         raise InternalConsistencyError("block 0 is not K itself")
-    # |KgK| * |K ∩ g^-1 K g| = |K|^2 for every representative
+    # |KgK| * |K ∩ g^-1 K g| = |K|^2 for every representative, in one batch
     in_image = np.zeros(group.order, dtype=bool)
     in_image[image] = True
-    rep_inverses = group.inv_many(dc.representatives)
-    for size, g, ginv in zip(dc.sizes, dc.representatives, rep_inverses):
-        stab = int(np.count_nonzero(in_image[group.mul_many(group.mul_many(g, image), ginv)]))
-        if size * stab != ksize * ksize:
-            raise InternalConsistencyError(
-                f"|KgK|*|K ∩ g^-1Kg| = {size}*{stab} != |K|^2 = {ksize * ksize} "
-                f"at representative {g}"
-            )
+    reps = np.array(dc.representatives, dtype=np.int64)[:, None]
+    conjugates = group.mul_many(group.mul_many(reps, image), group.inv_many(reps))
+    stabs = np.count_nonzero(in_image[conjugates], axis=1)
+    bad = np.flatnonzero(np.array(dc.sizes) * stabs != ksize * ksize)
+    if len(bad):
+        b = bad[0]
+        raise InternalConsistencyError(
+            f"|KgK|*|K ∩ g^-1Kg| = {dc.sizes[b]}*{stabs[b]} != |K|^2 = {ksize * ksize} "
+            f"at representative {dc.representatives[b]}"
+        )
 
 
 def structure_constants(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
     cosets: DoubleCosetDecomposition,
-) -> HeckeStructureConstants:
-    """Count c[i][j][k] and enforce the identities in the module docstring."""
+) -> np.ndarray:
+    """c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} as a read-only int64
+    array, checked against the identities in the module docstring."""
     ksize = embedding.subgroup.order
     table = block_product_counts(
         group, cosets.block_of, cosets.sizes, cosets.representatives
@@ -123,43 +116,40 @@ def structure_constants(
             f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
         )
     _check_associative(table)
-    return HeckeStructureConstants(
-        rank=cosets.rank,
-        block_sizes=cosets.sizes,
-        subgroup_order=ksize,
-        table=table,
-    )
+    table.setflags(write=False)
+    return table
 
 
-def _convolve(f: list[int], g: list[int], c: list) -> list[int]:
-    """(f*g)_k = sum_{i,j} f_i g_j c[i][j][k] in Python integers."""
-    r = range(len(f))
-    return [sum(f[i] * g[j] * c[i][j][k] for i in r for j in r) for k in r]
-
-
-def _check_associative(table: np.ndarray) -> None:
-    """(f*g)*h = f*(g*h) exactly for three seeded random integer triples."""
-    c = table.tolist()
+def _check_associative(c: np.ndarray) -> None:
+    """(f*g)*h = f*(g*h) exactly in int64 for three seeded random integer triples."""
+    s = int(np.abs(c).sum(axis=(0, 1)).max())
+    if 125 * s * s >= 2**63:
+        raise ResourceLimitError(
+            f"structure constants sum to {s} at one target; the int64 associativity "
+            "check needs 125 * s^2 < 2^63"
+        )
     r = len(c)
     rng = random.Random(0)
+
+    def conv(f, g):  # (f*g)_k = sum_{i,j} f_i g_j c[i][j][k]
+        return f @ np.tensordot(g, c, axes=(0, 1))
+
     for _ in range(3):
-        f, g, h = ([rng.randrange(-5, 6) for _ in range(r)] for _ in range(3))
-        if _convolve(_convolve(f, g, c), h, c) != _convolve(f, _convolve(g, h, c), c):
+        f, g, h = (np.array([rng.randrange(-5, 6) for _ in range(r)]) for _ in range(3))
+        if not np.array_equal(conv(conv(f, g), h), conv(f, conv(g, h))):
             raise InternalConsistencyError(
                 "structure constants are not associative: (f*g)*h != f*(g*h) "
-                f"for f={f}, g={g}, h={h}"
+                f"for f={f.tolist()}, g={g.tolist()}, h={h.tolist()}"
             )
 
 
-def is_commutative(constants: HeckeStructureConstants) -> bool:
-    return bool(np.array_equal(constants.table, constants.table.swapaxes(0, 1)))
+def is_commutative(table: np.ndarray) -> bool:
+    return bool(np.array_equal(table, table.swapaxes(0, 1)))
 
 
-def noncommutative_witness(
-    constants: HeckeStructureConstants,
-) -> tuple[int, int, int] | None:
+def noncommutative_witness(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (i, j, k) with c[i][j][k] != c[j][i][k], or None."""
-    diff = np.argwhere(constants.table != constants.table.swapaxes(0, 1))
+    diff = np.argwhere(table != table.swapaxes(0, 1))
     if len(diff) == 0:
         return None
     i, j, k = diff[0]
@@ -171,5 +161,4 @@ def is_gelfand_hecke(
 ) -> tuple[bool, int]:
     """Commutativity verdict for the double-coset algebra, plus its rank."""
     dc = double_cosets(group, embedding)
-    constants = structure_constants(group, embedding, dc)
-    return is_commutative(constants), dc.rank
+    return is_commutative(structure_constants(group, embedding, dc)), dc.rank

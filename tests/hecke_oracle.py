@@ -35,10 +35,9 @@ def convolve(f, g, group, cosets) -> BiInvariantFunction:
     return BiInvariantFunction(tuple(out))
 
 
-def convolve_via_constants(f, g, constants) -> BiInvariantFunction:
+def convolve_via_constants(f, g, c) -> BiInvariantFunction:
     """(f*g) on block k = sum_{i,j} f_i g_j c[i][j][k]; must agree with convolve."""
-    r = constants.rank
-    c = constants.table
+    r = len(c)
     out = []
     for k in range(r):
         acc = 0

@@ -20,10 +20,12 @@ from gelfand import (
     make_dihedral,
     make_symmetric,
     permutation_character,
+    structure_constants,
     subgroup_from_generators,
     verify_group_axioms,
 )
 from gelfand.groups import CyclicGroup
+from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
 from gelfand.wreath import wreath_product
@@ -151,9 +153,11 @@ def test_double_cosets_match_scalar_oracle_above_the_ladder():
 def test_label_arrays_are_read_only_int64():
     _, _, _, embedding = build_pair("wr(S3,2)")
     group = embedding.parent
+    cosets = double_cosets(group, embedding)
     arrays = (
         conjugacy_classes(group).block_of,
-        double_cosets(group, embedding).block_of,
+        cosets.block_of,
+        structure_constants(group, embedding, cosets),
         embedding.map,
         embedding.image,
     )
@@ -185,6 +189,16 @@ def test_double_cosets_must_be_disjoint():
     embedding = _corrupt_cosets([0, 1, 2, 0, 1, 0])
     with pytest.raises(InternalConsistencyError, match="double cosets are not disjoint"):
         double_cosets(embedding.parent, embedding)
+
+
+def test_coset_size_identity_names_the_first_failing_representative():
+    # blocks {0, 3}, {1, 4, 5} and {2} of Z6 over K = {0, 3}: the last two
+    # break |KgK| * |K ∩ g^-1Kg| = |K|^2, and the batch reports the first
+    embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), (0, 3))
+    dc = DoubleCosetDecomposition.from_labels(np.array([0, 1, 2, 0, 1, 1]))
+    message = r"= 3\*2 != \|K\|\^2 = 4 at representative 1$"
+    with pytest.raises(InternalConsistencyError, match=message):
+        _check_decomposition(embedding.parent, embedding, dc, embedding.image)
 
 
 def test_double_cosets_must_cover_the_group():

@@ -3,11 +3,14 @@
 perfbench/tracer.py wraps gelfand names from outside the package and raises
 LookupError at install time for any name that no longer exists, so a rename
 or deletion in src would break the benchmark's traced runs without this test.
+A name that still exists but is no longer called would read as a zero layer,
+so one cold and one warm pair-check must open every traced span.
 """
 
 import importlib.util
 from pathlib import Path
 
+import gelfand.cli
 import gelfand.reports
 from gelfand import check_pair
 
@@ -31,3 +34,15 @@ def test_tracer_installs_every_span_and_restores_on_exit():
     assert gelfand.reports.double_cosets is original
     names = {span[0] for span in spans}
     assert {"hecke.double_cosets", "chartab.permutation_character"} <= names
+
+
+def test_cold_and_warm_pair_check_open_every_span(tmp_path, capsys):
+    tracer_module = _load_tracer()
+    argv = ["pair-check", "wr(Z2,2)", "--format", "machine", "--cache-dir", str(tmp_path)]
+    with tracer_module.Tracer() as tracer:
+        assert gelfand.cli.main(argv) == 0  # cold: tables computed and saved
+        assert gelfand.cli.main(argv) == 0  # warm: tables loaded and validated
+        spans, _ = tracer.take()
+    capsys.readouterr()
+    opened = {span[0] for span in spans}
+    assert {name for _, _, name in tracer_module.SPANS} - opened == set()

@@ -10,6 +10,7 @@ import numpy as np
 
 import gelfand
 import gelfand.reports
+from gelfand.chartab import _CACHE_MAGIC, _CACHE_VERSION
 from gelfand.cli import main
 from gelfand.groups import GroupPartition
 
@@ -291,6 +292,30 @@ def test_over_budget_branch_exits_before_base_character_table(tmp_path):
     assert proc.returncode == 3, proc.stderr
     assert "size budget" in proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+def test_branch_rejects_n_below_two_before_the_base_table(capsys, tmp_path):
+    code, _, err = run(capsys, "branch", "S5", "--n", "1", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert "needs n >= 2, got 1" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cached_table_past_class_limit_exits_before_class_walk(tmp_path):
+    # a cache entry whose header matches Z200000 must not make the loader walk
+    # its 200000 classes: the limits apply before the walk, as without a cache
+    lines = [f"{_CACHE_MAGIC} {_CACHE_VERSION}", "group Z200000", "order 200000", "classes 200000",
+             "sizes", "reps", "degrees", "values"]
+    (tmp_path / "Z200000.chartab").write_text("\n".join(lines) + "\n")
+    start = time.perf_counter()
+    proc = _run_module(
+        "branch", "Z200000", "--n", "2", "--size-budget", "100000000000",
+        "--cache-dir", str(tmp_path),
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3, proc.stderr
+    assert "200000 conjugacy classes, over the limit 80" in proc.stderr
+    assert elapsed < 5, elapsed
 
 
 def test_group_over_order_limit_exits_before_class_walk(tmp_path):

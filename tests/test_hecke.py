@@ -7,6 +7,7 @@ import pytest
 
 from gelfand import (
     InternalConsistencyError,
+    ResourceLimitError,
     class_coefficients,
     conjugacy_classes,
     double_cosets,
@@ -50,7 +51,7 @@ def test_whole_group_single_block():
         dc = double_cosets(grp, full_embedding(grp))
         assert dc.rank == 1
         sc = structure_constants(grp, full_embedding(grp), dc)
-        assert sc.table[0, 0, 0] == grp.order
+        assert sc[0, 0, 0] == grp.order
         assert is_commutative(sc)  # rank 1 is always commutative
 
 
@@ -74,11 +75,11 @@ def test_s3_s2_structure_constants_hand_values():
     s3, emb = s3_pair()
     dc = double_cosets(s3, emb)
     sc = structure_constants(s3, emb, dc)
-    assert sc.table[0, 0, 0] == 2
-    assert sc.table[1, 1, 0] == 4
-    assert sc.table[1, 1, 1] == 2
-    assert sc.table[0, 1, 1] == 2
-    assert sc.table[1, 0, 1] == 2
+    assert sc[0, 0, 0] == 2
+    assert sc[1, 1, 0] == 4
+    assert sc[1, 1, 1] == 2
+    assert sc[0, 1, 1] == 2
+    assert sc[1, 0, 1] == 2
     assert is_commutative(sc)
 
 
@@ -91,7 +92,7 @@ def test_counting_identity_all_pairs():
         dc = double_cosets(grp, emb)
         sc = structure_constants(grp, emb, dc)
         sizes = np.array(dc.sizes, dtype=np.int64)
-        totals = sc.table @ sizes
+        totals = sc @ sizes
         assert np.array_equal(totals, np.outer(sizes, sizes))
 
 
@@ -103,7 +104,7 @@ def test_identity_block_absorbs():
     ksize = emb.subgroup.order
     for j in range(dc.rank):
         for k in range(dc.rank):
-            assert sc.table[0, j, k] == (ksize if j == k else 0)
+            assert sc[0, j, k] == (ksize if j == k else 0)
 
 
 def test_coset_size_identity():
@@ -142,7 +143,7 @@ def test_noncommutative_witness():
     witness = noncommutative_witness(sc)
     assert witness is not None
     i, j, k = witness
-    assert sc.table[i, j, k] != sc.table[j, i, k]
+    assert sc[i, j, k] != sc[j, i, k]
 
     s3, emb2 = s3_pair()
     sc2 = structure_constants(s3, emb2, double_cosets(s3, emb2))
@@ -184,7 +185,7 @@ def test_delta_convolution_matches_constants():
             fi = BiInvariantFunction(tuple(1 if t == i else 0 for t in range(dc.rank)))
             fj = BiInvariantFunction(tuple(1 if t == j else 0 for t in range(dc.rank)))
             out = convolve(fi, fj, s3, dc)
-            assert out.values == tuple(int(sc.table[i, j, k]) for k in range(dc.rank))
+            assert out.values == tuple(int(sc[i, j, k]) for k in range(dc.rank))
 
 
 def test_two_convolution_paths_agree_exactly_on_integers():
@@ -251,7 +252,7 @@ def test_kernel_matches_bucketing_oracle():
         dc = double_cosets(grp, emb)
         sc = structure_constants(grp, emb, dc)
         assert np.array_equal(
-            sc.table, bucketed_constants(grp, members(dc), dc.representatives)
+            sc, bucketed_constants(grp, members(dc), dc.representatives)
         ), grp.name
         cc = conjugacy_classes(grp)
         assert np.array_equal(
@@ -326,4 +327,17 @@ def test_associativity_is_enforced(monkeypatch):
 
     corrupt_kernel(monkeypatch, bump)
     with pytest.raises(InternalConsistencyError, match="not associative"):
+        structure_constants(grp, emb, dc)
+
+
+def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
+    # 125 s^2 >= 2^63 once some target's constants sum to s >= 2.7e8, so the
+    # int64 contraction could overflow: refused rather than checked inexactly
+    grp, emb, dc = wr_z2_3()
+
+    def inflate(table):
+        table[1, 1, 2] += 300_000_000
+
+    corrupt_kernel(monkeypatch, inflate)
+    with pytest.raises(ResourceLimitError, match="125 \\* s\\^2 < 2\\^63"):
         structure_constants(grp, emb, dc)
