@@ -30,6 +30,7 @@ from .groups import (
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
+    stack_block_counts,
 )
 
 CLASS_LIMIT = 80
@@ -67,12 +68,19 @@ class CharacterTable:
 def class_coefficients(group: FiniteGroup, classes: GroupPartition) -> np.ndarray:
     """a[i][j][k] = #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k.
 
-    One call to the shared block kernel, which also enforces the counting
+    The shared block kernel summed over all of G with weight 1, one target of
+    |G| products per call, stacked; the kernel also enforces the counting
     identity sum_k a[i][j][k] |C_k| = |C_i| |C_j|.
     """
-    return block_product_counts(
-        group, classes.block_of, classes.sizes, classes.representatives
+    stream = block_product_counts(
+        group,
+        classes.block_of,
+        classes.sizes,
+        classes.representatives,
+        np.arange(group.order, dtype=np.int64),
+        1,
     )
+    return stack_block_counts(stream, classes.count)
 
 
 def validate_character_table(table: CharacterTable) -> None:

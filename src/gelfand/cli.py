@@ -21,7 +21,12 @@ from .errors import (
     SpecParseError,
 )
 from .groups import conjugacy_classes, is_abelian
-from .hecke import double_cosets, noncommutative_witness, structure_constants
+from .hecke import (
+    dense_constants,
+    double_cosets,
+    noncommutative_witness,
+    structure_constants,
+)
 from .partitions import (
     format_partition,
     induced_trivial_prediction,
@@ -158,9 +163,10 @@ def _cmd_hecke(args) -> int:
     pairspec = render_pair_spec(base_ast, n)
     wreath = embedding.parent
     cosets = double_cosets(wreath, embedding)
-    c = structure_constants(wreath, embedding, cosets)
-    witness = noncommutative_witness(c)
+    witness = noncommutative_witness(structure_constants(wreath, embedding, cosets))
     commutative = witness is None
+    shown = args.show_constants and cosets.rank <= _CONSTANTS_DISPLAY_LIMIT
+    c = dense_constants(wreath, embedding, cosets) if shown else None
     if args.format == "machine":
         record = {
             "kind": "hecke_report",
@@ -172,9 +178,9 @@ def _cmd_hecke(args) -> int:
             "rank": cosets.rank,
             "block_sizes": list(cosets.sizes),
             "commutative": commutative,
-            "witness": list(witness) if witness else None,
+            "witness": list(witness[:3]) if witness else None,
         }
-        if args.show_constants and cosets.rank <= _CONSTANTS_DISPLAY_LIMIT:
+        if shown:
             record["constants"] = c.tolist()
         _emit_record(record)
         return 0
@@ -183,12 +189,10 @@ def _cmd_hecke(args) -> int:
     print(f"  rank {cosets.rank}, block sizes {list(cosets.sizes)}")
     print(f"  double-coset algebra {'commutative' if commutative else 'NOT commutative'}")
     if not commutative:
-        i, j, k = witness
-        print(
-            f"  witness: c[{i}][{j}][{k}] = {c[i, j, k]} != c[{j}][{i}][{k}] = {c[j, i, k]}"
-        )
+        i, j, k, ijk, jik = witness
+        print(f"  witness: c[{i}][{j}][{k}] = {ijk} != c[{j}][{i}][{k}] = {jik}")
     if args.show_constants:
-        if cosets.rank <= _CONSTANTS_DISPLAY_LIMIT:
+        if shown:
             for i in range(cosets.rank):
                 for j in range(cosets.rank):
                     row = " ".join(str(int(x)) for x in c[i, j])

@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -689,40 +689,85 @@ def block_product_counts(
     group: FiniteGroup,
     block_of: np.ndarray,
     sizes: Sequence[int],
-    targets: Sequence[int],
-) -> np.ndarray:
-    """a[i][j][k] = #{x in G : block(x) = i, block(x^-1 z_k) = j} for z_k = targets[k].
+    targets,
+    elements,
+    weight: int,
+) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """Stream a[i][j][k] = weight * #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
 
     The one counting kernel behind both the class algebra and the
     double-coset algebra: it counts the factorizations z_k = x * y with x in
     block i and y in block j, which is the coefficient of B_k in the product
     of block sums B_i B_j whenever the count is the same at every element of
-    B_k.  It costs one product per (element, block), r |G| in all.
+    B_k.  The class algebra sums over all of G with weight 1.  When every
+    block is a union of left cosets xH and block(x^-1 z) is constant on them
+    (the double cosets of H), one representative per coset with weight |H|
+    gives the same count with [G:H] products per target instead of |G|.
 
-    targets[k] must lie in block k, and the counting identity
-    sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced; a violation of either
-    raises InternalConsistencyError.
+    targets has shape (r,) or (r, t): each of its t columns holds one target
+    per block, and targets[k] must lie in block k.  For k = 0..r-1 in order,
+    the stream yields one r x r slice a[:, :, k] per column as (keys, counts):
+    entries in row-major order, keys = i*r + j ascending, listing every
+    nonzero entry (every entry when counted densely).  Each
+    mul_many call holds at most |G| products (at least one target).  When the
+    stream is exhausted, sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced for
+    every column; a violation, or a target outside its block, raises
+    InternalConsistencyError.
     """
     r = len(sizes)
-    placed = block_of[list(targets)]
-    if not np.array_equal(placed, np.arange(r)):
+    targets = np.asarray(targets, dtype=np.int64).reshape(r, -1)
+    placed = block_of[targets]
+    if not (placed == np.arange(r)[:, None]).all():
         raise InternalConsistencyError(
-            f"targets {tuple(targets)} of {group.name} lie in blocks {placed.tolist()}, "
-            f"expected 0..{r - 1} in order"
+            f"targets {targets.tolist()} of {group.name} lie in blocks {placed.tolist()}, "
+            f"expected block k in row k"
         )
-    inverses = group.inv_many(np.arange(group.order, dtype=np.int64))
-    left = block_of * r
-    a = np.empty((r, r, r), dtype=np.int64)
-    for k, z in enumerate(targets):
-        right = block_of[group.mul_many(inverses, z)]
-        a[:, :, k] = np.bincount(left + right, minlength=r * r).reshape(r, r)
-    sizes_arr = np.array(sizes, dtype=np.int64)
-    if not np.array_equal(a @ sizes_arr, np.outer(sizes_arr, sizes_arr)):
+    elements = np.asarray(elements, dtype=np.int64)
+    m, cols = len(elements), targets.shape[1]
+    left = block_of[elements] * r
+    inverses = group.inv_many(elements)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    totals = np.zeros((cols, r * r), dtype=np.int64)
+    every_key = np.arange(r * r)
+    every_key.setflags(write=False)
+    step = max(1, group.order // (m * cols))
+    for start in range(0, r, step):
+        batch = targets[start : start + step].ravel()  # row n: target n // cols, column n % cols
+        products = group.mul_many(np.tile(inverses, len(batch)), np.repeat(batch, m))
+        rows = left + block_of[products].reshape(len(batch), m)
+        rows += np.arange(len(batch))[:, None] * (r * r)
+        if r * r <= m * m.bit_length():  # dense slices cost r^2 each, a sort m log m
+            counts = np.bincount(rows.ravel(), minlength=len(batch) * r * r) * weight
+            counts = counts.reshape(-1, cols, r * r)
+            totals += (counts * sizes[start : start + len(counts), None, None]).sum(axis=0)
+            slices = [(every_key, row) for row in counts.reshape(len(batch), r * r)]
+        else:
+            keys, counts = np.unique(rows, return_counts=True)
+            row, keys = np.divmod(keys, r * r)
+            counts *= weight
+            np.add.at(totals, (row % cols, keys), counts * sizes[start + row // cols])
+            bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
+            slices = [(keys[lo:hi], counts[lo:hi]) for lo, hi in itertools.pairwise(bounds)]
+        for n in range(0, len(batch), cols):
+            yield tuple(slices[n : n + cols])
+    if not (totals == np.outer(sizes, sizes).ravel()).all():
         raise InternalConsistencyError(
             f"block product counts of {group.name} violate the counting identity "
             "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
         )
-    return a
+
+
+def stack_block_counts(stream, r: int) -> np.ndarray:
+    """The dense (r, r, r) table a[i][j][k] of a kernel stream's first column,
+    read-only int64.  Consumes the whole stream, so the kernel's counting
+    identity is enforced.
+    """
+    table = np.zeros((r * r, r), dtype=np.int64)  # row i*r + j, column k
+    for k, ((keys, counts), *_) in enumerate(stream):
+        table[keys, k] = counts
+    table = table.reshape(r, r, r)
+    table.setflags(write=False)
+    return table
 
 
 def is_abelian(group: FiniteGroup) -> bool:

@@ -6,17 +6,37 @@ exactly and commutativity is compared entry by entry, so the answer cannot be
 corrupted by rounding.
 
 One kernel, ``groups.block_product_counts``, counts both this algebra's
-structure constants and the class algebra's coefficients.  The table is a
-read-only int64 array c of shape (r, r, r), and it must satisfy:
+structure constants and the class algebra's coefficients.  Double cosets are
+unions of left cosets xK, and block(xh) = block(x), block((xh)^-1 z) =
+block(x^-1 z) for h in K, so the Hecke algebra sums over the representatives
+of the embedding's left cosets G/K with weight |K|:
 
-- the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| (in the kernel);
-- representative independence: a recount at a second element of every block
-  gives the same table;
-- the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk, since K = D_0;
-- associativity (f*g)*h = f*(g*h) on seeded random integer vectors, exact in
-  int64: with entries in -5..5 every partial sum is at most 125 s^2, where
-  s = max_k sum_{i,j} |c[i][j][k]| (|G| for a correct table), so a table with
-  125 s^2 >= 2^63 (|G| >= 2.7e8) raises ResourceLimitError.
+    c[i][j][k] = |K| * #{cosets c : block(rep_c) = i, block(rep_c^-1 z_k) = j},
+
+[G:K] products per target instead of |G|: the intersection numbers of the
+orbital scheme of G on G/K.  Each kernel call batches targets so that one
+mul_many call holds at most |G| products.  The table is never held: it is
+streamed as one r x r slice per target (sorted keys i*r + j with their
+counts), in two passes.
+
+Pass A counts every slice at the block representatives and, in the same
+batches, at a second element of every block, and checks per slice:
+
+- representative independence: both counts give the same slice;
+- the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk on row 0 and
+  column 0, since K = D_0;
+- the int64 bound 125 s^2 < 2^63, where s = sum_{i,j} |c[i][j][k]| (|G| for
+  a correct table); a slice past it raises ResourceLimitError;
+- the slice's first (i, j) with c[i][j][k] != c[j][i][k], from which the
+  lexicographically first noncommutative (i, j, k) is kept.
+
+The kernel enforces the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j|
+over the whole stream, and pass A accumulates f*g and g*h, (f*g)_k =
+sum_{i,j} f_i g_j c[i][j][k], for three seeded random integer triples with
+entries in -5..5.  Pass B recounts the slices (checking the same bound) and
+checks (f*g)*h = f*(g*h) exactly in int64: every partial sum is at most
+125 s^2.  The dense (r, r, r) table is only stacked from the same stream, for
+``hecke --show-constants`` and the tests.
 
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
 as a ``groups.GroupPartition`` of G.  They must be disjoint and cover G/K,
@@ -28,11 +48,19 @@ batch of r |K| <= |G| products.
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
-from .groups import FiniteGroup, GroupPartition, SubgroupEmbedding, block_product_counts
+from .groups import (
+    FiniteGroup,
+    GroupPartition,
+    SubgroupEmbedding,
+    block_product_counts,
+    stack_block_counts,
+)
 
 
 class DoubleCosetDecomposition(GroupPartition):
@@ -89,71 +117,141 @@ def _check_decomposition(group, embedding, dc, image):
         )
 
 
-def structure_constants(
-    group: FiniteGroup,
-    embedding: SubgroupEmbedding,
-    cosets: DoubleCosetDecomposition,
-) -> np.ndarray:
-    """c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} as a read-only int64
-    array, checked against the identities in the module docstring."""
-    ksize = embedding.subgroup.order
-    table = block_product_counts(
-        group, cosets.block_of, cosets.sizes, cosets.representatives
+class Witness(NamedTuple):
+    """The lexicographically first (i, j, k) with c[i][j][k] != c[j][i][k]."""
+
+    i: int
+    j: int
+    k: int
+    ijk: int  # c[i][j][k]
+    jik: int  # c[j][i][k]
+
+
+@dataclass(frozen=True)
+class StructureConstants:
+    """What the checked stream of the double-coset algebra's table leaves."""
+
+    witness: Witness | None
+
+
+def _transversal_counts(group, embedding, cosets, targets):
+    """The kernel summed over the representatives of G/K, each with weight |K|."""
+    _, reps = embedding.left_cosets
+    return block_product_counts(
+        group, cosets.block_of, cosets.sizes, targets, reps, embedding.subgroup.order
     )
-    # the second-smallest id of each block, or the only id of a singleton
-    sizes = np.array(cosets.sizes)
-    second = np.argsort(cosets.block_of, kind="stable")[np.cumsum(sizes) - sizes + (sizes > 1)]
-    recount = block_product_counts(group, cosets.block_of, cosets.sizes, second.tolist())
-    if not np.array_equal(table, recount):
-        i, j, k = np.argwhere(table != recount)[0]
-        raise InternalConsistencyError(
-            f"structure constant c[{i}][{j}][{k}] depends on the representative: "
-            f"{table[i, j, k]} vs {recount[i, j, k]}"
-        )
-    unit = ksize * np.eye(cosets.rank, dtype=np.int64)
-    if not (np.array_equal(table[0], unit) and np.array_equal(table[:, 0], unit)):
-        raise InternalConsistencyError(
-            f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
-        )
-    _check_associative(table)
-    table.setflags(write=False)
-    return table
 
 
-def _check_associative(c: np.ndarray) -> None:
-    """(f*g)*h = f*(g*h) exactly in int64 for three seeded random integer triples."""
-    s = int(np.abs(c).sum(axis=(0, 1)).max())
+def _entry(keys, counts, key: int) -> int:
+    """The value at key of a sparse slice (keys ascending), 0 where absent."""
+    at = int(np.searchsorted(keys, key))
+    return int(counts[at]) if at < len(keys) and keys[at] == key else 0
+
+
+def _first_difference(keys, counts, other_keys, other_counts) -> int | None:
+    """The smallest key at which two sparse slices differ, or None."""
+    if np.array_equal(keys, other_keys) and np.array_equal(counts, other_counts):
+        return None
+    merged = np.concatenate([keys, other_keys])
+    values = np.concatenate([counts, -other_counts])
+    order = np.argsort(merged, kind="stable")
+    merged, values = merged[order], values[order]
+    starts = np.flatnonzero(np.diff(merged, prepend=-1))
+    differ = merged[starts[np.add.reduceat(values, starts) != 0]]
+    return int(differ[0]) if len(differ) else None
+
+
+def _check_int64_bound(counts) -> None:
+    s = int(np.abs(counts).sum())
     if 125 * s * s >= 2**63:
         raise ResourceLimitError(
             f"structure constants sum to {s} at one target; the int64 associativity "
             "check needs 125 * s^2 < 2^63"
         )
-    r = len(c)
+
+
+def structure_constants(
+    group: FiniteGroup,
+    embedding: SubgroupEmbedding,
+    cosets: DoubleCosetDecomposition,
+) -> StructureConstants:
+    """Stream c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} twice, checked
+    against the identities in the module docstring, and keep the first
+    noncommutative entry."""
+    r = cosets.rank
+    ksize = embedding.subgroup.order
+    # the second-smallest id of each block, or the only id of a singleton
+    sizes = np.array(cosets.sizes)
+    second = np.argsort(cosets.block_of, kind="stable")[np.cumsum(sizes) - sizes + (sizes > 1)]
     rng = random.Random(0)
-
-    def conv(f, g):  # (f*g)_k = sum_{i,j} f_i g_j c[i][j][k]
-        return f @ np.tensordot(g, c, axes=(0, 1))
-
-    for _ in range(3):
-        f, g, h = (np.array([rng.randrange(-5, 6) for _ in range(r)]) for _ in range(3))
-        if not np.array_equal(conv(conv(f, g), h), conv(f, conv(g, h))):
+    draws = [[[rng.randrange(-5, 6) for _ in range(r)] for _ in range(3)] for _ in range(3)]
+    f, g, h = np.array(draws, dtype=np.int64).transpose(1, 0, 2)  # row t: triple t
+    fg = np.zeros((3, r), dtype=np.int64)
+    gh = np.zeros((3, r), dtype=np.int64)
+    witness = None
+    targets = np.stack([np.array(cosets.representatives), second], axis=1)
+    for k, ((keys, counts), (keys2, counts2)) in enumerate(
+        _transversal_counts(group, embedding, cosets, targets)
+    ):
+        moved = _first_difference(keys, counts, keys2, counts2)
+        if moved is not None:
+            i, j = divmod(moved, r)
+            raise InternalConsistencyError(
+                f"structure constant c[{i}][{j}][{k}] depends on the representative: "
+                f"{_entry(keys, counts, moved)} vs {_entry(keys2, counts2, moved)}"
+            )
+        i, j = np.divmod(keys, r)
+        # c[0][k][k] = c[k][0][k] = |K| carries all of row 0's and column 0's |c|
+        if not (
+            _entry(keys, counts, k) == _entry(keys, counts, k * r) == ksize
+            and np.abs(counts[i == 0]).sum() == np.abs(counts[j == 0]).sum() == ksize
+        ):
+            raise InternalConsistencyError(
+                f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
+            )
+        _check_int64_bound(counts)
+        asym = _first_difference(keys, counts, j * r + i, counts)
+        if asym is not None and (witness is None or asym < witness.i * r + witness.j):
+            a, b = divmod(asym, r)
+            witness = Witness(a, b, k, _entry(keys, counts, asym), _entry(keys, counts, b * r + a))
+        fg[:, k] = (f[:, i] * g[:, j]) @ counts
+        gh[:, k] = (g[:, i] * h[:, j]) @ counts
+    left = np.zeros((3, r), dtype=np.int64)
+    right = np.zeros((3, r), dtype=np.int64)
+    stream = _transversal_counts(group, embedding, cosets, cosets.representatives)
+    for k, ((keys, counts),) in enumerate(stream):
+        _check_int64_bound(counts)
+        i, j = np.divmod(keys, r)
+        left[:, k] = (fg[:, i] * h[:, j]) @ counts
+        right[:, k] = (f[:, i] * gh[:, j]) @ counts
+    for t in range(3):
+        if not np.array_equal(left[t], right[t]):
             raise InternalConsistencyError(
                 "structure constants are not associative: (f*g)*h != f*(g*h) "
-                f"for f={f.tolist()}, g={g.tolist()}, h={h.tolist()}"
+                f"for f={f[t].tolist()}, g={g[t].tolist()}, h={h[t].tolist()}"
             )
+    return StructureConstants(witness)
 
 
-def is_commutative(table: np.ndarray) -> bool:
-    return bool(np.array_equal(table, table.swapaxes(0, 1)))
+def dense_constants(
+    group: FiniteGroup,
+    embedding: SubgroupEmbedding,
+    cosets: DoubleCosetDecomposition,
+) -> np.ndarray:
+    """The (r, r, r) int64 table c[i][j][k], stacked from the stream at the
+    representatives.  It holds r^3 entries: for ``hecke --show-constants``
+    and the tests only; verdicts come from ``structure_constants``."""
+    stream = _transversal_counts(group, embedding, cosets, cosets.representatives)
+    return stack_block_counts(stream, cosets.rank)
 
 
-def noncommutative_witness(table: np.ndarray) -> tuple[int, int, int] | None:
-    """First (i, j, k) with c[i][j][k] != c[j][i][k], or None."""
-    diff = np.argwhere(table != table.swapaxes(0, 1))
-    if len(diff) == 0:
-        return None
-    i, j, k = diff[0]
-    return int(i), int(j), int(k)
+def is_commutative(constants: StructureConstants) -> bool:
+    return constants.witness is None
+
+
+def noncommutative_witness(constants: StructureConstants) -> Witness | None:
+    """First (i, j, k) with c[i][j][k] != c[j][i][k], with both values, or None."""
+    return constants.witness
 
 
 def is_gelfand_hecke(

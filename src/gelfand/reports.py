@@ -135,6 +135,11 @@ def check_pair(
     group past the limits raises ResourceLimitError with method="character";
     with method="both" it degrades to the Hecke criterion alone (itself a
     complete exact verdict) and marks the character verdict "skipped".
+
+    The branching prediction needs only the base group's degrees.  A base
+    within the limits reads them from its (cached) character table; an
+    abelian base past them has |G| degrees equal to 1, exactly; a non-abelian
+    base past them raises ResourceLimitError before either route runs.
     """
     if method not in ("hecke", "character", "both"):
         raise InvalidParameterError(
@@ -155,8 +160,15 @@ def check_pair(
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    base_table = cached_character_table(base, cache_dir, seed=seed)
-    prediction = induced_trivial_prediction(base_table.degrees, n)
+    try:
+        check_limits(base)
+    except ResourceLimitError:
+        if not report.base_abelian:
+            raise
+        degrees = (1,) * base.order  # an abelian group has |G| linear characters
+    else:
+        degrees = cached_character_table(base, cache_dir, seed=seed).degrees
+    prediction = induced_trivial_prediction(degrees, n)
     report.predicted_term_count = prediction.term_count
     report.predicted_rank = prediction.predicted_rank
     report.predicted_multiplicities = prediction.multiplicities

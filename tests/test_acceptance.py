@@ -29,6 +29,7 @@ from gelfand import (
     parse_pair_spec,
 )
 from gelfand.cli import main as cli_main
+from gelfand.hecke import dense_constants
 from hecke_oracle import (
     BiInvariantFunction,
     bucketed_constants,
@@ -68,7 +69,7 @@ def bundle(pairspec):
     emb = embed_wreath_subgroup(base, n)
     wreath = emb.parent
     dc = double_cosets(wreath, emb)
-    sc = structure_constants(wreath, emb, dc)
+    checked = structure_constants(wreath, emb, dc)
     table = character_table(wreath)
     decomp = decompose_induced_trivial(wreath, emb, table)
     base_degrees = character_table(base).degrees
@@ -80,12 +81,12 @@ def bundle(pairspec):
         emb=emb,
         wreath=wreath,
         dc=dc,
-        sc=sc,
+        sc=dense_constants(wreath, emb, dc),
         table=table,
         decomp=decomp,
         base_degrees=base_degrees,
         prediction=prediction,
-        gelfand_hecke=is_commutative(sc),
+        gelfand_hecke=is_commutative(checked),
         gelfand_character=all(m <= 1 for m in decomp.multiplicities),
     )
 

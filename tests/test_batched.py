@@ -20,12 +20,11 @@ from gelfand import (
     make_dihedral,
     make_symmetric,
     permutation_character,
-    structure_constants,
     subgroup_from_generators,
     verify_group_axioms,
 )
 from gelfand.groups import CyclicGroup
-from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition
+from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition, dense_constants
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
 from gelfand.wreath import wreath_product
@@ -157,7 +156,7 @@ def test_label_arrays_are_read_only_int64():
     arrays = (
         conjugacy_classes(group).block_of,
         cosets.block_of,
-        structure_constants(group, embedding, cosets),
+        dense_constants(group, embedding, cosets),
         embedding.map,
         embedding.image,
     )

@@ -263,8 +263,8 @@ def test_cache_env_var_used(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "envcache" / "S3.chartab").exists()
 
 
-def _run_module(*argv):
-    """Run the CLI in a fresh interpreter, killed after 30 s."""
+def _run_module(*argv, timeout=30):
+    """Run the CLI in a fresh interpreter, killed after timeout seconds."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(gelfand.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -273,7 +273,7 @@ def _run_module(*argv):
         capture_output=True,
         text=True,
         env=env,
-        timeout=30,
+        timeout=timeout,
     )
 
 
@@ -283,6 +283,47 @@ def test_over_budget_pair_exits_before_order_sized_work(tmp_path):
     proc = _run_module("pair-check", "wr(Z100000,2)", "--cache-dir", str(tmp_path))
     assert proc.returncode == 3, proc.stderr
     assert "size budget" in proc.stderr
+
+
+def test_abelian_base_past_the_table_limits_predicts_from_unit_degrees(tmp_path):
+    # Z100 has 100 classes, over the limit 80, but an abelian group has |G|
+    # linear characters, so the prediction needs no base character table
+    proc = _run_module(
+        "pair-check", "wr(Z100,2)", "--method", "hecke", "--format", "machine",
+        "--cache-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["rank"] == record["predicted_rank"] == 101
+    assert record["consistent"] is True
+    assert not list(tmp_path.iterdir())
+    # a non-abelian base past the limits still stops before any Hecke work
+    proc = _run_module("pair-check", "wr(D200,2)", "--method", "hecke", "--cache-dir", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert "103 conjugacy classes, over the limit 80" in proc.stderr
+
+
+def test_hecke_route_on_two_million_elements(tmp_path):
+    # wr(Z1000,2): |G| = 2,000,000 at the default size budget, rank 1001
+    start = time.perf_counter()
+    proc = _run_module(
+        "pair-check", "wr(Z1000,2)", "--method", "hecke", "--cache-dir", str(tmp_path),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "rank 1001, double-coset algebra commutative" in proc.stdout
+    assert time.perf_counter() - start < 60
+
+
+def test_hecke_verdict_at_rank_241(tmp_path):
+    proc = _run_module(
+        "pair-check", "wr(S5xZ2,2)", "--method", "hecke", "--format", "machine",
+        "--cache-dir", str(tmp_path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["rank"] == 241
+    assert record["gelfand_hecke"] is False
 
 
 def test_over_budget_branch_exits_before_base_character_table(tmp_path):

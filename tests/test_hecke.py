@@ -21,8 +21,9 @@ from gelfand import (
     structure_constants,
     subgroup_from_generators,
 )
-from gelfand.groups import block_product_counts
-from gelfand.hecke import noncommutative_witness
+from gelfand.groups import block_product_counts, stack_block_counts
+from gelfand.hecke import dense_constants, noncommutative_witness
+from gelfand.reports import build_pair
 from hecke_oracle import (
     BiInvariantFunction,
     bucketed_constants,
@@ -50,9 +51,10 @@ def test_whole_group_single_block():
     for grp in (make_symmetric(3), make_dihedral(4)):
         dc = double_cosets(grp, full_embedding(grp))
         assert dc.rank == 1
-        sc = structure_constants(grp, full_embedding(grp), dc)
+        sc = dense_constants(grp, full_embedding(grp), dc)
         assert sc[0, 0, 0] == grp.order
-        assert is_commutative(sc)  # rank 1 is always commutative
+        # rank 1 is always commutative
+        assert is_commutative(structure_constants(grp, full_embedding(grp), dc))
 
 
 def test_s3_wr_s2_has_seven_blocks():
@@ -74,13 +76,13 @@ def test_blocks_partition_the_group():
 def test_s3_s2_structure_constants_hand_values():
     s3, emb = s3_pair()
     dc = double_cosets(s3, emb)
-    sc = structure_constants(s3, emb, dc)
+    sc = dense_constants(s3, emb, dc)
     assert sc[0, 0, 0] == 2
     assert sc[1, 1, 0] == 4
     assert sc[1, 1, 1] == 2
     assert sc[0, 1, 1] == 2
     assert sc[1, 0, 1] == 2
-    assert is_commutative(sc)
+    assert is_commutative(structure_constants(s3, emb, dc))
 
 
 def test_counting_identity_all_pairs():
@@ -90,7 +92,7 @@ def test_counting_identity_all_pairs():
         cases.append((emb.parent, emb))
     for grp, emb in cases:
         dc = double_cosets(grp, emb)
-        sc = structure_constants(grp, emb, dc)
+        sc = dense_constants(grp, emb, dc)
         sizes = np.array(dc.sizes, dtype=np.int64)
         totals = sc @ sizes
         assert np.array_equal(totals, np.outer(sizes, sizes))
@@ -100,7 +102,7 @@ def test_identity_block_absorbs():
     # c[0][j][k] = |K| when k == j, and 0 otherwise
     emb = embed_wreath_subgroup(make_symmetric(3), 2)
     dc = double_cosets(emb.parent, emb)
-    sc = structure_constants(emb.parent, emb, dc)
+    sc = dense_constants(emb.parent, emb, dc)
     ksize = emb.subgroup.order
     for j in range(dc.rank):
         for k in range(dc.rank):
@@ -139,11 +141,11 @@ def test_gelfand_verdicts():
 def test_noncommutative_witness():
     emb = embed_wreath_subgroup(make_symmetric(3), 2)
     dc = double_cosets(emb.parent, emb)
-    sc = structure_constants(emb.parent, emb, dc)
-    witness = noncommutative_witness(sc)
+    witness = noncommutative_witness(structure_constants(emb.parent, emb, dc))
     assert witness is not None
-    i, j, k = witness
-    assert sc[i, j, k] != sc[j, i, k]
+    i, j, k, ijk, jik = witness
+    sc = dense_constants(emb.parent, emb, dc)
+    assert sc[i, j, k] == ijk != jik == sc[j, i, k]
 
     s3, emb2 = s3_pair()
     sc2 = structure_constants(s3, emb2, double_cosets(s3, emb2))
@@ -179,7 +181,7 @@ def test_indicator_of_k_absorbs():
 def test_delta_convolution_matches_constants():
     s3, emb = s3_pair()
     dc = double_cosets(s3, emb)
-    sc = structure_constants(s3, emb, dc)
+    sc = dense_constants(s3, emb, dc)
     for i in range(dc.rank):
         for j in range(dc.rank):
             fi = BiInvariantFunction(tuple(1 if t == i else 0 for t in range(dc.rank)))
@@ -196,7 +198,7 @@ def test_two_convolution_paths_agree_exactly_on_integers():
     rng = random.Random(11)
     for grp, emb in cases:
         dc = double_cosets(grp, emb)
-        sc = structure_constants(grp, emb, dc)
+        sc = dense_constants(grp, emb, dc)
         for _ in range(3):
             f = BiInvariantFunction(tuple(rng.randrange(-5, 6) for _ in range(dc.rank)))
             g = BiInvariantFunction(tuple(rng.randrange(-5, 6) for _ in range(dc.rank)))
@@ -250,7 +252,7 @@ def small_pairs():
 def test_kernel_matches_bucketing_oracle():
     for grp, emb in small_pairs():
         dc = double_cosets(grp, emb)
-        sc = structure_constants(grp, emb, dc)
+        sc = dense_constants(grp, emb, dc)
         assert np.array_equal(
             sc, bucketed_constants(grp, members(dc), dc.representatives)
         ), grp.name
@@ -261,23 +263,92 @@ def test_kernel_matches_bucketing_oracle():
         ), grp.name
 
 
+def whole_group_counts(grp, dc):
+    """The kernel summed over all of G with weight 1, stacked."""
+    stream = block_product_counts(
+        grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
+    )
+    return stack_block_counts(stream, dc.rank)
+
+
+LADDER = ("wr(Z1,5)", "wr(S3,2)", "wr(Z2,4)", "wr(Z1,6)", "wr(S4,2)", "wr(S3,3)")
+
+
+@pytest.mark.parametrize("spec", LADDER)
+def test_transversal_count_matches_whole_group_and_oracle_on_the_ladder(spec):
+    _, _, _, emb = build_pair(spec)
+    grp = emb.parent
+    dc = double_cosets(grp, emb)
+    sc = dense_constants(grp, emb, dc)
+    assert np.array_equal(sc, whole_group_counts(grp, dc))
+    assert np.array_equal(sc, bucketed_constants(grp, members(dc), dc.representatives))
+
+
+def test_transversal_count_matches_whole_group_at_rank_145():
+    _, _, _, emb = build_pair("wr(S3xS4,2)")
+    grp = emb.parent
+    dc = double_cosets(grp, emb)
+    assert dc.rank == 145
+    assert np.array_equal(dense_constants(grp, emb, dc), whole_group_counts(grp, dc))
+
+
+@pytest.mark.parametrize("name", ["wr(S3,2)", "(S3,S2)", "wr(D4,2)"])
+def test_streamed_witness_is_the_first_dense_asymmetry(name):
+    if name == "(S3,S2)":
+        grp, emb = s3_pair()
+    else:
+        _, _, _, emb = build_pair(name)
+        grp = emb.parent
+    dc = double_cosets(grp, emb)
+    sc = dense_constants(grp, emb, dc)
+    witness = noncommutative_witness(structure_constants(grp, emb, dc))
+    diff = np.argwhere(sc != sc.swapaxes(0, 1))
+    if len(diff) == 0:
+        assert witness is None
+    else:
+        i, j, k = diff[0]
+        assert witness == (i, j, k, sc[i, j, k], sc[j, i, k])
+
+
 def wr_z2_3():
     emb = embed_wreath_subgroup(make_cyclic(2), 3)
     return emb.parent, emb, double_cosets(emb.parent, emb)
 
 
-def corrupt_kernel(monkeypatch, corrupt, calls=(0, 1)):
-    """Make hecke's kernel return a corrupted table on the given call numbers."""
-    seen = []
+def transversal(emb):
+    return emb.left_cosets[1], emb.subgroup.order
 
-    def kernel(*args):
-        table = block_product_counts(*args)
-        if len(seen) in calls:
-            corrupt(table)
-        seen.append(1)
-        return table
+
+def corrupt_kernel(monkeypatch, entry, amount, slices):
+    """Add amount at c[i][j][k] of hecke's kernel stream in the given slices.
+
+    slices holds (call, column) pairs: call 0 is pass A, whose columns are the
+    representatives and the second elements, call 1 is pass B's recount.
+    """
+    i, j, k = entry
+    calls = []
+
+    def kernel(group, block_of, sizes, *args):
+        call = len(calls)
+        calls.append(call)
+        r = len(sizes)
+        for t, columns in enumerate(block_product_counts(group, block_of, sizes, *args)):
+            if t == k:
+                columns = tuple(
+                    bumped(keys, counts, i * r + j, amount, r) if (call, c) in slices else (keys, counts)
+                    for c, (keys, counts) in enumerate(columns)
+                )
+            yield columns
 
     monkeypatch.setattr("gelfand.hecke.block_product_counts", kernel)
+
+
+def bumped(keys, counts, key, amount, r):
+    dense = np.zeros(r * r, dtype=np.int64)
+    dense[keys] = counts
+    dense[key] += amount
+    keys = np.flatnonzero(dense)
+    return keys, dense[keys]
 
 
 def test_kernel_rejects_target_outside_its_block():
@@ -285,7 +356,7 @@ def test_kernel_rejects_target_outside_its_block():
     targets = list(dc.representatives)
     targets[1], targets[2] = targets[2], targets[1]
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
-        block_product_counts(grp, dc.block_of, dc.sizes, targets)
+        list(block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb)))
 
 
 def test_kernel_enforces_counting_identity():
@@ -293,27 +364,29 @@ def test_kernel_enforces_counting_identity():
     sizes = list(dc.sizes)
     sizes[1] += 1
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, dc.block_of, sizes, dc.representatives)
+        list(block_product_counts(grp, dc.block_of, sizes, dc.representatives, *transversal(emb)))
+
+
+def test_kernel_rejects_a_list_that_is_not_a_transversal():
+    # K twice (the identity and another element of K), the coset of reps[1] never
+    grp, emb, dc = wr_z2_3()
+    reps, ksize = transversal(emb)
+    elements = reps.copy()
+    elements[1] = emb.image[1]
+    with pytest.raises(InternalConsistencyError, match="counting identity"):
+        list(block_product_counts(grp, dc.block_of, dc.sizes, dc.representatives, elements, ksize))
 
 
 def test_representative_recount_is_enforced(monkeypatch):
     grp, emb, dc = wr_z2_3()
-
-    def bump(table):
-        table[1, 1, 2] += 1
-
-    corrupt_kernel(monkeypatch, bump, calls=(1,))
+    corrupt_kernel(monkeypatch, (1, 1, 2), 1, slices={(0, 1)})
     with pytest.raises(InternalConsistencyError, match="depends on the representative"):
         structure_constants(grp, emb, dc)
 
 
 def test_unit_identity_is_enforced(monkeypatch):
     grp, emb, dc = wr_z2_3()
-
-    def bump(table):
-        table[0, 1, 1] += 1
-
-    corrupt_kernel(monkeypatch, bump)
+    corrupt_kernel(monkeypatch, (0, 1, 1), 1, slices={(0, 0), (0, 1), (1, 0)})
     with pytest.raises(InternalConsistencyError, match="unit"):
         structure_constants(grp, emb, dc)
 
@@ -321,11 +394,7 @@ def test_unit_identity_is_enforced(monkeypatch):
 def test_associativity_is_enforced(monkeypatch):
     grp, emb, dc = wr_z2_3()
     assert dc.rank >= 3
-
-    def bump(table):
-        table[1, 1, 2] += 1
-
-    corrupt_kernel(monkeypatch, bump)
+    corrupt_kernel(monkeypatch, (1, 1, 2), 1, slices={(0, 0), (0, 1), (1, 0)})
     with pytest.raises(InternalConsistencyError, match="not associative"):
         structure_constants(grp, emb, dc)
 
@@ -334,10 +403,6 @@ def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
     # 125 s^2 >= 2^63 once some target's constants sum to s >= 2.7e8, so the
     # int64 contraction could overflow: refused rather than checked inexactly
     grp, emb, dc = wr_z2_3()
-
-    def inflate(table):
-        table[1, 1, 2] += 300_000_000
-
-    corrupt_kernel(monkeypatch, inflate)
+    corrupt_kernel(monkeypatch, (1, 1, 2), 300_000_000, slices={(0, 0), (0, 1), (1, 0)})
     with pytest.raises(ResourceLimitError, match="125 \\* s\\^2 < 2\\^63"):
         structure_constants(grp, emb, dc)
