@@ -708,8 +708,10 @@ def block_product_counts(
     per block, and targets[k] must lie in block k.  For k = 0..r-1 in order,
     the stream yields one r x r slice a[:, :, k] per column as (keys, counts):
     entries in row-major order, keys = i*r + j ascending, listing every
-    nonzero entry (every entry when counted densely).  Each
-    mul_many call holds at most |G| products (at least one target).  When the
+    nonzero entry.  Each mul_many call holds at most |G| products (at least
+    one target).  Summing m elements, a slice is counted densely by bincount,
+    listing all r^2 entries, when r^2 <= m log2 m, and otherwise by sorting
+    its m keys, so rank ~1000 never costs r^3.  When the
     stream is exhausted, sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced for
     every column; a violation, or a target outside its block, raises
     InternalConsistencyError.
@@ -732,25 +734,23 @@ def block_product_counts(
     every_key.setflags(write=False)
     step = max(1, group.order // (m * cols))
     for start in range(0, r, step):
-        batch = targets[start : start + step].ravel()  # row n: target n // cols, column n % cols
+        batch = targets[start : start + step].ravel()
+        # flat operands: mul_many over an (n, m) broadcast is slower
         products = group.mul_many(np.tile(inverses, len(batch)), np.repeat(batch, m))
-        rows = left + block_of[products].reshape(len(batch), m)
-        rows += np.arange(len(batch))[:, None] * (r * r)
-        if r * r <= m * m.bit_length():  # dense slices cost r^2 each, a sort m log m
-            counts = np.bincount(rows.ravel(), minlength=len(batch) * r * r) * weight
-            counts = counts.reshape(-1, cols, r * r)
-            totals += (counts * sizes[start : start + len(counts), None, None]).sum(axis=0)
-            slices = [(every_key, row) for row in counts.reshape(len(batch), r * r)]
-        else:
-            keys, counts = np.unique(rows, return_counts=True)
-            row, keys = np.divmod(keys, r * r)
-            counts *= weight
-            np.add.at(totals, (row % cols, keys), counts * sizes[start + row // cols])
-            bounds = np.searchsorted(row, np.arange(len(batch) + 1)).tolist()
-            slices = [(keys[lo:hi], counts[lo:hi]) for lo, hi in itertools.pairwise(bounds)]
-        for n in range(0, len(batch), cols):
-            yield tuple(slices[n : n + cols])
-    if not (totals == np.outer(sizes, sizes).ravel()).all():
+        rows = left + block_of[products].reshape(-1, cols, m)
+        for k, row in enumerate(rows, start):
+            slices = []
+            for column, keys in enumerate(row):
+                if r * r <= m * m.bit_length():  # a dense slice costs r^2, a sort m log m
+                    keys, counts = every_key, np.bincount(keys, minlength=r * r)
+                    totals[column] += counts * sizes[k]
+                else:
+                    keys, counts = np.unique(keys, return_counts=True)
+                    totals[column, keys] += counts * sizes[k]
+                counts *= weight
+                slices.append((keys, counts))
+            yield tuple(slices)
+    if not (weight * totals == np.outer(sizes, sizes).ravel()).all():
         raise InternalConsistencyError(
             f"block product counts of {group.name} violate the counting identity "
             "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"

@@ -48,7 +48,6 @@ batch of r |K| <= |G| products.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -127,13 +126,6 @@ class Witness(NamedTuple):
     jik: int  # c[j][i][k]
 
 
-@dataclass(frozen=True)
-class StructureConstants:
-    """What the checked stream of the double-coset algebra's table leaves."""
-
-    witness: Witness | None
-
-
 def _transversal_counts(group, embedding, cosets, targets):
     """The kernel summed over the representatives of G/K, each with weight |K|."""
     _, reps = embedding.left_cosets
@@ -174,10 +166,10 @@ def structure_constants(
     group: FiniteGroup,
     embedding: SubgroupEmbedding,
     cosets: DoubleCosetDecomposition,
-) -> StructureConstants:
+) -> Witness | None:
     """Stream c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} twice, checked
-    against the identities in the module docstring, and keep the first
-    noncommutative entry."""
+    against the identities in the module docstring, and return the first
+    noncommutative entry, or None when the algebra is commutative."""
     r = cosets.rank
     ksize = embedding.subgroup.order
     # the second-smallest id of each block, or the only id of a singleton
@@ -230,7 +222,7 @@ def structure_constants(
                 "structure constants are not associative: (f*g)*h != f*(g*h) "
                 f"for f={f[t].tolist()}, g={g[t].tolist()}, h={h[t].tolist()}"
             )
-    return StructureConstants(witness)
+    return witness
 
 
 def dense_constants(
@@ -245,13 +237,14 @@ def dense_constants(
     return stack_block_counts(stream, cosets.rank)
 
 
-def is_commutative(constants: StructureConstants) -> bool:
-    return constants.witness is None
+def is_commutative(witness: Witness | None) -> bool:
+    """The verdict on structure_constants' result."""
+    return witness is None
 
 
-def noncommutative_witness(constants: StructureConstants) -> Witness | None:
+def noncommutative_witness(witness: Witness | None) -> Witness | None:
     """First (i, j, k) with c[i][j][k] != c[j][i][k], with both values, or None."""
-    return constants.witness
+    return witness
 
 
 def is_gelfand_hecke(

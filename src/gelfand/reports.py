@@ -177,9 +177,9 @@ def check_pair(
     if method in ("hecke", "both"):
         t0 = time.perf_counter()
         cosets = double_cosets(wreath, embedding)
-        constants = structure_constants(wreath, embedding, cosets)
+        witness = structure_constants(wreath, embedding, cosets)
         report.rank = cosets.rank
-        report.gelfand_hecke = is_commutative(constants)
+        report.gelfand_hecke = is_commutative(witness)
         timings["hecke"] = time.perf_counter() - t0
 
     if method in ("character", "both"):

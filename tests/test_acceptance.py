@@ -69,7 +69,7 @@ def bundle(pairspec):
     emb = embed_wreath_subgroup(base, n)
     wreath = emb.parent
     dc = double_cosets(wreath, emb)
-    checked = structure_constants(wreath, emb, dc)
+    witness = structure_constants(wreath, emb, dc)
     table = character_table(wreath)
     decomp = decompose_induced_trivial(wreath, emb, table)
     base_degrees = character_table(base).degrees
@@ -86,7 +86,7 @@ def bundle(pairspec):
         decomp=decomp,
         base_degrees=base_degrees,
         prediction=prediction,
-        gelfand_hecke=is_commutative(checked),
+        gelfand_hecke=is_commutative(witness),
         gelfand_character=all(m <= 1 for m in decomp.multiplicities),
     )
 

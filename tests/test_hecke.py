@@ -249,47 +249,47 @@ def small_pairs():
     return cases
 
 
+# perfbench's ladder-both pairs; small_pairs() builds the first two
+LADDER = ("wr(Z1,5)", "wr(S3,2)", "wr(Z2,4)", "wr(Z1,6)", "wr(S4,2)", "wr(S3,3)")
+
+
 def test_kernel_matches_bucketing_oracle():
+    """The stacked stream equals the scalar bucketing oracle: the class
+    algebra on small_pairs(), the double-coset algebra (counted over the coset
+    transversal) on those and the rest of the ladder.
+
+    The oracle multiplies all of G x G with the scalar mul, ~40 s of the suite
+    on wr(S4,2) and wr(S3,3) alone.  It is kept there because it is the one
+    exhaustive check of the transversal count that shares neither the kernel
+    nor mul_many (checked against mul only on sampled pairs at these orders),
+    and those are the ladder's largest ranks and orders.
+    """
     for grp, emb in small_pairs():
-        dc = double_cosets(grp, emb)
-        sc = dense_constants(grp, emb, dc)
-        assert np.array_equal(
-            sc, bucketed_constants(grp, members(dc), dc.representatives)
-        ), grp.name
         cc = conjugacy_classes(grp)
         assert np.array_equal(
             class_coefficients(grp, cc),
             bucketed_constants(grp, members(cc), cc.representatives),
         ), grp.name
+    ladder = [(emb.parent, emb) for emb in (build_pair(spec)[3] for spec in LADDER[2:])]
+    for grp, emb in small_pairs() + ladder:
+        dc = double_cosets(grp, emb)
+        assert np.array_equal(
+            dense_constants(grp, emb, dc),
+            bucketed_constants(grp, members(dc), dc.representatives),
+        ), grp.name
 
 
-def whole_group_counts(grp, dc):
-    """The kernel summed over all of G with weight 1, stacked."""
-    stream = block_product_counts(
-        grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
-    )
-    return stack_block_counts(stream, dc.rank)
-
-
-LADDER = ("wr(Z1,5)", "wr(S3,2)", "wr(Z2,4)", "wr(Z1,6)", "wr(S4,2)", "wr(S3,3)")
-
-
-@pytest.mark.parametrize("spec", LADDER)
-def test_transversal_count_matches_whole_group_and_oracle_on_the_ladder(spec):
+@pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
+def test_transversal_count_matches_whole_group(spec):
+    """[G:K] representatives with weight |K| count what all of G with weight 1 does."""
     _, _, _, emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(grp, emb)
-    sc = dense_constants(grp, emb, dc)
-    assert np.array_equal(sc, whole_group_counts(grp, dc))
-    assert np.array_equal(sc, bucketed_constants(grp, members(dc), dc.representatives))
-
-
-def test_transversal_count_matches_whole_group_at_rank_145():
-    _, _, _, emb = build_pair("wr(S3xS4,2)")
-    grp = emb.parent
-    dc = double_cosets(grp, emb)
-    assert dc.rank == 145
-    assert np.array_equal(dense_constants(grp, emb, dc), whole_group_counts(grp, dc))
+    stream = block_product_counts(
+        grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
+    )
+    whole_group = stack_block_counts(stream, dc.rank)
+    assert np.array_equal(dense_constants(grp, emb, dc), whole_group)
 
 
 @pytest.mark.parametrize("name", ["wr(S3,2)", "(S3,S2)", "wr(D4,2)"])
