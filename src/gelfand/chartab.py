@@ -72,7 +72,7 @@ def class_coefficients(group: FiniteGroup, classes: GroupPartition) -> np.ndarra
     |G| products per call, stacked; the kernel also enforces the counting
     identity sum_k a[i][j][k] |C_k| = |C_i| |C_j|.
     """
-    stream = block_product_counts(
+    (column,) = block_product_counts(
         group,
         classes.block_of,
         classes.sizes,
@@ -80,7 +80,7 @@ def class_coefficients(group: FiniteGroup, classes: GroupPartition) -> np.ndarra
         np.arange(group.order, dtype=np.int64),
         1,
     )
-    return stack_block_counts(stream, classes.count)
+    return stack_block_counts(column, classes.count)
 
 
 def validate_character_table(table: CharacterTable) -> None:

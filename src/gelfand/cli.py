@@ -21,12 +21,7 @@ from .errors import (
     SpecParseError,
 )
 from .groups import conjugacy_classes, is_abelian
-from .hecke import (
-    dense_constants,
-    double_cosets,
-    noncommutative_witness,
-    structure_constants,
-)
+from .hecke import dense_constants, double_cosets, structure_constants
 from .partitions import (
     format_partition,
     induced_trivial_prediction,
@@ -163,7 +158,7 @@ def _cmd_hecke(args) -> int:
     pairspec = render_pair_spec(base_ast, n)
     wreath = embedding.parent
     cosets = double_cosets(wreath, embedding)
-    witness = noncommutative_witness(structure_constants(wreath, embedding, cosets))
+    witness = structure_constants(wreath, embedding, cosets)
     commutative = witness is None
     shown = args.show_constants and cosets.rank <= _CONSTANTS_DISPLAY_LIMIT
     c = dense_constants(wreath, embedding, cosets) if shown else None

@@ -44,7 +44,7 @@ import functools
 import itertools
 import math
 import random
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -692,8 +692,8 @@ def block_product_counts(
     targets,
     elements,
     weight: int,
-) -> Iterator[tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """Stream a[i][j][k] = weight * #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The table a[i][j][k] = weight * #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
 
     The one counting kernel behind both the class algebra and the
     double-coset algebra: it counts the factorizations z_k = x * y with x in
@@ -705,15 +705,15 @@ def block_product_counts(
     gives the same count with [G:H] products per target instead of |G|.
 
     targets has shape (r,) or (r, t): each of its t columns holds one target
-    per block, and targets[k] must lie in block k.  For k = 0..r-1 in order,
-    the stream yields one r x r slice a[:, :, k] per column as (keys, counts):
-    entries in row-major order, keys = i*r + j ascending, listing every
-    nonzero entry.  Each mul_many call holds at most |G| products (at least
-    one target).  Summing m elements, a slice is counted densely by bincount,
-    listing all r^2 entries, when r^2 <= m log2 m, and otherwise by sorting
-    its m keys, so rank ~1000 never costs r^3.  When the
-    stream is exhausted, sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced for
-    every column; a violation, or a target outside its block, raises
+    per block, and targets[k] must lie in block k.  Returns one sparse table
+    (keys, counts) per column, holding its nonzero entries only: keys
+    (i*r + j)*r + k ascending, counts already weighted.  Each element adds to
+    one (i, j) per target, so a column holds at most r m entries for m
+    elements.  Each mul_many call holds at most |G| products (at least one
+    target).  A target's keys are counted densely by bincount when
+    r^2 <= m log2 m, and otherwise by sorting its m keys, so rank ~1000 never
+    costs r^3.  sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced for every
+    column; a violation, or a target outside its block, raises
     InternalConsistencyError.
     """
     r = len(sizes)
@@ -728,10 +728,8 @@ def block_product_counts(
     m, cols = len(elements), targets.shape[1]
     left = block_of[elements] * r
     inverses = group.inv_many(elements)
-    sizes = np.asarray(sizes, dtype=np.int64)
-    totals = np.zeros((cols, r * r), dtype=np.int64)
-    every_key = np.arange(r * r)
-    every_key.setflags(write=False)
+    dense = r * r <= m * m.bit_length()  # a dense count costs r^2, a sort m log m
+    parts = [[] for _ in range(cols)]
     step = max(1, group.order // (m * cols))
     for start in range(0, r, step):
         batch = targets[start : start + step].ravel()
@@ -739,32 +737,38 @@ def block_product_counts(
         products = group.mul_many(np.tile(inverses, len(batch)), np.repeat(batch, m))
         rows = left + block_of[products].reshape(-1, cols, m)
         for k, row in enumerate(rows, start):
-            slices = []
             for column, keys in enumerate(row):
-                if r * r <= m * m.bit_length():  # a dense slice costs r^2, a sort m log m
-                    keys, counts = every_key, np.bincount(keys, minlength=r * r)
-                    totals[column] += counts * sizes[k]
+                if dense:
+                    counts = np.bincount(keys)
+                    keys = np.flatnonzero(counts)
+                    counts = counts[keys]
                 else:
                     keys, counts = np.unique(keys, return_counts=True)
-                    totals[column, keys] += counts * sizes[k]
-                counts *= weight
-                slices.append((keys, counts))
-            yield tuple(slices)
-    if not (weight * totals == np.outer(sizes, sizes).ravel()).all():
-        raise InternalConsistencyError(
-            f"block product counts of {group.name} violate the counting identity "
-            "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
-        )
+                parts[column].append((keys * r + k, counts))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    table = []
+    for column in parts:
+        keys, counts = (np.concatenate(part) for part in zip(*column))
+        order = np.argsort(keys)
+        keys, counts = keys[order], counts[order] * weight
+        ij, k = np.divmod(keys, r)
+        totals = np.zeros(r * r, dtype=np.int64)
+        np.add.at(totals, ij, counts * sizes[k])
+        if not (totals == np.outer(sizes, sizes).ravel()).all():
+            raise InternalConsistencyError(
+                f"block product counts of {group.name} violate the counting identity "
+                "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
+            )
+        table.append((keys, counts))
+    return table
 
 
-def stack_block_counts(stream, r: int) -> np.ndarray:
-    """The dense (r, r, r) table a[i][j][k] of a kernel stream's first column,
-    read-only int64.  Consumes the whole stream, so the kernel's counting
-    identity is enforced.
-    """
-    table = np.zeros((r * r, r), dtype=np.int64)  # row i*r + j, column k
-    for k, ((keys, counts), *_) in enumerate(stream):
-        table[keys, k] = counts
+def stack_block_counts(column: tuple[np.ndarray, np.ndarray], r: int) -> np.ndarray:
+    """The dense (r, r, r) table a[i][j][k] of one of the kernel's sparse
+    columns, read-only int64."""
+    keys, counts = column
+    table = np.zeros(r * r * r, dtype=np.int64)
+    table[keys] = counts
     table = table.reshape(r, r, r)
     table.setflags(write=False)
     return table

@@ -15,27 +15,27 @@ of the embedding's left cosets G/K with weight |K|:
 
 [G:K] products per target instead of |G|: the intersection numbers of the
 orbital scheme of G on G/K.  Each kernel call batches targets so that one
-mul_many call holds at most |G| products.  The table is never held: it is
-streamed as one r x r slice per target (sorted keys i*r + j with their
-counts), in two passes.
+mul_many call holds at most |G| products.  The table is held sparse, nonzero
+entries only: each coset representative adds to exactly one (i, j) per
+target, so it holds at most r [G:K] entries, never r^3.
 
-Pass A counts every slice at the block representatives and, in the same
-batches, at a second element of every block, and checks per slice:
+One kernel call counts the table at the block representatives and, in the
+same batches, at a second element of every block.  The kernel enforces the
+counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j|, and
+``structure_constants`` checks, over the whole table:
 
-- representative independence: both counts give the same slice;
+- representative independence: both counts give the same table;
 - the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk on row 0 and
   column 0, since K = D_0;
-- the int64 bound 125 s^2 < 2^63, where s = sum_{i,j} |c[i][j][k]| (|G| for
-  a correct table); a slice past it raises ResourceLimitError;
-- the slice's first (i, j) with c[i][j][k] != c[j][i][k], from which the
-  lexicographically first noncommutative (i, j, k) is kept.
+- the int64 bound 125 s^2 < 2^63, where s is the largest per-target sum
+  sum_{i,j} |c[i][j][k]| (|G| for a correct table); past it, ResourceLimitError;
+- associativity, (f*g)*h = f*(g*h) with (f*g)_k = sum_{i,j} f_i g_j c[i][j][k],
+  for three seeded random integer triples with entries in -5..5, exactly in
+  int64: every partial sum is at most 125 s^2.
 
-The kernel enforces the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j|
-over the whole stream, and pass A accumulates f*g and g*h, (f*g)_k =
-sum_{i,j} f_i g_j c[i][j][k], for three seeded random integer triples with
-entries in -5..5.  Pass B recounts the slices (checking the same bound) and
-checks (f*g)*h = f*(g*h) exactly in int64: every partial sum is at most
-125 s^2.  The dense (r, r, r) table is only stacked from the same stream, for
+It returns the lexicographically first (i, j, k) with c[i][j][k] !=
+c[j][i][k], the first key where the table differs from its transpose.  The
+dense (r, r, r) table is only stacked from the same count, for
 ``hecke --show-constants`` and the tests.
 
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
@@ -134,32 +134,26 @@ def _transversal_counts(group, embedding, cosets, targets):
     )
 
 
-def _entry(keys, counts, key: int) -> int:
-    """The value at key of a sparse slice (keys ascending), 0 where absent."""
-    at = int(np.searchsorted(keys, key))
-    return int(counts[at]) if at < len(keys) and keys[at] == key else 0
+def _values(keys, counts, at) -> np.ndarray:
+    """The entries of a sparse table at the given keys, 0 where absent."""
+    found = np.minimum(np.searchsorted(keys, at), len(keys) - 1)
+    return np.where(keys[found] == at, counts[found], 0)
 
 
-def _first_difference(keys, counts, other_keys, other_counts) -> int | None:
-    """The smallest key at which two sparse slices differ, or None."""
+def _first_difference(table, other) -> tuple[int, int, int] | None:
+    """The smallest key at which two sparse tables differ, with both values,
+    or None when they are equal."""
+    (keys, counts), (other_keys, other_counts) = table, other
     if np.array_equal(keys, other_keys) and np.array_equal(counts, other_counts):
         return None
-    merged = np.concatenate([keys, other_keys])
-    values = np.concatenate([counts, -other_counts])
-    order = np.argsort(merged, kind="stable")
-    merged, values = merged[order], values[order]
-    starts = np.flatnonzero(np.diff(merged, prepend=-1))
-    differ = merged[starts[np.add.reduceat(values, starts) != 0]]
-    return int(differ[0]) if len(differ) else None
-
-
-def _check_int64_bound(counts) -> None:
-    s = int(np.abs(counts).sum())
-    if 125 * s * s >= 2**63:
-        raise ResourceLimitError(
-            f"structure constants sum to {s} at one target; the int64 associativity "
-            "check needs 125 * s^2 < 2^63"
-        )
+    # each key where they differ is a key of one whose value the other lacks
+    first = np.concatenate(
+        [
+            keys[counts != _values(other_keys, other_counts, keys)],
+            other_keys[other_counts != _values(keys, counts, other_keys)],
+        ]
+    ).min()
+    return int(first), int(_values(keys, counts, first)), int(_values(other_keys, other_counts, first))
 
 
 def structure_constants(
@@ -167,7 +161,7 @@ def structure_constants(
     embedding: SubgroupEmbedding,
     cosets: DoubleCosetDecomposition,
 ) -> Witness | None:
-    """Stream c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} twice, checked
+    """Count c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} once, check it
     against the identities in the module docstring, and return the first
     noncommutative entry, or None when the algebra is commutative."""
     r = cosets.rank
@@ -175,54 +169,61 @@ def structure_constants(
     # the second-smallest id of each block, or the only id of a singleton
     sizes = np.array(cosets.sizes)
     second = np.argsort(cosets.block_of, kind="stable")[np.cumsum(sizes) - sizes + (sizes > 1)]
+    targets = np.stack([np.array(cosets.representatives), second], axis=1)
+    table, recount = _transversal_counts(group, embedding, cosets, targets)
+    moved = _first_difference(table, recount)
+    if moved is not None:
+        key, value, other = moved
+        i, j, k = np.unravel_index(key, (r, r, r))
+        raise InternalConsistencyError(
+            f"structure constant c[{i}][{j}][{k}] depends on the representative: "
+            f"{value} vs {other}"
+        )
+    keys, counts = table
+    i, j, k = np.unravel_index(keys, (r, r, r))
+    # row 0 holds only c[0][k][k] = |K|, column 0 only c[k][0][k] = |K|
+    unit = np.arange(r)
+    if not (
+        np.array_equal(keys[i == 0], unit * (r + 1))
+        and np.array_equal(keys[j == 0], unit * (r * r + 1))
+        and (counts[(i == 0) | (j == 0)] == ksize).all()
+    ):
+        raise InternalConsistencyError(
+            f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
+        )
+    sums = np.zeros(r, dtype=np.int64)
+    np.add.at(sums, k, np.abs(counts))
+    s = int(sums.max())
+    if 125 * s * s >= 2**63:
+        raise ResourceLimitError(
+            f"structure constants sum to {s} at one target; the int64 associativity "
+            "check needs 125 * s^2 < 2^63"
+        )
+
+    def product(a, b):
+        """(a*b)_k = sum_{i,j} a_i b_j c[i][j][k] for each row of a and b."""
+        out = np.zeros_like(a)
+        for t in range(len(a)):
+            np.add.at(out[t], k, a[t, i] * b[t, j] * counts)
+        return out
+
     rng = random.Random(0)
     draws = [[[rng.randrange(-5, 6) for _ in range(r)] for _ in range(3)] for _ in range(3)]
     f, g, h = np.array(draws, dtype=np.int64).transpose(1, 0, 2)  # row t: triple t
-    fg = np.zeros((3, r), dtype=np.int64)
-    gh = np.zeros((3, r), dtype=np.int64)
-    witness = None
-    targets = np.stack([np.array(cosets.representatives), second], axis=1)
-    for k, ((keys, counts), (keys2, counts2)) in enumerate(
-        _transversal_counts(group, embedding, cosets, targets)
-    ):
-        moved = _first_difference(keys, counts, keys2, counts2)
-        if moved is not None:
-            i, j = divmod(moved, r)
-            raise InternalConsistencyError(
-                f"structure constant c[{i}][{j}][{k}] depends on the representative: "
-                f"{_entry(keys, counts, moved)} vs {_entry(keys2, counts2, moved)}"
-            )
-        i, j = np.divmod(keys, r)
-        # c[0][k][k] = c[k][0][k] = |K| carries all of row 0's and column 0's |c|
-        if not (
-            _entry(keys, counts, k) == _entry(keys, counts, k * r) == ksize
-            and np.abs(counts[i == 0]).sum() == np.abs(counts[j == 0]).sum() == ksize
-        ):
-            raise InternalConsistencyError(
-                f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
-            )
-        _check_int64_bound(counts)
-        asym = _first_difference(keys, counts, j * r + i, counts)
-        if asym is not None and (witness is None or asym < witness.i * r + witness.j):
-            a, b = divmod(asym, r)
-            witness = Witness(a, b, k, _entry(keys, counts, asym), _entry(keys, counts, b * r + a))
-        fg[:, k] = (f[:, i] * g[:, j]) @ counts
-        gh[:, k] = (g[:, i] * h[:, j]) @ counts
-    left = np.zeros((3, r), dtype=np.int64)
-    right = np.zeros((3, r), dtype=np.int64)
-    stream = _transversal_counts(group, embedding, cosets, cosets.representatives)
-    for k, ((keys, counts),) in enumerate(stream):
-        _check_int64_bound(counts)
-        i, j = np.divmod(keys, r)
-        left[:, k] = (fg[:, i] * h[:, j]) @ counts
-        right[:, k] = (f[:, i] * gh[:, j]) @ counts
+    left, right = product(product(f, g), h), product(f, product(g, h))
     for t in range(3):
         if not np.array_equal(left[t], right[t]):
             raise InternalConsistencyError(
                 "structure constants are not associative: (f*g)*h != f*(g*h) "
                 f"for f={f[t].tolist()}, g={g[t].tolist()}, h={h[t].tolist()}"
             )
-    return witness
+    transposed = np.ravel_multi_index((j, i, k), (r, r, r))
+    order = np.argsort(transposed)
+    asym = _first_difference(table, (transposed[order], counts[order]))
+    if asym is None:
+        return None
+    key, ijk, jik = asym
+    return Witness(*map(int, np.unravel_index(key, (r, r, r))), ijk, jik)
 
 
 def dense_constants(
@@ -230,21 +231,17 @@ def dense_constants(
     embedding: SubgroupEmbedding,
     cosets: DoubleCosetDecomposition,
 ) -> np.ndarray:
-    """The (r, r, r) int64 table c[i][j][k], stacked from the stream at the
-    representatives.  It holds r^3 entries: for ``hecke --show-constants``
-    and the tests only; verdicts come from ``structure_constants``."""
-    stream = _transversal_counts(group, embedding, cosets, cosets.representatives)
-    return stack_block_counts(stream, cosets.rank)
+    """The (r, r, r) int64 table c[i][j][k], stacked from the kernel's count
+    at the representatives.  It holds r^3 entries: for ``hecke
+    --show-constants`` and the tests only; verdicts come from
+    ``structure_constants``."""
+    (column,) = _transversal_counts(group, embedding, cosets, cosets.representatives)
+    return stack_block_counts(column, cosets.rank)
 
 
 def is_commutative(witness: Witness | None) -> bool:
     """The verdict on structure_constants' result."""
     return witness is None
-
-
-def noncommutative_witness(witness: Witness | None) -> Witness | None:
-    """First (i, j, k) with c[i][j][k] != c[j][i][k], with both values, or None."""
-    return witness
 
 
 def is_gelfand_hecke(

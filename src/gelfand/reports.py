@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from . import __version__
 from .chartab import cached_character_table, check_limits, decompose_induced_trivial
-from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError, ResourceLimitError
 from .groups import conjugacy_classes, is_abelian
 from .hecke import double_cosets, is_commutative, structure_constants
 from .partitions import (
@@ -139,7 +139,8 @@ def check_pair(
     The branching prediction needs only the base group's degrees.  A base
     within the limits reads them from its (cached) character table; an
     abelian base past them has |G| degrees equal to 1, exactly; a non-abelian
-    base past them raises ResourceLimitError before either route runs.
+    base past them leaves the prediction out (its fields stay None) and the
+    routes still run.
     """
     if method not in ("hecke", "character", "both"):
         raise InvalidParameterError(
@@ -163,15 +164,15 @@ def check_pair(
     try:
         check_limits(base)
     except ResourceLimitError:
-        if not report.base_abelian:
-            raise
-        degrees = (1,) * base.order  # an abelian group has |G| linear characters
+        # an abelian group has |G| linear characters; otherwise no prediction
+        degrees = (1,) * base.order if report.base_abelian else None
     else:
         degrees = cached_character_table(base, cache_dir, seed=seed).degrees
-    prediction = induced_trivial_prediction(degrees, n)
-    report.predicted_term_count = prediction.term_count
-    report.predicted_rank = prediction.predicted_rank
-    report.predicted_multiplicities = prediction.multiplicities
+    if degrees is not None:
+        prediction = induced_trivial_prediction(degrees, n)
+        report.predicted_term_count = prediction.term_count
+        report.predicted_rank = prediction.predicted_rank
+        report.predicted_multiplicities = prediction.multiplicities
     timings["prediction"] = time.perf_counter() - t0
 
     if method in ("hecke", "both"):
@@ -184,7 +185,6 @@ def check_pair(
 
     if method in ("character", "both"):
         t0 = time.perf_counter()
-        class_count = wreath.class_count
         try:
             check_limits(wreath)
         except ResourceLimitError:
@@ -193,11 +193,6 @@ def check_pair(
             report.gelfand_character = SKIPPED
         else:
             classes = conjugacy_classes(wreath)
-            if classes.count != class_count:
-                raise InternalConsistencyError(
-                    f"{wreath.name} has {classes.count} conjugacy classes, but "
-                    f"{class_count} multipartitions index them"
-                )
             table = cached_character_table(
                 wreath, cache_dir, classes=classes, seed=seed
             )
@@ -285,7 +280,9 @@ def format_report(report: PairReport) -> str:
             f"  character:  nonzero multiplicities {_multiset(report.multiplicities)}, "
             f"{verdict}"
         )
-    if report.predicted_term_count is not None:
+    if report.predicted_term_count is None:
+        lines.append("  predicted:  skipped (over character-table limits)")
+    else:
         lines.append(
             f"  predicted:  {report.predicted_term_count} terms, multiplicities "
             f"{_multiset(report.predicted_multiplicities)}, rank {report.predicted_rank}"

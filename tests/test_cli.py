@@ -9,10 +9,9 @@ import time
 import numpy as np
 
 import gelfand
-import gelfand.reports
 from gelfand.chartab import _CACHE_MAGIC, _CACHE_VERSION
 from gelfand.cli import main
-from gelfand.groups import GroupPartition
+from gelfand.wreath import WreathProduct
 
 
 def run(capsys, *argv):
@@ -297,10 +296,19 @@ def test_abelian_base_past_the_table_limits_predicts_from_unit_degrees(tmp_path)
     assert record["rank"] == record["predicted_rank"] == 101
     assert record["consistent"] is True
     assert not list(tmp_path.iterdir())
-    # a non-abelian base past the limits still stops before any Hecke work
-    proc = _run_module("pair-check", "wr(D200,2)", "--method", "hecke", "--cache-dir", str(tmp_path))
-    assert proc.returncode == 3, proc.stderr
-    assert "103 conjugacy classes, over the limit 80" in proc.stderr
+    # a non-abelian base past the limits gets its Hecke verdict, unpredicted
+    proc = _run_module(
+        "pair-check", "wr(D200,2)", "--method", "hecke", "--format", "machine",
+        "--cache-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["rank"] == 401
+    assert record["gelfand_hecke"] is False
+    assert record["consistent"] is True
+    assert record["predicted_rank"] is record["predicted_term_count"] is None
+    assert record["predicted_multiplicities"] is None
+    assert not list(tmp_path.iterdir())
 
 
 def test_hecke_route_on_two_million_elements(tmp_path):
@@ -391,14 +399,15 @@ def test_character_route_exits_before_wreath_classes(tmp_path):
 
 
 def test_wrong_wreath_class_count_is_an_internal_failure(capsys, tmp_path, monkeypatch):
-    real = gelfand.reports.conjugacy_classes
+    real = WreathProduct.class_labels
 
-    def one_class_short(group):
-        # the last class merged into the one before it
-        classes = real(group)
-        return GroupPartition.from_labels(np.minimum(classes.block_of, classes.count - 2))
+    def one_class_short(self):
+        # the last label merged into the one before it
+        labels = real(self)
+        values = np.unique(labels)
+        return np.where(labels == values[-1], values[-2], labels)
 
-    monkeypatch.setattr(gelfand.reports, "conjugacy_classes", one_class_short)
+    monkeypatch.setattr(WreathProduct, "class_labels", one_class_short)
     code, _, err = run(capsys, "pair-check", "wr(Z2,3)", "--cache-dir", str(tmp_path))
     assert code == 4
-    assert "internal failure" in err and "multipartitions" in err
+    assert "internal failure" in err and "class labels, but" in err

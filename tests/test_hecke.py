@@ -22,7 +22,7 @@ from gelfand import (
     subgroup_from_generators,
 )
 from gelfand.groups import block_product_counts, stack_block_counts
-from gelfand.hecke import dense_constants, noncommutative_witness
+from gelfand.hecke import dense_constants
 from gelfand.reports import build_pair
 from hecke_oracle import (
     BiInvariantFunction,
@@ -141,15 +141,14 @@ def test_gelfand_verdicts():
 def test_noncommutative_witness():
     emb = embed_wreath_subgroup(make_symmetric(3), 2)
     dc = double_cosets(emb.parent, emb)
-    witness = noncommutative_witness(structure_constants(emb.parent, emb, dc))
+    witness = structure_constants(emb.parent, emb, dc)
     assert witness is not None
     i, j, k, ijk, jik = witness
     sc = dense_constants(emb.parent, emb, dc)
     assert sc[i, j, k] == ijk != jik == sc[j, i, k]
 
     s3, emb2 = s3_pair()
-    sc2 = structure_constants(s3, emb2, double_cosets(s3, emb2))
-    assert noncommutative_witness(sc2) is None
+    assert structure_constants(s3, emb2, double_cosets(s3, emb2)) is None
 
 
 def test_block_functions_are_bi_invariant():
@@ -254,7 +253,7 @@ LADDER = ("wr(Z1,5)", "wr(S3,2)", "wr(Z2,4)", "wr(Z1,6)", "wr(S4,2)", "wr(S3,3)"
 
 
 def test_kernel_matches_bucketing_oracle():
-    """The stacked stream equals the scalar bucketing oracle: the class
+    """The stacked kernel table equals the scalar bucketing oracle: the class
     algebra on small_pairs(), the double-coset algebra (counted over the coset
     transversal) on those and the rest of the ladder.
 
@@ -285,10 +284,10 @@ def test_transversal_count_matches_whole_group(spec):
     _, _, _, emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(grp, emb)
-    stream = block_product_counts(
+    (column,) = block_product_counts(
         grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
     )
-    whole_group = stack_block_counts(stream, dc.rank)
+    whole_group = stack_block_counts(column, dc.rank)
     assert np.array_equal(dense_constants(grp, emb, dc), whole_group)
 
 
@@ -301,7 +300,7 @@ def test_streamed_witness_is_the_first_dense_asymmetry(name):
         grp = emb.parent
     dc = double_cosets(grp, emb)
     sc = dense_constants(grp, emb, dc)
-    witness = noncommutative_witness(structure_constants(grp, emb, dc))
+    witness = structure_constants(grp, emb, dc)
     diff = np.argwhere(sc != sc.swapaxes(0, 1))
     if len(diff) == 0:
         assert witness is None
@@ -319,32 +318,24 @@ def transversal(emb):
     return emb.left_cosets[1], emb.subgroup.order
 
 
-def corrupt_kernel(monkeypatch, entry, amount, slices):
-    """Add amount at c[i][j][k] of hecke's kernel stream in the given slices.
-
-    slices holds (call, column) pairs: call 0 is pass A, whose columns are the
-    representatives and the second elements, call 1 is pass B's recount.
-    """
+def corrupt_kernel(monkeypatch, entry, amount, columns):
+    """Add amount at c[i][j][k] of hecke's kernel table in the given columns:
+    column 0 is counted at the representatives, column 1 at the second
+    elements of the blocks."""
     i, j, k = entry
-    calls = []
 
     def kernel(group, block_of, sizes, *args):
-        call = len(calls)
-        calls.append(call)
         r = len(sizes)
-        for t, columns in enumerate(block_product_counts(group, block_of, sizes, *args)):
-            if t == k:
-                columns = tuple(
-                    bumped(keys, counts, i * r + j, amount, r) if (call, c) in slices else (keys, counts)
-                    for c, (keys, counts) in enumerate(columns)
-                )
-            yield columns
+        return [
+            bumped(keys, counts, (i * r + j) * r + k, amount, r) if c in columns else (keys, counts)
+            for c, (keys, counts) in enumerate(block_product_counts(group, block_of, sizes, *args))
+        ]
 
     monkeypatch.setattr("gelfand.hecke.block_product_counts", kernel)
 
 
 def bumped(keys, counts, key, amount, r):
-    dense = np.zeros(r * r, dtype=np.int64)
+    dense = np.zeros(r**3, dtype=np.int64)
     dense[keys] = counts
     dense[key] += amount
     keys = np.flatnonzero(dense)
@@ -356,7 +347,7 @@ def test_kernel_rejects_target_outside_its_block():
     targets = list(dc.representatives)
     targets[1], targets[2] = targets[2], targets[1]
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
-        list(block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb)))
+        block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb))
 
 
 def test_kernel_enforces_counting_identity():
@@ -364,7 +355,7 @@ def test_kernel_enforces_counting_identity():
     sizes = list(dc.sizes)
     sizes[1] += 1
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        list(block_product_counts(grp, dc.block_of, sizes, dc.representatives, *transversal(emb)))
+        block_product_counts(grp, dc.block_of, sizes, dc.representatives, *transversal(emb))
 
 
 def test_kernel_rejects_a_list_that_is_not_a_transversal():
@@ -374,19 +365,19 @@ def test_kernel_rejects_a_list_that_is_not_a_transversal():
     elements = reps.copy()
     elements[1] = emb.image[1]
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        list(block_product_counts(grp, dc.block_of, dc.sizes, dc.representatives, elements, ksize))
+        block_product_counts(grp, dc.block_of, dc.sizes, dc.representatives, elements, ksize)
 
 
 def test_representative_recount_is_enforced(monkeypatch):
     grp, emb, dc = wr_z2_3()
-    corrupt_kernel(monkeypatch, (1, 1, 2), 1, slices={(0, 1)})
+    corrupt_kernel(monkeypatch, (1, 1, 2), 1, columns={1})
     with pytest.raises(InternalConsistencyError, match="depends on the representative"):
         structure_constants(grp, emb, dc)
 
 
 def test_unit_identity_is_enforced(monkeypatch):
     grp, emb, dc = wr_z2_3()
-    corrupt_kernel(monkeypatch, (0, 1, 1), 1, slices={(0, 0), (0, 1), (1, 0)})
+    corrupt_kernel(monkeypatch, (0, 1, 1), 1, columns={0, 1})
     with pytest.raises(InternalConsistencyError, match="unit"):
         structure_constants(grp, emb, dc)
 
@@ -394,7 +385,7 @@ def test_unit_identity_is_enforced(monkeypatch):
 def test_associativity_is_enforced(monkeypatch):
     grp, emb, dc = wr_z2_3()
     assert dc.rank >= 3
-    corrupt_kernel(monkeypatch, (1, 1, 2), 1, slices={(0, 0), (0, 1), (1, 0)})
+    corrupt_kernel(monkeypatch, (1, 1, 2), 1, columns={0, 1})
     with pytest.raises(InternalConsistencyError, match="not associative"):
         structure_constants(grp, emb, dc)
 
@@ -403,6 +394,24 @@ def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
     # 125 s^2 >= 2^63 once some target's constants sum to s >= 2.7e8, so the
     # int64 contraction could overflow: refused rather than checked inexactly
     grp, emb, dc = wr_z2_3()
-    corrupt_kernel(monkeypatch, (1, 1, 2), 300_000_000, slices={(0, 0), (0, 1), (1, 0)})
+    corrupt_kernel(monkeypatch, (1, 1, 2), 300_000_000, columns={0, 1})
     with pytest.raises(ResourceLimitError, match="125 \\* s\\^2 < 2\\^63"):
         structure_constants(grp, emb, dc)
+
+
+def test_structure_constants_count_each_target_twice(monkeypatch):
+    # one kernel call: [G:K] products per target at the representatives and
+    # as many at the second elements, 2 r [G:K] in all
+    _, _, _, emb = build_pair("wr(S3,2)")
+    grp = emb.parent
+    dc = double_cosets(grp, emb)
+    products = []
+    mul_many = grp.mul_many
+
+    def counting(xs, ys):
+        products.append(np.broadcast(np.asarray(xs), np.asarray(ys)).size)
+        return mul_many(xs, ys)
+
+    monkeypatch.setattr(grp, "mul_many", counting)
+    structure_constants(grp, emb, dc)
+    assert sum(products) == 2 * dc.rank * emb.index
