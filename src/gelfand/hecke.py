@@ -166,10 +166,15 @@ def structure_constants(
     noncommutative entry, or None when the algebra is commutative."""
     r = cosets.rank
     ksize = embedding.subgroup.order
-    # the second-smallest id of each block, or the only id of a singleton
-    sizes = np.array(cosets.sizes)
-    second = np.argsort(cosets.block_of, kind="stable")[np.cumsum(sizes) - sizes + (sizes > 1)]
-    targets = np.stack([np.array(cosets.representatives), second], axis=1)
+    # the second-smallest id of each block, or the only id of a singleton:
+    # the smallest id left once the representatives are masked out
+    reps = np.array(cosets.representatives, dtype=np.int64)
+    others = np.ones(group.order, dtype=bool)
+    others[reps] = False
+    second = np.full(r, group.order, dtype=np.int64)
+    np.minimum.at(second, cosets.block_of[others], np.flatnonzero(others))
+    second = np.where(second < group.order, second, reps)
+    targets = np.stack([reps, second], axis=1)
     table, recount = _transversal_counts(group, embedding, cosets, targets)
     moved = _first_difference(table, recount)
     if moved is not None:

@@ -3,13 +3,18 @@
 import itertools
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from gelfand import (
+    InternalConsistencyError,
     InvalidParameterError,
     ResourceLimitError,
+    SubgroupEmbedding,
     WreathElement,
+    WreathProduct,
     conjugacy_classes,
     embed_wreath_subgroup,
     make_cyclic,
@@ -126,8 +131,8 @@ def test_embedding_orders():
 
 
 def test_embedding_is_homomorphism_exhaustively():
-    # exhaustive over all pairs, including an image above the constructor's
-    # own exhaustive-validation cutoff (Z2 wr S3 has 48 elements)
+    # exhaustive over all pairs with the scalar oracle, independent of the
+    # generator check in validate (Z2 wr S3 has 48 elements)
     for base, n in ((make_cyclic(2), 3), (make_symmetric(3), 2), (make_cyclic(2), 4)):
         emb = embed_wreath_subgroup(base, n)
         k, parent = emb.subgroup, emb.parent
@@ -150,3 +155,62 @@ def test_embedding_fixes_last_coordinate():
 def test_embedding_rejects_n_below_two():
     with pytest.raises(InvalidParameterError):
         embed_wreath_subgroup(make_cyclic(2), 1)
+
+
+# ---------------------------------------------------------------------------
+# SubgroupEmbedding.validate: each failure mode, and the cost of the check
+
+
+@pytest.mark.parametrize(
+    "mapping, message",
+    [
+        ((0, 0), "embedding of Z2 is not injective"),
+        ((0, 7), "embedding maps outside the parent group"),
+        ((3, 0), "embedding does not preserve the identity"),
+    ],
+)
+def test_validate_rejects_broken_maps(mapping, message):
+    embedding = SubgroupEmbedding(make_cyclic(2), make_cyclic(6), mapping)
+    with pytest.raises(InternalConsistencyError, match=message):
+        embedding.validate()
+
+
+def test_validate_catches_two_swapped_non_generator_entries():
+    # |K| = 384 > AXIOM_EXHAUSTIVE_LIMIT: the check is exhaustive at every size
+    emb = embed_wreath_subgroup(make_cyclic(2), 5)
+    k = emb.subgroup
+    assert k.order == 384
+    a, b = [x for x in range(1, k.order) if x not in k.generators][:2]
+    mapping = emb.map.copy()
+    mapping[[a, b]] = mapping[[b, a]]
+    broken = SubgroupEmbedding(k, emb.parent, mapping)
+    with pytest.raises(InternalConsistencyError, match="not a homomorphism") as caught:
+        broken.validate()
+    x, s = map(int, re.search(r"at \(x, s\) = \((\d+), (\d+)\)", str(caught.value)).groups())
+    assert s in k.generators
+    assert {x, k.mul(x, s)} & {a, b}
+
+
+@pytest.mark.parametrize("generators", [(2,), ()])
+def test_validate_rejects_generators_that_do_not_generate(generators):
+    k = make_cyclic(4)
+    k.generators = generators
+    embedding = SubgroupEmbedding(k, make_cyclic(4), range(4))
+    reached = 2 if generators else 1
+    with pytest.raises(InternalConsistencyError, match=f"generate {reached} of its 4 elements"):
+        embedding.validate()
+
+
+def test_validate_costs_one_parent_product_per_element_and_generator(monkeypatch):
+    counted = []
+    real = WreathProduct.mul_many
+
+    def counting(self, xs, ys):
+        if self.n == 5:
+            counted.append(np.broadcast(np.asarray(xs), np.asarray(ys)).size)
+        return real(self, xs, ys)
+
+    monkeypatch.setattr(WreathProduct, "mul_many", counting)
+    emb = embed_wreath_subgroup(make_cyclic(2), 5)
+    assert len(emb.subgroup.generators) == 3
+    assert sum(counted) == 3 * 384
