@@ -40,17 +40,13 @@ from .hecke import (
     DoubleCosetDecomposition,
     double_cosets,
     is_commutative,
-    is_gelfand_hecke,
     structure_constants,
 )
 from .chartab import (
     CharacterTable,
-    InducedTrivialDecomposition,
     character_table,
     class_coefficients,
     decompose_induced_trivial,
-    inner_product,
-    is_gelfand_character,
     load_character_table,
     permutation_character,
     save_character_table,
@@ -73,7 +69,5 @@ from .specs import (
     build_group,
     parse_group_spec,
     parse_pair_spec,
-    render_group_spec,
-    render_pair_spec,
 )
 from .reports import PairReport, check_pair, format_report, report_record, scan_pairs

@@ -235,28 +235,14 @@ def character_table(
 
 
 def permutation_character(
-    group: FiniteGroup,
-    embedding: SubgroupEmbedding,
-    classes: GroupPartition | None = None,
+    group: FiniteGroup, embedding: SubgroupEmbedding, classes: GroupPartition
 ) -> tuple[int, ...]:
     """chi(g) = number of left cosets xK with gxK = xK, per class."""
     if embedding.parent is not group:
         raise InvalidParameterError("embedding does not target the given group")
     coset_of, reps = embedding.left_cosets
-    if classes is None:
-        classes = conjugacy_classes(group)
     moved = coset_of[group.mul_many(np.array(classes.representatives)[:, None], reps)]
     return tuple(np.count_nonzero(moved == np.arange(len(reps)), axis=1).tolist())
-
-
-def inner_product(f, h, classes: GroupPartition) -> complex:
-    """(1/|G|) sum_k |C_k| f(k) conj(h(k)) over the classes."""
-    sizes = classes.sizes
-    order = sum(sizes)
-    acc = 0
-    for size, fv, hv in zip(sizes, f, h):
-        acc += size * fv * complex(hv).conjugate()
-    return acc / order
 
 
 def _round_multiplicity(value: complex, what: str) -> int:
@@ -268,55 +254,32 @@ def _round_multiplicity(value: complex, what: str) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class InducedTrivialDecomposition:
-    """Multiplicities of the induced trivial representation, one per irrep."""
-
-    multiplicities: tuple[int, ...]
-
-    @property
-    def nonzero(self) -> tuple[int, ...]:
-        return tuple(sorted(m for m in self.multiplicities if m))
-
-    @property
-    def sum_of_squares(self) -> int:
-        return sum(m * m for m in self.multiplicities)
-
-
 def decompose_induced_trivial(
-    group: FiniteGroup,
-    embedding: SubgroupEmbedding,
-    table: CharacterTable | None = None,
-) -> InducedTrivialDecomposition:
-    """Multiplicities <perm char, chi_i>, validated against exact identities."""
-    if table is None:
-        table = character_table(group)
-    perm = permutation_character(group, embedding, table.classes)
-    ms = []
-    for i in range(table.num_classes):
-        val = inner_product(perm, table.values[i], table.classes)
-        ms.append(_round_multiplicity(val, f"multiplicity of irrep {i}"))
-    index = group.order // embedding.subgroup.order
+    group: FiniteGroup, embedding: SubgroupEmbedding, table: CharacterTable
+) -> tuple[int, ...]:
+    """Multiplicities <perm char, chi_i>, one per irrep, in table row order.
+
+    m_i = (1/|G|) sum_k |C_k| perm(k) conj(chi_i(k)); each must round to a
+    non-negative integer, and they are checked against the exact identities
+    sum_i m_i d_i = [G:K] and m_0 = 1.
+    """
+    sizes = np.array(table.classes.sizes, dtype=np.float64)
+    perm = np.array(permutation_character(group, embedding, table.classes))
+    values = table.values.conj() @ (sizes * perm) / group.order
+    ms = tuple(
+        _round_multiplicity(complex(v), f"multiplicity of irrep {i}")
+        for i, v in enumerate(values)
+    )
     weighted = sum(m * d for m, d in zip(ms, table.degrees))
-    if weighted != index:
+    if weighted != embedding.index:
         raise InternalConsistencyError(
-            f"sum m_i * d_i = {weighted} != [G:K] = {index} for {group.name}"
+            f"sum m_i * d_i = {weighted} != [G:K] = {embedding.index} for {group.name}"
         )
     if ms[0] != 1:
         raise InternalConsistencyError(
             f"trivial character has multiplicity {ms[0]} != 1 in the induced trivial"
         )
-    return InducedTrivialDecomposition(tuple(ms))
-
-
-def is_gelfand_character(
-    group: FiniteGroup,
-    embedding: SubgroupEmbedding,
-    table: CharacterTable | None = None,
-) -> bool:
-    """True iff the induced trivial representation is multiplicity free."""
-    decomp = decompose_induced_trivial(group, embedding, table)
-    return all(m <= 1 for m in decomp.multiplicities)
+    return ms
 
 
 # ---------------------------------------------------------------------------

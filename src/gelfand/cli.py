@@ -20,7 +20,7 @@ from .errors import (
     ResourceLimitError,
     SpecParseError,
 )
-from .groups import conjugacy_classes, is_abelian
+from .groups import is_abelian
 from .hecke import dense_constants, double_cosets, structure_constants
 from .partitions import (
     format_partition,
@@ -37,7 +37,7 @@ from .reports import (
     report_record,
     scan_pairs,
 )
-from .specs import build_group, parse_group_spec, render_pair_spec
+from .specs import build_group, parse_group_spec
 from .wreath import DEFAULT_SIZE_BUDGET, wreath_order
 from . import __version__
 
@@ -154,8 +154,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
-    base_ast, n, base, embedding = build_pair(args.pairspec, args.size_budget)
-    pairspec = render_pair_spec(base_ast, n)
+    embedding = build_pair(args.pairspec, args.size_budget)
     wreath = embedding.parent
     cosets = double_cosets(wreath, embedding)
     witness = structure_constants(wreath, embedding, cosets)
@@ -167,7 +166,7 @@ def _cmd_hecke(args) -> int:
             "kind": "hecke_report",
             "schema_version": SCHEMA_VERSION,
             "toolkit_version": __version__,
-            "pair": pairspec,
+            "pair": wreath.name,
             "group_order": wreath.order,
             "subgroup_order": embedding.subgroup.order,
             "rank": cosets.rank,
@@ -179,7 +178,7 @@ def _cmd_hecke(args) -> int:
             record["constants"] = c.tolist()
         _emit_record(record)
         return 0
-    print(f"pair {wreath.name} over wr({base.name},{n - 1})")
+    print(f"pair {wreath.name} over wr({wreath.base_group.name},{wreath.n - 1})")
     print(f"  |G| = {wreath.order}, |K| = {embedding.subgroup.order}")
     print(f"  rank {cosets.rank}, block sizes {list(cosets.sizes)}")
     print(f"  double-coset algebra {'commutative' if commutative else 'NOT commutative'}")
@@ -212,11 +211,9 @@ def _cmd_partitions(args) -> int:
 def _cmd_group(args) -> int:
     group = build_group(parse_group_spec(args.spec))
     check_limits(group)
-    classes = conjugacy_classes(group)
     abelian = is_abelian(group)
-    table = cached_character_table(
-        group, _resolve_cache_dir(args), classes=classes, seed=args.seed
-    )
+    table = cached_character_table(group, _resolve_cache_dir(args), seed=args.seed)
+    classes = table.classes
     if args.format == "machine":
         _emit_record(
             {

@@ -215,9 +215,6 @@ class FiniteGroup:
         inverses = map(self.inv, xs.ravel().tolist())
         return np.fromiter(inverses, dtype=np.int64, count=xs.size).reshape(xs.shape)
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def class_labels(self) -> np.ndarray:
         """A conjugacy-class label for every id, equal iff the ids are conjugate.
 

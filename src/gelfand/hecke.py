@@ -248,10 +248,3 @@ def is_commutative(witness: Witness | None) -> bool:
     """The verdict on structure_constants' result."""
     return witness is None
 
-
-def is_gelfand_hecke(
-    group: FiniteGroup, embedding: SubgroupEmbedding
-) -> tuple[bool, int]:
-    """Commutativity verdict for the double-coset algebra, plus its rank."""
-    dc = double_cosets(group, embedding)
-    return is_commutative(structure_constants(group, embedding, dc)), dc.rank

@@ -22,7 +22,7 @@ from .partitions import (
     format_partition,
     induced_trivial_prediction,
 )
-from .specs import build_group, parse_pair_spec, render_group_spec, render_pair_spec
+from .specs import build_group, parse_pair_spec
 from .wreath import DEFAULT_SIZE_BUDGET, embed_wreath_subgroup
 
 SCHEMA_VERSION = 1
@@ -107,15 +107,15 @@ def _consistency_failures(report: PairReport) -> list[str]:
 def build_pair(pairspec: str, size_budget: int = DEFAULT_SIZE_BUDGET):
     """Parse wr(<group>,<n>), build the base group and embed the pair.
 
-    Returns (base_ast, n, base, embedding), where embedding maps
-    G wr S_(n-1) into G wr S_n.  The wreath size budget is enforced here,
-    before any work proportional to a group's order.
+    Returns the embedding of G wr S_(n-1) into G wr S_n; its parent, a
+    WreathProduct, carries the canonical name, the base group and n.  The
+    wreath size budget is enforced here, before any work proportional to a
+    group's order.
     """
     base_ast, n = parse_pair_spec(pairspec)
     if n < 2:
         raise InvalidParameterError(f"pair spec needs n >= 2, got n={n}")
-    base = build_group(base_ast)
-    return base_ast, n, base, embed_wreath_subgroup(base, n, size_budget)
+    return embed_wreath_subgroup(build_group(base_ast), n, size_budget)
 
 
 def check_pair(
@@ -147,15 +147,12 @@ def check_pair(
             f"method must be 'hecke', 'character' or 'both', got {method!r}"
         )
     t0 = time.perf_counter()
-    base_ast, n, base, embedding = build_pair(pairspec, size_budget)
-    report = PairReport(
-        pair_spec=render_pair_spec(base_ast, n),
-        base_spec=render_group_spec(base_ast),
-        n=n,
-    )
+    embedding = build_pair(pairspec, size_budget)
+    wreath = embedding.parent
+    base, n = wreath.base_group, wreath.n
+    report = PairReport(pair_spec=wreath.name, base_spec=base.name, n=n)
     timings = report.timings
     report.base_abelian = is_abelian(base)
-    wreath = embedding.parent
     report.group_order = wreath.order
     report.subgroup_order = embedding.subgroup.order
     timings["build"] = time.perf_counter() - t0
@@ -196,9 +193,9 @@ def check_pair(
             table = cached_character_table(
                 wreath, cache_dir, classes=classes, seed=seed
             )
-            decomp = decompose_induced_trivial(wreath, embedding, table)
-            report.multiplicities = decomp.nonzero
-            report.gelfand_character = all(m <= 1 for m in decomp.multiplicities)
+            multiplicities = decompose_induced_trivial(wreath, embedding, table)
+            report.multiplicities = tuple(sorted(m for m in multiplicities if m))
+            report.gelfand_character = max(multiplicities) <= 1
         timings["character"] = time.perf_counter() - t0
 
     report.failures = tuple(_consistency_failures(report))

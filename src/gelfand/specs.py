@@ -126,19 +126,6 @@ def parse_group_spec(text: str) -> GroupSpec:
     return node
 
 
-def render_group_spec(spec: GroupSpec) -> str:
-    if isinstance(spec, Cyclic):
-        return f"Z{spec.k}"
-    if isinstance(spec, Symmetric):
-        return f"S{spec.n}"
-    if isinstance(spec, Dihedral):
-        return f"D{spec.k}"
-    right = render_group_spec(spec.right)
-    if isinstance(spec.right, Product):
-        right = f"({right})"
-    return f"{render_group_spec(spec.left)}x{right}"
-
-
 def build_group(spec: GroupSpec | str) -> FiniteGroup:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
@@ -167,6 +154,3 @@ def parse_pair_spec(text: str) -> tuple[GroupSpec, int]:
         raise SpecParseError(f"unexpected trailing input {cur.peek()!r}", cur.pos)
     return base, n
 
-
-def render_pair_spec(base: GroupSpec, n: int) -> str:
-    return f"wr({render_group_spec(base)},{n})"

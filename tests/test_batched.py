@@ -130,7 +130,7 @@ def test_axiom_check_catches_batched_disagreement(k):
 
 @pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)
 def test_orbit_walks_match_scalar_oracle(pairspec):
-    _, _, _, embedding = build_pair(pairspec)
+    embedding = build_pair(pairspec)
     group = embedding.parent
     classes = conjugacy_classes(group)
     assert classes == scalar_oracle.conjugacy_classes(group)
@@ -142,7 +142,7 @@ def test_orbit_walks_match_scalar_oracle(pairspec):
 
 def test_double_cosets_match_scalar_oracle_above_the_ladder():
     # rank 31, past every rank on the benchmark ladder
-    _, _, _, embedding = build_pair("wr(Z30,2)")
+    embedding = build_pair("wr(Z30,2)")
     group = embedding.parent
     dc = double_cosets(group, embedding)
     assert dc.rank == 31
@@ -150,7 +150,7 @@ def test_double_cosets_match_scalar_oracle_above_the_ladder():
 
 
 def test_label_arrays_are_read_only_int64():
-    _, _, _, embedding = build_pair("wr(S3,2)")
+    embedding = build_pair("wr(S3,2)")
     group = embedding.parent
     cosets = double_cosets(group, embedding)
     arrays = (
@@ -170,7 +170,9 @@ def test_left_cosets_must_partition_the_group():
     # x * {0, 2, 4} in the broken Z6 overlaps an earlier coset at odd x
     embedding = SubgroupEmbedding(CyclicGroup(3), _BrokenBatch(6), (0, 2, 4))
     with pytest.raises(InternalConsistencyError, match="left cosets do not partition"):
-        permutation_character(embedding.parent, embedding)
+        permutation_character(
+            embedding.parent, embedding, conjugacy_classes(CyclicGroup(6))
+        )
     with pytest.raises(InternalConsistencyError, match="left cosets do not partition"):
         double_cosets(embedding.parent, embedding)
 

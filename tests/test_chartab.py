@@ -1,11 +1,14 @@
 """Character tables, decompositions and the character-side Gelfand verdict."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from gelfand import (
     InternalConsistencyError,
     InvalidParameterError,
+    NumericalQualityError,
     ResourceLimitError,
     character_table,
     class_coefficients,
@@ -14,9 +17,7 @@ from gelfand import (
     direct_product,
     embed_wreath_subgroup,
     full_embedding,
-    inner_product,
     is_abelian,
-    is_gelfand_character,
     load_character_table,
     make_cyclic,
     make_dihedral,
@@ -184,66 +185,111 @@ def test_class_limit_enforced():
 
 def test_permutation_character_whole_group():
     grp = make_dihedral(4)
-    chi = permutation_character(grp, full_embedding(grp))
-    assert chi == tuple([1] * conjugacy_classes(grp).count)
+    classes = conjugacy_classes(grp)
+    chi = permutation_character(grp, full_embedding(grp), classes)
+    assert chi == tuple([1] * classes.count)
 
 
 def test_permutation_character_s3_s2():
     s3, emb = s3_pair()
-    assert permutation_character(s3, emb) == (3, 1, 0)
+    assert permutation_character(s3, emb, conjugacy_classes(s3)) == (3, 1, 0)
 
 
 def test_permutation_character_wreath_identity_value():
     emb = embed_wreath_subgroup(make_cyclic(2), 2)
-    chi = permutation_character(emb.parent, emb)
+    chi = permutation_character(emb.parent, emb, conjugacy_classes(emb.parent))
     assert chi[0] == emb.parent.order // emb.subgroup.order == 4
 
 
 def test_permutation_character_rejects_embedding_of_another_group():
     # an equal but distinct group object: the cosets were labelled for the other one
     _, emb = s3_pair()
+    other = make_symmetric(3)
     with pytest.raises(InvalidParameterError, match="does not target"):
-        permutation_character(make_symmetric(3), emb)
+        permutation_character(other, emb, conjugacy_classes(other))
 
 
 def test_inner_products():
+    # the class-by-class inner products <chi, chi_i> are the decomposition's
+    # multiplicities, and <chi, chi> = sum m_i^2 = 2 for (S3, S2)
     s3, emb = s3_pair()
     t = character_table(s3)
     chi = permutation_character(s3, emb, t.classes)
+
+    def inner(f, h):
+        terms = zip(t.classes.sizes, f, h)
+        return sum(size * a * complex(b).conjugate() for size, a, b in terms) / s3.order
+
     trivial = t.values[0]
-    assert abs(inner_product(trivial, trivial, t.classes) - 1) < 1e-12
-    assert abs(inner_product(chi, chi, t.classes) - 2) < 1e-12
-    assert abs(inner_product(chi, trivial, t.classes) - 1) < 1e-12
+    assert abs(inner(trivial, trivial) - 1) < 1e-12
+    assert abs(inner(chi, chi) - 2) < 1e-12
+    assert abs(inner(chi, trivial) - 1) < 1e-12
+    multiplicities = decompose_induced_trivial(s3, emb, t)
+    for row, m in zip(t.values, multiplicities):
+        assert abs(inner(chi, row) - m) < 1e-12
 
 
 def test_decompose_s3_s2():
     s3, emb = s3_pair()
-    d = decompose_induced_trivial(s3, emb)
-    assert d.multiplicities == (1, 0, 1)
+    assert decompose_induced_trivial(s3, emb, character_table(s3)) == (1, 0, 1)
 
 
 def test_decompose_whole_group_is_trivial_only():
     grp = make_symmetric(3)
-    d = decompose_induced_trivial(grp, full_embedding(grp))
-    assert d.multiplicities == (1, 0, 0)
+    t = character_table(grp)
+    assert decompose_induced_trivial(grp, full_embedding(grp), t) == (1, 0, 0)
 
 
 def test_decompose_s3_wr_s2():
     emb = embed_wreath_subgroup(make_symmetric(3), 2)
-    d = decompose_induced_trivial(emb.parent, emb)
-    assert d.nonzero == (1, 1, 1, 2)
-    assert d.sum_of_squares == 7
     t = character_table(emb.parent)
-    assert sum(m * deg for m, deg in zip(d.multiplicities, t.degrees)) == 12
+    ms = decompose_induced_trivial(emb.parent, emb, t)
+    assert sorted(m for m in ms if m) == [1, 1, 1, 2]
+    assert sum(m * m for m in ms) == 7
+    assert sum(m * deg for m, deg in zip(ms, t.degrees)) == 12
+
+
+def _doctored_s3_table(**changes):
+    """The (S3, S2) pair with its true table edited; rows: trivial, sign, standard."""
+    s3, emb = s3_pair()
+    t = character_table(s3)
+    assert t.degrees == (1, 1, 2)
+    return s3, emb, dataclasses.replace(t, **changes)
+
+
+def test_decompose_rejects_a_non_integral_multiplicity():
+    values = np.array(character_table(make_symmetric(3)).values)
+    values[2] *= 0.5  # standard character halved: m_2 = 1/2
+    s3, emb, t = _doctored_s3_table(values=values)
+    with pytest.raises(NumericalQualityError, match="multiplicity of irrep 2"):
+        decompose_induced_trivial(s3, emb, t)
+
+
+def test_decompose_rejects_a_wrong_index_sum():
+    # true multiplicities (1, 0, 1) against degrees (1, 1, 3): 4 != [S3:S2] = 3
+    s3, emb, t = _doctored_s3_table(degrees=(1, 1, 3))
+    message = r"sum m_i \* d_i = 4 != \[G:K\] = 3"
+    with pytest.raises(InternalConsistencyError, match=message):
+        decompose_induced_trivial(s3, emb, t)
+
+
+def test_decompose_rejects_a_trivial_multiplicity_other_than_one():
+    # sign row first: multiplicities (0, 1, 1) still sum to [G:K] = 0 + 1 + 2
+    values = np.array(character_table(make_symmetric(3)).values)[[1, 0, 2]]
+    s3, emb, t = _doctored_s3_table(values=values)
+    message = "trivial character has multiplicity 0 != 1"
+    with pytest.raises(InternalConsistencyError, match=message):
+        decompose_induced_trivial(s3, emb, t)
 
 
 def test_gelfand_character_verdicts():
-    emb = embed_wreath_subgroup(make_cyclic(1), 4)  # (S4, S3)
-    assert is_gelfand_character(emb.parent, emb)
-    emb = embed_wreath_subgroup(make_cyclic(2), 3)
-    assert is_gelfand_character(emb.parent, emb)
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
-    assert not is_gelfand_character(emb.parent, emb)
+    def multiplicity_free(emb):
+        table = character_table(emb.parent)
+        return max(decompose_induced_trivial(emb.parent, emb, table)) <= 1
+
+    assert multiplicity_free(embed_wreath_subgroup(make_cyclic(1), 4))  # (S4, S3)
+    assert multiplicity_free(embed_wreath_subgroup(make_cyclic(2), 3))
+    assert not multiplicity_free(embed_wreath_subgroup(make_symmetric(3), 2))
 
 
 # ---------------------------------------------------------------------------

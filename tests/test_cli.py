@@ -189,6 +189,27 @@ def test_hecke_machine(capsys, tmp_path):
     assert len(record["constants"]) == 3
 
 
+def test_machine_records_name_the_pair_canonically(capsys, tmp_path):
+    cache = ["--cache-dir", str(tmp_path)]
+    spec = " wr( Z2x(Z1xZ2) , 2 ) "
+    code, out, _ = run(capsys, "pair-check", spec, "--format", "machine", *cache)
+    assert code == 0
+    record = json.loads(out)
+    assert (record["pair"], record["base"]) == ("wr(Z2x(Z1xZ2),2)", "Z2x(Z1xZ2)")
+    code, out, _ = run(capsys, "hecke", spec, "--format", "machine", *cache)
+    assert code == 0
+    assert json.loads(out)["pair"] == "wr(Z2x(Z1xZ2),2)"
+    code, out, _ = run(
+        capsys, "scan", " Z2 x ( Z1 x Z2 )", "S3x Z1", "--format", "machine", *cache
+    )
+    assert code == 0
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert [(row["pair"], row["base"]) for row in rows] == [
+        ("wr(Z2x(Z1xZ2),2)", "Z2x(Z1xZ2)"),
+        ("wr(S3xZ1,2)", "S3xZ1"),
+    ]
+
+
 def test_partitions_extend_worked_example(capsys):
     code, out, _ = run(capsys, "partitions", "extend", "3,3,2,2,2,1")
     assert code == 0

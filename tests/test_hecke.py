@@ -14,7 +14,6 @@ from gelfand import (
     embed_wreath_subgroup,
     full_embedding,
     is_commutative,
-    is_gelfand_hecke,
     make_cyclic,
     make_dihedral,
     make_symmetric,
@@ -123,19 +122,24 @@ def test_coset_size_identity():
         assert len(block) * stab == ksq
 
 
+def hecke_verdict(grp, emb):
+    """(commutative, rank) of the double-coset algebra of (grp, emb)."""
+    dc = double_cosets(grp, emb)
+    return is_commutative(structure_constants(grp, emb, dc)), dc.rank
+
+
 def test_gelfand_verdicts():
     s3, emb = s3_pair()
-    assert is_gelfand_hecke(s3, emb) == (True, 2)
+    assert hecke_verdict(s3, emb) == (True, 2)
 
     emb = embed_wreath_subgroup(make_cyclic(1), 4)  # (S4, S3)
-    assert is_gelfand_hecke(emb.parent, emb) == (True, 2)
+    assert hecke_verdict(emb.parent, emb) == (True, 2)
 
     emb = embed_wreath_subgroup(make_cyclic(2), 2)
-    assert is_gelfand_hecke(emb.parent, emb) == (True, 3)
+    assert hecke_verdict(emb.parent, emb) == (True, 3)
 
     emb = embed_wreath_subgroup(make_symmetric(3), 2)
-    verdict, rank = is_gelfand_hecke(emb.parent, emb)
-    assert (verdict, rank) == (False, 7)
+    assert hecke_verdict(emb.parent, emb) == (False, 7)
 
 
 def test_noncommutative_witness():
@@ -269,7 +273,7 @@ def test_kernel_matches_bucketing_oracle():
             class_coefficients(grp, cc),
             bucketed_constants(grp, members(cc), cc.representatives),
         ), grp.name
-    ladder = [(emb.parent, emb) for emb in (build_pair(spec)[3] for spec in LADDER[2:])]
+    ladder = [(emb.parent, emb) for emb in map(build_pair, LADDER[2:])]
     for grp, emb in small_pairs() + ladder:
         dc = double_cosets(grp, emb)
         assert np.array_equal(
@@ -281,7 +285,7 @@ def test_kernel_matches_bucketing_oracle():
 @pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
 def test_transversal_count_matches_whole_group(spec):
     """[G:K] representatives with weight |K| count what all of G with weight 1 does."""
-    _, _, _, emb = build_pair(spec)
+    emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(grp, emb)
     (column,) = block_product_counts(
@@ -296,7 +300,7 @@ def test_streamed_witness_is_the_first_dense_asymmetry(name):
     if name == "(S3,S2)":
         grp, emb = s3_pair()
     else:
-        _, _, _, emb = build_pair(name)
+        emb = build_pair(name)
         grp = emb.parent
     dc = double_cosets(grp, emb)
     sc = dense_constants(grp, emb, dc)
@@ -402,7 +406,7 @@ def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
 def test_structure_constants_count_each_target_twice(monkeypatch):
     # one kernel call: [G:K] products per target at the representatives and
     # as many at the second elements, 2 r [G:K] in all
-    _, _, _, emb = build_pair("wr(S3,2)")
+    emb = build_pair("wr(S3,2)")
     grp = emb.parent
     dc = double_cosets(grp, emb)
     products = []

@@ -1,4 +1,4 @@
-"""Group/pair spec parsing, rendering and construction."""
+"""Group/pair spec parsing and construction; built names are canonical specs."""
 
 import pytest
 
@@ -11,9 +11,8 @@ from gelfand import (
     build_group,
     parse_group_spec,
     parse_pair_spec,
-    render_group_spec,
-    render_pair_spec,
 )
+from gelfand.reports import build_pair
 
 
 def test_atoms():
@@ -39,7 +38,7 @@ def test_whitespace_insensitive():
 def test_parens_group_right_nesting():
     ast = parse_group_spec("Z2x(Z2xS3)")
     assert ast == Product(Cyclic(2), Product(Cyclic(2), Symmetric(3)))
-    assert render_group_spec(ast) == "Z2x(Z2xS3)"
+    assert build_group(ast).name == "Z2x(Z2xS3)"
 
 
 def test_roundtrips():
@@ -52,9 +51,9 @@ def test_roundtrips():
         Product(Cyclic(2), Product(Cyclic(3), Cyclic(5))),
     ]
     for ast in asts:
-        assert parse_group_spec(render_group_spec(ast)) == ast
+        assert parse_group_spec(build_group(ast).name) == ast
     for text in ["Z3", "S4", "D6", "Z2xZ2", "Z2xZ3xS3", "Z2x(Z3xS3)"]:
-        assert render_group_spec(parse_group_spec(text)) == text
+        assert build_group(parse_group_spec(text)).name == text
 
 
 def test_parse_errors_carry_offsets():
@@ -95,7 +94,7 @@ def test_pair_specs():
     assert (base, n) == (Cyclic(2), 3)
     base, n = parse_pair_spec(" wr( Z2xZ2 , 2 ) ")
     assert (base, n) == (Product(Cyclic(2), Cyclic(2)), 2)
-    assert render_pair_spec(base, n) == "wr(Z2xZ2,2)"
+    assert build_pair(" wr( Z2xZ2 , 2 ) ").parent.name == "wr(Z2xZ2,2)"
 
 
 def test_pair_spec_errors():
