@@ -172,12 +172,7 @@ def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
         )
 
 
-def character_table(
-    group: FiniteGroup,
-    classes: GroupPartition | None = None,
-    *,
-    seed: int = 0,
-) -> CharacterTable:
+def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     """Compute and fully validate the character table of a finite group.
 
     Groups past ORDER_LIMIT elements or past CLASS_LIMIT classes are refused
@@ -189,8 +184,7 @@ def character_table(
     last diagnostic.
     """
     check_limits(group)
-    if classes is None:
-        classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     r = classes.count
     check_limits(group, r)
     # class 0 must be the singleton class of the identity: row extraction
@@ -310,14 +304,12 @@ def _expect(condition: bool, message: str) -> None:
         raise InternalConsistencyError(f"character-table cache rejected: {message}")
 
 
-def load_character_table(
-    path, group: FiniteGroup, classes: GroupPartition | None = None
-) -> CharacterTable:
+def load_character_table(path, group: FiniteGroup) -> CharacterTable:
     """Load a cached table and re-run every validation invariant.
 
     Cache entries are never trusted blindly; any mismatch with the group's
-    conjugacy classes (computed here unless given, after check_limits), or any
-    failed invariant, raises.
+    conjugacy classes (taken after check_limits), or any failed invariant,
+    raises.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
@@ -326,8 +318,7 @@ def load_character_table(
     _expect(lines[1] == f"group {group.name}", "group spec mismatch")
     _expect(lines[2] == f"order {group.order}", "group order mismatch")
     check_limits(group)
-    if classes is None:
-        classes = conjugacy_classes(group)
+    classes = conjugacy_classes(group)
     r = classes.count
     _expect(lines[3] == f"classes {r}", "class count mismatch")
     _expect(
@@ -363,26 +354,21 @@ def load_character_table(
 
 
 def cached_character_table(
-    group: FiniteGroup,
-    cache_dir,
-    *,
-    classes: GroupPartition | None = None,
-    seed: int = 0,
+    group: FiniteGroup, cache_dir, *, seed: int = 0
 ) -> CharacterTable:
     """Load from cache_dir when valid, else compute and store.
 
-    cache_dir=None disables caching entirely.  classes, when given, are the
-    group's conjugacy classes, used instead of computing them again.
+    cache_dir=None disables caching entirely.
     """
     if cache_dir is None:
-        return character_table(group, classes, seed=seed)
+        return character_table(group, seed=seed)
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{group.name}.chartab")
     if os.path.exists(path):
         try:
-            return load_character_table(path, group, classes)
+            return load_character_table(path, group)
         except (OSError, ValueError, InternalConsistencyError):
             pass  # stale or corrupt entry: recompute and overwrite
-    table = character_table(group, classes, seed=seed)
+    table = character_table(group, seed=seed)
     save_character_table(table, path)
     return table

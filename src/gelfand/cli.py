@@ -21,7 +21,7 @@ from .errors import (
     SpecParseError,
 )
 from .groups import is_abelian
-from .hecke import dense_constants, double_cosets, structure_constants
+from .hecke import dense_constants, double_cosets, is_commutative, structure_constants
 from .partitions import (
     format_partition,
     induced_trivial_prediction,
@@ -29,11 +29,11 @@ from .partitions import (
     extensions,
 )
 from .reports import (
-    SCHEMA_VERSION,
     build_pair,
     check_pair,
     format_branch_terms,
     format_report,
+    record,
     report_record,
     scan_pairs,
 )
@@ -100,20 +100,14 @@ def _cmd_scan(args) -> int:
         for r in reports:
             _emit_record(report_record(r, kind="scan_row"))
         _emit_record(
-            {
-                "kind": "scan_summary",
-                "schema_version": SCHEMA_VERSION,
-                "toolkit_version": __version__,
-                "rows": len(reports),
-                "gelfand_iff_abelian": equivalence_held,
-            }
+            record("scan_summary", rows=len(reports), gelfand_iff_abelian=equivalence_held)
         )
     else:
         header = f"{'base':<10} {'|G|':>6} {'|K|':>6} {'rank':>4} {'hecke':>6} {'character':>9} {'abelian':>7} ok"
         print(header)
         for r in reports:
             if r.error is not None:
-                print(f"{r.base_spec:<10} error: {r.error}")
+                print(f"{r.base:<10} error: {r.error}")
                 continue
 
             def _show(v):
@@ -122,7 +116,7 @@ def _cmd_scan(args) -> int:
                 return str(v) if v is not None else "-"
 
             print(
-                f"{r.base_spec:<10} {r.group_order:>6} {r.subgroup_order:>6} "
+                f"{r.base:<10} {r.group_order:>6} {r.subgroup_order:>6} "
                 f"{_show(r.rank):>4} {_show(r.gelfand_hecke):>6} "
                 f"{_show(r.gelfand_character):>9} {_show(r.base_abelian):>7} "
                 f"{'ok' if r.consistent else 'FAIL'}"
@@ -158,25 +152,23 @@ def _cmd_hecke(args) -> int:
     wreath = embedding.parent
     cosets = double_cosets(wreath, embedding)
     witness = structure_constants(wreath, embedding, cosets)
-    commutative = witness is None
+    commutative = is_commutative(witness)
     shown = args.show_constants and cosets.rank <= _CONSTANTS_DISPLAY_LIMIT
     c = dense_constants(wreath, embedding, cosets) if shown else None
     if args.format == "machine":
-        record = {
-            "kind": "hecke_report",
-            "schema_version": SCHEMA_VERSION,
-            "toolkit_version": __version__,
-            "pair": wreath.name,
-            "group_order": wreath.order,
-            "subgroup_order": embedding.subgroup.order,
-            "rank": cosets.rank,
-            "block_sizes": list(cosets.sizes),
-            "commutative": commutative,
-            "witness": list(witness[:3]) if witness else None,
-        }
+        hecke = record(
+            "hecke_report",
+            pair=wreath.name,
+            group_order=wreath.order,
+            subgroup_order=embedding.subgroup.order,
+            rank=cosets.rank,
+            block_sizes=cosets.sizes,
+            commutative=commutative,
+            witness=witness[:3] if witness else None,
+        )
         if shown:
-            record["constants"] = c.tolist()
-        _emit_record(record)
+            hecke["constants"] = c.tolist()
+        _emit_record(hecke)
         return 0
     print(f"pair {wreath.name} over wr({wreath.base_group.name},{wreath.n - 1})")
     print(f"  |G| = {wreath.order}, |K| = {embedding.subgroup.order}")
@@ -200,8 +192,6 @@ def _cmd_hecke(args) -> int:
 
 
 def _cmd_partitions(args) -> int:
-    if args.action != "extend":
-        raise InvalidParameterError(f"unknown partitions action {args.action!r}")
     p = parse_partition(args.partition)
     for q in sorted(extensions(p), reverse=True):
         print(format_partition(q))
@@ -216,17 +206,15 @@ def _cmd_group(args) -> int:
     classes = table.classes
     if args.format == "machine":
         _emit_record(
-            {
-                "kind": "group_report",
-                "schema_version": SCHEMA_VERSION,
-                "toolkit_version": __version__,
-                "spec": group.name,
-                "order": group.order,
-                "classes": classes.count,
-                "class_sizes": list(classes.sizes),
-                "abelian": abelian,
-                "dimensions": list(table.degrees),
-            }
+            record(
+                "group_report",
+                spec=group.name,
+                order=group.order,
+                classes=classes.count,
+                class_sizes=classes.sizes,
+                abelian=abelian,
+                dimensions=table.degrees,
+            )
         )
         return 0
     print(f"group {group.name}")

@@ -34,8 +34,10 @@ a label per id from ``group.class_labels()`` (the batched orbit walk by
 default; wreath products override it with their type pass) and checks any
 labelling exactly: the generators must generate the group, the labels must be
 invariant under conjugation by every generator, and their count must equal
-``class_count``.  ``closure`` over the tables of ``right_products`` is the one
-batched closure, behind that check, ``is_abelian``, ``SubgroupEmbedding.validate``
+``class_count``.  It keeps the checked partition on the group, so a group's
+classes are labelled and checked once, however many callers ask.
+``closure`` over the tables of ``right_products`` is the one batched
+closure, behind that check, ``is_abelian``, ``SubgroupEmbedding.validate``
 and ``subgroup_from_generators``.
 """
 
@@ -185,7 +187,8 @@ def perm_indexer(n: int) -> _PermIndexer:
 class FiniteGroup:
     """Base interface: element ids 0..order-1 plus mul/inv oracles.
 
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share; the one
+    thing set later is the checked partition that conjugacy_classes stores.
     """
 
     name: str
@@ -196,6 +199,8 @@ class FiniteGroup:
     generators: tuple[int, ...] = ()
     # the number of conjugacy classes, known from the construction (None if not)
     class_count: int | None = None
+    # set by conjugacy_classes once its checks pass
+    _classes: GroupPartition | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -653,8 +658,12 @@ def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
       is exactly one class.
     Costs 2 |G| products per generator: x * s for every x (the closure) and
     s * x (invariance: s x s^-1 has the label of x for every x iff s y has
-    the label of y s for every y).
+    the label of y s for every y).  The partition is stored on the group once
+    every check has passed and returned by every later call; a group that
+    failed a check fails it again.
     """
+    if group._classes is not None:
+        return group._classes
     labels = np.asarray(group.class_labels(), dtype=np.int64)
     right = _generator_products(group)
     everything = np.arange(group.order, dtype=np.int64)
@@ -671,6 +680,7 @@ def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
             f"{group.name} has {classes.count} class labels, but {group.class_count} "
             "conjugacy classes"
         )
+    group._classes = classes
     return classes
 
 

@@ -10,7 +10,7 @@ tautology; any disagreement is an internal failure and must never happen.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import __version__
 from .chartab import cached_character_table, check_limits, decompose_induced_trivial
@@ -22,7 +22,7 @@ from .partitions import (
     format_partition,
     induced_trivial_prediction,
 )
-from .specs import build_group, parse_pair_spec
+from .specs import build_group, parse_group_spec, parse_pair_spec
 from .wreath import DEFAULT_SIZE_BUDGET, embed_wreath_subgroup
 
 SCHEMA_VERSION = 1
@@ -32,10 +32,13 @@ SKIPPED = "skipped"
 
 @dataclass
 class PairReport:
-    """Everything the toolkit can say about one pair (G wr S_n, G wr S_(n-1))."""
+    """Everything the toolkit can say about one pair (G wr S_n, G wr S_(n-1)).
 
-    pair_spec: str
-    base_spec: str = ""
+    Every field but timings is a key of its machine record (report_record).
+    """
+
+    pair: str
+    base: str = ""
     n: int = 0
     group_order: int | None = None
     subgroup_order: int | None = None
@@ -50,7 +53,6 @@ class PairReport:
     failures: tuple[str, ...] = ()
     error: str | None = None
     timings: dict = field(default_factory=dict)
-    toolkit_version: str = __version__
 
     @property
     def consistent(self) -> bool:
@@ -150,7 +152,7 @@ def check_pair(
     embedding = build_pair(pairspec, size_budget)
     wreath = embedding.parent
     base, n = wreath.base_group, wreath.n
-    report = PairReport(pair_spec=wreath.name, base_spec=base.name, n=n)
+    report = PairReport(pair=wreath.name, base=base.name, n=n)
     timings = report.timings
     report.base_abelian = is_abelian(base)
     report.group_order = wreath.order
@@ -189,10 +191,9 @@ def check_pair(
                 raise
             report.gelfand_character = SKIPPED
         else:
-            classes = conjugacy_classes(wreath)
-            table = cached_character_table(
-                wreath, cache_dir, classes=classes, seed=seed
-            )
+            # labelled and checked here; the table reads the stored partition
+            conjugacy_classes(wreath)
+            table = cached_character_table(wreath, cache_dir, seed=seed)
             multiplicities = decompose_induced_trivial(wreath, embedding, table)
             report.multiplicities = tuple(sorted(m for m in multiplicities if m))
             report.gelfand_character = max(multiplicities) <= 1
@@ -203,15 +204,34 @@ def check_pair(
 
 
 def scan_pairs(base_specs: list[str], n: int, **kwargs) -> list[PairReport]:
-    """One report per base; per-row errors are recorded, never abort the scan."""
+    """One report per base; per-row errors are recorded, never abort the scan.
+
+    Each base is parsed on its own first, so a parse error's offset points
+    into the base as typed.
+    """
     reports = []
     for base in base_specs:
         spec = f"wr({base},{n})"
         try:
+            parse_group_spec(base)
             reports.append(check_pair(spec, **kwargs))
         except Exception as exc:  # recorded in the row
-            reports.append(PairReport(pair_spec=spec, base_spec=base, n=n, error=str(exc)))
+            reports.append(PairReport(pair=spec, base=base, n=n, error=str(exc)))
     return reports
+
+
+def record(kind: str, **fields) -> dict:
+    """One machine record: its kind, the schema and toolkit versions, then fields.
+
+    Every machine record on stdout is built here; json.dumps writes tuple
+    values as lists.
+    """
+    return {
+        "kind": kind,
+        "schema_version": SCHEMA_VERSION,
+        "toolkit_version": __version__,
+        **fields,
+    }
 
 
 def report_record(report: PairReport, kind: str = "pair_report") -> dict:
@@ -220,31 +240,9 @@ def report_record(report: PairReport, kind: str = "pair_report") -> dict:
     Timings are deliberately absent: identical inputs must produce
     byte-identical machine output.
     """
-    return {
-        "kind": kind,
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": report.toolkit_version,
-        "pair": report.pair_spec,
-        "base": report.base_spec,
-        "n": report.n,
-        "group_order": report.group_order,
-        "subgroup_order": report.subgroup_order,
-        "base_abelian": report.base_abelian,
-        "rank": report.rank,
-        "gelfand_hecke": report.gelfand_hecke,
-        "gelfand_character": report.gelfand_character,
-        "multiplicities": list(report.multiplicities)
-        if report.multiplicities is not None
-        else None,
-        "predicted_term_count": report.predicted_term_count,
-        "predicted_rank": report.predicted_rank,
-        "predicted_multiplicities": list(report.predicted_multiplicities)
-        if report.predicted_multiplicities is not None
-        else None,
-        "failures": list(report.failures),
-        "consistent": report.consistent,
-        "error": report.error,
-    }
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    del values["timings"]
+    return record(kind, **values, consistent=report.consistent)
 
 
 def _multiset(values) -> str:
@@ -253,16 +251,16 @@ def _multiset(values) -> str:
 
 def format_report(report: PairReport) -> str:
     """Human-readable multi-line rendering of one pair report."""
-    lines = [f"pair {report.pair_spec}"]
+    lines = [f"pair {report.pair}"]
     if report.error is not None:
         lines.append(f"  error: {report.error}")
         return "\n".join(lines)
     lines.append(
-        f"  G = wr({report.base_spec},{report.n}), |G| = {report.group_order}; "
-        f"K = wr({report.base_spec},{report.n - 1}), |K| = {report.subgroup_order}"
+        f"  G = wr({report.base},{report.n}), |G| = {report.group_order}; "
+        f"K = wr({report.base},{report.n - 1}), |K| = {report.subgroup_order}"
     )
     lines.append(
-        f"  base {report.base_spec}: {'abelian' if report.base_abelian else 'non-abelian'}"
+        f"  base {report.base}: {'abelian' if report.base_abelian else 'non-abelian'}"
     )
     if isinstance(report.gelfand_hecke, bool):
         verdict = "commutative" if report.gelfand_hecke else "NOT commutative"
@@ -292,8 +290,8 @@ def format_report(report: PairReport) -> str:
     gelfand = report.gelfand
     if gelfand is not None:
         lines.append(
-            f"  verdict: (wr({report.base_spec},{report.n}), "
-            f"wr({report.base_spec},{report.n - 1})) "
+            f"  verdict: (wr({report.base},{report.n}), "
+            f"wr({report.base},{report.n - 1})) "
             f"{'IS' if gelfand else 'is NOT'} a Gelfand pair"
         )
     timing = " ".join(f"{k} {v:.3f}s" for k, v in report.timings.items())

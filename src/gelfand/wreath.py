@@ -227,17 +227,13 @@ class WreathProduct(FiniteGroup):
             cursor = np.take_along_axis(back, cursor, axis=0)
         codes = (length - 1) * r + base_classes.block_of[product]
         codes.sort(axis=0)
-        # one integer key per type, Horner in radix n r, renumbered densely
-        # whenever the next digit could overflow int64
+        # one integer key per type, Horner in radix n r.  Keys stay below
+        # (n r)^n <= n^n |base|^n < e^n |G| (as n^n < e^n n!): 9^9 at most
+        # within the character-table limits, ~8.9e12 up to 2^31 elements
         radix = n * r
         key = np.zeros(self.order, dtype=np.int64)
-        bound = 1
         for row in codes:
-            if bound * radix > 2**62:
-                key = np.unique(key, return_inverse=True)[1]
-                bound = int(key.max()) + 1
             key = key * radix + row
-            bound *= radix
         _, first, label = np.unique(key, return_index=True, return_inverse=True)
         self._check_class_sizes(
             codes[:, first], np.bincount(label), base_classes.sizes, r

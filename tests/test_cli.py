@@ -20,6 +20,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+V = gelfand.__version__  # the toolkit_version of every machine record
+
+
 def test_pair_check_table(capsys, tmp_path):
     code, out, err = run(
         capsys, "pair-check", "wr(Z2,2)", "--cache-dir", str(tmp_path)
@@ -91,8 +94,10 @@ def test_scan_machine_rows_and_summary(capsys, tmp_path):
     assert len(lines) == 3
     rows = [json.loads(line) for line in lines]
     assert rows[0]["kind"] == "scan_row"
-    assert rows[-1]["kind"] == "scan_summary"
-    assert rows[-1]["gelfand_iff_abelian"] is True
+    assert lines[-1] == (
+        '{"gelfand_iff_abelian": true, "kind": "scan_summary", "rows": 2, '
+        f'"schema_version": 1, "toolkit_version": "{V}"}}'
+    )
 
 
 def test_scan_hecke_only_method(capsys, tmp_path):
@@ -114,10 +119,16 @@ def test_scan_hecke_only_method(capsys, tmp_path):
 
 def test_scan_error_rows_do_not_abort_but_fail_exit(capsys, tmp_path):
     code, out, _ = run(
-        capsys, "scan", "Z2", "Q8", "--n", "2", "--cache-dir", str(tmp_path)
+        capsys, "scan", "Z2", "Q8", " Q8 ", "--n", "2", "--cache-dir", str(tmp_path)
     )
     assert code == 1
-    assert "error:" in out
+    # parse offsets point into each base as typed, not into wr(<base>,2)
+    assert out.splitlines()[2:4] == [
+        "Q8         error: expected a group atom ('Z<k>', 'S<n>', 'D<k>' or '('), "
+        "got 'Q' (at offset 0)",
+        " Q8        error: expected a group atom ('Z<k>', 'S<n>', 'D<k>' or '('), "
+        "got 'Q' (at offset 1)",
+    ]
 
 
 def test_branch_symmetric(capsys, tmp_path):
@@ -182,11 +193,23 @@ def test_hecke_machine(capsys, tmp_path):
         str(tmp_path),
     )
     assert code == 0
-    record = json.loads(out)
-    assert record["rank"] == 3
-    assert record["commutative"] is True
-    assert record["witness"] is None
-    assert len(record["constants"]) == 3
+    assert out == (
+        '{"block_sizes": [2, 4, 2], "commutative": true, "constants": '
+        "[[[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 2, 0], [4, 0, 4], [0, 2, 0]], "
+        '[[0, 0, 2], [0, 2, 0], [2, 0, 0]]], "group_order": 8, "kind": "hecke_report", '
+        '"pair": "wr(Z2,2)", "rank": 3, "schema_version": 1, "subgroup_order": 2, '
+        f'"toolkit_version": "{V}", "witness": null}}\n'
+    )
+    code, out, _ = run(
+        capsys, "hecke", "wr(S3,2)", "--format", "machine", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert out == (
+        '{"block_sizes": [6, 36, 6, 6, 6, 6, 6], "commutative": false, '
+        '"group_order": 72, "kind": "hecke_report", "pair": "wr(S3,2)", "rank": 7, '
+        f'"schema_version": 1, "subgroup_order": 6, "toolkit_version": "{V}", '
+        '"witness": [2, 3, 4]}\n'
+    )
 
 
 def test_machine_records_name_the_pair_canonically(capsys, tmp_path):
@@ -254,6 +277,16 @@ def test_group_machine(capsys, tmp_path):
     assert record["order"] == 6
     assert record["abelian"] is True
     assert record["dimensions"] == [1] * 6
+    code, out, _ = run(
+        capsys, "group", "D4 x Z2", "--format", "machine", "--cache-dir", str(tmp_path)
+    )
+    assert code == 0
+    assert out == (
+        '{"abelian": false, "class_sizes": [1, 1, 2, 2, 1, 1, 2, 2, 2, 2], '
+        '"classes": 10, "dimensions": [1, 1, 1, 1, 1, 1, 1, 1, 2, 2], '
+        '"kind": "group_report", "order": 16, "schema_version": 1, "spec": "D4xZ2", '
+        f'"toolkit_version": "{V}"}}\n'
+    )
 
 
 def test_parse_error_exit_code(capsys, tmp_path):

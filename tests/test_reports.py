@@ -14,7 +14,9 @@ from gelfand import (
     report_record,
     scan_pairs,
 )
+from gelfand.groups import FiniteGroup
 from gelfand.reports import SKIPPED, format_report
+from gelfand.wreath import WreathProduct
 
 
 def test_abelian_base_pair():
@@ -154,19 +156,23 @@ def test_format_report_mentions_verdict():
 
 
 def test_wreath_classes_computed_once_per_pair(monkeypatch, tmp_path):
-    calls = Counter()
-    real = gelfand.reports.conjugacy_classes
+    # counts labellings, not calls: the base table, the wreath's type pass
+    # and the wreath table all ask for classes, and each group is labelled once
+    labelled = Counter()
 
-    def counted(group):
-        calls[group.name] += 1
-        return real(group)
+    def counting(real):
+        def class_labels(group):
+            labelled[group.name] += 1
+            return real(group)
 
-    monkeypatch.setattr(gelfand.reports, "conjugacy_classes", counted)
-    monkeypatch.setattr(gelfand.chartab, "conjugacy_classes", counted)
+        return class_labels
+
+    for cls in (FiniteGroup, WreathProduct):
+        monkeypatch.setattr(cls, "class_labels", counting(cls.class_labels))
     for method in ("character", "both"):
         cache = tmp_path / method
         for state in ("cold", "warm"):
-            calls.clear()
+            labelled.clear()
             r = check_pair("wr(S3,2)", method=method, cache_dir=str(cache))
             assert r.consistent
-            assert calls["wr(S3,2)"] == 1, (method, state)
+            assert labelled == {"wr(S3,2)": 1, "S3": 1}, (method, state)
