@@ -17,16 +17,16 @@ from .errors import (
     SpecParseError,
 )
 from .groups import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
     FiniteGroup,
     GroupPartition,
     SubgroupEmbedding,
+    SymmetricGroup,
     conjugacy_classes,
-    direct_product,
     full_embedding,
     is_abelian,
-    make_cyclic,
-    make_dihedral,
-    make_symmetric,
     subgroup_from_generators,
     verify_group_axioms,
 )
@@ -34,7 +34,6 @@ from .wreath import (
     WreathElement,
     WreathProduct,
     embed_wreath_subgroup,
-    wreath_product,
 )
 from .hecke import (
     DoubleCosetDecomposition,

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     InternalConsistencyError,
-    InvalidParameterError,
     NumericalQualityError,
     ResourceLimitError,
 )
@@ -119,10 +118,6 @@ def validate_character_table(table: CharacterTable) -> None:
         )
 
 
-def _sort_key(row: np.ndarray) -> tuple:
-    return tuple((round(z.real, 8) + 0.0, round(z.imag, 8) + 0.0) for z in row)
-
-
 def _extract_rows(m, sizes, order):
     """Eigenvectors of one random class-matrix combination -> (degrees, rows)."""
     evals, evecs = np.linalg.eig(m)
@@ -202,22 +197,23 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
         m = np.tensordot(t, coeffs.astype(np.float64), axes=(0, 0))
         try:
             degrees, rows = _extract_rows(m, sizes, group.order)
-            order_idx = sorted(
-                range(r), key=lambda i: (degrees[i], _sort_key(rows[i]))
-            )
-            trivial = [
-                i for i in order_idx if np.max(np.abs(rows[i] - 1.0)) <= _INTEGRALITY_TOL
-            ]
-            if len(trivial) != 1:
+            rows = np.array(rows)
+            trivial = np.max(np.abs(rows - 1.0), axis=1) <= _INTEGRALITY_TOL
+            if np.count_nonzero(trivial) != 1:
                 raise NumericalQualityError("trivial character not uniquely identified")
-            order_idx.remove(trivial[0])
-            order_idx.insert(0, trivial[0])
+            # keys, primary first: the trivial row, degree, then the real and
+            # imaginary part of each column rounded to 8 places; lexsort is
+            # stable, so exact ties keep eigenvector order
+            rounded = np.round(rows, 8)
+            parts = np.stack([rounded.real, rounded.imag], axis=-1).reshape(r, 2 * r)
+            keys = np.column_stack([~trivial, degrees, parts])
+            order = np.lexsort(keys.T[::-1])
             table = CharacterTable(
                 group_name=group.name,
                 group_order=group.order,
                 classes=classes,
-                degrees=tuple(degrees[i] for i in order_idx),
-                values=np.array([rows[i] for i in order_idx]),
+                degrees=tuple(degrees[i] for i in order),
+                values=rows[order],
             )
             validate_character_table(table)
             return table
@@ -229,14 +225,24 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
 
 
 def permutation_character(
-    group: FiniteGroup, embedding: SubgroupEmbedding, classes: GroupPartition
+    embedding: SubgroupEmbedding, classes: GroupPartition
 ) -> tuple[int, ...]:
-    """chi(g) = number of left cosets xK with gxK = xK, per class."""
-    if embedding.parent is not group:
-        raise InvalidParameterError("embedding does not target the given group")
-    coset_of, reps = embedding.left_cosets
-    moved = coset_of[group.mul_many(np.array(classes.representatives)[:, None], reps)]
-    return tuple(np.count_nonzero(moved == np.arange(len(reps)), axis=1).tolist())
+    """pi(C_j) = number of left cosets xK fixed by a member of C_j, per class.
+
+    By Frobenius reciprocity pi(C_j) = [G:K] |K ∩ C_j| / |C_j|, read from
+    the class labels of K's image alone: no product, no coset of G/K.  A
+    quotient that is not an integer means the labels are not G's classes.
+    """
+    counts = np.bincount(classes.block_of[embedding.image], minlength=classes.count)
+    fixed = embedding.index * counts
+    sizes = np.array(classes.sizes, dtype=np.int64)
+    bad = np.flatnonzero(fixed % sizes)
+    if len(bad):
+        j = bad[0]
+        raise InternalConsistencyError(
+            f"[G:K] |K ∩ C_{j}| = {fixed[j]} is not divisible by |C_{j}| = {sizes[j]}"
+        )
+    return tuple((fixed // sizes).tolist())
 
 
 def _round_multiplicity(value: complex, what: str) -> int:
@@ -249,7 +255,7 @@ def _round_multiplicity(value: complex, what: str) -> int:
 
 
 def decompose_induced_trivial(
-    group: FiniteGroup, embedding: SubgroupEmbedding, table: CharacterTable
+    embedding: SubgroupEmbedding, table: CharacterTable
 ) -> tuple[int, ...]:
     """Multiplicities <perm char, chi_i>, one per irrep, in table row order.
 
@@ -257,8 +263,9 @@ def decompose_induced_trivial(
     non-negative integer, and they are checked against the exact identities
     sum_i m_i d_i = [G:K] and m_0 = 1.
     """
+    group = embedding.parent
     sizes = np.array(table.classes.sizes, dtype=np.float64)
-    perm = np.array(permutation_character(group, embedding, table.classes))
+    perm = np.array(permutation_character(embedding, table.classes))
     values = table.values.conj() @ (sizes * perm) / group.order
     ms = tuple(
         _round_multiplicity(complex(v), f"multiplicity of irrep {i}")

@@ -150,11 +150,11 @@ def _cmd_branch(args) -> int:
 def _cmd_hecke(args) -> int:
     embedding = build_pair(args.pairspec, args.size_budget)
     wreath = embedding.parent
-    cosets = double_cosets(wreath, embedding)
-    witness = structure_constants(wreath, embedding, cosets)
+    cosets = double_cosets(embedding)
+    witness = structure_constants(embedding, cosets)
     commutative = is_commutative(witness)
     shown = args.show_constants and cosets.rank <= _CONSTANTS_DISPLAY_LIMIT
-    c = dense_constants(wreath, embedding, cosets) if shown else None
+    c = dense_constants(embedding, cosets) if shown else None
     if args.format == "machine":
         hecke = record(
             "hecke_report",

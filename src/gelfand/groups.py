@@ -21,8 +21,9 @@ keeps a second representation.  The base class loops over the scalar oracle;
 cyclic, dihedral, symmetric, direct-product and wreath groups override it
 with array arithmetic.  Every loop over the elements of a group (conjugacy
 classes, left cosets, the block kernel, embedding checks) runs on the batched
-ops.  ``SubgroupEmbedding.left_cosets`` is the one enumeration of G/K: the
-permutation character and the double cosets both read it.  Conjugacy classes
+ops.  ``SubgroupEmbedding.left_cosets`` is the one enumeration of G/K, read
+by the Hecke route alone (the double cosets and the transversal count); the
+permutation character is read off the conjugacy classes.  Conjugacy classes
 and double cosets are one ``GroupPartition``: a read-only int64 block label per
 id, blocks numbered by minimal id; embedding maps are read-only int64 too.
 
@@ -559,22 +560,6 @@ class GroupPartition:
     @property
     def count(self) -> int:
         return len(self.sizes)
-
-
-def make_cyclic(k: int) -> CyclicGroup:
-    return CyclicGroup(k)
-
-
-def make_symmetric(n: int) -> SymmetricGroup:
-    return SymmetricGroup(n)
-
-
-def make_dihedral(k: int) -> DihedralGroup:
-    return DihedralGroup(k)
-
-
-def direct_product(a: FiniteGroup, b: FiniteGroup) -> DirectProductGroup:
-    return DirectProductGroup(a, b)
 
 
 def right_products(group: FiniteGroup, generators: Sequence[int]) -> np.ndarray:

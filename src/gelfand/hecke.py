@@ -52,9 +52,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
+from .errors import InternalConsistencyError, ResourceLimitError
 from .groups import (
-    FiniteGroup,
     GroupPartition,
     SubgroupEmbedding,
     block_product_counts,
@@ -68,17 +67,14 @@ class DoubleCosetDecomposition(GroupPartition):
     rank = GroupPartition.count
 
 
-def double_cosets(
-    group: FiniteGroup, embedding: SubgroupEmbedding
-) -> DoubleCosetDecomposition:
+def double_cosets(embedding: SubgroupEmbedding) -> DoubleCosetDecomposition:
     """The K-orbits on the left cosets G/K, labelled on every id of G.
 
     The orbit of coset c is the set of cosets hit by K * rep_c, one batch of
     |K| products.  Walking the cosets in ascending order of minimal id makes
     each representative the minimal id of its block and puts K first.
     """
-    if embedding.parent is not group:
-        raise InvalidParameterError("embedding does not target the given group")
+    group = embedding.parent
     coset_of, coset_reps = embedding.left_cosets
     block_of_coset = np.full(len(coset_reps), -1, dtype=np.int64)
     count = 0
@@ -93,12 +89,12 @@ def double_cosets(
     if (block_of_coset < 0).any():
         raise InternalConsistencyError("double cosets do not cover the group")
     dc = DoubleCosetDecomposition.from_labels(block_of_coset[coset_of])
-    _check_decomposition(group, embedding, dc, embedding.image)
+    _check_decomposition(embedding, dc)
     return dc
 
 
-def _check_decomposition(group, embedding, dc, image):
-    ksize = embedding.subgroup.order
+def _check_decomposition(embedding, dc):
+    group, image, ksize = embedding.parent, embedding.image, embedding.subgroup.order
     if not np.array_equal(np.flatnonzero(dc.block_of == 0), image):
         raise InternalConsistencyError("block 0 is not K itself")
     # |KgK| * |K ∩ g^-1 K g| = |K|^2 for every representative, in one batch
@@ -126,11 +122,11 @@ class Witness(NamedTuple):
     jik: int  # c[j][i][k]
 
 
-def _transversal_counts(group, embedding, cosets, targets):
+def _transversal_counts(embedding, cosets, targets):
     """The kernel summed over the representatives of G/K, each with weight |K|."""
     _, reps = embedding.left_cosets
     return block_product_counts(
-        group, cosets.block_of, cosets.sizes, targets, reps, embedding.subgroup.order
+        embedding.parent, cosets.block_of, cosets.sizes, targets, reps, embedding.subgroup.order
     )
 
 
@@ -157,15 +153,12 @@ def _first_difference(table, other) -> tuple[int, int, int] | None:
 
 
 def structure_constants(
-    group: FiniteGroup,
-    embedding: SubgroupEmbedding,
-    cosets: DoubleCosetDecomposition,
+    embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
 ) -> Witness | None:
     """Count c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} once, check it
     against the identities in the module docstring, and return the first
     noncommutative entry, or None when the algebra is commutative."""
-    r = cosets.rank
-    ksize = embedding.subgroup.order
+    group, r, ksize = embedding.parent, cosets.rank, embedding.subgroup.order
     # the second-smallest id of each block, or the only id of a singleton:
     # the smallest id left once the representatives are masked out
     reps = np.array(cosets.representatives, dtype=np.int64)
@@ -175,7 +168,7 @@ def structure_constants(
     np.minimum.at(second, cosets.block_of[others], np.flatnonzero(others))
     second = np.where(second < group.order, second, reps)
     targets = np.stack([reps, second], axis=1)
-    table, recount = _transversal_counts(group, embedding, cosets, targets)
+    table, recount = _transversal_counts(embedding, cosets, targets)
     moved = _first_difference(table, recount)
     if moved is not None:
         key, value, other = moved
@@ -232,15 +225,13 @@ def structure_constants(
 
 
 def dense_constants(
-    group: FiniteGroup,
-    embedding: SubgroupEmbedding,
-    cosets: DoubleCosetDecomposition,
+    embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
 ) -> np.ndarray:
     """The (r, r, r) int64 table c[i][j][k], stacked from the kernel's count
     at the representatives.  It holds r^3 entries: for ``hecke
     --show-constants`` and the tests only; verdicts come from
     ``structure_constants``."""
-    (column,) = _transversal_counts(group, embedding, cosets, cosets.representatives)
+    (column,) = _transversal_counts(embedding, cosets, cosets.representatives)
     return stack_block_counts(column, cosets.rank)
 
 

@@ -176,8 +176,8 @@ def check_pair(
 
     if method in ("hecke", "both"):
         t0 = time.perf_counter()
-        cosets = double_cosets(wreath, embedding)
-        witness = structure_constants(wreath, embedding, cosets)
+        cosets = double_cosets(embedding)
+        witness = structure_constants(embedding, cosets)
         report.rank = cosets.rank
         report.gelfand_hecke = is_commutative(witness)
         timings["hecke"] = time.perf_counter() - t0
@@ -194,7 +194,7 @@ def check_pair(
             # labelled and checked here; the table reads the stored partition
             conjugacy_classes(wreath)
             table = cached_character_table(wreath, cache_dir, seed=seed)
-            multiplicities = decompose_induced_trivial(wreath, embedding, table)
+            multiplicities = decompose_induced_trivial(embedding, table)
             report.multiplicities = tuple(sorted(m for m in multiplicities if m))
             report.gelfand_character = max(multiplicities) <= 1
         timings["character"] = time.perf_counter() - t0

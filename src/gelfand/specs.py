@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from .errors import SpecParseError
 from .groups import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
     FiniteGroup,
-    direct_product,
-    make_cyclic,
-    make_dihedral,
-    make_symmetric,
+    SymmetricGroup,
 )
 
 
@@ -130,12 +130,12 @@ def build_group(spec: GroupSpec | str) -> FiniteGroup:
     if isinstance(spec, str):
         spec = parse_group_spec(spec)
     if isinstance(spec, Cyclic):
-        return make_cyclic(spec.k)
+        return CyclicGroup(spec.k)
     if isinstance(spec, Symmetric):
-        return make_symmetric(spec.n)
+        return SymmetricGroup(spec.n)
     if isinstance(spec, Dihedral):
-        return make_dihedral(spec.k)
-    return direct_product(build_group(spec.left), build_group(spec.right))
+        return DihedralGroup(spec.k)
+    return DirectProductGroup(build_group(spec.left), build_group(spec.right))
 
 
 def parse_pair_spec(text: str) -> tuple[GroupSpec, int]:

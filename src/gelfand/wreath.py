@@ -262,12 +262,6 @@ class WreathProduct(FiniteGroup):
                 )
 
 
-def wreath_product(
-    base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET
-) -> WreathProduct:
-    return WreathProduct(base_group, n, size_budget)
-
-
 def embed_wreath_subgroup(
     base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET
 ) -> SubgroupEmbedding:

@@ -1,10 +1,14 @@
 """Scalar reference versions of the batched orbit walks, used only by the tests.
 
-Each function is the one-product-at-a-time loop over ``group.mul``/``group.inv``
-that ``groups.conjugacy_classes``, ``hecke.double_cosets`` and
-``chartab.permutation_character`` replaced with ``mul_many``/``inv_many``.
-They share no code with the batched layer, so exact agreement is evidence
-that the batched ops and the array bookkeeping reproduce the scalar oracle.
+``conjugacy_classes`` and ``double_cosets`` are the one-product-at-a-time
+loops over ``group.mul``/``group.inv`` that ``groups.conjugacy_classes`` and
+``hecke.double_cosets`` replaced with ``mul_many``/``inv_many``.
+``permutation_character`` counts the left cosets each class representative
+fixes, coset by coset; ``chartab.permutation_character`` reads the same
+integers off the classes by Frobenius reciprocity, so here a second
+algorithm checks it, not a scalar copy of it.  They share no code with the
+batched layer, so exact agreement is evidence that the batched ops and the
+array bookkeeping reproduce the scalar oracle.
 The partitions are built field by field from the walks' own lists, never
 through ``GroupPartition.from_labels``.  The double cosets here are expanded
 element by element as (K g) K, not read off the left cosets G/K, so they

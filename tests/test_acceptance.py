@@ -67,10 +67,10 @@ def bundle(pairspec):
     base = build_group(base_ast)
     emb = embed_wreath_subgroup(base, n)
     wreath = emb.parent
-    dc = double_cosets(wreath, emb)
-    witness = structure_constants(wreath, emb, dc)
+    dc = double_cosets(emb)
+    witness = structure_constants(emb, dc)
     table = character_table(wreath)
-    multiplicities = decompose_induced_trivial(wreath, emb, table)
+    multiplicities = decompose_induced_trivial(emb, table)
     base_degrees = character_table(base).degrees
     prediction = induced_trivial_prediction(base_degrees, n)
     return SimpleNamespace(
@@ -80,7 +80,7 @@ def bundle(pairspec):
         emb=emb,
         wreath=wreath,
         dc=dc,
-        sc=dense_constants(wreath, emb, dc),
+        sc=dense_constants(emb, dc),
         table=table,
         multiplicities=multiplicities,
         nonzero=tuple(sorted(m for m in multiplicities if m)),
@@ -104,7 +104,7 @@ def test_criterion_1_worked_extension_example():
 
 
 def test_criterion_2_symmetric_pairs():
-    from gelfand import make_symmetric, subgroup_from_generators
+    from gelfand import SymmetricGroup, subgroup_from_generators
 
     with criterion(2, 10.0):
         for spec in SYMMETRIC_PAIRS:
@@ -116,7 +116,7 @@ def test_criterion_2_symmetric_pairs():
         # same pairs built directly inside S_n (stabilizer of the last point),
         # independent of the wreath encoding
         for n in (3, 4, 5):
-            sn = make_symmetric(n)
+            sn = SymmetricGroup(n)
             gens = []
             for i in range(n - 2):
                 images = list(range(n))
@@ -124,8 +124,8 @@ def test_criterion_2_symmetric_pairs():
                 gens.append(sn.id_of(tuple(images)))
             emb = subgroup_from_generators(sn, gens)
             assert emb.subgroup.order == math.factorial(n - 1)
-            dc = double_cosets(sn, emb)
-            assert is_commutative(structure_constants(sn, emb, dc)), n
+            dc = double_cosets(emb)
+            assert is_commutative(structure_constants(emb, dc)), n
             assert dc.rank == 2, n
 
 

@@ -6,32 +6,33 @@ import numpy as np
 import pytest
 
 from gelfand import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
+    GroupPartition,
     InternalConsistencyError,
-    InvalidParameterError,
     NumericalQualityError,
     ResourceLimitError,
+    SymmetricGroup,
     character_table,
     class_coefficients,
     conjugacy_classes,
     decompose_induced_trivial,
-    direct_product,
     embed_wreath_subgroup,
     full_embedding,
     is_abelian,
     load_character_table,
-    make_cyclic,
-    make_dihedral,
-    make_symmetric,
     permutation_character,
     save_character_table,
     subgroup_from_generators,
 )
 from gelfand.chartab import ORDER_LIMIT, cached_character_table, validate_character_table
+from gelfand.reports import build_pair
 from scalar_oracle import commutator_subgroup
 
 
 def s3_pair():
-    s3 = make_symmetric(3)
+    s3 = SymmetricGroup(3)
     return s3, subgroup_from_generators(s3, [s3.id_of((1, 0, 2))])
 
 
@@ -40,7 +41,7 @@ def s3_pair():
 
 
 def test_class_coefficients_abelian():
-    grp = make_cyclic(5)
+    grp = CyclicGroup(5)
     cc = conjugacy_classes(grp)
     a = class_coefficients(grp, cc)
     for i in range(5):
@@ -52,7 +53,7 @@ def test_class_coefficients_abelian():
 
 
 def test_class_coefficients_s3():
-    s3 = make_symmetric(3)
+    s3 = SymmetricGroup(3)
     cc = conjugacy_classes(s3)
     a = class_coefficients(s3, cc)
     # three transposition pairs square to the identity
@@ -64,7 +65,7 @@ def test_class_coefficients_s3():
 
 
 def test_class_coefficients_counting_identity():
-    for grp in (make_symmetric(4), make_dihedral(4)):
+    for grp in (SymmetricGroup(4), DihedralGroup(4)):
         cc = conjugacy_classes(grp)
         a = class_coefficients(grp, cc)
         sizes = np.array(cc.sizes, dtype=np.int64)
@@ -76,25 +77,25 @@ def test_class_coefficients_counting_identity():
 
 
 def test_degrees():
-    assert character_table(make_cyclic(4)).degrees == (1, 1, 1, 1)
-    assert character_table(make_cyclic(6)).degrees == (1, 1, 1, 1, 1, 1)
-    assert character_table(make_symmetric(3)).degrees == (1, 1, 2)
-    assert character_table(make_symmetric(4)).degrees == (1, 1, 2, 3, 3)
-    assert character_table(make_dihedral(4)).degrees == (1, 1, 1, 1, 2)
+    assert character_table(CyclicGroup(4)).degrees == (1, 1, 1, 1)
+    assert character_table(CyclicGroup(6)).degrees == (1, 1, 1, 1, 1, 1)
+    assert character_table(SymmetricGroup(3)).degrees == (1, 1, 2)
+    assert character_table(SymmetricGroup(4)).degrees == (1, 1, 2, 3, 3)
+    assert character_table(DihedralGroup(4)).degrees == (1, 1, 1, 1, 2)
 
 
 def test_degrees_dihedral_family():
     # odd k: 2 linear + (k-1)/2 planar; even k: 4 linear + (k-2)/2 planar
-    assert character_table(make_dihedral(5)).degrees == (1, 1, 2, 2)
-    assert character_table(make_dihedral(6)).degrees == (1, 1, 1, 1, 2, 2)
-    assert character_table(make_dihedral(7)).degrees == (1, 1, 2, 2, 2)
+    assert character_table(DihedralGroup(5)).degrees == (1, 1, 2, 2)
+    assert character_table(DihedralGroup(6)).degrees == (1, 1, 1, 1, 2, 2)
+    assert character_table(DihedralGroup(7)).degrees == (1, 1, 2, 2, 2)
 
 
 def test_degrees_multiply_over_direct_products():
     cases = [
-        (direct_product(make_cyclic(2), make_dihedral(4)), (1,) * 8 + (2, 2)),
-        (direct_product(make_cyclic(2), make_symmetric(3)), (1, 1, 1, 1, 2, 2)),
-        (direct_product(make_symmetric(3), make_symmetric(3)),
+        (DirectProductGroup(CyclicGroup(2), DihedralGroup(4)), (1,) * 8 + (2, 2)),
+        (DirectProductGroup(CyclicGroup(2), SymmetricGroup(3)), (1, 1, 1, 1, 2, 2)),
+        (DirectProductGroup(SymmetricGroup(3), SymmetricGroup(3)),
          (1, 1, 1, 1, 2, 2, 2, 2, 4)),
     ]
     for grp, expected in cases:
@@ -104,43 +105,51 @@ def test_degrees_multiply_over_direct_products():
 def test_wreath_class_count_matches_multipartition_count():
     # irreducibles of G wr S_n are indexed by l-multipartitions of n, where
     # l is the number of irreducibles of G; class count must agree
-    from gelfand import multipartitions, wreath_product
+    from gelfand import WreathProduct, multipartitions
 
     for base, n in (
-        (make_cyclic(2), 3),
-        (make_cyclic(3), 2),
-        (make_symmetric(3), 2),
-        (make_dihedral(4), 2),
+        (CyclicGroup(2), 3),
+        (CyclicGroup(3), 2),
+        (SymmetricGroup(3), 2),
+        (DihedralGroup(4), 2),
     ):
         l = conjugacy_classes(base).count
-        w = wreath_product(base, n)
+        w = WreathProduct(base, n)
         assert conjugacy_classes(w).count == len(multipartitions(l, n))
 
 
 def test_z4_values_are_fourth_roots_of_unity():
-    t = character_table(make_cyclic(4))
+    t = character_table(CyclicGroup(4))
     rounded = set(np.round(t.values, 6).flatten())
     assert rounded == {1 + 0j, -1 + 0j, 1j, -1j}
 
 
 def test_s3_table_values():
-    t = character_table(make_symmetric(3))
+    t = character_table(SymmetricGroup(3))
     assert t.degrees == (1, 1, 2)
     expected = np.array([[1, 1, 1], [1, -1, 1], [2, 0, -1]], dtype=complex)
     assert np.max(np.abs(t.values - expected)) < 1e-8
 
 
+def _sort_key(row):
+    """The tuple key character_table once sorted rows by, kept as an oracle."""
+    return tuple((round(z.real, 8) + 0.0, round(z.imag, 8) + 0.0) for z in row)
+
+
 def test_table_invariants_for_many_groups():
     groups = [
-        make_cyclic(1),
-        make_cyclic(6),
-        make_symmetric(3),
-        make_symmetric(4),
-        make_dihedral(4),
-        make_dihedral(5),
-        direct_product(make_cyclic(2), make_cyclic(2)),
-        direct_product(make_cyclic(2), make_symmetric(3)),
+        CyclicGroup(1),
+        CyclicGroup(6),
+        CyclicGroup(12),
+        SymmetricGroup(3),
+        SymmetricGroup(4),
+        DihedralGroup(4),
+        DihedralGroup(5),
+        DirectProductGroup(CyclicGroup(2), CyclicGroup(2)),
+        DirectProductGroup(CyclicGroup(2), SymmetricGroup(3)),
     ]
+    wreaths = ("wr(S3,3)", "wr(Z3,4)", "wr(D4,3)", "wr(Z2,5)")  # the character-cold pairs
+    groups += [build_pair(spec).parent for spec in wreaths]
     for grp in groups:
         t = character_table(grp)
         validate_character_table(t)
@@ -148,10 +157,13 @@ def test_table_invariants_for_many_groups():
         assert sum(d * d for d in t.degrees) == grp.order
         assert np.allclose(t.values[0], 1.0)
         assert is_abelian(grp) == all(d == 1 for d in t.degrees)
+        # rows come trivial first, then in the order of the tuple key
+        keys = [(i > 0, d, _sort_key(row)) for i, (d, row) in enumerate(zip(t.degrees, t.values))]
+        assert keys == sorted(keys), grp.name
 
 
 def test_linear_character_count_is_abelianization_order():
-    for grp in (make_symmetric(3), make_symmetric(4), make_dihedral(4), make_cyclic(6)):
+    for grp in (SymmetricGroup(3), SymmetricGroup(4), DihedralGroup(4), CyclicGroup(6)):
         t = character_table(grp)
         linear = sum(1 for d in t.degrees if d == 1)
         derived = commutator_subgroup(grp).subgroup.order
@@ -159,10 +171,10 @@ def test_linear_character_count_is_abelianization_order():
 
 
 def test_determinism_and_seed():
-    a = character_table(make_symmetric(4), seed=0)
-    b = character_table(make_symmetric(4), seed=0)
+    a = character_table(SymmetricGroup(4), seed=0)
+    b = character_table(SymmetricGroup(4), seed=0)
     assert np.array_equal(a.values, b.values)
-    c = character_table(make_symmetric(4), seed=1)
+    c = character_table(SymmetricGroup(4), seed=1)
     # a different seed may permute nothing (ordering is canonical) but the
     # table must represent the same characters
     assert a.degrees == c.degrees
@@ -172,11 +184,11 @@ def test_determinism_and_seed():
 def test_class_limit_enforced():
     # Z100 has 100 classes, over CLASS_LIMIT = 80
     with pytest.raises(ResourceLimitError, match="100 conjugacy classes"):
-        character_table(make_cyclic(100))
+        character_table(CyclicGroup(100))
     # the order limit is checked before any class is computed: walking the
     # classes of a group this size would not finish in test time
     with pytest.raises(ResourceLimitError, match="order limit"):
-        character_table(make_cyclic(ORDER_LIMIT + 1))
+        character_table(CyclicGroup(ORDER_LIMIT + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,29 +196,39 @@ def test_class_limit_enforced():
 
 
 def test_permutation_character_whole_group():
-    grp = make_dihedral(4)
+    grp = DihedralGroup(4)
     classes = conjugacy_classes(grp)
-    chi = permutation_character(grp, full_embedding(grp), classes)
+    chi = permutation_character(full_embedding(grp), classes)
     assert chi == tuple([1] * classes.count)
 
 
 def test_permutation_character_s3_s2():
     s3, emb = s3_pair()
-    assert permutation_character(s3, emb, conjugacy_classes(s3)) == (3, 1, 0)
+    assert permutation_character(emb, conjugacy_classes(s3)) == (3, 1, 0)
 
 
 def test_permutation_character_wreath_identity_value():
-    emb = embed_wreath_subgroup(make_cyclic(2), 2)
-    chi = permutation_character(emb.parent, emb, conjugacy_classes(emb.parent))
+    emb = embed_wreath_subgroup(CyclicGroup(2), 2)
+    chi = permutation_character(emb, conjugacy_classes(emb.parent))
     assert chi[0] == emb.parent.order // emb.subgroup.order == 4
 
 
-def test_permutation_character_rejects_embedding_of_another_group():
-    # an equal but distinct group object: the cosets were labelled for the other one
+def test_permutation_character_rejects_labels_that_are_not_classes():
+    # S3 ids: 0 = e, 1, 2, 5 transpositions, 3, 4 three-cycles.  Blocks {e},
+    # {1, 2, 3, 5} and {4} over K = S2 = {0, 2}: [G:K] |K ∩ C_1| = 3 * 1 is
+    # not divisible by |C_1| = 4
     _, emb = s3_pair()
-    other = make_symmetric(3)
-    with pytest.raises(InvalidParameterError, match="does not target"):
-        permutation_character(other, emb, conjugacy_classes(other))
+    doctored = GroupPartition.from_labels(np.array([0, 1, 1, 1, 2, 1]))
+    assert doctored.sizes == (1, 4, 1)
+    with pytest.raises(InternalConsistencyError, match=r"= 3 is not divisible by \|C_1\| = 4"):
+        permutation_character(emb, doctored)
+
+
+def test_character_route_reads_no_left_cosets():
+    # pi comes from G's classes alone, so G/K is left to the Hecke route
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
+    decompose_induced_trivial(emb, character_table(emb.parent))
+    assert "left_cosets" not in vars(emb)
 
 
 def test_inner_products():
@@ -214,7 +236,7 @@ def test_inner_products():
     # multiplicities, and <chi, chi> = sum m_i^2 = 2 for (S3, S2)
     s3, emb = s3_pair()
     t = character_table(s3)
-    chi = permutation_character(s3, emb, t.classes)
+    chi = permutation_character(emb, t.classes)
 
     def inner(f, h):
         terms = zip(t.classes.sizes, f, h)
@@ -224,26 +246,26 @@ def test_inner_products():
     assert abs(inner(trivial, trivial) - 1) < 1e-12
     assert abs(inner(chi, chi) - 2) < 1e-12
     assert abs(inner(chi, trivial) - 1) < 1e-12
-    multiplicities = decompose_induced_trivial(s3, emb, t)
+    multiplicities = decompose_induced_trivial(emb, t)
     for row, m in zip(t.values, multiplicities):
         assert abs(inner(chi, row) - m) < 1e-12
 
 
 def test_decompose_s3_s2():
     s3, emb = s3_pair()
-    assert decompose_induced_trivial(s3, emb, character_table(s3)) == (1, 0, 1)
+    assert decompose_induced_trivial(emb, character_table(s3)) == (1, 0, 1)
 
 
 def test_decompose_whole_group_is_trivial_only():
-    grp = make_symmetric(3)
+    grp = SymmetricGroup(3)
     t = character_table(grp)
-    assert decompose_induced_trivial(grp, full_embedding(grp), t) == (1, 0, 0)
+    assert decompose_induced_trivial(full_embedding(grp), t) == (1, 0, 0)
 
 
 def test_decompose_s3_wr_s2():
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
     t = character_table(emb.parent)
-    ms = decompose_induced_trivial(emb.parent, emb, t)
+    ms = decompose_induced_trivial(emb, t)
     assert sorted(m for m in ms if m) == [1, 1, 1, 2]
     assert sum(m * m for m in ms) == 7
     assert sum(m * deg for m, deg in zip(ms, t.degrees)) == 12
@@ -254,42 +276,42 @@ def _doctored_s3_table(**changes):
     s3, emb = s3_pair()
     t = character_table(s3)
     assert t.degrees == (1, 1, 2)
-    return s3, emb, dataclasses.replace(t, **changes)
+    return emb, dataclasses.replace(t, **changes)
 
 
 def test_decompose_rejects_a_non_integral_multiplicity():
-    values = np.array(character_table(make_symmetric(3)).values)
+    values = np.array(character_table(SymmetricGroup(3)).values)
     values[2] *= 0.5  # standard character halved: m_2 = 1/2
-    s3, emb, t = _doctored_s3_table(values=values)
+    emb, t = _doctored_s3_table(values=values)
     with pytest.raises(NumericalQualityError, match="multiplicity of irrep 2"):
-        decompose_induced_trivial(s3, emb, t)
+        decompose_induced_trivial(emb, t)
 
 
 def test_decompose_rejects_a_wrong_index_sum():
     # true multiplicities (1, 0, 1) against degrees (1, 1, 3): 4 != [S3:S2] = 3
-    s3, emb, t = _doctored_s3_table(degrees=(1, 1, 3))
+    emb, t = _doctored_s3_table(degrees=(1, 1, 3))
     message = r"sum m_i \* d_i = 4 != \[G:K\] = 3"
     with pytest.raises(InternalConsistencyError, match=message):
-        decompose_induced_trivial(s3, emb, t)
+        decompose_induced_trivial(emb, t)
 
 
 def test_decompose_rejects_a_trivial_multiplicity_other_than_one():
     # sign row first: multiplicities (0, 1, 1) still sum to [G:K] = 0 + 1 + 2
-    values = np.array(character_table(make_symmetric(3)).values)[[1, 0, 2]]
-    s3, emb, t = _doctored_s3_table(values=values)
+    values = np.array(character_table(SymmetricGroup(3)).values)[[1, 0, 2]]
+    emb, t = _doctored_s3_table(values=values)
     message = "trivial character has multiplicity 0 != 1"
     with pytest.raises(InternalConsistencyError, match=message):
-        decompose_induced_trivial(s3, emb, t)
+        decompose_induced_trivial(emb, t)
 
 
 def test_gelfand_character_verdicts():
     def multiplicity_free(emb):
         table = character_table(emb.parent)
-        return max(decompose_induced_trivial(emb.parent, emb, table)) <= 1
+        return max(decompose_induced_trivial(emb, table)) <= 1
 
-    assert multiplicity_free(embed_wreath_subgroup(make_cyclic(1), 4))  # (S4, S3)
-    assert multiplicity_free(embed_wreath_subgroup(make_cyclic(2), 3))
-    assert not multiplicity_free(embed_wreath_subgroup(make_symmetric(3), 2))
+    assert multiplicity_free(embed_wreath_subgroup(CyclicGroup(1), 4))  # (S4, S3)
+    assert multiplicity_free(embed_wreath_subgroup(CyclicGroup(2), 3))
+    assert not multiplicity_free(embed_wreath_subgroup(SymmetricGroup(3), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +319,7 @@ def test_gelfand_character_verdicts():
 
 
 def test_cache_roundtrip(tmp_path):
-    grp = make_symmetric(4)
+    grp = SymmetricGroup(4)
     t = character_table(grp)
     path = tmp_path / "S4.chartab"
     save_character_table(t, path)
@@ -307,7 +329,7 @@ def test_cache_roundtrip(tmp_path):
 
 
 def test_cache_rejects_corruption(tmp_path):
-    grp = make_symmetric(3)
+    grp = SymmetricGroup(3)
     t = character_table(grp)
     path = tmp_path / "S3.chartab"
     save_character_table(t, path)
@@ -323,15 +345,15 @@ def test_cache_rejects_corruption(tmp_path):
 
 
 def test_cache_rejects_wrong_group(tmp_path):
-    t = character_table(make_symmetric(3))
+    t = character_table(SymmetricGroup(3))
     path = tmp_path / "S3.chartab"
     save_character_table(t, path)
     with pytest.raises(InternalConsistencyError):
-        load_character_table(path, make_dihedral(3))
+        load_character_table(path, DihedralGroup(3))
 
 
 def test_cached_character_table_recovers_from_corruption(tmp_path):
-    grp = make_symmetric(3)
+    grp = SymmetricGroup(3)
     first = cached_character_table(grp, tmp_path)
     path = tmp_path / "S3.chartab"
     path.write_text("garbage\n")

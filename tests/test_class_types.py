@@ -18,16 +18,16 @@ import pytest
 import gelfand.wreath
 import scalar_oracle
 from gelfand import (
+    CyclicGroup,
+    DihedralGroup,
     InternalConsistencyError,
+    SymmetricGroup,
+    WreathProduct,
     conjugacy_classes,
     is_abelian,
-    make_cyclic,
-    make_dihedral,
-    make_symmetric,
     subgroup_from_generators,
-    wreath_product,
 )
-from gelfand.groups import CyclicGroup, FiniteGroup, closure, right_products
+from gelfand.groups import FiniteGroup, closure, right_products
 from gelfand.specs import build_group
 
 
@@ -38,7 +38,7 @@ def _walked(group):
 
 
 def _wreath(spec, n):
-    return wreath_product(build_group(spec), n)
+    return WreathProduct(build_group(spec), n)
 
 
 @pytest.mark.parametrize(
@@ -61,20 +61,20 @@ def test_typed_classes_match_the_orbit_walks(spec, n, scalar):
 
 def test_typed_classes_over_a_base_of_unknown_class_count():
     # a generated subgroup states no class count; the wreath walks its base
-    base = subgroup_from_generators(make_symmetric(4), [1, 6]).subgroup
+    base = subgroup_from_generators(SymmetricGroup(4), [1, 6]).subgroup
     assert base.class_count is None
-    w = wreath_product(base, 2)
-    assert w.class_count == conjugacy_classes(_walked(wreath_product(base, 2))).count
-    assert conjugacy_classes(w) == conjugacy_classes(_walked(wreath_product(base, 2)))
+    w = WreathProduct(base, 2)
+    assert w.class_count == conjugacy_classes(_walked(WreathProduct(base, 2))).count
+    assert conjugacy_classes(w) == conjugacy_classes(_walked(WreathProduct(base, 2)))
 
 
 def _groups():
     for k in range(1, 13):
-        yield make_cyclic(k)
+        yield CyclicGroup(k)
     for k in range(3, 13):
-        yield make_dihedral(k)
+        yield DihedralGroup(k)
     for n in range(1, 7):
-        yield make_symmetric(n)
+        yield SymmetricGroup(n)
     for spec in ("Z2xS3", "D4xZ3", "Z2x(Z3xS3)", "S3xD5"):
         yield build_group(spec)
     for spec, n in (("Z3", 1), ("S3", 2), ("Z2", 3), ("Z1", 4), ("D4", 2)):
@@ -98,17 +98,17 @@ def test_is_abelian_matches_brute_force(group):
 
 def test_is_abelian_needs_a_generating_set():
     # (0 1) alone commutes with itself, but generates 2 of the 24 elements
-    s4 = make_symmetric(4)
+    s4 = SymmetricGroup(4)
     s4.generators = s4.generators[:1]
     with pytest.raises(InternalConsistencyError, match="generate 2 of its 24"):
         is_abelian(s4)
 
 
 def test_generators_as_specified():
-    s4 = make_symmetric(4)
-    assert make_cyclic(6).generators == (1,)
-    assert make_cyclic(1).generators == ()
-    assert make_dihedral(5).generators == (1, 5)  # r and s
+    s4 = SymmetricGroup(4)
+    assert CyclicGroup(6).generators == (1,)
+    assert CyclicGroup(1).generators == ()
+    assert DihedralGroup(5).generators == (1, 5)  # r and s
     assert s4.generators == (s4.id_of((1, 0, 2, 3)), s4.id_of((1, 2, 3, 0)))
     z2s3 = build_group("Z2xS3")
     assert z2s3.generators == (6, 2, 3)  # (1, e), then (0, (0 1)), (0, 3-cycle)
@@ -139,7 +139,7 @@ def test_non_generating_set_falls_short_of_the_group():
     w.generators = w.generators[:-1]  # no n-cycle: coordinate 2 stays fixed
     with pytest.raises(InternalConsistencyError, match=f"of its {w.order} elements"):
         conjugacy_classes(w)
-    s4 = make_symmetric(4)
+    s4 = SymmetricGroup(4)
     s4.generators = s4.generators[:1]
     with pytest.raises(InternalConsistencyError, match="generate 2 of its 24"):
         conjugacy_classes(s4)
@@ -164,7 +164,7 @@ def test_label_count_must_equal_the_class_count():
     w.class_count += 1
     with pytest.raises(InternalConsistencyError, match="10 class labels, but 11"):
         conjugacy_classes(w)
-    z5 = make_cyclic(5)
+    z5 = CyclicGroup(5)
     z5.class_count = 4
     with pytest.raises(InternalConsistencyError, match="5 class labels, but 4"):
         conjugacy_classes(z5)

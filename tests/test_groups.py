@@ -5,14 +5,14 @@ import itertools
 import pytest
 
 from gelfand import (
+    CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
     InternalConsistencyError,
     InvalidParameterError,
+    SymmetricGroup,
     conjugacy_classes,
-    direct_product,
     is_abelian,
-    make_cyclic,
-    make_dihedral,
-    make_symmetric,
     subgroup_from_generators,
     verify_group_axioms,
 )
@@ -52,7 +52,7 @@ def test_perm_rank_unrank_roundtrip():
 def test_perm_rank_beyond_materialize_limit():
     # S9 is too big to pre-list; the Lehmer-code fallback must agree with
     # the composition oracle
-    s9 = make_symmetric(9)
+    s9 = SymmetricGroup(9)
     assert s9.order == 362880
     import random
 
@@ -80,31 +80,31 @@ def test_perm_compose_right_factor_first():
 
 
 def test_cyclic_examples():
-    assert make_cyclic(1).order == 1
-    z4 = make_cyclic(4)
+    assert CyclicGroup(1).order == 1
+    z4 = CyclicGroup(4)
     assert z4.mul(3, 2) == 1
-    z6 = make_cyclic(6)
+    z6 = CyclicGroup(6)
     assert is_abelian(z6)
     assert conjugacy_classes(z6).count == 6
     with pytest.raises(InvalidParameterError):
-        make_cyclic(0)
+        CyclicGroup(0)
 
 
 def test_symmetric_examples():
-    assert make_symmetric(1).order == 1
-    s3 = make_symmetric(3)
+    assert SymmetricGroup(1).order == 1
+    s3 = SymmetricGroup(3)
     assert s3.order == 6
     assert conjugacy_classes(s3).count == 3
-    s4 = make_symmetric(4)
+    s4 = SymmetricGroup(4)
     assert s4.order == 24
     assert conjugacy_classes(s4).count == 5
     with pytest.raises(InvalidParameterError):
-        make_symmetric(0)
+        SymmetricGroup(0)
 
 
 def test_symmetric_classes_match_cycle_types():
     for n in (3, 4, 5):
-        sn = make_symmetric(n)
+        sn = SymmetricGroup(n)
         cc = conjugacy_classes(sn)
         for block in members(cc):
             types = {cycle_type(sn.permutation(x)) for x in block}
@@ -114,49 +114,49 @@ def test_symmetric_classes_match_cycle_types():
 
 
 def test_dihedral_examples():
-    d3 = make_dihedral(3)
+    d3 = DihedralGroup(3)
     assert d3.order == 6
     assert not is_abelian(d3)
-    d4 = make_dihedral(4)
+    d4 = DihedralGroup(4)
     assert d4.order == 8
     assert not is_abelian(d4)
     assert sorted(conjugacy_classes(d4).sizes) == [1, 1, 2, 2, 2]
     with pytest.raises(InvalidParameterError):
-        make_dihedral(2)
+        DihedralGroup(2)
 
 
 def test_direct_product_examples():
-    v4 = direct_product(make_cyclic(2), make_cyclic(2))
+    v4 = DirectProductGroup(CyclicGroup(2), CyclicGroup(2))
     assert v4.order == 4
     assert is_abelian(v4)
     assert conjugacy_classes(v4).count == 4
 
-    g = direct_product(make_cyclic(2), make_symmetric(3))
+    g = DirectProductGroup(CyclicGroup(2), SymmetricGroup(3))
     assert g.order == 12
     assert not is_abelian(g)
 
-    s3 = make_symmetric(3)
-    h = direct_product(make_cyclic(1), s3)
+    s3 = SymmetricGroup(3)
+    h = DirectProductGroup(CyclicGroup(1), s3)
     assert h.order == s3.order
     assert conjugacy_classes(h).count == conjugacy_classes(s3).count
 
 
 def test_group_axioms_hold():
     for grp in (
-        make_cyclic(6),
-        make_symmetric(3),
-        make_symmetric(4),
-        make_dihedral(4),
-        make_dihedral(5),
-        direct_product(make_cyclic(2), make_symmetric(3)),
+        CyclicGroup(6),
+        SymmetricGroup(3),
+        SymmetricGroup(4),
+        DihedralGroup(4),
+        DihedralGroup(5),
+        DirectProductGroup(CyclicGroup(2), SymmetricGroup(3)),
     ):
         verify_group_axioms(grp)
 
 
 def test_group_axioms_sampled_above_limit():
     # S5 has order 120 <= 200 (exhaustive); S6 goes through the sampled path
-    verify_group_axioms(make_symmetric(5))
-    verify_group_axioms(make_symmetric(6), seed=7)
+    verify_group_axioms(SymmetricGroup(5))
+    verify_group_axioms(SymmetricGroup(6), seed=7)
 
 
 # ---------------------------------------------------------------------------
@@ -164,20 +164,20 @@ def test_group_axioms_sampled_above_limit():
 
 
 def test_subgroup_from_transposition():
-    s3 = make_symmetric(3)
+    s3 = SymmetricGroup(3)
     emb = subgroup_from_generators(s3, [s3.id_of((1, 0, 2))])
     assert emb.subgroup.order == 2
     assert s3.order % emb.subgroup.order == 0
 
 
 def test_subgroup_empty_generators_is_trivial():
-    emb = subgroup_from_generators(make_dihedral(4), [])
+    emb = subgroup_from_generators(DihedralGroup(4), [])
     assert emb.subgroup.order == 1
     assert emb.map == (0,)
 
 
 def test_subgroup_whole_s4():
-    s4 = make_symmetric(4)
+    s4 = SymmetricGroup(4)
     gens = [s4.id_of((1, 0, 2, 3)), s4.id_of((1, 2, 3, 0))]
     emb = subgroup_from_generators(s4, gens)
     assert emb.subgroup.order == 24
@@ -185,11 +185,11 @@ def test_subgroup_whole_s4():
 
 def test_subgroup_rejects_bad_generator():
     with pytest.raises(InvalidParameterError):
-        subgroup_from_generators(make_cyclic(4), [9])
+        subgroup_from_generators(CyclicGroup(4), [9])
 
 
 def test_lagrange_over_all_cyclic_subgroups():
-    for grp in (make_symmetric(4), make_dihedral(6)):
+    for grp in (SymmetricGroup(4), DihedralGroup(6)):
         for g in range(grp.order):
             emb = subgroup_from_generators(grp, [g])
             assert grp.order % emb.subgroup.order == 0
@@ -200,7 +200,7 @@ def test_lagrange_over_all_cyclic_subgroups():
 
 
 def test_classes_partition_group():
-    for grp in (make_symmetric(4), make_dihedral(5), make_cyclic(12)):
+    for grp in (SymmetricGroup(4), DihedralGroup(5), CyclicGroup(12)):
         cc = conjugacy_classes(grp)
         all_ids = sorted(x for block in members(cc) for x in block)
         assert all_ids == list(range(grp.order))
@@ -216,35 +216,35 @@ def test_classes_partition_group():
 
 
 def test_class_representatives_are_minimal_and_ordered():
-    cc = conjugacy_classes(make_symmetric(4))
+    cc = conjugacy_classes(SymmetricGroup(4))
     assert list(cc.representatives) == [min(b) for b in members(cc)]
     assert list(cc.representatives) == sorted(cc.representatives)
     assert members(cc)[0] == (0,)
 
 
 def test_z5_classes_are_singletons():
-    cc = conjugacy_classes(make_cyclic(5))
+    cc = conjugacy_classes(CyclicGroup(5))
     assert cc.sizes == (1, 1, 1, 1, 1)
 
 
 def test_s3_class_sizes():
-    assert sorted(conjugacy_classes(make_symmetric(3)).sizes) == [1, 2, 3]
+    assert sorted(conjugacy_classes(SymmetricGroup(3)).sizes) == [1, 2, 3]
 
 
 def test_abelian_iff_all_classes_singletons():
     for grp in (
-        make_cyclic(6),
-        direct_product(make_cyclic(2), make_cyclic(2)),
-        make_symmetric(3),
-        make_dihedral(4),
+        CyclicGroup(6),
+        DirectProductGroup(CyclicGroup(2), CyclicGroup(2)),
+        SymmetricGroup(3),
+        DihedralGroup(4),
     ):
         assert is_abelian(grp) == (conjugacy_classes(grp).count == grp.order)
 
 
 def test_commutator_subgroups():
     for k in (2, 3, 6):
-        assert commutator_subgroup(make_cyclic(k)).subgroup.order == 1
-    s3 = make_symmetric(3)
+        assert commutator_subgroup(CyclicGroup(k)).subgroup.order == 1
+    s3 = SymmetricGroup(3)
     derived = commutator_subgroup(s3)
     assert derived.subgroup.order == 3
     # the derived subgroup of S3 is exactly the 3-cycles plus the identity
@@ -252,11 +252,11 @@ def test_commutator_subgroups():
         x for x in range(6) if cycle_type(s3.permutation(x)) == (3,)
     }
     assert set(derived.map) == three_cycles | {0}
-    assert commutator_subgroup(make_dihedral(4)).subgroup.order == 2
+    assert commutator_subgroup(DihedralGroup(4)).subgroup.order == 2
 
 
 def test_broken_oracle_detected():
-    class Broken(make_cyclic(4).__class__):
+    class Broken(CyclicGroup(4).__class__):
         def mul(self, a, b):
             return (a + b + 1) % self.k  # no identity
 

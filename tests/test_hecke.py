@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from gelfand import (
+    CyclicGroup,
+    DihedralGroup,
     InternalConsistencyError,
     ResourceLimitError,
+    SymmetricGroup,
     class_coefficients,
     conjugacy_classes,
     double_cosets,
     embed_wreath_subgroup,
     full_embedding,
     is_commutative,
-    make_cyclic,
-    make_dihedral,
-    make_symmetric,
     structure_constants,
     subgroup_from_generators,
 )
@@ -34,64 +34,63 @@ from scalar_oracle import members
 
 def s3_pair():
     """(S3, S2) with S2 generated by the transposition of the first two points."""
-    s3 = make_symmetric(3)
+    s3 = SymmetricGroup(3)
     return s3, subgroup_from_generators(s3, [s3.id_of((1, 0, 2))])
 
 
 def test_s3_s2_blocks():
-    s3, emb = s3_pair()
-    dc = double_cosets(s3, emb)
+    _, emb = s3_pair()
+    dc = double_cosets(emb)
     assert dc.sizes == (2, 4)
     assert members(dc)[0] == tuple(emb.image.tolist())
     assert dc.block_of[0] == 0
 
 
 def test_whole_group_single_block():
-    for grp in (make_symmetric(3), make_dihedral(4)):
-        dc = double_cosets(grp, full_embedding(grp))
+    for grp in (SymmetricGroup(3), DihedralGroup(4)):
+        dc = double_cosets(full_embedding(grp))
         assert dc.rank == 1
-        sc = dense_constants(grp, full_embedding(grp), dc)
+        sc = dense_constants(full_embedding(grp), dc)
         assert sc[0, 0, 0] == grp.order
         # rank 1 is always commutative
-        assert is_commutative(structure_constants(grp, full_embedding(grp), dc))
+        assert is_commutative(structure_constants(full_embedding(grp), dc))
 
 
 def test_s3_wr_s2_has_seven_blocks():
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
-    dc = double_cosets(emb.parent, emb)
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
+    dc = double_cosets(emb)
     assert dc.rank == 7
     assert sum(dc.sizes) == 72
 
 
 def test_blocks_partition_the_group():
-    for base, n in ((make_cyclic(2), 3), (make_symmetric(3), 2)):
+    for base, n in ((CyclicGroup(2), 3), (SymmetricGroup(3), 2)):
         emb = embed_wreath_subgroup(base, n)
-        dc = double_cosets(emb.parent, emb)
+        dc = double_cosets(emb)
         covered = sorted(x for block in members(dc) for x in block)
         assert covered == list(range(emb.parent.order))
         assert list(dc.representatives) == [min(b) for b in members(dc)]
 
 
 def test_s3_s2_structure_constants_hand_values():
-    s3, emb = s3_pair()
-    dc = double_cosets(s3, emb)
-    sc = dense_constants(s3, emb, dc)
+    _, emb = s3_pair()
+    dc = double_cosets(emb)
+    sc = dense_constants(emb, dc)
     assert sc[0, 0, 0] == 2
     assert sc[1, 1, 0] == 4
     assert sc[1, 1, 1] == 2
     assert sc[0, 1, 1] == 2
     assert sc[1, 0, 1] == 2
-    assert is_commutative(structure_constants(s3, emb, dc))
+    assert is_commutative(structure_constants(emb, dc))
 
 
 def test_counting_identity_all_pairs():
-    cases = [s3_pair()]
-    for base, n in ((make_cyclic(2), 2), (make_symmetric(3), 2)):
-        emb = embed_wreath_subgroup(base, n)
-        cases.append((emb.parent, emb))
-    for grp, emb in cases:
-        dc = double_cosets(grp, emb)
-        sc = dense_constants(grp, emb, dc)
+    embeddings = [s3_pair()[1]]
+    for base, n in ((CyclicGroup(2), 2), (SymmetricGroup(3), 2)):
+        embeddings.append(embed_wreath_subgroup(base, n))
+    for emb in embeddings:
+        dc = double_cosets(emb)
+        sc = dense_constants(emb, dc)
         sizes = np.array(dc.sizes, dtype=np.int64)
         totals = sc @ sizes
         assert np.array_equal(totals, np.outer(sizes, sizes))
@@ -99,9 +98,9 @@ def test_counting_identity_all_pairs():
 
 def test_identity_block_absorbs():
     # c[0][j][k] = |K| when k == j, and 0 otherwise
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
-    dc = double_cosets(emb.parent, emb)
-    sc = dense_constants(emb.parent, emb, dc)
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
+    dc = double_cosets(emb)
+    sc = dense_constants(emb, dc)
     ksize = emb.subgroup.order
     for j in range(dc.rank):
         for k in range(dc.rank):
@@ -111,9 +110,9 @@ def test_identity_block_absorbs():
 def test_coset_size_identity():
     # |KgK| * |K ∩ g^-1 K g| = |K|^2, recomputed here rather than trusting
     # the constructor's internal check
-    emb = embed_wreath_subgroup(make_cyclic(2), 3)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 3)
     grp = emb.parent
-    dc = double_cosets(grp, emb)
+    dc = double_cosets(emb)
     image = set(emb.image.tolist())
     ksq = emb.subgroup.order ** 2
     for block, g in zip(members(dc), dc.representatives):
@@ -124,42 +123,42 @@ def test_coset_size_identity():
 
 def hecke_verdict(grp, emb):
     """(commutative, rank) of the double-coset algebra of (grp, emb)."""
-    dc = double_cosets(grp, emb)
-    return is_commutative(structure_constants(grp, emb, dc)), dc.rank
+    dc = double_cosets(emb)
+    return is_commutative(structure_constants(emb, dc)), dc.rank
 
 
 def test_gelfand_verdicts():
     s3, emb = s3_pair()
     assert hecke_verdict(s3, emb) == (True, 2)
 
-    emb = embed_wreath_subgroup(make_cyclic(1), 4)  # (S4, S3)
+    emb = embed_wreath_subgroup(CyclicGroup(1), 4)  # (S4, S3)
     assert hecke_verdict(emb.parent, emb) == (True, 2)
 
-    emb = embed_wreath_subgroup(make_cyclic(2), 2)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 2)
     assert hecke_verdict(emb.parent, emb) == (True, 3)
 
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
     assert hecke_verdict(emb.parent, emb) == (False, 7)
 
 
 def test_noncommutative_witness():
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
-    dc = double_cosets(emb.parent, emb)
-    witness = structure_constants(emb.parent, emb, dc)
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
+    dc = double_cosets(emb)
+    witness = structure_constants(emb, dc)
     assert witness is not None
     i, j, k, ijk, jik = witness
-    sc = dense_constants(emb.parent, emb, dc)
+    sc = dense_constants(emb, dc)
     assert sc[i, j, k] == ijk != jik == sc[j, i, k]
 
-    s3, emb2 = s3_pair()
-    assert structure_constants(s3, emb2, double_cosets(s3, emb2)) is None
+    _, emb2 = s3_pair()
+    assert structure_constants(emb2, double_cosets(emb2)) is None
 
 
 def test_block_functions_are_bi_invariant():
     # a function constant on blocks satisfies f(k x k') = f(x) on all of G
-    emb = embed_wreath_subgroup(make_cyclic(2), 2)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 2)
     grp = emb.parent
-    dc = double_cosets(grp, emb)
+    dc = double_cosets(emb)
     f = [dc.block_of[x] * 3 - 1 for x in range(grp.order)]
     for x in range(grp.order):
         for k in emb.image.tolist():
@@ -173,7 +172,7 @@ def test_block_functions_are_bi_invariant():
 
 def test_indicator_of_k_absorbs():
     s3, emb = s3_pair()
-    dc = double_cosets(s3, emb)
+    dc = double_cosets(emb)
     delta_k = BiInvariantFunction((1, 0))
     g = BiInvariantFunction((3, -2))
     out = convolve(delta_k, g, s3, dc)
@@ -183,8 +182,8 @@ def test_indicator_of_k_absorbs():
 
 def test_delta_convolution_matches_constants():
     s3, emb = s3_pair()
-    dc = double_cosets(s3, emb)
-    sc = dense_constants(s3, emb, dc)
+    dc = double_cosets(emb)
+    sc = dense_constants(emb, dc)
     for i in range(dc.rank):
         for j in range(dc.rank):
             fi = BiInvariantFunction(tuple(1 if t == i else 0 for t in range(dc.rank)))
@@ -195,13 +194,13 @@ def test_delta_convolution_matches_constants():
 
 def test_two_convolution_paths_agree_exactly_on_integers():
     cases = [s3_pair()]
-    for base, n in ((make_cyclic(2), 2), (make_symmetric(3), 2)):
+    for base, n in ((CyclicGroup(2), 2), (SymmetricGroup(3), 2)):
         emb = embed_wreath_subgroup(base, n)
         cases.append((emb.parent, emb))
     rng = random.Random(11)
     for grp, emb in cases:
-        dc = double_cosets(grp, emb)
-        sc = dense_constants(grp, emb, dc)
+        dc = double_cosets(emb)
+        sc = dense_constants(emb, dc)
         for _ in range(3):
             f = BiInvariantFunction(tuple(rng.randrange(-5, 6) for _ in range(dc.rank)))
             g = BiInvariantFunction(tuple(rng.randrange(-5, 6) for _ in range(dc.rank)))
@@ -212,7 +211,7 @@ def test_two_convolution_paths_agree_exactly_on_integers():
 
 def test_convolution_commutes_for_s3_s2():
     s3, emb = s3_pair()
-    dc = double_cosets(s3, emb)
+    dc = double_cosets(emb)
     rng = random.Random(5)
     for _ in range(5):
         f = BiInvariantFunction(tuple(complex(rng.random(), rng.random()) for _ in range(2)))
@@ -223,9 +222,9 @@ def test_convolution_commutes_for_s3_s2():
 
 
 def test_convolution_associative():
-    emb = embed_wreath_subgroup(make_cyclic(2), 2)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 2)
     grp = emb.parent
-    dc = double_cosets(grp, emb)
+    dc = double_cosets(emb)
     rng = random.Random(9)
     fs = [
         BiInvariantFunction(tuple(complex(rng.random(), rng.random()) for _ in range(dc.rank)))
@@ -245,8 +244,8 @@ def test_convolution_associative():
 def small_pairs():
     """(S3, S2), whole-group pairs and the small wreath pairs, as (group, embedding)."""
     cases = [s3_pair()]
-    cases += [(grp, full_embedding(grp)) for grp in (make_symmetric(3), make_dihedral(4))]
-    for base, n in ((make_cyclic(2), 3), (make_symmetric(3), 2), (make_cyclic(1), 5)):
+    cases += [(grp, full_embedding(grp)) for grp in (SymmetricGroup(3), DihedralGroup(4))]
+    for base, n in ((CyclicGroup(2), 3), (SymmetricGroup(3), 2), (CyclicGroup(1), 5)):
         emb = embed_wreath_subgroup(base, n)
         cases.append((emb.parent, emb))
     return cases
@@ -275,9 +274,9 @@ def test_kernel_matches_bucketing_oracle():
         ), grp.name
     ladder = [(emb.parent, emb) for emb in map(build_pair, LADDER[2:])]
     for grp, emb in small_pairs() + ladder:
-        dc = double_cosets(grp, emb)
+        dc = double_cosets(emb)
         assert np.array_equal(
-            dense_constants(grp, emb, dc),
+            dense_constants(emb, dc),
             bucketed_constants(grp, members(dc), dc.representatives),
         ), grp.name
 
@@ -287,24 +286,20 @@ def test_transversal_count_matches_whole_group(spec):
     """[G:K] representatives with weight |K| count what all of G with weight 1 does."""
     emb = build_pair(spec)
     grp = emb.parent
-    dc = double_cosets(grp, emb)
+    dc = double_cosets(emb)
     (column,) = block_product_counts(
         grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
     )
     whole_group = stack_block_counts(column, dc.rank)
-    assert np.array_equal(dense_constants(grp, emb, dc), whole_group)
+    assert np.array_equal(dense_constants(emb, dc), whole_group)
 
 
 @pytest.mark.parametrize("name", ["wr(S3,2)", "(S3,S2)", "wr(D4,2)"])
 def test_streamed_witness_is_the_first_dense_asymmetry(name):
-    if name == "(S3,S2)":
-        grp, emb = s3_pair()
-    else:
-        emb = build_pair(name)
-        grp = emb.parent
-    dc = double_cosets(grp, emb)
-    sc = dense_constants(grp, emb, dc)
-    witness = structure_constants(grp, emb, dc)
+    emb = s3_pair()[1] if name == "(S3,S2)" else build_pair(name)
+    dc = double_cosets(emb)
+    sc = dense_constants(emb, dc)
+    witness = structure_constants(emb, dc)
     diff = np.argwhere(sc != sc.swapaxes(0, 1))
     if len(diff) == 0:
         assert witness is None
@@ -314,8 +309,8 @@ def test_streamed_witness_is_the_first_dense_asymmetry(name):
 
 
 def wr_z2_3():
-    emb = embed_wreath_subgroup(make_cyclic(2), 3)
-    return emb.parent, emb, double_cosets(emb.parent, emb)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 3)
+    return emb.parent, emb, double_cosets(emb)
 
 
 def transversal(emb):
@@ -373,34 +368,34 @@ def test_kernel_rejects_a_list_that_is_not_a_transversal():
 
 
 def test_representative_recount_is_enforced(monkeypatch):
-    grp, emb, dc = wr_z2_3()
+    _, emb, dc = wr_z2_3()
     corrupt_kernel(monkeypatch, (1, 1, 2), 1, columns={1})
     with pytest.raises(InternalConsistencyError, match="depends on the representative"):
-        structure_constants(grp, emb, dc)
+        structure_constants(emb, dc)
 
 
 def test_unit_identity_is_enforced(monkeypatch):
-    grp, emb, dc = wr_z2_3()
+    _, emb, dc = wr_z2_3()
     corrupt_kernel(monkeypatch, (0, 1, 1), 1, columns={0, 1})
     with pytest.raises(InternalConsistencyError, match="unit"):
-        structure_constants(grp, emb, dc)
+        structure_constants(emb, dc)
 
 
 def test_associativity_is_enforced(monkeypatch):
-    grp, emb, dc = wr_z2_3()
+    _, emb, dc = wr_z2_3()
     assert dc.rank >= 3
     corrupt_kernel(monkeypatch, (1, 1, 2), 1, columns={0, 1})
     with pytest.raises(InternalConsistencyError, match="not associative"):
-        structure_constants(grp, emb, dc)
+        structure_constants(emb, dc)
 
 
 def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
     # 125 s^2 >= 2^63 once some target's constants sum to s >= 2.7e8, so the
     # int64 contraction could overflow: refused rather than checked inexactly
-    grp, emb, dc = wr_z2_3()
+    _, emb, dc = wr_z2_3()
     corrupt_kernel(monkeypatch, (1, 1, 2), 300_000_000, columns={0, 1})
     with pytest.raises(ResourceLimitError, match="125 \\* s\\^2 < 2\\^63"):
-        structure_constants(grp, emb, dc)
+        structure_constants(emb, dc)
 
 
 def test_structure_constants_count_each_target_twice(monkeypatch):
@@ -408,7 +403,7 @@ def test_structure_constants_count_each_target_twice(monkeypatch):
     # as many at the second elements, 2 r [G:K] in all
     emb = build_pair("wr(S3,2)")
     grp = emb.parent
-    dc = double_cosets(grp, emb)
+    dc = double_cosets(emb)
     products = []
     mul_many = grp.mul_many
 
@@ -417,5 +412,5 @@ def test_structure_constants_count_each_target_twice(monkeypatch):
         return mul_many(xs, ys)
 
     monkeypatch.setattr(grp, "mul_many", counting)
-    structure_constants(grp, emb, dc)
+    structure_constants(emb, dc)
     assert sum(products) == 2 * dc.rank * emb.index

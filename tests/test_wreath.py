@@ -9,56 +9,55 @@ import numpy as np
 import pytest
 
 from gelfand import (
+    CyclicGroup,
     InternalConsistencyError,
     InvalidParameterError,
     ResourceLimitError,
     SubgroupEmbedding,
+    SymmetricGroup,
     WreathElement,
     WreathProduct,
     conjugacy_classes,
     embed_wreath_subgroup,
-    make_cyclic,
-    make_symmetric,
     verify_group_axioms,
-    wreath_product,
 )
 
 
 def test_orders():
-    assert wreath_product(make_cyclic(2), 3).order == 48
-    assert wreath_product(make_symmetric(3), 2).order == 72
-    assert wreath_product(make_cyclic(1), 5).order == 120
+    assert WreathProduct(CyclicGroup(2), 3).order == 48
+    assert WreathProduct(SymmetricGroup(3), 2).order == 72
+    assert WreathProduct(CyclicGroup(1), 5).order == 120
 
 
 def test_product_law_hand_example():
     # in Z2 wr S2: ((1,0); swap) * ((1,0); swap) = ((1,1); id)
-    w = wreath_product(make_cyclic(2), 2)
+    w = WreathProduct(CyclicGroup(2), 2)
     x = w.encode(WreathElement((1, 0), (1, 0)))
     assert w.decode(w.mul(x, x)) == WreathElement((1, 1), (0, 1))
 
 
 def test_inverse_examples():
-    w = wreath_product(make_cyclic(4), 2)
+    w = WreathProduct(CyclicGroup(4), 2)
     assert w.inv(w.identity) == w.identity
     g = w.encode(WreathElement((3, 0), (0, 1)))
     assert w.decode(w.inv(g)) == WreathElement((1, 0), (0, 1))
 
-    z2 = make_cyclic(2)
-    w2 = wreath_product(z2, 2)
+    z2 = CyclicGroup(2)
+    w2 = WreathProduct(z2, 2)
     x = w2.encode(WreathElement((1, 0), (1, 0)))
     assert w2.decode(w2.inv(x)) == WreathElement((0, 1), (1, 0))
     assert w2.mul(x, w2.inv(x)) == w2.identity
 
 
 def test_wreath_inverse_function_brute_force():
-    w = wreath_product(make_cyclic(3), 2)
+    w = WreathProduct(CyclicGroup(3), 2)
     for x in range(w.order):
         assert w.mul(x, w.inv(x)) == w.identity
         assert w.mul(w.inv(x), x) == w.identity
 
 
 def test_encode_decode_roundtrip_all_of_z2_wr_s3():
-    w = wreath_product(make_cyclic(2), 3)
+    w = WreathProduct(CyclicGroup(2), 3)
     seen = set()
     for x in range(w.order):
         el = w.decode(x)
@@ -69,7 +68,7 @@ def test_encode_decode_roundtrip_all_of_z2_wr_s3():
 
 
 def test_decode_out_of_range():
-    w = wreath_product(make_cyclic(2), 2)
+    w = WreathProduct(CyclicGroup(2), 2)
     with pytest.raises(InvalidParameterError):
         w.decode(8)
     with pytest.raises(InvalidParameterError):
@@ -83,13 +82,13 @@ def test_decode_out_of_range():
 
 
 def test_axioms_exhaustive_small():
-    verify_group_axioms(wreath_product(make_cyclic(2), 2))  # order 8
-    verify_group_axioms(wreath_product(make_cyclic(2), 3))  # order 48
-    verify_group_axioms(wreath_product(make_symmetric(3), 2))  # order 72
+    verify_group_axioms(WreathProduct(CyclicGroup(2), 2))  # order 8
+    verify_group_axioms(WreathProduct(CyclicGroup(2), 3))  # order 48
+    verify_group_axioms(WreathProduct(SymmetricGroup(3), 2))  # order 72
 
 
 def test_associativity_sampled_above_limit():
-    w = wreath_product(make_cyclic(2), 4)  # order 384
+    w = WreathProduct(CyclicGroup(2), 4)  # order 384
     verify_group_axioms(w, seed=3)  # sampled path
     rng = random.Random(3)
     for _ in range(10 * 40):
@@ -99,13 +98,13 @@ def test_associativity_sampled_above_limit():
 
 def test_size_budget_names_required_order():
     with pytest.raises(ResourceLimitError) as info:
-        wreath_product(make_symmetric(4), 4, size_budget=1000)
+        WreathProduct(SymmetricGroup(4), 4, size_budget=1000)
     assert str(24**4 * math.factorial(4)) in str(info.value)
 
 
 def test_n_equal_one_is_base_group():
-    s3 = make_symmetric(3)
-    w = wreath_product(s3, 1)
+    s3 = SymmetricGroup(3)
+    w = WreathProduct(s3, 1)
     assert w.order == 6
     assert sorted(conjugacy_classes(w).sizes) == sorted(conjugacy_classes(s3).sizes)
 
@@ -113,8 +112,8 @@ def test_n_equal_one_is_base_group():
 def test_wr_z1_is_symmetric_group():
     # Z1 wr S_n carries exactly the S_n multiplication on matching ids
     for n in (3, 4):
-        w = wreath_product(make_cyclic(1), n)
-        sn = make_symmetric(n)
+        w = WreathProduct(CyclicGroup(1), n)
+        sn = SymmetricGroup(n)
         assert w.order == sn.order
         assert sorted(conjugacy_classes(w).sizes) == sorted(conjugacy_classes(sn).sizes)
         for a, b in itertools.product(range(min(w.order, 24)), repeat=2):
@@ -122,18 +121,18 @@ def test_wr_z1_is_symmetric_group():
 
 
 def test_embedding_orders():
-    emb = embed_wreath_subgroup(make_cyclic(2), 2)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 2)
     assert (emb.subgroup.order, emb.parent.order) == (2, 8)
-    emb = embed_wreath_subgroup(make_symmetric(3), 2)
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
     assert (emb.subgroup.order, emb.parent.order) == (6, 72)
-    emb = embed_wreath_subgroup(make_cyclic(1), 4)
+    emb = embed_wreath_subgroup(CyclicGroup(1), 4)
     assert (emb.subgroup.order, emb.parent.order) == (6, 24)
 
 
 def test_embedding_is_homomorphism_exhaustively():
     # exhaustive over all pairs with the scalar oracle, independent of the
     # generator check in validate (Z2 wr S3 has 48 elements)
-    for base, n in ((make_cyclic(2), 3), (make_symmetric(3), 2), (make_cyclic(2), 4)):
+    for base, n in ((CyclicGroup(2), 3), (SymmetricGroup(3), 2), (CyclicGroup(2), 4)):
         emb = embed_wreath_subgroup(base, n)
         k, parent = emb.subgroup, emb.parent
         for a in range(k.order):
@@ -144,7 +143,7 @@ def test_embedding_is_homomorphism_exhaustively():
 
 
 def test_embedding_fixes_last_coordinate():
-    emb = embed_wreath_subgroup(make_cyclic(3), 3)
+    emb = embed_wreath_subgroup(CyclicGroup(3), 3)
     parent = emb.parent
     for x in emb.map:
         el = parent.decode(x)
@@ -154,7 +153,7 @@ def test_embedding_fixes_last_coordinate():
 
 def test_embedding_rejects_n_below_two():
     with pytest.raises(InvalidParameterError):
-        embed_wreath_subgroup(make_cyclic(2), 1)
+        embed_wreath_subgroup(CyclicGroup(2), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +169,14 @@ def test_embedding_rejects_n_below_two():
     ],
 )
 def test_validate_rejects_broken_maps(mapping, message):
-    embedding = SubgroupEmbedding(make_cyclic(2), make_cyclic(6), mapping)
+    embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), mapping)
     with pytest.raises(InternalConsistencyError, match=message):
         embedding.validate()
 
 
 def test_validate_catches_two_swapped_non_generator_entries():
     # |K| = 384 > AXIOM_EXHAUSTIVE_LIMIT: the check is exhaustive at every size
-    emb = embed_wreath_subgroup(make_cyclic(2), 5)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 5)
     k = emb.subgroup
     assert k.order == 384
     a, b = [x for x in range(1, k.order) if x not in k.generators][:2]
@@ -193,9 +192,9 @@ def test_validate_catches_two_swapped_non_generator_entries():
 
 @pytest.mark.parametrize("generators", [(2,), ()])
 def test_validate_rejects_generators_that_do_not_generate(generators):
-    k = make_cyclic(4)
+    k = CyclicGroup(4)
     k.generators = generators
-    embedding = SubgroupEmbedding(k, make_cyclic(4), range(4))
+    embedding = SubgroupEmbedding(k, CyclicGroup(4), range(4))
     reached = 2 if generators else 1
     with pytest.raises(InternalConsistencyError, match=f"generate {reached} of its 4 elements"):
         embedding.validate()
@@ -211,6 +210,6 @@ def test_validate_costs_one_parent_product_per_element_and_generator(monkeypatch
         return real(self, xs, ys)
 
     monkeypatch.setattr(WreathProduct, "mul_many", counting)
-    emb = embed_wreath_subgroup(make_cyclic(2), 5)
+    emb = embed_wreath_subgroup(CyclicGroup(2), 5)
     assert len(emb.subgroup.generators) == 3
     assert sum(counted) == 3 * 384
