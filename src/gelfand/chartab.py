@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     InternalConsistencyError,
+    InvalidParameterError,
     NumericalQualityError,
     ResourceLimitError,
 )
@@ -369,7 +370,10 @@ def cached_character_table(
     """
     if cache_dir is None:
         return character_table(group, seed=seed)
-    os.makedirs(cache_dir, exist_ok=True)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot create cache directory {cache_dir!r}: {exc.strerror}")
     path = os.path.join(cache_dir, f"{group.name}.chartab")
     if os.path.exists(path):
         try:

@@ -31,15 +31,15 @@ Every group states what its construction fixes: ``generators`` (ids that
 generate it) and ``class_count`` (its number of conjugacy classes, or None
 when unknown), so limits on the class count apply before any class is
 computed.  ``conjugacy_classes`` is the one entry point for classes: it takes
-a label per id from ``group.class_labels()`` (the batched orbit walk by
+a label per id from ``group.class_labels()`` (conjugation orbits by
 default; wreath products override it with their type pass) and checks any
 labelling exactly: the generators must generate the group, the labels must be
 invariant under conjugation by every generator, and their count must equal
 ``class_count``.  It keeps the checked partition on the group, so a group's
 classes are labelled and checked once, however many callers ask.
-``closure`` over the tables of ``right_products`` is the one batched
-closure, behind that check, ``is_abelian``, ``SubgroupEmbedding.validate``
-and ``subgroup_from_generators``.
+``orbit_labels`` is the one orbit routine: over ``right_products`` it finds
+what generators generate, over conjugation the default class labels, and
+over the moves of K's generators on G/K the double cosets.
 """
 
 from __future__ import annotations
@@ -224,31 +224,21 @@ class FiniteGroup:
     def class_labels(self) -> np.ndarray:
         """A conjugacy-class label for every id, equal iff the ids are conjugate.
 
-        This is the orbit walk: one batch h g h^-1 over all h per class;
-        orbits must be disjoint and their sizes must divide |G|.  Groups that
-        know their classes better override it (wreath products label every
-        id by its type).  conjugacy_classes numbers the labels by minimal id.
+        The orbits of x -> s x s^-1 for the generators s, by orbit_labels
+        (2 |G| products per generator); orbit sizes must divide |G|.  Groups
+        that know their classes better override it (wreath products label
+        every id by its type).  conjugacy_classes numbers them by minimal id.
         """
-        order = self.order
-        everything = np.arange(order, dtype=np.int64)
-        inverses = self.inv_many(everything)
-        class_of = np.full(order, -1, dtype=np.int64)
-        count = 0
-        for g in range(order):
-            if class_of[g] >= 0:
-                continue
-            orbit = np.unique(self.mul_many(everything, self.mul_many(g, inverses)))
-            if (class_of[orbit] >= 0).any():
-                raise InternalConsistencyError(
-                    f"conjugacy orbits of {self.name} are not disjoint"
-                )
-            if order % len(orbit) != 0:
-                raise InternalConsistencyError(
-                    f"conjugacy class size {len(orbit)} does not divide |{self.name}|"
-                )
-            class_of[orbit] = count
-            count += 1
-        return class_of
+        ids = np.arange(self.order, dtype=np.int64)
+        conjugates = [self.mul_many(self.mul_many(s, ids), self.inv(s)) for s in self.generators]
+        labels = orbit_labels(np.reshape(conjugates, (-1, self.order)))
+        sizes = np.unique(labels, return_counts=True)[1]
+        bad = sizes[self.order % sizes != 0]
+        if len(bad):
+            raise InternalConsistencyError(
+                f"conjugacy class size {bad[0]} does not divide |{self.name}|"
+            )
+        return labels
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name!r}, order={self.order})"
@@ -570,28 +560,30 @@ def right_products(group: FiniteGroup, generators: Sequence[int]) -> np.ndarray:
     ).reshape(len(generators), group.order)
 
 
-def closure(group: FiniteGroup, steps: np.ndarray) -> np.ndarray:
-    """Sorted ids of the subgroup generated by the generators whose right
-    products are tabulated in steps (see right_products).
-
-    The ids reachable from the identity by right multiplication, found by
-    array indexing alone; inverses need no special handling in a finite
-    group (g^-1 is a power of g).  A product outside 0..|G|-1 means a broken
-    multiplication oracle and raises InternalConsistencyError.
+def orbit_labels(steps: np.ndarray) -> np.ndarray:
+    """The least point of its component for every point of 0..N-1, in the
+    graph with an edge x -- steps[i][x] for every row of the (s, N) table,
+    which need not hold permutations: min-label hooking (np.minimum.at) and
+    pointer jumping, until no edge joins two labels.  A step outside 0..N-1
+    means a broken multiplication oracle: InternalConsistencyError.
     """
-    if steps.size and (steps.min() < 0 or steps.max() >= group.order):
+    steps = np.asarray(steps, dtype=np.int64)
+    n = steps.shape[1]
+    if steps.size and (steps.min() < 0 or steps.max() >= n):
         raise InternalConsistencyError(
-            f"products in {group.name} leave the ids 0..{group.order - 1}; "
-            "multiplication oracle is broken"
+            f"steps leave the points 0..{n - 1}; multiplication oracle is broken"
         )
-    seen = np.zeros(group.order, dtype=bool)
-    seen[group.identity] = True
-    frontier = np.array([group.identity], dtype=np.int64)
-    while len(frontier):
-        reached = steps[:, frontier].ravel()
-        frontier = np.unique(reached[~seen[reached]])
-        seen[frontier] = True
-    return np.flatnonzero(seen)
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        roots = label.copy()
+        for row in steps:
+            ends = roots[row]
+            np.minimum.at(label, np.maximum(roots, ends), np.minimum(roots, ends))
+        if np.array_equal(label, roots):
+            return label
+        jumped = label[label]
+        while not np.array_equal(jumped, label):
+            label, jumped = jumped, jumped[jumped]
 
 
 def subgroup_from_generators(
@@ -602,7 +594,8 @@ def subgroup_from_generators(
     for g in gens:
         if not 0 <= g < group.order:
             raise InvalidParameterError(f"generator id {g} out of range for {group.name}")
-    ids = tuple(closure(group, right_products(group, gens)).tolist())
+    labels = orbit_labels(right_products(group, gens))
+    ids = tuple(np.flatnonzero(labels == labels[group.identity]).tolist())
     if group.order % len(ids) != 0:
         raise InternalConsistencyError(
             f"subgroup order {len(ids)} does not divide |{group.name}| = {group.order}"
@@ -621,7 +614,8 @@ def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
 def _generator_products(group: FiniteGroup) -> np.ndarray:
     """right_products of the generators, checked to generate all of G."""
     right = right_products(group, group.generators)
-    reached = len(closure(group, right))
+    labels = orbit_labels(right)
+    reached = int(np.count_nonzero(labels == labels[group.identity]))
     if reached != group.order:
         raise InternalConsistencyError(
             f"generators {group.generators} of {group.name} generate {reached} "
@@ -633,15 +627,15 @@ def _generator_products(group: FiniteGroup) -> np.ndarray:
 def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
     """Conjugacy classes as a partition numbered by minimal element id.
 
-    The labels come from group.class_labels() (the orbit walk, or a group's
-    own labelling) and are checked exactly here, whatever produced them; a
-    violation raises InternalConsistencyError:
-    - the generators generate the group (their closure reaches |G|);
+    The labels come from group.class_labels() (conjugation orbits, or a
+    group's own labelling) and are checked exactly here, whatever produced
+    them; a violation raises InternalConsistencyError:
+    - the generators generate the group (the identity's orbit is all of G);
     - the labels are invariant under conjugation by every generator, so
       every label is a union of classes;
     - the label count equals group.class_count, when known, so every label
       is exactly one class.
-    Costs 2 |G| products per generator: x * s for every x (the closure) and
+    Costs 2 |G| products per generator: x * s for every x (the orbit) and
     s * x (invariance: s x s^-1 has the label of x for every x iff s y has
     the label of y s for every y).  The partition is stored on the group once
     every check has passed and returned by every later call; a group that

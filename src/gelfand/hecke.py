@@ -39,10 +39,10 @@ dense (r, r, r) table is only stacked from the same count, for
 ``hecke --show-constants`` and the tests.
 
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
-as a ``groups.GroupPartition`` of G.  They must be disjoint and cover G/K,
-block 0 must be K, and every representative must satisfy
-|KgK| * |K ∩ g^-1 K g| = |K|^2, checked for all r representatives in one
-batch of r |K| <= |G| products.
+as a ``groups.GroupPartition`` of G, found by ``groups.orbit_labels`` from the
+moves of K's generators.  Block 0 must be K, and every representative g must
+satisfy K g ⊆ block(g) and |KgK| * |K ∩ g^-1 K g| = |K|^2, each checked for
+all r representatives in one batch of r |K| <= |G| products.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .groups import (
     GroupPartition,
     SubgroupEmbedding,
     block_product_counts,
+    orbit_labels,
     stack_block_counts,
 )
 
@@ -70,25 +71,25 @@ class DoubleCosetDecomposition(GroupPartition):
 def double_cosets(embedding: SubgroupEmbedding) -> DoubleCosetDecomposition:
     """The K-orbits on the left cosets G/K, labelled on every id of G.
 
-    The orbit of coset c is the set of cosets hit by K * rep_c, one batch of
-    |K| products.  Walking the cosets in ascending order of minimal id makes
-    each representative the minimal id of its block and puts K first.
+    Generator s of K moves coset c to coset_of[s * rep_c].  Cosets ascend by
+    minimal id, so orbits labelled by their least coset number the blocks by
+    minimal id and put K first.  K g ⊆ block(g) is checked at every rep g.
     """
-    group = embedding.parent
+    group, image = embedding.parent, embedding.image
     coset_of, coset_reps = embedding.left_cosets
-    block_of_coset = np.full(len(coset_reps), -1, dtype=np.int64)
-    count = 0
-    for c, x in enumerate(coset_reps.tolist()):
-        if block_of_coset[c] >= 0:
-            continue
-        orbit = coset_of[group.mul_many(embedding.image, x)]
-        if (block_of_coset[orbit] >= 0).any():
-            raise InternalConsistencyError("double cosets are not disjoint")
-        block_of_coset[orbit] = count
-        count += 1
-    if (block_of_coset < 0).any():
-        raise InternalConsistencyError("double cosets do not cover the group")
-    dc = DoubleCosetDecomposition.from_labels(block_of_coset[coset_of])
+    gens = embedding.map[list(embedding.subgroup.generators)]
+    moves = coset_of[group.mul_many(gens[:, None], coset_reps)]
+    # the blocks as a partition of G/K: [G:K] labels to sort, not |G|
+    coset_blocks = GroupPartition.from_labels(orbit_labels(moves))
+    reps = coset_reps[list(coset_blocks.representatives)]
+    block_of = coset_blocks.block_of[coset_of]
+    block_of.setflags(write=False)
+    sizes = tuple(len(image) * size for size in coset_blocks.sizes)
+    dc = DoubleCosetDecomposition(block_of, tuple(reps.tolist()), sizes)
+    hit = block_of[group.mul_many(image, reps[:, None])]  # row k holds K rep_k
+    bad = np.flatnonzero((hit != np.arange(dc.rank)[:, None]).any(axis=1))
+    if len(bad):
+        raise InternalConsistencyError(f"K g leaves block(g) at representative {reps[bad[0]]}")
     _check_decomposition(embedding, dc)
     return dc
 

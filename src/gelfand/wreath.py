@@ -9,8 +9,8 @@ coordinates before multiplying componentwise:
 Ids pack the base tuple big-endian in radix |G| and append the top
 permutation's lexicographic rank: id = code(base) * n! + rank(top).
 
-Conjugacy classes come from types, not from an orbit walk: the class of an
-element is fixed by the base class of each top cycle's product (James &
+Conjugacy classes come from types, not from conjugation orbits: the class of
+an element is fixed by the base class of each top cycle's product (James &
 Kerber, *The Representation Theory of the Symmetric Group*, ch. 4; Macdonald,
 *Symmetric Functions and Hall Polynomials*, ch. I app. B).  So the classes
 are indexed by the multipartitions of n over the base classes, their count is

@@ -1,18 +1,19 @@
-"""Scalar reference versions of the batched orbit walks, used only by the tests.
+"""Scalar reference versions of the batched orbit routines, used only by the tests.
 
-``conjugacy_classes`` and ``double_cosets`` are the one-product-at-a-time
-loops over ``group.mul``/``group.inv`` that ``groups.conjugacy_classes`` and
-``hecke.double_cosets`` replaced with ``mul_many``/``inv_many``.
+``conjugacy_classes`` and ``double_cosets`` are one-product-at-a-time loops
+over ``group.mul``/``group.inv``: the orbits {h g h^-1} over every h, and
+K g K expanded element by element.  ``groups.conjugacy_classes`` and
+``hecke.double_cosets`` find the same partitions with ``mul_many`` and
+``groups.orbit_labels`` over the moves of generators alone, so exact
+agreement checks the batched ops, the orbit labels and the array
+bookkeeping at once.  ``orbit_labels`` is a scalar union-find, the oracle of
+``groups.orbit_labels`` on tables of steps that need not come from a group.
 ``permutation_character`` counts the left cosets each class representative
 fixes, coset by coset; ``chartab.permutation_character`` reads the same
 integers off the classes by Frobenius reciprocity, so here a second
 algorithm checks it, not a scalar copy of it.  They share no code with the
-batched layer, so exact agreement is evidence that the batched ops and the
-array bookkeeping reproduce the scalar oracle.
-The partitions are built field by field from the walks' own lists, never
-through ``GroupPartition.from_labels``.  The double cosets here are expanded
-element by element as (K g) K, not read off the left cosets G/K, so they
-also check the orbit walk on G/K.
+batched layer.  The partitions are built field by field from the walks' own
+lists, never through ``GroupPartition.from_labels``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,25 @@ def _partition(cls, blocks, reps, block_of):
         tuple(reps),
         tuple(len(block) for block in blocks),
     )
+
+
+def orbit_labels(steps) -> list[int]:
+    """The least point of the component of every point, in the graph with an
+    edge x -- steps[i][x] for every row i of the (s, N) array, by union-find."""
+    steps = np.asarray(steps)
+    parent = list(range(steps.shape[1]))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for row in steps.tolist():
+        for x, y in enumerate(row):
+            a, b = find(x), find(y)
+            parent[max(a, b)] = min(a, b)
+    return [find(x) for x in range(len(parent))]
 
 
 def conjugacy_classes(group) -> GroupPartition:

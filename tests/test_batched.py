@@ -1,9 +1,11 @@
 """The batched group layer: mul_many/inv_many against the scalar oracle.
 
 Every group class must give, elementwise, the ids that its scalar mul/inv
-give: exhaustively up to order 200, on seeded samples above.  The orbit walks
-built on the batched ops must reproduce their scalar versions
-(tests/scalar_oracle.py) exactly on every pair of the benchmark ladder.
+give: exhaustively up to order 200, on seeded samples above.  The conjugacy
+classes and double cosets built on the batched ops must reproduce their
+scalar versions (tests/scalar_oracle.py) exactly on every pair of the
+benchmark ladder, and groups.orbit_labels must reproduce a scalar union-find
+on tables of steps that need not be permutations.
 """
 
 import numpy as np
@@ -23,6 +25,7 @@ from gelfand import (
     subgroup_from_generators,
     verify_group_axioms,
 )
+from gelfand.groups import orbit_labels
 from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition, dense_constants
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
@@ -139,6 +142,57 @@ def test_orbit_walks_match_scalar_oracle(pairspec):
     )
 
 
+def _relabelled(rng, steps):
+    """The (s, N) table of steps with its points renamed by one random
+    permutation."""
+    steps = np.asarray(steps)
+    shuffle = rng.permutation(steps.shape[1])
+    relabelled = np.empty_like(steps)
+    relabelled[:, shuffle] = shuffle[steps]
+    return relabelled
+
+
+def _cycles(lengths):
+    """x -> the next point on its cycle, for cycles of the given lengths."""
+    step = np.arange(1, sum(lengths) + 1)
+    ends = np.cumsum(lengths)
+    step[ends - 1] = ends - np.asarray(lengths)  # the last point closes its cycle
+    return step
+
+
+def _step_tables():
+    rng = np.random.default_rng(0)
+    # random maps: repeated images and points hit by none, not permutations
+    for n, s in ((1, 1), (2, 1), (9, 1), (60, 2), (500, 3)):
+        yield f"map-{n}x{s}", rng.integers(0, n, size=(s, n))
+    # random maps inside 40 chunks of 10 points, renamed: many components
+    chunks = np.arange(400) // 10 * 10
+    yield "chunked-maps", _relabelled(rng, chunks + rng.integers(0, 10, size=(2, 400)))
+    # long cycles, so labels travel far: one cycle, several, and two
+    # generators whose cycles join
+    yield "cycle-2000", _relabelled(rng, [_cycles([2000])])
+    yield "cycles-700-1-299", _relabelled(rng, [_cycles([700, 1, 299])])
+    yield "two-cycle-rows", _relabelled(rng, [_cycles([300] * 4), _cycles([1, 599, 600])])
+    # zero generator rows: Z1, and points with no edges at all
+    yield "Z1", np.zeros((0, 1), dtype=np.int64)
+    yield "no-rows-7", np.zeros((0, 7), dtype=np.int64)
+
+
+@pytest.mark.parametrize("steps", [pytest.param(t, id=name) for name, t in _step_tables()])
+def test_orbit_labels_match_a_scalar_union_find(steps):
+    labels = orbit_labels(steps)
+    assert labels.dtype == np.int64
+    assert labels.tolist() == scalar_oracle.orbit_labels(steps)
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_orbit_labels_reject_a_step_outside_the_points(bad):
+    steps = np.array([[1, 2, 3, 4, 0], [0, 0, 0, 0, 0]])
+    steps[1, 3] = bad
+    with pytest.raises(InternalConsistencyError, match="multiplication oracle is broken"):
+        orbit_labels(steps)
+
+
 def test_double_cosets_match_scalar_oracle_above_the_ladder():
     # rank 31, past every rank on the benchmark ladder
     embedding = build_pair("wr(Z30,2)")
@@ -181,9 +235,9 @@ def _corrupt_cosets(coset_of):
 
 
 def test_double_cosets_must_be_disjoint():
-    # K * 2 hits cosets 2 and 0, but coset 0 is already the block K
+    # K * 2 hits cosets 2 and 0, so coset 2 joins the block of K
     embedding = _corrupt_cosets([0, 1, 2, 0, 1, 0])
-    with pytest.raises(InternalConsistencyError, match="double cosets are not disjoint"):
+    with pytest.raises(InternalConsistencyError, match="block 0 is not K itself"):
         double_cosets(embedding)
 
 
@@ -198,7 +252,9 @@ def test_coset_size_identity_names_the_first_failing_representative():
 
 
 def test_double_cosets_must_cover_the_group():
-    # K * 1 hits coset 2 only, so coset 1 lies in no orbit
+    # K * 1 hits coset 2 only, never coset 1: cosets 1 and 2 become one
+    # block of 4 elements, where |KgK| * |K ∩ g^-1Kg| = |K|^2 allows 2
     embedding = _corrupt_cosets([0, 2, 1, 0, 2, 1])
-    with pytest.raises(InternalConsistencyError, match="double cosets do not cover"):
+    message = r"= 4\*2 != \|K\|\^2 = 4 at representative 1$"
+    with pytest.raises(InternalConsistencyError, match=message):
         double_cosets(embedding)

@@ -1,12 +1,12 @@
 """Conjugacy classes from the construction: generators, class counts and
 wreath classes labelled by type.
 
-Wreath products label every element by its type in one pass; the batched
-orbit walk (FiniteGroup.class_labels) and the scalar walk of
-tests/scalar_oracle.py are the oracles.  conjugacy_classes checks any
-labelling exactly (generation, invariance, count), and the type pass checks
-every class size against the centralizer order of its type; each check has
-a test here that breaks it.
+Wreath products label every element by its type in one pass; the
+conjugation orbits of the generators (FiniteGroup.class_labels, by
+groups.orbit_labels) and the scalar walk of tests/scalar_oracle.py are the
+oracles.  conjugacy_classes checks any labelling exactly (generation,
+invariance, count), and the type pass checks every class size against the
+centralizer order of its type; each check has a test here that breaks it.
 """
 
 import dataclasses
@@ -27,12 +27,13 @@ from gelfand import (
     is_abelian,
     subgroup_from_generators,
 )
-from gelfand.groups import FiniteGroup, closure, right_products
+from gelfand.groups import FiniteGroup, orbit_labels, right_products
 from gelfand.specs import build_group
 
 
-def _walked(group):
-    """The same group with its classes found by the batched orbit walk."""
+def _by_orbits(group):
+    """The same group with its classes found as the orbits of conjugation by
+    its generators (FiniteGroup.class_labels), not by its own labelling."""
     group.class_labels = types.MethodType(FiniteGroup.class_labels, group)
     return group
 
@@ -54,7 +55,7 @@ def _wreath(spec, n):
 )
 def test_typed_classes_match_the_orbit_walks(spec, n, scalar):
     typed = conjugacy_classes(_wreath(spec, n))
-    assert typed == conjugacy_classes(_walked(_wreath(spec, n)))
+    assert typed == conjugacy_classes(_by_orbits(_wreath(spec, n)))
     if scalar:
         assert typed == scalar_oracle.conjugacy_classes(_wreath(spec, n))
 
@@ -64,8 +65,8 @@ def test_typed_classes_over_a_base_of_unknown_class_count():
     base = subgroup_from_generators(SymmetricGroup(4), [1, 6]).subgroup
     assert base.class_count is None
     w = WreathProduct(base, 2)
-    assert w.class_count == conjugacy_classes(_walked(WreathProduct(base, 2))).count
-    assert conjugacy_classes(w) == conjugacy_classes(_walked(WreathProduct(base, 2)))
+    assert w.class_count == conjugacy_classes(_by_orbits(WreathProduct(base, 2))).count
+    assert conjugacy_classes(w) == conjugacy_classes(_by_orbits(WreathProduct(base, 2)))
 
 
 def _groups():
@@ -83,8 +84,9 @@ def _groups():
 
 @pytest.mark.parametrize("group", list(_groups()), ids=lambda g: g.name)
 def test_class_count_known_from_the_construction(group):
-    assert len(closure(group, right_products(group, group.generators))) == group.order
-    assert group.class_count == conjugacy_classes(_walked(group)).count
+    labels = orbit_labels(right_products(group, group.generators))
+    assert (labels == labels[group.identity]).all()
+    assert group.class_count == conjugacy_classes(_by_orbits(group)).count
 
 
 @pytest.mark.parametrize(
@@ -179,6 +181,6 @@ class _Unbounded(CyclicGroup):
 
 def test_closure_rejects_products_outside_the_group():
     with pytest.raises(InternalConsistencyError, match="multiplication oracle is broken"):
-        closure(_Unbounded(5), right_products(_Unbounded(5), [1]))
+        orbit_labels(right_products(_Unbounded(5), [1]))
     with pytest.raises(InternalConsistencyError, match="multiplication oracle is broken"):
         subgroup_from_generators(_Unbounded(5), [1])

@@ -7,6 +7,7 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
 import gelfand
 from gelfand.chartab import _CACHE_MAGIC, _CACHE_VERSION
@@ -307,6 +308,21 @@ def test_resource_limit_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("pair-check", "wr(S3,2)"), ("group", "S3"), ("branch", "S3", "--n", "2")]
+)
+def test_cache_dir_that_is_a_file_is_an_invalid_parameter(capsys, tmp_path, argv):
+    cache = tmp_path / "not-a-dir"
+    cache.write_text("")
+    code, out, err = run(capsys, *argv, "--cache-dir", str(cache))
+    assert code == 2
+    assert out == ""
+    # one line naming the path, then the system's reason
+    prefix = f"gelfand: invalid parameter: cannot create cache directory {str(cache)!r}: "
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_cache_env_var_used(capsys, tmp_path, monkeypatch):

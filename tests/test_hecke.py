@@ -72,6 +72,35 @@ def test_blocks_partition_the_group():
         assert list(dc.representatives) == [min(b) for b in members(dc)]
 
 
+@pytest.mark.parametrize("spec, rank", [("wr(S3,2)", 7), ("wr(S4,2)", 25), ("wr(Z30,2)", 31)])
+def test_double_cosets_make_four_mul_many_calls_at_any_rank(spec, rank):
+    # the moves of K's generators, the K g check and the two batches of the
+    # coset size identity; the left cosets are enumerated beforehand
+    emb = build_pair(spec)
+    emb.left_cosets
+    group = emb.parent
+    calls = []
+
+    def counted(xs, ys):
+        calls.append(1)
+        return type(group).mul_many(group, xs, ys)
+
+    group.mul_many = counted
+    assert double_cosets(emb).rank == rank
+    assert len(calls) == 4
+
+
+def test_double_cosets_check_that_k_g_stays_in_its_block():
+    # with its generators dropped, K = {e, (0 1)} moves no coset, so each
+    # left coset becomes a block, but K g meets two of them, first at the
+    # transposition g = (1 2), id 1
+    _, emb = s3_pair()
+    emb.subgroup.generators = ()
+    message = r"K g leaves block\(g\) at representative 1$"
+    with pytest.raises(InternalConsistencyError, match=message):
+        double_cosets(emb)
+
+
 def test_s3_s2_structure_constants_hand_values():
     _, emb = s3_pair()
     dc = double_cosets(emb)
