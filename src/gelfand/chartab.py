@@ -1,12 +1,19 @@
 """Complex character tables via the class-algebra eigenvector method.
 
-The class sums span the center of the group algebra; their multiplication
-coefficients a[i][j][k] are exact integer counts.  Simultaneous eigenvectors
-of the class matrices (obtained from one random linear combination) are the
-central characters, from which degrees and character values follow.  The
-eigensolve is floating point, but every verdict downstream is re-validated
-with integer identities, so rounding error cannot flip an answer silently:
-anything that fails to round cleanly aborts instead of guessing.
+The class sums K_i span the center of the group algebra; their
+multiplication coefficients K_i K_j = sum_k a[i][j][k] K_k are exact integer
+counts.  The central characters are the common right eigenvectors of the
+class matrices (A_i)[j][k] = a[i][j][k], so a random combination of the A_i
+over any set S of classes whose spectrum is simple already gives all of them,
+and degrees and character values follow (J. D. Dixon, "High speed
+computation of group characters", Numer. Math. 10, 1967; G. J. A. Schneider,
+"Dixon's character table algorithm revisited", J. Symbolic Comput. 9, 1990).
+Row A_i costs |C_i| products per target class, so S is grown from the
+smallest classes until the spectrum splits.  The eigensolve is floating
+point, but every table is validated against the orthogonality relations and
+every verdict downstream with integer identities, so rounding error cannot
+flip an answer silently: anything that fails to round cleanly aborts instead
+of guessing.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .groups import (
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
-    stack_block_counts,
 )
 
 CLASS_LIMIT = 80
@@ -65,22 +71,29 @@ class CharacterTable:
         return self.classes.count
 
 
-def class_coefficients(group: FiniteGroup, classes: GroupPartition) -> np.ndarray:
-    """a[i][j][k] = #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k.
+def class_coefficients(group: FiniteGroup, classes: GroupPartition, rows) -> np.ndarray:
+    """The rows A_i of the class matrices, (A_i)[j][k] = a[i][j][k] =
+    #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k, for the classes
+    i in rows, as a (len(rows), r, r) int64 array in the order of rows.
 
-    The shared block kernel summed over all of G with weight 1, one target of
-    |G| products per call, stacked; the kernel also enforces the counting
-    identity sum_k a[i][j][k] |C_k| = |C_i| |C_j|.
+    The shared block kernel summed over the members of those classes with
+    weight 1, sum |C_i| products per target; the kernel also enforces the
+    counting identity sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.
+    rows = range(r) gives the whole table.
     """
+    rows = np.asarray(rows, dtype=np.int64)
+    r = classes.count
+    elements = np.flatnonzero(np.isin(classes.block_of, rows))
     (column,) = block_product_counts(
-        group,
-        classes.block_of,
-        classes.sizes,
-        classes.representatives,
-        np.arange(group.order, dtype=np.int64),
-        1,
+        group, classes.block_of, classes.sizes, classes.representatives, elements, 1
     )
-    return stack_block_counts(column, classes.count)
+    keys, counts = column
+    i, jk = np.divmod(keys, r * r)
+    position = np.empty(r, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
+    table = np.zeros((len(rows), r * r), dtype=np.int64)
+    table[position[i], jk] = counts
+    return table.reshape(len(rows), r, r)
 
 
 def validate_character_table(table: CharacterTable) -> None:
@@ -168,16 +181,50 @@ def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
         )
 
 
+def _table_of(group: FiniteGroup, classes: GroupPartition, m) -> CharacterTable:
+    """The validated table from the eigenvectors of m, a combination of class
+    matrices; raises NumericalQualityError or InternalConsistencyError."""
+    r = classes.count
+    degrees, rows = _extract_rows(m, np.array(classes.sizes, dtype=np.float64), group.order)
+    rows = np.array(rows)
+    trivial = np.max(np.abs(rows - 1.0), axis=1) <= _INTEGRALITY_TOL
+    if np.count_nonzero(trivial) != 1:
+        raise NumericalQualityError("trivial character not uniquely identified")
+    # keys, primary first: the trivial row, degree, then the real and
+    # imaginary part of each column rounded to 8 places; lexsort is stable,
+    # so exact ties keep eigenvector order
+    rounded = np.round(rows, 8)
+    parts = np.stack([rounded.real, rounded.imag], axis=-1).reshape(r, 2 * r)
+    keys = np.column_stack([~trivial, degrees, parts])
+    order = np.lexsort(keys.T[::-1])
+    table = CharacterTable(
+        group_name=group.name,
+        group_order=group.order,
+        classes=classes,
+        degrees=tuple(degrees[i] for i in order),
+        values=rows[order],
+    )
+    validate_character_table(table)
+    return table
+
+
 def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     """Compute and fully validate the character table of a finite group.
 
     Groups past ORDER_LIMIT elements or past CLASS_LIMIT classes are refused
     before any class is computed (see check_limits); a group whose class
     count is not known from its construction is refused past CLASS_LIMIT
-    before the class algebra is built.  Defective random combinations are retried
-    with fresh coefficients (the random stream is seeded, so results are
-    reproducible); persistent failure raises NumericalQualityError with the
-    last diagnostic.
+    before the class algebra is built.
+
+    The classes are taken by ascending (size, id) into a set S, each step
+    adding the fewest classes that at least double sum_{i in S} |C_i| and
+    counting only their rows (class_coefficients).  Each step tries one
+    combination sum_{i in S} t_i A_i with t drawn from the seeded random
+    stream, so results are reproducible; a collision of its eigenvalues, or
+    any other defect, grows S.  Once S holds every class, defective
+    combinations are retried with fresh coefficients up to _MAX_ATTEMPTS
+    times; persistent failure raises NumericalQualityError with the number
+    of attempts and the last diagnostic.
     """
     check_limits(group)
     classes = conjugacy_classes(group)
@@ -189,39 +236,32 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
         raise InternalConsistencyError(
             f"{group.name}: class 0 is not the identity singleton ({group.identity},)"
         )
-    coeffs = class_coefficients(group, classes)
-    sizes = np.array(classes.sizes, dtype=np.float64)
+    # the classes by (size, id), and the members of the first e + 1 of them
+    by_size = np.argsort(classes.sizes, kind="stable")
+    members = np.cumsum(np.array(classes.sizes)[by_size])
     rng = np.random.default_rng(seed)
+    counted = []  # the rows of S, in the order of by_size
+    chosen = 0
+    attempts = 0
     last = "no attempt made"
-    for _ in range(_MAX_ATTEMPTS):
-        t = rng.standard_normal(r)
-        m = np.tensordot(t, coeffs.astype(np.float64), axes=(0, 0))
-        try:
-            degrees, rows = _extract_rows(m, sizes, group.order)
-            rows = np.array(rows)
-            trivial = np.max(np.abs(rows - 1.0), axis=1) <= _INTEGRALITY_TOL
-            if np.count_nonzero(trivial) != 1:
-                raise NumericalQualityError("trivial character not uniquely identified")
-            # keys, primary first: the trivial row, degree, then the real and
-            # imaginary part of each column rounded to 8 places; lexsort is
-            # stable, so exact ties keep eigenvector order
-            rounded = np.round(rows, 8)
-            parts = np.stack([rounded.real, rounded.imag], axis=-1).reshape(r, 2 * r)
-            keys = np.column_stack([~trivial, degrees, parts])
-            order = np.lexsort(keys.T[::-1])
-            table = CharacterTable(
-                group_name=group.name,
-                group_order=group.order,
-                classes=classes,
-                degrees=tuple(degrees[i] for i in order),
-                values=rows[order],
-            )
-            validate_character_table(table)
-            return table
-        except (NumericalQualityError, InternalConsistencyError) as exc:
-            last = str(exc)
+    while chosen < r:
+        # the fewest next classes that at least double the members of S
+        goal = 2 * members[chosen - 1] if chosen else 2
+        end = min(r, int(np.searchsorted(members, goal)) + 1)
+        counted.append(class_coefficients(group, classes, by_size[chosen:end]).astype(np.float64))
+        chosen = end
+        coeffs = np.concatenate(counted)
+        # a collision or any other defect grows S; with every class, retry
+        for _ in range(_MAX_ATTEMPTS if chosen == r else 1):
+            attempts += 1
+            t = rng.standard_normal(chosen)
+            try:
+                return _table_of(group, classes, np.tensordot(t, coeffs, axes=(0, 0)))
+            except (NumericalQualityError, InternalConsistencyError) as exc:
+                last = str(exc)
     raise NumericalQualityError(
-        f"character table of {group.name} failed after {_MAX_ATTEMPTS} attempts: {last}"
+        f"character table of {group.name} failed after {attempts} attempts, the last "
+        f"{_MAX_ATTEMPTS} with all {r} classes: {last}"
     )
 
 

@@ -677,10 +677,11 @@ def block_product_counts(
     double-coset algebra: it counts the factorizations z_k = x * y with x in
     block i and y in block j, which is the coefficient of B_k in the product
     of block sums B_i B_j whenever the count is the same at every element of
-    B_k.  The class algebra sums over all of G with weight 1.  When every
-    block is a union of left cosets xH and block(x^-1 z) is constant on them
-    (the double cosets of H), one representative per coset with weight |H|
-    gives the same count with [G:H] products per target instead of |G|.
+    B_k.  The class algebra counts the rows i it needs from the members of
+    those classes with weight 1.  When every block is a union of left cosets
+    xH and block(x^-1 z) is constant on them (the double cosets of H), one
+    representative per coset with weight |H| gives the same count with [G:H]
+    products per target instead of |G|.
 
     targets has shape (r,) or (r, t): each of its t columns holds one target
     per block, and targets[k] must lie in block k.  Returns one sparse table
@@ -690,8 +691,11 @@ def block_product_counts(
     elements.  Each mul_many call holds at most |G| products (at least one
     target).  A target's keys are counted densely by bincount when
     r^2 <= m log2 m, and otherwise by sorting its m keys, so rank ~1000 never
-    costs r^3.  sum_k a[i][j][k] |B_k| = |B_i| |B_j| is enforced for every
-    column; a violation, or a target outside its block, raises
+    costs r^3.  The elements must cover each block in full (weight times
+    the number of elements in B_i is |B_i|) or not at all, and the rows of
+    the blocks uncovered are left out.  sum_k a[i][j][k] |B_k| = |B_i| |B_j|
+    is enforced for every covered block i in every column; a violation, a
+    block covered in part, or a target outside its block raises
     InternalConsistencyError.
     """
     r = len(sizes)
@@ -704,6 +708,17 @@ def block_product_counts(
         )
     elements = np.asarray(elements, dtype=np.int64)
     m, cols = len(elements), targets.shape[1]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    covered = np.bincount(block_of[elements], minlength=r) * weight
+    full = covered == sizes
+    partial = np.flatnonzero(~full & (covered != 0))
+    if len(partial):
+        i = partial[0]
+        raise InternalConsistencyError(
+            f"elements of {group.name} cover block {i} with {covered[i]} of its "
+            f"{sizes[i]} ids; the counting identity sum_k a[i][j][k] |B_k| = "
+            "|B_i| |B_j| holds only on whole blocks"
+        )
     left = block_of[elements] * r
     inverses = group.inv_many(elements)
     dense = r * r <= m * m.bit_length()  # a dense count costs r^2, a sort m log m
@@ -723,7 +738,7 @@ def block_product_counts(
                 else:
                     keys, counts = np.unique(keys, return_counts=True)
                 parts[column].append((keys * r + k, counts))
-    sizes = np.asarray(sizes, dtype=np.int64)
+    expected = np.outer(sizes[full], sizes)
     table = []
     for column in parts:
         keys, counts = (np.concatenate(part) for part in zip(*column))
@@ -732,7 +747,7 @@ def block_product_counts(
         ij, k = np.divmod(keys, r)
         totals = np.zeros(r * r, dtype=np.int64)
         np.add.at(totals, ij, counts * sizes[k])
-        if not (totals == np.outer(sizes, sizes).ravel()).all():
+        if not (totals.reshape(r, r)[full] == expected).all():
             raise InternalConsistencyError(
                 f"block product counts of {group.name} violate the counting identity "
                 "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"

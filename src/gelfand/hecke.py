@@ -20,8 +20,9 @@ entries only: each coset representative adds to exactly one (i, j) per
 target, so it holds at most r [G:K] entries, never r^3.
 
 One kernel call counts the table at the block representatives and, in the
-same batches, at a second element of every block.  The kernel enforces the
-counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j|, and
+same batches, at a second element of every block.  The representatives are
+checked to cover every block, so the kernel counts every row and enforces
+the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| on each, and
 ``structure_constants`` checks, over the whole table:
 
 - representative independence: both counts give the same table;
@@ -124,10 +125,23 @@ class Witness(NamedTuple):
 
 
 def _transversal_counts(embedding, cosets, targets):
-    """The kernel summed over the representatives of G/K, each with weight |K|."""
+    """The kernel summed over the representatives of G/K, each with weight |K|.
+
+    The kernel leaves out the rows of blocks no representative lies in, so
+    every block is checked to be covered first: |K| times its number of
+    representatives must be its size."""
     _, reps = embedding.left_cosets
+    ksize = embedding.subgroup.order
+    covered = np.bincount(cosets.block_of[reps], minlength=cosets.rank) * ksize
+    missing = np.flatnonzero(covered != cosets.sizes)
+    if len(missing):
+        b = missing[0]
+        raise InternalConsistencyError(
+            f"the coset representatives cover {covered[b]} of the {cosets.sizes[b]} "
+            f"ids of double coset {b}"
+        )
     return block_product_counts(
-        embedding.parent, cosets.block_of, cosets.sizes, targets, reps, embedding.subgroup.order
+        embedding.parent, cosets.block_of, cosets.sizes, targets, reps, ksize
     )
 
 

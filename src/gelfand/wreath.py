@@ -202,8 +202,9 @@ class WreathProduct(FiniteGroup):
         over the cycles of p, and two elements are conjugate iff their types
         agree (James & Kerber, The Representation Theory of the Symmetric
         Group, ch. 4).  Every point carries the code of its cycle, so the n
-        codes of an id, sorted, are its type; n - 1 batched base products
-        over (n, |G|) arrays find them all.
+        codes of an id, sorted, are its type.  Batched base products find
+        them point by point, each over the ids whose cycle through the point
+        is still open: a point on a cycle of length m takes m - 1 products.
 
         Each class size must equal |G| / |C(type)| with
         |C(type)| = prod (m |C_G(c)|)^a a!, a = a_(m,c) the number of cycles
@@ -212,26 +213,31 @@ class WreathProduct(FiniteGroup):
         base_group, n = self.base_group, self.n
         base_classes = conjugacy_classes(base_group)
         r = base_classes.count
-        base, top = self.decode_many(np.arange(self.order, dtype=np.int64))
+        size = self.order
+        ids = np.arange(size, dtype=np.int64)
+        base, top = self.decode_many(ids)
         back = perm_inverse_many(perm_unrank_many(n, top))  # back[i] = p^-1(i)
-        points = np.arange(n, dtype=back.dtype)[:, None]
-        length = np.zeros(base.shape, dtype=np.int64)  # 0 while the cycle is open
-        product = base
-        cursor = back
-        for step in range(1, n + 1):
-            length[(length == 0) & (cursor == points)] = step
-            if step == n:
-                break
-            factor = np.take_along_axis(base, cursor, axis=0)
-            product = np.where(length == 0, base_group.mul_many(product, factor), product)
-            cursor = np.take_along_axis(back, cursor, axis=0)
-        codes = (length - 1) * r + base_classes.block_of[product]
+        codes = np.empty((n, size), dtype=np.int64)
+        for i in range(n):
+            # the ids whose cycle through i is still open, each with its
+            # cursor p^-step(i) and the product of the first step factors
+            column, cursor, running = ids, back[i], base[i]
+            for step in range(1, n + 1):
+                closed = cursor == i
+                codes[i, column[closed]] = (step - 1) * r + base_classes.block_of[running[closed]]
+                open_ = ~closed
+                column, cursor, running = column[open_], cursor[open_], running[open_]
+                if not len(column):
+                    break
+                at = cursor.astype(np.int64) * size + column  # flat (p^-step(i), x)
+                running = base_group.mul_many(running, base.ravel()[at])
+                cursor = back.ravel()[at]
         codes.sort(axis=0)
         # one integer key per type, Horner in radix n r.  Keys stay below
         # (n r)^n <= n^n |base|^n < e^n |G| (as n^n < e^n n!): 9^9 at most
         # within the character-table limits, ~8.9e12 up to 2^31 elements
         radix = n * r
-        key = np.zeros(self.order, dtype=np.int64)
+        key = np.zeros(size, dtype=np.int64)
         for row in codes:
             key = key * radix + row
         _, first, label = np.unique(key, return_index=True, return_inverse=True)

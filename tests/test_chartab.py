@@ -1,10 +1,12 @@
 """Character tables, decompositions and the character-side Gelfand verdict."""
 
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
+import gelfand.chartab
 from gelfand import (
     CyclicGroup,
     DihedralGroup,
@@ -43,7 +45,7 @@ def s3_pair():
 def test_class_coefficients_abelian():
     grp = CyclicGroup(5)
     cc = conjugacy_classes(grp)
-    a = class_coefficients(grp, cc)
+    a = class_coefficients(grp, cc, range(cc.count))
     for i in range(5):
         for j in range(5):
             k = grp.mul(i, j)  # singleton classes: ids are the representatives
@@ -55,7 +57,7 @@ def test_class_coefficients_abelian():
 def test_class_coefficients_s3():
     s3 = SymmetricGroup(3)
     cc = conjugacy_classes(s3)
-    a = class_coefficients(s3, cc)
+    a = class_coefficients(s3, cc, range(cc.count))
     # three transposition pairs square to the identity
     assert a[1, 1, 0] == 3
     # the identity class factors z_k uniquely: a[0][j][k] = [j == k]
@@ -67,9 +69,74 @@ def test_class_coefficients_s3():
 def test_class_coefficients_counting_identity():
     for grp in (SymmetricGroup(4), DihedralGroup(4)):
         cc = conjugacy_classes(grp)
-        a = class_coefficients(grp, cc)
+        a = class_coefficients(grp, cc, range(cc.count))
         sizes = np.array(cc.sizes, dtype=np.int64)
         assert np.array_equal(a @ sizes, np.outer(sizes, sizes))
+
+
+# perfbench's ladder-both and character-cold pairs
+BENCHMARK_PAIRS = (
+    "wr(Z1,5)", "wr(S3,2)", "wr(Z2,4)", "wr(Z1,6)", "wr(S4,2)", "wr(S3,3)",
+    "wr(Z3,4)", "wr(D4,3)", "wr(Z2,5)",
+)
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_PAIRS)
+def test_rows_counted_equal_the_full_table(spec, monkeypatch):
+    grp = build_pair(spec).parent
+    cc = conjugacy_classes(grp)
+    counted = []
+
+    def recording(group, classes, rows):
+        a = class_coefficients(group, classes, rows)
+        counted.append((list(rows), a))
+        return a
+
+    monkeypatch.setattr(gelfand.chartab, "class_coefficients", recording)
+    character_table(grp)
+    full = class_coefficients(grp, cc, range(cc.count))
+    rows = [i for step, _ in counted for i in step]
+    assert len(set(rows)) == len(rows)
+    for step, a in counted:
+        assert np.array_equal(a, full[step]), (spec, step)
+
+
+def test_counting_identity_rejects_one_changed_count(monkeypatch):
+    # one product moved to another class moves one count of row 1 from
+    # a[1][j][k] to a[1][j'][k], so sum_k a[1][j][k] |C_k| falls short
+    grp = SymmetricGroup(4)
+    cc = conjugacy_classes(grp)
+    mul_many = grp.mul_many
+
+    def one_wrong(xs, ys):
+        products = mul_many(xs, ys)
+        products[0] = cc.representatives[(cc.block_of[products[0]] + 1) % cc.count]
+        return products
+
+    monkeypatch.setattr(grp, "mul_many", one_wrong)
+    with pytest.raises(InternalConsistencyError, match="violate the counting identity"):
+        class_coefficients(grp, cc, [1])
+
+
+def test_character_table_counts_under_one_percent_of_the_products(monkeypatch):
+    # the products of the rows counted, not the r |G| of the whole table
+    grp = build_pair("wr(S4,3)").parent
+    r = conjugacy_classes(grp).count
+    products = []
+    mul_many, inv_many = grp.mul_many, grp.inv_many
+
+    def counting_mul(xs, ys):
+        products.append(np.broadcast(np.asarray(xs), np.asarray(ys)).size)
+        return mul_many(xs, ys)
+
+    def counting_inv(xs):
+        products.append(np.asarray(xs).size)
+        return inv_many(xs)
+
+    monkeypatch.setattr(grp, "mul_many", counting_mul)
+    monkeypatch.setattr(grp, "inv_many", counting_inv)
+    character_table(grp)
+    assert 0 < sum(products) < 0.01 * r * grp.order
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +246,18 @@ def test_determinism_and_seed():
     # table must represent the same characters
     assert a.degrees == c.degrees
     assert np.max(np.abs(a.values - c.values)) < 1e-6
+
+
+def test_persistent_failure_names_the_attempts_and_classes(monkeypatch):
+    # S3's classes by size are {e}, the 3-cycles and the transpositions: one
+    # attempt with the first two, then every retry with all three
+    def collide(*args):
+        raise NumericalQualityError("eigenvalues of the random combination collide")
+
+    monkeypatch.setattr(gelfand.chartab, "_extract_rows", collide)
+    message = "failed after 13 attempts, the last 12 with all 3 classes: eigenvalues"
+    with pytest.raises(NumericalQualityError, match=message):
+        character_table(SymmetricGroup(3))
 
 
 def test_class_limit_enforced():
@@ -326,6 +405,17 @@ def test_cache_roundtrip(tmp_path):
     loaded = load_character_table(path, grp)
     assert loaded.degrees == t.degrees
     assert np.array_equal(loaded.values, t.values)
+
+
+def test_cache_loads_a_table_written_before_the_smallest_classes_method():
+    # written by the eigensolve of one combination of all 22 class matrices;
+    # today's table differs from it in the last bits only
+    grp = build_pair("wr(S3,3)").parent
+    path = os.path.join(os.path.dirname(__file__), "data", "wr(S3,3).chartab")
+    loaded = load_character_table(path, grp)
+    computed = character_table(grp)
+    assert loaded.degrees == computed.degrees
+    assert np.max(np.abs(loaded.values - computed.values)) < 1e-9
 
 
 def test_cache_rejects_corruption(tmp_path):

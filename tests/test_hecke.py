@@ -298,7 +298,7 @@ def test_kernel_matches_bucketing_oracle():
     for grp, emb in small_pairs():
         cc = conjugacy_classes(grp)
         assert np.array_equal(
-            class_coefficients(grp, cc),
+            class_coefficients(grp, cc, range(cc.count)),
             bucketed_constants(grp, members(cc), cc.representatives),
         ), grp.name
     ladder = [(emb.parent, emb) for emb in map(build_pair, LADDER[2:])]
@@ -394,6 +394,27 @@ def test_kernel_rejects_a_list_that_is_not_a_transversal():
     elements[1] = emb.image[1]
     with pytest.raises(InternalConsistencyError, match="counting identity"):
         block_product_counts(grp, dc.block_of, dc.sizes, dc.representatives, elements, ksize)
+
+
+def test_kernel_rejects_a_block_covered_in_part():
+    # every member of class 1 of S4 but its least: the rows of a class come
+    # from all of its members or from none
+    grp = SymmetricGroup(4)
+    cc = conjugacy_classes(grp)
+    elements = np.flatnonzero(cc.block_of == 1)[1:]
+    with pytest.raises(InternalConsistencyError, match="cover block 1 with 5 of its 6 ids"):
+        block_product_counts(grp, cc.block_of, cc.sizes, cc.representatives, elements, 1)
+
+
+@pytest.mark.parametrize("dropped", [0, -1])
+def test_structure_constants_need_a_transversal_that_covers_every_block(dropped):
+    # coset 0 is K, all of block 0, which the kernel alone would leave out
+    # as uncovered; the last coset is one of several in its block
+    _, emb, dc = wr_z2_3()
+    coset_of, reps = emb.left_cosets
+    vars(emb)["left_cosets"] = (coset_of, np.delete(reps, dropped))
+    with pytest.raises(InternalConsistencyError, match="coset representatives cover"):
+        structure_constants(emb, dc)
 
 
 def test_representative_recount_is_enforced(monkeypatch):
