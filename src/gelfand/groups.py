@@ -16,14 +16,20 @@ the convention, but it is fixed once so ids never move.
 Batched contract: ``mul_many(xs, ys)`` and ``inv_many(xs)`` take int64 id
 arrays (or anything ``np.asarray`` accepts, broadcast against each other) and
 return an int64 array of ids of the broadcast shape, elementwise equal to the
-scalar ``mul``/``inv`` under the same encodings.  Ids in, ids out: no group
-keeps a second representation.  The base class loops over the scalar oracle;
-cyclic, dihedral, symmetric, direct-product and wreath groups override it
-with array arithmetic.  Every loop over the elements of a group (conjugacy
-classes, left cosets, the block kernel, embedding checks) runs on the batched
-ops.  ``SubgroupEmbedding.left_cosets`` is the one enumeration of G/K, read
-by the Hecke route alone (the double cosets and the transversal count); the
-permutation character is read off the conjugacy classes.  Conjugacy classes
+scalar ``mul``/``inv`` under the same encodings.  A group of order at most
+``TABLE_ORDER_LIMIT`` answers them by one gather from its Cayley table
+(``cayley_tables``: int16 ids, built once from its generator rows and proven
+a group by Light's associativity test); a larger group, or a wreath product
+(whose products already gather from its base's and S_n's tables), by its
+arithmetic, ``arith_mul_many``/``arith_inv_many``.  The base class's arithmetic loops
+over the scalar oracle; cyclic, dihedral, symmetric, direct-product and
+wreath groups override it with array arithmetic.  Every loop over the
+elements of a group (conjugacy classes, left cosets, the block kernel,
+embedding checks) runs on the batched ops.  ``SubgroupEmbedding.left_cosets``
+is the one enumeration of G/K, read by the Hecke route alone (the double
+cosets and the transversal count); a wreath embedding reads it off the
+action on points (``wreath.WreathEmbedding``).  The permutation character
+is read off the conjugacy classes.  Conjugacy classes
 and double cosets are one ``GroupPartition``: a read-only int64 block label per
 id, blocks numbered by minimal id; embedding maps are read-only int64 too.
 
@@ -50,6 +56,7 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +69,9 @@ AXIOM_EXHAUSTIVE_LIMIT = 200
 _BATCH_ORDER_LIMIT = 2**62
 # Image tuples of S_n are pre-listed up to this many elements (n <= 8).
 _PERM_MATERIALIZE_LIMIT = 40320
+# Groups up to this order multiply and invert by a gather from their Cayley
+# table: int16 ids, at most 8 MiB per table.
+TABLE_ORDER_LIMIT = 2048
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +163,9 @@ def as_id_arrays(group: "FiniteGroup", *arrays) -> list[np.ndarray]:
 
 
 class _PermIndexer:
-    """Rank/unrank permutations of n points, with a cached list when small."""
+    """Rank/unrank permutations of n points, with a cached list when small,
+    and S_n's tables when n! <= TABLE_ORDER_LIMIT (n <= 6), shared by every
+    S_n and every wreath top on n points in the process."""
 
     def __init__(self, n: int):
         self.n = n
@@ -174,6 +186,23 @@ class _PermIndexer:
         if self._ranks is not None:
             return self._ranks[p]
         return perm_rank(p)
+
+    @functools.cached_property
+    def tables(self) -> CayleyTables | None:
+        """S_n's Cayley tables, or None past TABLE_ORDER_LIMIT."""
+        if self.count > TABLE_ORDER_LIMIT:
+            return None
+        return cayley_tables(SymmetricGroup(self.n))
+
+    @functools.cached_property
+    def images(self) -> np.ndarray | None:
+        """images[:, rank] is the permutation of that rank, positions first
+        (int8), when S_n is tabled; None past TABLE_ORDER_LIMIT."""
+        if self.count > TABLE_ORDER_LIMIT:
+            return None
+        images = perm_unrank_many(self.n, np.arange(self.count))
+        images.setflags(write=False)
+        return images
 
 
 @functools.lru_cache(maxsize=None)
@@ -210,16 +239,44 @@ class FiniteGroup:
         raise NotImplementedError
 
     def mul_many(self, xs, ys) -> np.ndarray:
-        """Elementwise products of two broadcast id arrays (scalar fallback)."""
+        """Elementwise products of two broadcast id arrays: one gather from
+        the Cayley table when the group has one, else the arithmetic."""
         xs, ys = as_id_arrays(self, xs, ys)
+        tables = self.cayley_tables
+        if tables is None:
+            return self.arith_mul_many(xs, ys)
+        at = xs * self.order
+        at += ys
+        products = tables.products.take(at)
+        del at  # at most one int64 array of the batch's size alive at a time
+        return products.astype(np.int64)
+
+    def inv_many(self, xs) -> np.ndarray:
+        """Elementwise inverses of an id array, tabled like mul_many."""
+        (xs,) = as_id_arrays(self, xs)
+        tables = self.cayley_tables
+        if tables is None:
+            return self.arith_inv_many(xs)
+        return tables.inverses[xs]
+
+    def arith_mul_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """mul_many from the group's construction, for int64 ids of one shape
+        (scalar fallback)."""
         products = map(self.mul, xs.ravel().tolist(), ys.ravel().tolist())
         return np.fromiter(products, dtype=np.int64, count=xs.size).reshape(xs.shape)
 
-    def inv_many(self, xs) -> np.ndarray:
-        """Elementwise inverses of an id array (scalar fallback)."""
-        (xs,) = as_id_arrays(self, xs)
+    def arith_inv_many(self, xs: np.ndarray) -> np.ndarray:
+        """inv_many from the group's construction (scalar fallback)."""
         inverses = map(self.inv, xs.ravel().tolist())
         return np.fromiter(inverses, dtype=np.int64, count=xs.size).reshape(xs.shape)
+
+    @functools.cached_property
+    def cayley_tables(self) -> CayleyTables | None:
+        """The group's Cayley tables, built on first use; None past
+        TABLE_ORDER_LIMIT."""
+        if self.order > TABLE_ORDER_LIMIT:
+            return None
+        return cayley_tables(self)
 
     def class_labels(self) -> np.ndarray:
         """A conjugacy-class label for every id, equal iff the ids are conjugate.
@@ -262,12 +319,10 @@ class CyclicGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return (-a) % self.k
 
-    def mul_many(self, xs, ys) -> np.ndarray:
-        xs, ys = as_id_arrays(self, xs, ys)
+    def arith_mul_many(self, xs, ys) -> np.ndarray:
         return (xs + ys) % self.k
 
-    def inv_many(self, xs) -> np.ndarray:
-        (xs,) = as_id_arrays(self, xs)
+    def arith_inv_many(self, xs) -> np.ndarray:
         return -xs % self.k
 
 
@@ -312,15 +367,18 @@ class SymmetricGroup(FiniteGroup):
     def inv(self, a: int) -> int:
         return self._idx.rank(perm_inverse(self._idx.unrank(a)))
 
-    def mul_many(self, xs, ys) -> np.ndarray:
-        xs, ys = as_id_arrays(self, xs, ys)
+    def arith_mul_many(self, xs, ys) -> np.ndarray:
         p = perm_unrank_many(self.n, xs)
         q = perm_unrank_many(self.n, ys)
         return perm_rank_many(perm_compose_many(p, q))
 
-    def inv_many(self, xs) -> np.ndarray:
-        (xs,) = as_id_arrays(self, xs)
+    def arith_inv_many(self, xs) -> np.ndarray:
         return perm_rank_many(perm_inverse_many(perm_unrank_many(self.n, xs)))
+
+    @property
+    def cayley_tables(self) -> CayleyTables | None:
+        """S_n's tables depend on n alone: kept on perm_indexer(n)."""
+        return self._idx.tables
 
 
 class DihedralGroup(FiniteGroup):
@@ -356,8 +414,7 @@ class DihedralGroup(FiniteGroup):
 
     # ids lie in 0..2k-1: comparisons and conditional subtractions replace
     # the int64 divmod and remainder, which cost twice as much here
-    def mul_many(self, xs, ys) -> np.ndarray:
-        xs, ys = as_id_arrays(self, xs, ys)
+    def arith_mul_many(self, xs, ys) -> np.ndarray:
         k = self.k
         e1 = xs >= k
         e2 = ys >= k
@@ -365,8 +422,7 @@ class DihedralGroup(FiniteGroup):
         j = np.where(e2, -j1, j1) + ys - k * e2  # in -k+1 .. 2k-2
         return k * (e1 ^ e2) + j + k * (j < 0) - k * (j >= k)
 
-    def inv_many(self, xs) -> np.ndarray:
-        (xs,) = as_id_arrays(self, xs)
+    def arith_inv_many(self, xs) -> np.ndarray:
         return np.where((xs == 0) | (xs >= self.k), xs, self.k - xs)
 
 
@@ -407,14 +463,12 @@ class DirectProductGroup(FiniteGroup):
         xa, xb = self.decode(x)
         return self.encode(self.a.inv(xa), self.b.inv(xb))
 
-    def mul_many(self, xs, ys) -> np.ndarray:
-        xs, ys = as_id_arrays(self, xs, ys)
+    def arith_mul_many(self, xs, ys) -> np.ndarray:
         xa, xb = np.divmod(xs, self.b.order)
         ya, yb = np.divmod(ys, self.b.order)
         return self.a.mul_many(xa, ya) * self.b.order + self.b.mul_many(xb, yb)
 
-    def inv_many(self, xs) -> np.ndarray:
-        (xs,) = as_id_arrays(self, xs)
+    def arith_inv_many(self, xs) -> np.ndarray:
         xa, xb = np.divmod(xs, self.b.order)
         return self.a.inv_many(xa) * self.b.order + self.b.inv_many(xb)
 
@@ -614,6 +668,13 @@ def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
 def _generator_products(group: FiniteGroup) -> np.ndarray:
     """right_products of the generators, checked to generate all of G."""
     right = right_products(group, group.generators)
+    _check_generates(group, right)
+    return right
+
+
+def _check_generates(group: FiniteGroup, right: np.ndarray) -> None:
+    """The rows right[i][x] = x * generators[i] must reach every id from the
+    identity."""
     labels = orbit_labels(right)
     reached = int(np.count_nonzero(labels == labels[group.identity]))
     if reached != group.order:
@@ -621,7 +682,104 @@ def _generator_products(group: FiniteGroup) -> np.ndarray:
             f"generators {group.generators} of {group.name} generate {reached} "
             f"of its {group.order} elements"
         )
-    return right
+
+
+class CayleyTables(NamedTuple):
+    """A group's product and inverse as gathers, read-only:
+    products[x * m + y] = x y as int16, inverses[x] = x^-1 as int64."""
+
+    products: np.ndarray
+    inverses: np.ndarray
+
+
+def cayley_tables(group: FiniteGroup) -> CayleyTables:
+    """The Cayley tables of a group of order m <= TABLE_ORDER_LIMIT.
+
+    The rows x s and s y over every id, for every generator s, come from the
+    group's arithmetic, 2 |gens| m products; the first are checked to
+    generate G before the table is filled.  build_cayley_tables fills the
+    table from them and proves it a group.
+    """
+    ids = np.arange(group.order, dtype=np.int64)
+    gens = np.array(group.generators, dtype=np.int64).reshape(-1, 1)
+    right = group.arith_mul_many(*np.broadcast_arrays(ids, gens))
+    _check_generates(group, right)
+    left = group.arith_mul_many(*np.broadcast_arrays(gens, ids))
+    return build_cayley_tables(group.name, group.identity, group.generators, right, left)
+
+
+def build_cayley_tables(
+    name: str, identity: int, generators: Sequence[int], right: np.ndarray, left: np.ndarray
+) -> CayleyTables:
+    """Fill the table T of a group of order m < 2^15 from the rows
+    right[i][x] = x s_i and left[i][y] = s_i y of its generators s_i, and
+    prove T a group.
+
+    Row e is the ids.  Over a breadth-first walk of right products, row x s
+    is row x gathered at s y, as (x s) y = x (s y): m^2 gathers and no
+    product.  Then, else InternalConsistencyError:
+    - the walk reaches every id, and column s of T is x s for every
+      generator s;
+    - column e is the ids;
+    - Light's associativity test (A. H. Clifford, G. B. Preston, *The
+      Algebraic Theory of Semigroups* I, 1961, §1.2): T[x s][y] = T[x][s y]
+      for all x, y and every generator s.  The a with (x a) y = x (a y) for
+      all x, y are closed under the product and hold the generators, which
+      reach every id, so T is associative (two m^2 gathers per generator);
+    - e occurs in every row, so every x has a right inverse, and T, with its
+      identity and associative, is a group.
+    """
+    m = right.shape[1]
+    ids = np.arange(m, dtype=np.int64)
+    for rows in (right, left):
+        if rows.size and (rows.min() < 0 or rows.max() >= m):
+            raise InternalConsistencyError(
+                f"generator products of {name} leave its ids 0..{m - 1}"
+            )
+    table = np.empty((m, m), dtype=np.int16)
+    table[identity] = ids
+    reached = np.zeros(m, dtype=bool)
+    reached[identity] = True
+    frontier = ids[identity : identity + 1]
+    while len(frontier):
+        found = [ids[:0]]
+        for times_s, s_times in zip(right, left):
+            children = times_s[frontier]
+            new = ~reached[children]
+            children = children[new]
+            reached[children] = True
+            table[children] = table[frontier[new]].take(s_times, axis=1, mode="clip")
+            found.append(children)
+        frontier = np.concatenate(found)
+    if not reached.all():
+        raise InternalConsistencyError(
+            f"right products of the generators of {name} reach "
+            f"{np.count_nonzero(reached)} of its {m} elements"
+        )
+    for s, times_s, s_times in zip(generators, right, left):
+        if not np.array_equal(table[:, s], times_s):
+            raise InternalConsistencyError(
+                f"column {s} of the Cayley table of {name} is not x * {s}"
+            )
+        if not (table[times_s] == table.take(s_times, axis=1, mode="clip")).all():
+            raise InternalConsistencyError(
+                f"the Cayley table of {name} fails Light's associativity test "
+                f"at generator {s}: (x s) y != x (s y)"
+            )
+    if not np.array_equal(table[:, identity], ids):
+        raise InternalConsistencyError(
+            f"{identity} is not the identity of the Cayley table of {name}"
+        )
+    inverses = np.argmax(table == identity, axis=1)
+    missing = np.flatnonzero(table[ids, inverses] != identity)
+    if len(missing):
+        raise InternalConsistencyError(
+            f"row {missing[0]} of the Cayley table of {name} does not hold the identity"
+        )
+    products = table.ravel()
+    products.setflags(write=False)
+    inverses.setflags(write=False)
+    return CayleyTables(products, inverses)
 
 
 def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
@@ -689,9 +847,10 @@ def block_product_counts(
     (i*r + j)*r + k ascending, counts already weighted.  Each element adds to
     one (i, j) per target, so a column holds at most r m entries for m
     elements.  Each mul_many call holds at most |G| products (at least one
-    target).  A target's keys are counted densely by bincount when
-    r^2 <= m log2 m, and otherwise by sorting its m keys, so rank ~1000 never
-    costs r^3.  The elements must cover each block in full (weight times
+    target), and its keys are counted at once: densely by one bincount over
+    the batch's key range (r^2 per target and column) when r^2 <= m log2 m,
+    and otherwise by one sort of its keys, so rank ~1000 never costs r^3.
+    The elements must cover each block in full (weight times
     the number of elements in B_i is |B_i|) or not at all, and the rows of
     the blocks uncovered are left out.  sum_k a[i][j][k] |B_k| = |B_i| |B_j|
     is enforced for every covered block i in every column; a violation, a
@@ -725,19 +884,35 @@ def block_product_counts(
     parts = [[] for _ in range(cols)]
     step = max(1, group.order // (m * cols))
     for start in range(0, r, step):
-        batch = targets[start : start + step].ravel()
+        batch = targets[start : start + step]
+        nb = len(batch)
         # flat operands: mul_many over an (n, m) broadcast is slower
-        products = group.mul_many(np.tile(inverses, len(batch)), np.repeat(batch, m))
-        rows = left + block_of[products].reshape(-1, cols, m)
-        for k, row in enumerate(rows, start):
-            for column, keys in enumerate(row):
-                if dense:
-                    counts = np.bincount(keys)
-                    keys = np.flatnonzero(counts)
-                    counts = counts[keys]
-                else:
-                    keys, counts = np.unique(keys, return_counts=True)
-                parts[column].append((keys * r + k, counts))
+        products = group.mul_many(np.tile(inverses, batch.size), np.repeat(batch.ravel(), m))
+        keys = block_of[products].reshape(nb, cols, m)
+        del products
+        keys += left  # i r + j
+        # one count per batch, column first in its keys so each column is a slice
+        column, k = np.arange(cols), np.arange(nb)[:, None]  # k: target - start
+        if dense:  # one bincount over (column, k, i, j)
+            keys += ((column * nb + k) * (r * r))[:, :, None]
+            counts = np.bincount(keys.ravel())
+            keys = np.flatnonzero(counts)
+            counts = counts[keys]
+            cuts = np.arange(1, cols) * nb * r * r
+        else:  # one sort of (column, i, j, k): (i r + j) r + k per column
+            keys *= r
+            keys += (column * r**3 + start + k)[:, :, None]
+            keys, counts = np.unique(keys, return_counts=True)
+            cuts = np.arange(1, cols) * r**3
+        bounds = [0, *np.searchsorted(keys, cuts).tolist(), len(keys)]
+        for column, (lo, hi) in enumerate(itertools.pairwise(bounds)):
+            part = keys[lo:hi]
+            if dense:
+                k, ij = np.divmod(part - column * nb * r * r, r * r)
+                part = ij * r + (k + start)
+            else:
+                part = part - column * r**3
+            parts[column].append((part, counts[lo:hi]))
     expected = np.outer(sizes[full], sizes)
     table = []
     for column in parts:

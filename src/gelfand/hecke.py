@@ -42,8 +42,8 @@ dense (r, r, r) table is only stacked from the same count, for
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
 as a ``groups.GroupPartition`` of G, found by ``groups.orbit_labels`` from the
 moves of K's generators.  Block 0 must be K, and every representative g must
-satisfy K g ⊆ block(g) and |KgK| * |K ∩ g^-1 K g| = |K|^2, each checked for
-all r representatives in one batch of r |K| <= |G| products.
+satisfy K g ⊆ block(g) and |KgK| * |K ∩ g^-1 K g| = |K|^2, both read off one
+batch of the r |K| <= |G| products K g at the r representatives.
 """
 
 from __future__ import annotations
@@ -87,24 +87,25 @@ def double_cosets(embedding: SubgroupEmbedding) -> DoubleCosetDecomposition:
     block_of.setflags(write=False)
     sizes = tuple(len(image) * size for size in coset_blocks.sizes)
     dc = DoubleCosetDecomposition(block_of, tuple(reps.tolist()), sizes)
-    hit = block_of[group.mul_many(image, reps[:, None])]  # row k holds K rep_k
-    bad = np.flatnonzero((hit != np.arange(dc.rank)[:, None]).any(axis=1))
+    k_reps = group.mul_many(image, reps[:, None])  # row k holds K rep_k
+    bad = np.flatnonzero((block_of[k_reps] != np.arange(dc.rank)[:, None]).any(axis=1))
     if len(bad):
         raise InternalConsistencyError(f"K g leaves block(g) at representative {reps[bad[0]]}")
-    _check_decomposition(embedding, dc)
+    _check_decomposition(embedding, dc, k_reps)
     return dc
 
 
-def _check_decomposition(embedding, dc):
-    group, image, ksize = embedding.parent, embedding.image, embedding.subgroup.order
+def _check_decomposition(embedding, dc, k_reps):
+    """Block 0 is K, and |KgK| * |K ∩ g^-1 K g| = |K|^2 at every
+    representative g, read off k_reps[b] = K g_b, the batch double_cosets
+    checks K g ⊆ block(g) on: k g lies in gK iff k lies in gKg^-1, so
+    |K ∩ gKg^-1| = |K ∩ g^-1 K g| is the number of k g with the coset of g."""
+    image, ksize = embedding.image, embedding.subgroup.order
     if not np.array_equal(np.flatnonzero(dc.block_of == 0), image):
         raise InternalConsistencyError("block 0 is not K itself")
-    # |KgK| * |K ∩ g^-1 K g| = |K|^2 for every representative, in one batch
-    in_image = np.zeros(group.order, dtype=bool)
-    in_image[image] = True
-    reps = np.array(dc.representatives, dtype=np.int64)[:, None]
-    conjugates = group.mul_many(group.mul_many(reps, image), group.inv_many(reps))
-    stabs = np.count_nonzero(in_image[conjugates], axis=1)
+    coset_of, _ = embedding.left_cosets
+    reps = np.array(dc.representatives, dtype=np.int64)
+    stabs = np.count_nonzero(coset_of[k_reps] == coset_of[reps][:, None], axis=1)
     bad = np.flatnonzero(np.array(dc.sizes) * stabs != ksize * ksize)
     if len(bad):
         b = bad[0]

@@ -9,6 +9,19 @@ coordinates before multiplying componentwise:
 Ids pack the base tuple big-endian in radix |G| and append the top
 permutation's lexicographic rank: id = code(base) * n! + rank(top).
 
+The batched product multiplies coordinates by the base group's ``mul_many``,
+a gather from its Cayley table when |G| <= ``groups.TABLE_ORDER_LIMIT``.  For
+n! within that limit (n <= 6) the tops compose by S_n's table and their
+images come from its rank -> image table, both shared through
+``perm_indexer(n)``; past it, by Lehmer codes.  A wreath product keeps no
+table of its own.
+
+G wr S_n acts on the n |G| points {0..n-1} x G by
+(b; p) . (j, x) = (p(j), b_(p(j)) x), and G wr S_(n-1), as
+``embed_wreath_subgroup`` embeds it, is the stabilizer of x0 = (n-1, e).  So
+``WreathEmbedding.left_cosets`` labels the left coset of g by the point
+g . x0, read off the decoded id with no product.
+
 Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
 Kerber, *The Representation Theory of the Symmetric Group*, ch. 4; Macdonald,
@@ -32,7 +45,7 @@ from .errors import InternalConsistencyError, InvalidParameterError, ResourceLim
 from .groups import (
     FiniteGroup,
     SubgroupEmbedding,
-    as_id_arrays,
+    SymmetricGroup,
     conjugacy_classes,
     perm_compose,
     perm_compose_many,
@@ -75,10 +88,12 @@ class WreathElement:
 class WreathProduct(FiniteGroup):
     """G wr S_n as a FiniteGroup over encoded WreathElements.
 
-    The batched ops decode ids to an (n, ...) array of base ids plus top
-    ranks, multiply coordinates with the base group's ``mul_many``, compose
-    the tops as permutation arrays and re-encode; the scalar ops do the same
-    one element at a time.
+    The batched arithmetic decodes ids to an (n, ...) array of base ids plus
+    top ranks, multiplies coordinates with the base group's ``mul_many`` and
+    re-encodes.  For n! <= TABLE_ORDER_LIMIT (n <= 6) the tops compose by
+    S_n's table and their images come from its rank -> image table, both
+    kept on ``perm_indexer(n)``; past it, by Lehmer codes.  The scalar ops do
+    the same one element at a time.
     """
 
     def __init__(self, base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET):
@@ -88,6 +103,12 @@ class WreathProduct(FiniteGroup):
         self.name = f"wr({base_group.name},{n})"
         self._nfact = math.factorial(n)
         self._idx = perm_indexer(n)
+        self._top = SymmetricGroup(n)  # tabled through perm_indexer(n) for n <= 6
+
+    # no table of its own: each product is already a few gathers in the
+    # base's and S_n's tables, while its own table costs (1 + 2 |gens|) |G|^2
+    # gathers to build and prove, three times a whole pair check on wr(S3,3)
+    cayley_tables = None
 
     def encode(self, element: WreathElement) -> int:
         if len(element.base) != self.n or len(element.top) != self.n:
@@ -153,12 +174,15 @@ class WreathProduct(FiniteGroup):
         base = tuple(ginv(a.base[a.top[i]]) for i in range(self.n))
         return self._encode_raw(base, perm_inverse(a.top))
 
-    def mul_many(self, xs, ys) -> np.ndarray:
-        xs, ys = as_id_arrays(self, xs, ys)
+    def arith_mul_many(self, xs, ys) -> np.ndarray:
         x_base, x_top = self.decode_many(xs)
         y_base, y_top = self.decode_many(ys)
-        p = perm_unrank_many(self.n, x_top)
-        top = perm_rank_many(perm_compose_many(p, perm_unrank_many(self.n, y_top)))
+        if self._top.cayley_tables is None:  # n! past the table limit
+            p = perm_unrank_many(self.n, x_top)
+            top = perm_rank_many(perm_compose_many(p, perm_unrank_many(self.n, y_top)))
+        else:
+            p = self._idx.images[:, x_top]
+            top = self._top.mul_many(x_top, y_top)
         # coordinate p[j] of the product is x_(p[j]) * y_j: gather x into y's
         # order, multiply, and scatter back into the gathered buffer
         x_base = np.take_along_axis(x_base, p, axis=0)
@@ -166,12 +190,15 @@ class WreathProduct(FiniteGroup):
         np.put_along_axis(x_base, p, products, axis=0)
         return self.encode_many(x_base, top)
 
-    def inv_many(self, xs) -> np.ndarray:
-        (xs,) = as_id_arrays(self, xs)
+    def arith_inv_many(self, xs) -> np.ndarray:
         base, top = self.decode_many(xs)
-        p = perm_unrank_many(self.n, top)
-        moved = self.base_group.inv_many(np.take_along_axis(base, p, axis=0))
-        return self.encode_many(moved, perm_rank_many(perm_inverse_many(p)))
+        if self._top.cayley_tables is None:
+            p = perm_unrank_many(self.n, top)
+            top = perm_rank_many(perm_inverse_many(p))
+        else:
+            p = self._idx.images[:, top]
+            top = self._top.inv_many(top)
+        return self.encode_many(self.base_group.inv_many(np.take_along_axis(base, p, axis=0)), top)
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...]:
@@ -268,9 +295,80 @@ class WreathProduct(FiniteGroup):
                 )
 
 
+@dataclass(frozen=True, eq=False)
+class WreathEmbedding(SubgroupEmbedding):
+    """G wr S_(n-1) in G wr S_n as embed_wreath_subgroup embeds it, with the
+    left cosets read off the action on points."""
+
+    def points(self) -> np.ndarray:
+        """The point g . x0 = (p(n-1), b_(p(n-1))), numbered p(n-1) |B| +
+        b_(p(n-1)), of every id g = (b; p) of the parent: one decode_many and
+        no product."""
+        group = self.parent
+        n, base_order = group.n, group.base_group.order
+        base, top = group.decode_many(np.arange(group.order, dtype=np.int64))
+        images = group._idx.images
+        last = perm_unrank_many(n, top)[-1] if images is None else images[-1, top]
+        last = last.astype(np.int64)
+        return last * base_order + np.take_along_axis(base, last[None], axis=0)[0]
+
+    @functools.cached_property
+    def left_cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coset_of, reps) as SubgroupEmbedding.left_cosets gives them, from
+        the action of B wr S_n on the n |B| points X = {0..n-1} x B,
+        (b; p) . (j, x) = (p(j), b_(p(j)) x).  K is the stabilizer of
+        x0 = (n-1, e), so the left coset gK is the point λ(g) = g . x0 (see
+        points).  Points are numbered by their least id, so coset_of and reps
+        equal the walk's.
+
+        Checked, else InternalConsistencyError: every point labels exactly |K|
+        ids; K's generators fix x0; and λ(s rep_c) = s . λ(rep_c) for every
+        generator s of G and every coset c, |gens(G)| [G:K] products.
+        """
+        group, k = self.parent, self.subgroup
+        base_group, base_order = group.base_group, group.base_group.order
+        count = group.n * base_order
+        point = self.points()
+        sizes = np.bincount(point, minlength=count)
+        bad = np.flatnonzero(sizes != k.order)
+        if len(bad):
+            raise InternalConsistencyError(
+                f"point {bad[0]} labels {sizes[bad[0]]} ids of {group.name}, "
+                f"not |K| = {k.order}"
+            )
+        x0 = (group.n - 1) * base_order + base_group.identity
+        moved = point[self.map[list(k.generators)]] != x0
+        if moved.any():
+            raise InternalConsistencyError(
+                f"generator {k.generators[np.argmax(moved)]} of K moves the point x0"
+            )
+        first = np.full(count, group.order, dtype=np.int64)
+        np.minimum.at(first, point, np.arange(group.order, dtype=np.int64))
+        order = np.argsort(first)
+        number = np.empty(count, dtype=np.int64)
+        number[order] = np.arange(count)
+        coset_of, reps = number[point], first[order]
+        # s . (j, x) = (p_s(j), b_s[p_s(j)] x) against λ(s rep_c)
+        gens = np.array(group.generators, dtype=np.int64)
+        s_base, s_top = group.decode_many(gens)
+        j, x = np.divmod(point[reps], base_order)
+        to = perm_unrank_many(group.n, s_top)[j].T.astype(np.int64)  # (gens, [G:K])
+        acted = to * base_order + base_group.mul_many(s_base[to, np.arange(len(gens))[:, None]], x)
+        wrong = np.argwhere(point[group.mul_many(gens[:, None], reps)] != acted)
+        if len(wrong):
+            s, c = wrong[0]
+            raise InternalConsistencyError(
+                f"the points of {group.name} are not equivariant: generator {gens[s]} "
+                f"takes coset representative {reps[c]} off the point {acted[s, c]}"
+            )
+        coset_of.setflags(write=False)
+        reps.setflags(write=False)
+        return coset_of, reps
+
+
 def embed_wreath_subgroup(
     base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET
-) -> SubgroupEmbedding:
+) -> WreathEmbedding:
     """Embed G wr S_{n-1} into G wr S_n.
 
     The last coordinate carries the identity and the top permutation fixes
@@ -287,6 +385,6 @@ def embed_wreath_subgroup(
     widened_base = np.vstack([base, base_group.identity * fixed])
     widened_top = np.vstack([perm_unrank_many(n - 1, top), (n - 1) * fixed])
     mapping = parent.encode_many(widened_base, perm_rank_many(widened_top))
-    emb = SubgroupEmbedding(subgroup=sub, parent=parent, map=mapping)
+    emb = WreathEmbedding(subgroup=sub, parent=parent, map=mapping)
     emb.validate()
     return emb

@@ -25,7 +25,7 @@ from gelfand import (
     subgroup_from_generators,
     verify_group_axioms,
 )
-from gelfand.groups import orbit_labels
+from gelfand.groups import TABLE_ORDER_LIMIT, build_cayley_tables, orbit_labels
 from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition, dense_constants
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
@@ -128,6 +128,65 @@ def test_axiom_check_catches_batched_disagreement(k):
     with pytest.raises(InternalConsistencyError, match="inv_many"):
         verify_group_axioms(_BrokenBatchInverse(k))
     verify_group_axioms(CyclicGroup(k))
+
+
+# the tabled base groups of the tests and benchmark pairs, one of each kind
+TABLED = (
+    "S1", "S2", "S3", "S4", "S5", "S6", "D3", "D4", "D500",
+    "Z1", "Z2", "Z3", "Z1000", "S4xZ2",
+)
+
+
+@pytest.mark.parametrize("spec", TABLED)
+def test_tabled_ops_equal_the_arithmetic_on_every_pair(spec):
+    group = build_group(spec)
+    assert group.order <= TABLE_ORDER_LIMIT and group.cayley_tables is not None
+    ids = np.arange(group.order, dtype=np.int64)
+    xs, ys = np.broadcast_arrays(ids[:, None], ids)
+    got = group.mul_many(xs, ys)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, group.arith_mul_many(xs, ys))
+    got = group.inv_many(ids)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, group.arith_inv_many(ids))
+
+
+def test_groups_past_the_limit_and_wreath_products_have_no_table():
+    for spec in ("Z2049", "D1025", "S7"):
+        assert build_group(spec).cayley_tables is None
+    assert WreathProduct(build_group("Z2"), 2).cayley_tables is None
+
+
+def _generator_rows(group):
+    ids = np.arange(group.order, dtype=np.int64)
+    gens = np.array(group.generators, dtype=np.int64)[:, None]
+    right = group.arith_mul_many(*np.broadcast_arrays(ids, gens))
+    left = group.arith_mul_many(*np.broadcast_arrays(gens, ids))
+    return right, left
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("generator", [0, 1])
+def test_table_build_rejects_one_corrupted_generator_row(side, generator):
+    # S6 has 720 > 200 elements, where verify_group_axioms only samples
+    s6 = build_group("S6")
+    rows = _generator_rows(s6)
+    tables = build_cayley_tables(s6.name, s6.identity, s6.generators, *rows)
+    assert np.array_equal(tables.products, s6.cayley_tables.products)
+    # swap two products of one generator: its row stays a permutation
+    row = rows[side][generator]
+    row[[100, 500]] = row[[500, 100]]
+    with pytest.raises(InternalConsistencyError, match="Cayley table of S6"):
+        build_cayley_tables(s6.name, s6.identity, s6.generators, *rows)
+
+
+@pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)
+def test_cosets_by_the_action_equal_the_walk(pairspec):
+    embedding = build_pair(pairspec)
+    walked = SubgroupEmbedding(embedding.subgroup, embedding.parent, embedding.map)
+    for by_action, by_walk in zip(embedding.left_cosets, walked.left_cosets):
+        assert by_action.dtype == np.int64
+        assert np.array_equal(by_action, by_walk)
 
 
 @pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)
@@ -246,9 +305,10 @@ def test_coset_size_identity_names_the_first_failing_representative():
     # break |KgK| * |K ∩ g^-1Kg| = |K|^2, and the batch reports the first
     embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), (0, 3))
     dc = DoubleCosetDecomposition.from_labels(np.array([0, 1, 2, 0, 1, 1]))
+    k_reps = embedding.parent.mul_many(embedding.image, np.array(dc.representatives)[:, None])
     message = r"= 3\*2 != \|K\|\^2 = 4 at representative 1$"
     with pytest.raises(InternalConsistencyError, match=message):
-        _check_decomposition(embedding, dc)
+        _check_decomposition(embedding, dc, k_reps)
 
 
 def test_double_cosets_must_cover_the_group():

@@ -21,6 +21,8 @@ from gelfand import (
     embed_wreath_subgroup,
     verify_group_axioms,
 )
+from gelfand.specs import build_group
+from gelfand.wreath import WreathEmbedding
 
 
 def test_orders():
@@ -213,3 +215,61 @@ def test_validate_costs_one_parent_product_per_element_and_generator(monkeypatch
     emb = embed_wreath_subgroup(CyclicGroup(2), 5)
     assert len(emb.subgroup.generators) == 3
     assert sum(counted) == 3 * 384
+
+
+class _LehmerTop(SymmetricGroup):
+    """S_n without a table, so a wreath top on it composes by Lehmer codes."""
+
+    cayley_tables = None
+
+
+@pytest.mark.parametrize(
+    "spec, n", [("Z1", 6), ("Z2", 6), ("S3", 4), ("D4", 3), ("Z3", 5), ("S3", 2), ("Z2", 1)]
+)
+def test_tabled_tops_equal_the_lehmer_path(spec, n):
+    tabled = WreathProduct(build_group(spec), n)
+    assert tabled._top.cayley_tables is not None
+    lehmer = WreathProduct(tabled.base_group, n)
+    lehmer._top = _LehmerTop(n)
+    rng = np.random.default_rng(n)
+    xs, ys = rng.integers(0, tabled.order, (2, 20_000))
+    assert np.array_equal(tabled.mul_many(xs, ys), lehmer.mul_many(xs, ys))
+    assert np.array_equal(tabled.inv_many(xs), lehmer.inv_many(xs))
+
+
+def _relabelled(embedding, a, b):
+    """The embedding with points a and b of its action swapped."""
+
+    class Relabelled(WreathEmbedding):
+        def points(self):
+            point = super().points()
+            return np.where(point == a, b, np.where(point == b, a, point))
+
+    return Relabelled(embedding.subgroup, embedding.parent, embedding.map)
+
+
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        (1, 2, "not equivariant: generator"),  # two points other than x0
+        (6, 0, "of K moves the point x0"),  # x0 = (1, e) is point 6 of wr(S3,2)
+    ],
+)
+def test_cosets_by_the_action_reject_corrupted_points(a, b, message):
+    embedding = embed_wreath_subgroup(SymmetricGroup(3), 2)
+    assert "left_cosets" not in vars(embedding)  # built lazily
+    with pytest.raises(InternalConsistencyError, match=message):
+        _relabelled(embedding, a, b).left_cosets
+
+
+def test_cosets_by_the_action_reject_a_point_with_too_many_ids():
+    embedding = embed_wreath_subgroup(SymmetricGroup(3), 2)
+
+    class Merged(WreathEmbedding):
+        def points(self):
+            point = super().points()
+            return np.where(point == 2, 1, point)
+
+    broken = Merged(embedding.subgroup, embedding.parent, embedding.map)
+    with pytest.raises(InternalConsistencyError, match="point 1 labels 12 ids"):
+        broken.left_cosets
