@@ -18,6 +18,8 @@ of guessing.
 
 from __future__ import annotations
 
+import base64
+import binascii
 import math
 import os
 import threading
@@ -46,7 +48,7 @@ _INTEGRALITY_TOL = 1e-6
 _MAX_ATTEMPTS = 12
 
 _CACHE_MAGIC = "gelfand-character-table"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,6 +107,11 @@ def validate_character_table(table: CharacterTable) -> None:
     if v.shape != (r, r) or len(table.degrees) != r:
         raise InternalConsistencyError(
             f"character table of {table.group_name} is not {r}x{r}"
+        )
+    # every tolerance check below is False on NaN, so non-finite values go first
+    if not np.isfinite(v).all():
+        raise InternalConsistencyError(
+            f"character table of {table.group_name} has non-finite values"
         )
     if sum(d * d for d in table.degrees) != order:
         raise InternalConsistencyError(
@@ -325,10 +332,13 @@ def decompose_induced_trivial(
 
 
 # ---------------------------------------------------------------------------
-# on-disk cache (plain text, versioned; reload must re-pass all validation)
+# on-disk cache (plain text, versioned; reload must re-pass all validation).
+# The values are one line: base64 of the r x r little-endian complex128
+# array, row-major, so a reload reads back the exact floats written.
 
 
 def save_character_table(table: CharacterTable, path) -> None:
+    values = np.ascontiguousarray(table.values, dtype="<c16").tobytes()
     lines = [
         f"{_CACHE_MAGIC} {_CACHE_VERSION}",
         f"group {table.group_name}",
@@ -337,10 +347,8 @@ def save_character_table(table: CharacterTable, path) -> None:
         "sizes " + " ".join(str(s) for s in table.classes.sizes),
         "reps " + " ".join(str(x) for x in table.classes.representatives),
         "degrees " + " ".join(str(d) for d in table.degrees),
-        "values",
+        "values " + base64.b64encode(values).decode("ascii"),
     ]
-    for row in table.values:
-        lines.append(" ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row))
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -379,17 +387,15 @@ def load_character_table(path, group: FiniteGroup) -> CharacterTable:
     )
     _expect(lines[6].startswith("degrees "), "missing degrees")
     degrees = tuple(int(tok) for tok in lines[6].split()[1:])
-    _expect(lines[7] == "values" and len(lines) >= 8 + r, "missing value rows")
-    values = np.zeros((r, r), dtype=np.complex128)
-    for i in range(r):
-        try:
-            parts = [float(tok) for tok in lines[8 + i].split()]
-        except ValueError:
-            raise InternalConsistencyError(
-                f"character-table cache rejected: row {i} is not numeric"
-            ) from None
-        _expect(len(parts) == 2 * r, f"row {i} has wrong width")
-        values[i] = [complex(parts[2 * j], parts[2 * j + 1]) for j in range(r)]
+    _expect(len(lines) == 8 and lines[7].startswith("values "), "missing value line")
+    try:
+        raw = base64.b64decode(lines[7][len("values ") :], validate=True)
+    except binascii.Error:
+        raise InternalConsistencyError(
+            "character-table cache rejected: values are not base64"
+        ) from None
+    _expect(len(raw) == 16 * r * r, f"values hold {len(raw)} bytes, not 16 r^2 = {16 * r * r}")
+    values = np.frombuffer(raw, dtype="<c16").astype(np.complex128, copy=False).reshape(r, r)
     table = CharacterTable(
         group_name=group.name,
         group_order=group.order,

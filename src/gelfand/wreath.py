@@ -9,18 +9,24 @@ coordinates before multiplying componentwise:
 Ids pack the base tuple big-endian in radix |G| and append the top
 permutation's lexicographic rank: id = code(base) * n! + rank(top).
 
-The batched product multiplies coordinates by the base group's ``mul_many``,
-a gather from its Cayley table when |G| <= ``groups.TABLE_ORDER_LIMIT``.  For
-n! within that limit (n <= 6) the tops compose by S_n's table and their
-images come from its rank -> image table, both shared through
-``perm_indexer(n)``; past it, by Lehmer codes.  A wreath product keeps no
-table of its own.
+Batched ids decode by one divmod by n! and one gather from a digit table:
+the n base ids of every code < |G|^n, an (n, |G|^n) int16 table (int32 for
+|G| >= 2^15) built on first use.  The batched product gathers y's coordinates
+into p^-1 order by one flat gather from that table, multiplies all n
+coordinates by one call of the base group's ``mul_many`` (a gather from its
+Cayley table when |G| <= ``groups.TABLE_ORDER_LIMIT``) and re-encodes.  For
+n! within that limit (n <= 6) the tops compose and invert by S_n's table and
+p^-1 comes from its rank -> image table, both shared through
+``perm_indexer(n)``; past it, by Lehmer codes.  Batches are cut into chunks
+of at most ``BATCH_LIMIT`` ids, so their temporaries stay bounded however
+many products a caller asks for.  A wreath product keeps no Cayley table of
+its own.
 
 G wr S_n acts on the n |G| points {0..n-1} x G by
 (b; p) . (j, x) = (p(j), b_(p(j)) x), and G wr S_(n-1), as
 ``embed_wreath_subgroup`` embeds it, is the stabilizer of x0 = (n-1, e).  So
 ``WreathEmbedding.left_cosets`` labels the left coset of g by the point
-g . x0, read off the decoded id with no product.
+g . x0, read off the decoded id with no product, BATCH_LIMIT ids at a time.
 
 Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
@@ -58,6 +64,24 @@ from .groups import (
 from .partitions import multipartition_count
 
 DEFAULT_SIZE_BUDGET = 2_000_000
+# Batched wreath products, decodes and point labels work on at most this many
+# ids at a time, which bounds their (n, ...) temporaries at any batch size.
+BATCH_LIMIT = 2**14
+
+
+def _by_chunks(function, *arrays) -> np.ndarray:
+    """function over the flat arrays (one shape), BATCH_LIMIT ids at a time,
+    its int64 results put back in that shape."""
+    shape = arrays[0].shape
+    flat = [a.reshape(-1) for a in arrays]
+    size = flat[0].size
+    if size <= BATCH_LIMIT:
+        return function(*flat).reshape(shape)
+    out = np.empty(size, dtype=np.int64)
+    for start in range(0, size, BATCH_LIMIT):
+        part = slice(start, start + BATCH_LIMIT)
+        out[part] = function(*(a[part] for a in flat))
+    return out.reshape(shape)
 
 
 def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET) -> int:
@@ -88,12 +112,13 @@ class WreathElement:
 class WreathProduct(FiniteGroup):
     """G wr S_n as a FiniteGroup over encoded WreathElements.
 
-    The batched arithmetic decodes ids to an (n, ...) array of base ids plus
-    top ranks, multiplies coordinates with the base group's ``mul_many`` and
-    re-encodes.  For n! <= TABLE_ORDER_LIMIT (n <= 6) the tops compose by
-    S_n's table and their images come from its rank -> image table, both
-    kept on ``perm_indexer(n)``; past it, by Lehmer codes.  The scalar ops do
-    the same one element at a time.
+    The batched arithmetic works on chunks of at most BATCH_LIMIT ids: it
+    splits each id into its code and top rank, gathers the base ids from the
+    digit table, multiplies the n coordinates by one call of the base
+    group's ``mul_many`` and re-encodes.  For n! <= TABLE_ORDER_LIMIT (n <= 6)
+    the tops compose by S_n's table and their images come from its rank ->
+    image table, both kept on ``perm_indexer(n)``; past it, by Lehmer codes.
+    The scalar ops do the same one element at a time.
     """
 
     def __init__(self, base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET):
@@ -145,13 +170,41 @@ class WreathProduct(FiniteGroup):
             code = code * self.base_group.order + g
         return code * self._nfact + self._idx.rank(top)
 
-    def decode_many(self, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ids -> (base ids with the n coordinates on axis 0, top ranks in S_n)."""
-        code, top = np.divmod(xs, self._nfact)
-        base = np.empty((self.n,) + np.shape(xs), dtype=np.int64)
-        for i in range(self.n - 1, -1, -1):
-            code, base[i] = np.divmod(code, self.base_group.order)
-        return base, top
+    @functools.cached_property
+    def _digits(self) -> np.ndarray:
+        """The n base ids of every code c < |B|^n, coordinates on axis 0:
+        an (n, |B|^n) read-only table, int16 when |B| < 2^15, else int32
+        (int64 past 2^31), filled by divmod in radix |B|, BATCH_LIMIT codes
+        at a time."""
+        order, n = self.base_group.order, self.n
+        count = order**n
+        dtype = np.int16 if order < 2**15 else np.int32 if order < 2**31 else np.int64
+        digits = np.empty((n, count), dtype=dtype)
+        for start in range(0, count, BATCH_LIMIT):
+            code = np.arange(start, min(start + BATCH_LIMIT, count), dtype=np.int64)
+            for i in range(n - 1, -1, -1):
+                code, digits[i, start : start + BATCH_LIMIT] = np.divmod(code, order)
+        digits.setflags(write=False)
+        return digits
+
+    def _digits_at(self, coordinates: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """Base id at coordinate coordinates[i, j] of code codes[j]: one flat
+        gather from the digit table."""
+        digits = self._digits
+        return digits.take(coordinates.astype(np.int64) * digits.shape[1] + codes)
+
+    def decode_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """Ids -> (base ids with the n coordinates on axis 0, in the digit
+        table's dtype; int64 top ranks in S_n), BATCH_LIMIT ids at a time."""
+        xs = np.asarray(xs, dtype=np.int64)
+        flat = xs.reshape(-1)
+        base = np.empty((self.n, flat.size), dtype=self._digits.dtype)
+        top = np.empty(flat.size, dtype=np.int64)
+        for start in range(0, flat.size, BATCH_LIMIT):
+            part = slice(start, start + BATCH_LIMIT)
+            code, top[part] = np.divmod(flat[part], self._nfact)
+            base[:, part] = self._digits.take(code, axis=1)
+        return base.reshape((self.n,) + xs.shape), top.reshape(xs.shape)
 
     def encode_many(self, base: np.ndarray, top: np.ndarray) -> np.ndarray:
         """Inverse of decode_many."""
@@ -175,30 +228,37 @@ class WreathProduct(FiniteGroup):
         return self._encode_raw(base, perm_inverse(a.top))
 
     def arith_mul_many(self, xs, ys) -> np.ndarray:
-        x_base, x_top = self.decode_many(xs)
-        y_base, y_top = self.decode_many(ys)
-        if self._top.cayley_tables is None:  # n! past the table limit
-            p = perm_unrank_many(self.n, x_top)
-            top = perm_rank_many(perm_compose_many(p, perm_unrank_many(self.n, y_top)))
-        else:
-            p = self._idx.images[:, x_top]
-            top = self._top.mul_many(x_top, y_top)
-        # coordinate p[j] of the product is x_(p[j]) * y_j: gather x into y's
-        # order, multiply, and scatter back into the gathered buffer
-        x_base = np.take_along_axis(x_base, p, axis=0)
-        products = self.base_group.mul_many(x_base, y_base)
-        np.put_along_axis(x_base, p, products, axis=0)
-        return self.encode_many(x_base, top)
+        return _by_chunks(self._mul_chunk, xs, ys)
 
     def arith_inv_many(self, xs) -> np.ndarray:
-        base, top = self.decode_many(xs)
+        return _by_chunks(self._inv_chunk, xs)
+
+    def _mul_chunk(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        x_code, x_top = np.divmod(xs, self._nfact)
+        y_code, y_top = np.divmod(ys, self._nfact)
+        if self._top.cayley_tables is None:  # n! past the table limit
+            p = perm_unrank_many(self.n, x_top)
+            back = perm_inverse_many(p)
+            top = perm_rank_many(perm_compose_many(p, perm_unrank_many(self.n, y_top)))
+        else:
+            back = self._idx.images.take(self._top.inv_many(x_top), axis=1)
+            top = self._top.mul_many(x_top, y_top)
+        # coordinate i of the product is x_i * y_(p^-1(i))
+        products = self.base_group.mul_many(
+            self._digits.take(x_code, axis=1), self._digits_at(back, y_code)
+        )
+        return self.encode_many(products, top)
+
+    def _inv_chunk(self, xs: np.ndarray) -> np.ndarray:
+        code, top = np.divmod(xs, self._nfact)
         if self._top.cayley_tables is None:
             p = perm_unrank_many(self.n, top)
             top = perm_rank_many(perm_inverse_many(p))
         else:
-            p = self._idx.images[:, top]
+            p = self._idx.images.take(top, axis=1)
             top = self._top.inv_many(top)
-        return self.encode_many(self.base_group.inv_many(np.take_along_axis(base, p, axis=0)), top)
+        # coordinate i of the inverse is x_(p(i))^-1
+        return self.encode_many(self.base_group.inv_many(self._digits_at(p, code)), top)
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...]:
@@ -274,20 +334,29 @@ class WreathProduct(FiniteGroup):
         return label
 
     def _check_class_sizes(self, types, sizes, base_sizes, r) -> None:
-        """sizes[t] == |G| / |C(type t)| for the sorted codes types[:, t]."""
-        base_order = self.base_group.order
-        for t, size in enumerate(sizes.tolist()):
-            codes, repeats = np.unique(types[:, t], return_counts=True)
-            centralizer = 1
-            whole = True
-            for code, points in zip(codes.tolist(), repeats.tolist()):
-                m, c = divmod(code, r)
-                m += 1
-                cycles, rest = divmod(points, m)
-                whole = whole and rest == 0
-                centralizer *= (m * (base_order // base_sizes[c])) ** cycles
-                centralizer *= math.factorial(cycles)
-            if not whole or centralizer * size != self.order:
+        """sizes[t] == |G| / |C(type t)| for the sorted codes types[:, t].
+
+        The runs of equal codes of every column are found at once; each run
+        of a points with code (m - 1) r + c is a / m cycles of length m and
+        base class c, and the centralizer orders are exact Python integers,
+        one factor per run."""
+        base_order, n = self.base_group.order, self.n
+        rows = types.T  # row t holds the n sorted codes of type t
+        new_run = np.ones(rows.shape, dtype=bool)
+        new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
+        starts = np.flatnonzero(new_run)
+        flat = rows.ravel()
+        points = np.diff(starts, append=flat.size)
+        centralizers = [1] * len(sizes)
+        whole = [True] * len(sizes)
+        for t, code, a in zip((starts // n).tolist(), flat[starts].tolist(), points.tolist()):
+            m, c = divmod(code, r)
+            m += 1
+            cycles, rest = divmod(a, m)
+            whole[t] = whole[t] and rest == 0
+            centralizers[t] *= (m * (base_order // base_sizes[c])) ** cycles * math.factorial(cycles)
+        for size, centralizer, ok in zip(sizes.tolist(), centralizers, whole):
+            if not ok or centralizer * size != self.order:
                 raise InternalConsistencyError(
                     f"a class of {self.name} has {size} elements, but its type "
                     f"has a centralizer of order {centralizer} in a group of "
@@ -302,15 +371,19 @@ class WreathEmbedding(SubgroupEmbedding):
 
     def points(self) -> np.ndarray:
         """The point g . x0 = (p(n-1), b_(p(n-1))), numbered p(n-1) |B| +
-        b_(p(n-1)), of every id g = (b; p) of the parent: one decode_many and
-        no product."""
+        b_(p(n-1)), of every id g = (b; p) of the parent: no product, and
+        BATCH_LIMIT ids decoded at a time."""
         group = self.parent
-        n, base_order = group.n, group.base_group.order
-        base, top = group.decode_many(np.arange(group.order, dtype=np.int64))
+        n, base_order, nfact = group.n, group.base_group.order, group._nfact
         images = group._idx.images
-        last = perm_unrank_many(n, top)[-1] if images is None else images[-1, top]
-        last = last.astype(np.int64)
-        return last * base_order + np.take_along_axis(base, last[None], axis=0)[0]
+        point = np.empty(group.order, dtype=np.int64)
+        for start in range(0, group.order, BATCH_LIMIT):
+            ids = np.arange(start, min(start + BATCH_LIMIT, group.order), dtype=np.int64)
+            code, top = np.divmod(ids, nfact)
+            last = perm_unrank_many(n, top)[-1] if images is None else images[-1].take(top)
+            last = last.astype(np.int64)
+            point[start : start + BATCH_LIMIT] = last * base_order + group._digits_at(last, code)
+        return point
 
     @functools.cached_property
     def left_cosets(self) -> tuple[np.ndarray, np.ndarray]:

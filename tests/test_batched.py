@@ -8,6 +8,8 @@ benchmark ladder, and groups.orbit_labels must reproduce a scalar union-find
 on tables of steps that need not be permutations.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from gelfand.groups import TABLE_ORDER_LIMIT, build_cayley_tables, orbit_labels
 from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition, dense_constants
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
+from gelfand import wreath
 from gelfand.wreath import WreathProduct
 
 EXHAUSTIVE_ORDER = 200
@@ -155,6 +158,41 @@ def test_groups_past_the_limit_and_wreath_products_have_no_table():
     for spec in ("Z2049", "D1025", "S7"):
         assert build_group(spec).cayley_tables is None
     assert WreathProduct(build_group("Z2"), 2).cayley_tables is None
+
+
+def _divmod_decode(group, xs):
+    """The wreath decode by n + 1 divmods per id, the digit table's reference."""
+    code, top = np.divmod(xs, math.factorial(group.n))
+    base = np.empty((group.n,) + xs.shape, dtype=np.int64)
+    for i in range(group.n - 1, -1, -1):
+        code, base[i] = np.divmod(code, group.base_group.order)
+    return base, top
+
+
+@pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS + ("wr(Z1,8)",))
+def test_gather_decode_equals_the_divmod_decode_on_every_id(pairspec):
+    group = build_pair(pairspec).parent
+    ids = np.arange(group.order, dtype=np.int64)
+    base, top = group.decode_many(ids)
+    expected_base, expected_top = _divmod_decode(group, ids)
+    assert base.dtype == np.int16 and top.dtype == np.int64
+    assert np.array_equal(base, expected_base)
+    assert np.array_equal(top, expected_top)
+    assert np.array_equal(group.encode_many(base, top), ids)
+
+
+@pytest.mark.parametrize("spec, n", [("S3", 5), ("D4", 3)])
+def test_batches_past_the_cap_equal_the_scalar_ops(spec, n):
+    group = WreathProduct(build_group(spec), n)
+    count = 150_000
+    assert count > 2 * wreath.BATCH_LIMIT
+    rng = np.random.default_rng(count + n)
+    xs, ys = rng.integers(0, group.order, (2, count))
+    products = group.mul_many(xs, ys)
+    inverses = group.inv_many(xs)
+    assert products.dtype == inverses.dtype == np.int64
+    assert products.tolist() == list(map(group.mul, xs.tolist(), ys.tolist()))
+    assert inverses.tolist() == list(map(group.inv, xs.tolist()))
 
 
 def _generator_rows(group):

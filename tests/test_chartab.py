@@ -1,5 +1,6 @@
 """Character tables, decompositions and the character-side Gelfand verdict."""
 
+import base64
 import dataclasses
 import os
 
@@ -397,6 +398,23 @@ def test_gelfand_character_verdicts():
 # cache round trip
 
 
+def _cached_values(path):
+    """The values of a cache file, decoded from its base64 line."""
+    line = path.read_text().splitlines()[7]
+    assert line.startswith("values ")
+    return np.frombuffer(base64.b64decode(line[len("values ") :]), dtype="<c16").copy()
+
+
+def _with_values_line(path, line):
+    lines = path.read_text().splitlines()
+    lines[7] = line
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _with_values(path, values):
+    _with_values_line(path, "values " + base64.b64encode(values.astype("<c16").tobytes()).decode())
+
+
 def test_cache_roundtrip(tmp_path):
     grp = SymmetricGroup(4)
     t = character_table(grp)
@@ -404,7 +422,12 @@ def test_cache_roundtrip(tmp_path):
     save_character_table(t, path)
     loaded = load_character_table(path, grp)
     assert loaded.degrees == t.degrees
-    assert np.array_equal(loaded.values, t.values)
+    # the floats come back bit for bit, as complex128 (a real table gets
+    # imaginary parts 0.0, as the text format wrote them)
+    exact = t.values.astype(np.complex128).tobytes()
+    assert loaded.values.dtype == np.complex128
+    assert loaded.values.tobytes() == exact
+    assert _cached_values(path).tobytes() == exact
 
 
 def test_cache_loads_a_table_written_before_the_smallest_classes_method():
@@ -423,15 +446,73 @@ def test_cache_rejects_corruption(tmp_path):
     t = character_table(grp)
     path = tmp_path / "S3.chartab"
     save_character_table(t, path)
-    text = path.read_text()
-    lines = text.splitlines()
-    # corrupt one character value: validation must refuse it
-    row = lines[8].split()
-    row[0] = "9.75"
-    lines[8] = " ".join(row)
-    path.write_text("\n".join(lines) + "\n")
+    # corrupt one character value inside the base64 line: validation must refuse it
+    values = _cached_values(path)
+    values[3] = 9.75
+    _with_values(path, values)
     with pytest.raises(InternalConsistencyError):
         load_character_table(path, grp)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(1.0, np.nan)])
+def test_cache_rejects_non_finite_values(tmp_path, value):
+    grp = SymmetricGroup(3)
+    path = tmp_path / "S3.chartab"
+    save_character_table(character_table(grp), path)
+    values = _cached_values(path)
+    values[4] = value  # row 1: every tolerance comparison is False on NaN
+    _with_values(path, values)
+    with pytest.raises(InternalConsistencyError, match="non-finite values"):
+        load_character_table(path, grp)
+
+
+@pytest.mark.parametrize("cut", [1, 16, -16])
+def test_cache_rejects_a_values_line_of_the_wrong_length(tmp_path, cut):
+    grp = SymmetricGroup(3)
+    path = tmp_path / "S3.chartab"
+    save_character_table(character_table(grp), path)
+    values = _cached_values(path).tobytes()
+    raw = values[:-cut] if cut > 0 else values + values[:-cut]
+    _with_values_line(path, "values " + base64.b64encode(raw).decode())
+    with pytest.raises(InternalConsistencyError, match="not 16 r\\^2 = 144"):
+        load_character_table(path, grp)
+
+
+def test_cache_rejects_a_values_line_that_is_not_base64(tmp_path):
+    grp = SymmetricGroup(3)
+    path = tmp_path / "S3.chartab"
+    save_character_table(character_table(grp), path)
+    _with_values_line(path, "values 1.0 0.0 1.0 0.0")
+    with pytest.raises(InternalConsistencyError, match="not base64"):
+        load_character_table(path, grp)
+
+
+def _as_version_1(path):
+    """The cache file rewritten in the version-1 text format: the values as
+    repr floats, one row per line after a bare "values" line."""
+    lines = path.read_text().splitlines()
+    values = _cached_values(path)
+    r = int(lines[3].split()[1])
+    rows = [
+        " ".join(f"{float(z.real)!r} {float(z.imag)!r}" for z in row)
+        for row in values.reshape(r, r)
+    ]
+    lines = ["gelfand-character-table 1"] + lines[1:7] + ["values"] + rows
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_cache_rejects_a_version_1_file_and_replaces_it(tmp_path):
+    grp = SymmetricGroup(4)
+    first = cached_character_table(grp, tmp_path)
+    path = tmp_path / "S4.chartab"
+    _as_version_1(path)
+    with pytest.raises(InternalConsistencyError, match="bad header"):
+        load_character_table(path, grp)
+    second = cached_character_table(grp, tmp_path)
+    assert second.values.tobytes() == first.values.tobytes()
+    assert path.read_text().startswith(f"gelfand-character-table {gelfand.chartab._CACHE_VERSION}\n")
+    reloaded = load_character_table(path, grp)
+    assert reloaded.values.tobytes() == first.values.astype(np.complex128).tobytes()
 
 
 def test_cache_rejects_wrong_group(tmp_path):

@@ -1,5 +1,6 @@
 """CLI behaviour: commands, formats, exit codes and cache interaction."""
 
+import base64
 import json
 import os
 import subprocess
@@ -59,6 +60,24 @@ def test_machine_output_byte_identical_across_cache_states(capsys, tmp_path):
     assert out1 == out2
     assert (tmp_path / "Z3.chartab").exists()
     assert (tmp_path / "wr(Z3,2).chartab").exists()
+
+
+def test_cache_entry_with_a_nan_value_is_recomputed(capsys, tmp_path):
+    args = ["pair-check", "wr(S3,2)", "--method", "character", "--format", "machine",
+            "--cache-dir", str(tmp_path)]
+    code, clean, _ = run(capsys, *args)
+    assert code == 0
+    path = tmp_path / "wr(S3,2).chartab"
+    lines = path.read_text().splitlines()
+    values = np.frombuffer(base64.b64decode(lines[7][len("values "):]), dtype="<c16").copy()
+    r = int(lines[3].split()[1])
+    values[r + 1] = complex(np.nan, 0.0)  # row 1
+    lines[7] = "values " + base64.b64encode(values.tobytes()).decode()
+    path.write_text("\n".join(lines) + "\n")
+    code, out, err = run(capsys, *args)
+    assert (code, out, err) == (0, clean, "")
+    rewritten = path.read_text().splitlines()[7]
+    assert np.isfinite(np.frombuffer(base64.b64decode(rewritten[len("values "):]), dtype="<c16")).all()
 
 
 def test_scan_exit_zero_and_summary(capsys, tmp_path):

@@ -21,6 +21,7 @@ from gelfand import (
     embed_wreath_subgroup,
     verify_group_axioms,
 )
+from gelfand import wreath
 from gelfand.specs import build_group
 from gelfand.wreath import WreathEmbedding
 
@@ -232,9 +233,45 @@ def test_tabled_tops_equal_the_lehmer_path(spec, n):
     lehmer = WreathProduct(tabled.base_group, n)
     lehmer._top = _LehmerTop(n)
     rng = np.random.default_rng(n)
-    xs, ys = rng.integers(0, tabled.order, (2, 20_000))
-    assert np.array_equal(tabled.mul_many(xs, ys), lehmer.mul_many(xs, ys))
-    assert np.array_equal(tabled.inv_many(xs), lehmer.inv_many(xs))
+    # past the batch cap, so both paths run over several chunks
+    xs, ys = rng.integers(0, tabled.order, (2, 2 * wreath.BATCH_LIMIT + 7))
+    products = tabled.mul_many(xs, ys)
+    inverses = tabled.inv_many(xs)
+    assert np.array_equal(products, lehmer.mul_many(xs, ys))
+    assert np.array_equal(inverses, lehmer.inv_many(xs))
+    sample = slice(0, 2_000)
+    assert products[sample].tolist() == list(map(tabled.mul, xs[sample].tolist(), ys[sample].tolist()))
+    assert inverses[sample].tolist() == list(map(tabled.inv, xs[sample].tolist()))
+    # a broadcast batch keeps its shape
+    grid = tabled.mul_many(xs[:40, None], ys[None, :50])
+    assert grid.shape == (40, 50)
+    assert np.array_equal(grid, lehmer.mul_many(xs[:40, None], ys[None, :50]))
+
+
+def test_digit_table_is_int32_past_int16_ids():
+    group = WreathProduct(CyclicGroup(40000), 1)
+    ids = np.arange(group.order, dtype=np.int64)
+    base, top = group.decode_many(ids)
+    assert group._digits.dtype == base.dtype == np.int32
+    assert not group._digits.flags.writeable
+    assert np.array_equal(base[0], ids) and not top.any()
+    rng = np.random.default_rng(40000)
+    xs, ys = rng.integers(0, group.order, (2, 100_000))
+    assert np.array_equal(group.mul_many(xs, ys), (xs + ys) % 40000)
+    assert np.array_equal(group.inv_many(xs), -xs % 40000)
+
+
+@pytest.mark.parametrize("spec, n", [("S3", 3), ("Z2", 5), ("D4", 3), ("Z1", 8), ("Z3", 2)])
+def test_points_by_chunks_equal_the_whole_array(spec, n, monkeypatch):
+    embedding = embed_wreath_subgroup(build_group(spec), n)
+    group = embedding.parent
+    # every id decoded at once, as one array
+    ids = np.arange(group.order, dtype=np.int64)
+    base, top = group.decode_many(ids)
+    last = np.array([p[-1] for p in map(group._idx.unrank, top.tolist())], dtype=np.int64)
+    whole = last * group.base_group.order + base[last, ids]
+    monkeypatch.setattr(wreath, "BATCH_LIMIT", 100)  # many chunks, one partial
+    assert np.array_equal(embedding.points(), whole)
 
 
 def _relabelled(embedding, a, b):
