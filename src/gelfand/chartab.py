@@ -39,6 +39,7 @@ from .groups import (
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
+    stack_block_counts,
 )
 
 CLASS_LIMIT = 80
@@ -79,23 +80,17 @@ def class_coefficients(group: FiniteGroup, classes: GroupPartition, rows) -> np.
     i in rows, as a (len(rows), r, r) int64 array in the order of rows.
 
     The shared block kernel summed over the members of those classes with
-    weight 1, sum |C_i| products per target; the kernel also enforces the
-    counting identity sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.
-    rows = range(r) gives the whole table.
+    weight 1, sum |C_i| products per target, stacked dense (r^3 entries) and
+    cut to those rows; the kernel also enforces the counting identity
+    sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.  rows = range(r)
+    gives the whole table.
     """
     rows = np.asarray(rows, dtype=np.int64)
-    r = classes.count
     elements = np.flatnonzero(np.isin(classes.block_of, rows))
-    (column,) = block_product_counts(
+    table = block_product_counts(
         group, classes.block_of, classes.sizes, classes.representatives, elements, 1
     )
-    keys, counts = column
-    i, jk = np.divmod(keys, r * r)
-    position = np.empty(r, dtype=np.int64)
-    position[rows] = np.arange(len(rows))
-    table = np.zeros((len(rows), r * r), dtype=np.int64)
-    table[position[i], jk] = counts
-    return table.reshape(len(rows), r, r)
+    return stack_block_counts(table, classes.count)[rows]
 
 
 def validate_character_table(table: CharacterTable) -> None:

@@ -8,6 +8,7 @@ machine) is one JSON record per line, schema-versioned and byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -225,7 +226,10 @@ def _cmd_group(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process: parsing
+    leaves it unchanged, so every main call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="gelfand",
         description=(

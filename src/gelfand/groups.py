@@ -46,6 +46,13 @@ classes are labelled and checked once, however many callers ask.
 ``orbit_labels`` is the one orbit routine: over ``right_products`` it finds
 what generators generate, over conjugation the default class labels, and
 over the moves of K's generators on G/K the double cosets.
+
+``block_product_counts`` is the one counting kernel of the class algebra and
+the double-coset algebra: one sparse table per call, at one target per
+block.  ``verify_group_axioms`` proves a group's scalar ``mul`` a group by the
+same table build as ``cayley_tables`` and checks ``mul``, ``mul_many``,
+``inv`` and ``inv_many`` against that table at every pair, at every order up
+to ``TABLE_ORDER_LIMIT``.
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -63,8 +69,6 @@ import numpy as np
 from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .partitions import multipartition_count
 
-# verify_group_axioms is exhaustive up to this order, seeded sampling above.
-AXIOM_EXHAUSTIVE_LIMIT = 200
 # Batched ops hold ids in int64; the sum of two ids must not wrap.
 _BATCH_ORDER_LIMIT = 2**62
 # Image tuples of S_n are pre-listed up to this many elements (n <= 8).
@@ -666,15 +670,10 @@ def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
 
 
 def _generator_products(group: FiniteGroup) -> np.ndarray:
-    """right_products of the generators, checked to generate all of G."""
-    right = right_products(group, group.generators)
-    _check_generates(group, right)
-    return right
-
-
-def _check_generates(group: FiniteGroup, right: np.ndarray) -> None:
-    """The rows right[i][x] = x * generators[i] must reach every id from the
+    """right_products of the generators, checked to generate all of G: the
+    rows right[i][x] = x * generators[i] must reach every id from the
     identity."""
+    right = right_products(group, group.generators)
     labels = orbit_labels(right)
     reached = int(np.count_nonzero(labels == labels[group.identity]))
     if reached != group.order:
@@ -682,6 +681,7 @@ def _check_generates(group: FiniteGroup, right: np.ndarray) -> None:
             f"generators {group.generators} of {group.name} generate {reached} "
             f"of its {group.order} elements"
         )
+    return right
 
 
 class CayleyTables(NamedTuple):
@@ -695,17 +695,20 @@ class CayleyTables(NamedTuple):
 def cayley_tables(group: FiniteGroup) -> CayleyTables:
     """The Cayley tables of a group of order m <= TABLE_ORDER_LIMIT.
 
-    The rows x s and s y over every id, for every generator s, come from the
-    group's arithmetic, 2 |gens| m products; the first are checked to
-    generate G before the table is filled.  build_cayley_tables fills the
-    table from them and proves it a group.
+    The generator rows come from the group's arithmetic.  build_cayley_tables
+    fills the table from them and proves it a group, its walk proving that
+    the generators generate G.
     """
+    rows = _generator_rows(group, group.arith_mul_many)
+    return build_cayley_tables(group.name, group.identity, group.generators, *rows)
+
+
+def _generator_rows(group: FiniteGroup, mul_many) -> tuple[np.ndarray, np.ndarray]:
+    """The rows x s and s y over every id, for every generator s, by
+    mul_many: 2 |gens| m products."""
     ids = np.arange(group.order, dtype=np.int64)
     gens = np.array(group.generators, dtype=np.int64).reshape(-1, 1)
-    right = group.arith_mul_many(*np.broadcast_arrays(ids, gens))
-    _check_generates(group, right)
-    left = group.arith_mul_many(*np.broadcast_arrays(gens, ids))
-    return build_cayley_tables(group.name, group.identity, group.generators, right, left)
+    return mul_many(*np.broadcast_arrays(ids, gens)), mul_many(*np.broadcast_arrays(gens, ids))
 
 
 def build_cayley_tables(
@@ -753,7 +756,7 @@ def build_cayley_tables(
         frontier = np.concatenate(found)
     if not reached.all():
         raise InternalConsistencyError(
-            f"right products of the generators of {name} reach "
+            f"generators {tuple(generators)} of {name} generate "
             f"{np.count_nonzero(reached)} of its {m} elements"
         )
     for s, times_s, s_times in zip(generators, right, left):
@@ -828,7 +831,7 @@ def block_product_counts(
     targets,
     elements,
     weight: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The table a[i][j][k] = weight * #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
 
     The one counting kernel behind both the class algebra and the
@@ -841,32 +844,35 @@ def block_product_counts(
     representative per coset with weight |H| gives the same count with [G:H]
     products per target instead of |G|.
 
-    targets has shape (r,) or (r, t): each of its t columns holds one target
-    per block, and targets[k] must lie in block k.  Returns one sparse table
-    (keys, counts) per column, holding its nonzero entries only: keys
-    (i*r + j)*r + k ascending, counts already weighted.  Each element adds to
-    one (i, j) per target, so a column holds at most r m entries for m
-    elements.  Each mul_many call holds at most |G| products (at least one
-    target), and its keys are counted at once: densely by one bincount over
-    the batch's key range (r^2 per target and column) when r^2 <= m log2 m,
-    and otherwise by one sort of its keys, so rank ~1000 never costs r^3.
-    The elements must cover each block in full (weight times
-    the number of elements in B_i is |B_i|) or not at all, and the rows of
-    the blocks uncovered are left out.  sum_k a[i][j][k] |B_k| = |B_i| |B_j|
-    is enforced for every covered block i in every column; a violation, a
-    block covered in part, or a target outside its block raises
+    targets has shape (r,), one target per block, and targets[k] must lie in
+    block k.  Returns one sparse table (keys, counts) holding its nonzero
+    entries only: keys (i*r + j)*r + k ascending, counts already weighted.
+    Each element adds to one (i, j) per target, so the table holds at most
+    r m entries for m elements.  Each mul_many call holds at most |G|
+    products (at least one target), and its keys are counted at once:
+    densely by one bincount over the batch's key range (r^2 per target) when
+    r^2 <= m log2 m, and otherwise by one sort of its keys, so rank ~1000
+    never costs r^3.  The elements must cover each block in full (weight
+    times the number of elements in B_i is |B_i|) or not at all, and the
+    rows of the blocks uncovered are left out.  sum_k a[i][j][k] |B_k| =
+    |B_i| |B_j| is enforced for every covered block i; a violation, a block
+    covered in part, or a target outside its block raises
     InternalConsistencyError.
     """
     r = len(sizes)
-    targets = np.asarray(targets, dtype=np.int64).reshape(r, -1)
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (r,):
+        raise InvalidParameterError(
+            f"targets of {group.name} have shape {targets.shape}; expected one per block, ({r},)"
+        )
     placed = block_of[targets]
-    if not (placed == np.arange(r)[:, None]).all():
+    if not np.array_equal(placed, np.arange(r)):
         raise InternalConsistencyError(
             f"targets {targets.tolist()} of {group.name} lie in blocks {placed.tolist()}, "
-            f"expected block k in row k"
+            f"expected block k at position k"
         )
     elements = np.asarray(elements, dtype=np.int64)
-    m, cols = len(elements), targets.shape[1]
+    m = len(elements)
     sizes = np.asarray(sizes, dtype=np.int64)
     covered = np.bincount(block_of[elements], minlength=r) * weight
     full = covered == sizes
@@ -881,65 +887,52 @@ def block_product_counts(
     left = block_of[elements] * r
     inverses = group.inv_many(elements)
     dense = r * r <= m * m.bit_length()  # a dense count costs r^2, a sort m log m
-    parts = [[] for _ in range(cols)]
-    step = max(1, group.order // (m * cols))
+    parts = []
+    step = max(1, group.order // m)
     for start in range(0, r, step):
         batch = targets[start : start + step]
         nb = len(batch)
         # flat operands: mul_many over an (n, m) broadcast is slower
-        products = group.mul_many(np.tile(inverses, batch.size), np.repeat(batch.ravel(), m))
-        keys = block_of[products].reshape(nb, cols, m)
+        products = group.mul_many(np.tile(inverses, nb), np.repeat(batch, m))
+        keys = block_of[products].reshape(nb, m)
         del products
         keys += left  # i r + j
-        # one count per batch, column first in its keys so each column is a slice
-        column, k = np.arange(cols), np.arange(nb)[:, None]  # k: target - start
-        if dense:  # one bincount over (column, k, i, j)
-            keys += ((column * nb + k) * (r * r))[:, :, None]
+        k = np.arange(nb)[:, None]  # target - start
+        if dense:  # one bincount over (k, i, j)
+            keys += k * (r * r)
             counts = np.bincount(keys.ravel())
             keys = np.flatnonzero(counts)
             counts = counts[keys]
-            cuts = np.arange(1, cols) * nb * r * r
-        else:  # one sort of (column, i, j, k): (i r + j) r + k per column
+            k, ij = np.divmod(keys, r * r)
+            keys = ij * r + (k + start)
+        else:  # one sort of (i r + j) r + k
             keys *= r
-            keys += (column * r**3 + start + k)[:, :, None]
+            keys += start + k
             keys, counts = np.unique(keys, return_counts=True)
-            cuts = np.arange(1, cols) * r**3
-        bounds = [0, *np.searchsorted(keys, cuts).tolist(), len(keys)]
-        for column, (lo, hi) in enumerate(itertools.pairwise(bounds)):
-            part = keys[lo:hi]
-            if dense:
-                k, ij = np.divmod(part - column * nb * r * r, r * r)
-                part = ij * r + (k + start)
-            else:
-                part = part - column * r**3
-            parts[column].append((part, counts[lo:hi]))
-    expected = np.outer(sizes[full], sizes)
-    table = []
-    for column in parts:
-        keys, counts = (np.concatenate(part) for part in zip(*column))
-        order = np.argsort(keys)
-        keys, counts = keys[order], counts[order] * weight
-        ij, k = np.divmod(keys, r)
-        totals = np.zeros(r * r, dtype=np.int64)
-        np.add.at(totals, ij, counts * sizes[k])
-        if not (totals.reshape(r, r)[full] == expected).all():
-            raise InternalConsistencyError(
-                f"block product counts of {group.name} violate the counting identity "
-                "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
-            )
-        table.append((keys, counts))
-    return table
+        parts.append((keys, counts))
+    keys, counts = (np.concatenate(part) for part in zip(*parts))
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order] * weight
+    ij, k = np.divmod(keys, r)
+    totals = np.zeros(r * r, dtype=np.int64)
+    np.add.at(totals, ij, counts * sizes[k])
+    if not (totals.reshape(r, r)[full] == np.outer(sizes[full], sizes)).all():
+        raise InternalConsistencyError(
+            f"block product counts of {group.name} violate the counting identity "
+            "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
+        )
+    return keys, counts
 
 
-def stack_block_counts(column: tuple[np.ndarray, np.ndarray], r: int) -> np.ndarray:
-    """The dense (r, r, r) table a[i][j][k] of one of the kernel's sparse
-    columns, read-only int64."""
-    keys, counts = column
-    table = np.zeros(r * r * r, dtype=np.int64)
-    table[keys] = counts
-    table = table.reshape(r, r, r)
-    table.setflags(write=False)
-    return table
+def stack_block_counts(table: tuple[np.ndarray, np.ndarray], r: int) -> np.ndarray:
+    """The dense (r, r, r) table a[i][j][k] of the kernel's sparse table,
+    read-only int64."""
+    keys, counts = table
+    dense = np.zeros(r * r * r, dtype=np.int64)
+    dense[keys] = counts
+    dense = dense.reshape(r, r, r)
+    dense.setflags(write=False)
+    return dense
 
 
 def is_abelian(group: FiniteGroup) -> bool:
@@ -948,61 +941,39 @@ def is_abelian(group: FiniteGroup) -> bool:
     return bool(np.array_equal(products, products.T))
 
 
-def verify_group_axioms(group: FiniteGroup, seed: int = 0) -> None:
-    """Check associativity, identity and inverses, and the batched ops.
+def verify_group_axioms(group: FiniteGroup) -> None:
+    """Prove the scalar mul/inv a group and check the batched ops against it,
+    exhaustively at every order up to TABLE_ORDER_LIMIT.
 
-    Exhaustive (vectorized over a multiplication table built from the scalar
-    ``mul``) up to AXIOM_EXHAUSTIVE_LIMIT; above that, 10 * |G| seeded random
-    triples.  Either way ``mul_many``/``inv_many`` must reproduce the scalar
-    products and inverses at every pair checked.  Raises
-    InternalConsistencyError on any violation.
+    build_cayley_tables fills a table from the scalar mul's generator rows
+    (2 |gens| m calls) and proves it a group by Light's associativity test;
+    then mul and mul_many must equal the table at all m^2 pairs, and inv and
+    inv_many its inverses.  Past TABLE_ORDER_LIMIT, ResourceLimitError
+    before any product.  Raises InternalConsistencyError on any violation.
     """
-    n = group.order
-    e = group.identity
-    if n <= AXIOM_EXHAUSTIVE_LIMIT:
-        t = np.array(
-            [[group.mul(a, b) for b in range(n)] for a in range(n)], dtype=np.int64
+    m = group.order
+    if m > TABLE_ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"verify_group_axioms needs a Cayley table of {group.name}, {m} > "
+            f"TABLE_ORDER_LIMIT = {TABLE_ORDER_LIMIT} elements"
         )
-        if not ((t[e, :] == np.arange(n)).all() and (t[:, e] == np.arange(n)).all()):
-            raise InternalConsistencyError(f"{group.name}: identity is not neutral")
-        invs = np.array([group.inv(a) for a in range(n)], dtype=np.int64)
-        if not (t[np.arange(n), invs] == e).all():
-            raise InternalConsistencyError(f"{group.name}: inverses are broken")
-        # (ab)c == a(bc): t[t][a,b,c] = t[t[a,b],c] and t[:,t][a,b,c] = t[a,t[b,c]]
-        if not np.array_equal(t[t], t[:, t]):
-            raise InternalConsistencyError(f"{group.name}: multiplication is not associative")
-        xs, ys = np.divmod(np.arange(n * n, dtype=np.int64), n)
-        _check_batched(group, xs, ys, t.ravel(), invs[xs])
-        return
-    rng = random.Random(seed)
-    triples = [(rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(10 * n)]
-    products = []
-    inverses = []
-    for a, b, c in triples:
-        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+    # the base class's arithmetic is the loop over the scalar mul
+    rows = _generator_rows(group, functools.partial(FiniteGroup.arith_mul_many, group))
+    tables = build_cayley_tables(group.name, group.identity, group.generators, *rows)
+    ids = np.arange(m, dtype=np.int64)
+    pairs = itertools.product(range(m), repeat=2)  # x * m + y
+    products = np.fromiter(itertools.starmap(group.mul, pairs), dtype=np.int64, count=m * m)
+    for op, got in (("mul", products), ("mul_many", group.mul_many(ids[:, None], ids).ravel())):
+        bad = np.flatnonzero(got != tables.products)
+        if len(bad):
+            x, y = divmod(int(bad[0]), m)
             raise InternalConsistencyError(
-                f"{group.name}: associativity fails at ({a}, {b}, {c})"
+                f"{group.name}: {op} disagrees with its Cayley table at ({x}, {y})"
             )
-        if group.mul(a, e) != a or group.mul(e, a) != a:
-            raise InternalConsistencyError(f"{group.name}: identity fails at {a}")
-        inv_a = group.inv(a)
-        if group.mul(a, inv_a) != e:
-            raise InternalConsistencyError(f"{group.name}: inverse fails at {a}")
-        products.append(group.mul(a, b))
-        inverses.append(inv_a)
-    xs, ys, _ = np.array(triples, dtype=np.int64).T
-    _check_batched(group, xs, ys, np.array(products), np.array(inverses))
-
-
-def _check_batched(group, xs, ys, products, inverses) -> None:
-    """mul_many(xs, ys) and inv_many(xs) must equal the scalar results."""
-    bad = np.flatnonzero(group.mul_many(xs, ys) != products)
-    if len(bad):
-        raise InternalConsistencyError(
-            f"{group.name}: mul_many disagrees with mul at ({xs[bad[0]]}, {ys[bad[0]]})"
-        )
-    bad = np.flatnonzero(group.inv_many(xs) != inverses)
-    if len(bad):
-        raise InternalConsistencyError(
-            f"{group.name}: inv_many disagrees with inv at {xs[bad[0]]}"
-        )
+    inverses = np.fromiter(map(group.inv, range(m)), dtype=np.int64, count=m)
+    for op, got in (("inv", inverses), ("inv_many", group.inv_many(ids))):
+        bad = np.flatnonzero(got != tables.inverses)
+        if len(bad):
+            raise InternalConsistencyError(
+                f"{group.name}: {op} disagrees with its Cayley table at {bad[0]}"
+            )

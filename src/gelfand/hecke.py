@@ -19,10 +19,10 @@ mul_many call holds at most |G| products.  The table is held sparse, nonzero
 entries only: each coset representative adds to exactly one (i, j) per
 target, so it holds at most r [G:K] entries, never r^3.
 
-One kernel call counts the table at the block representatives and, in the
-same batches, at a second element of every block.  The representatives are
-checked to cover every block, so the kernel counts every row and enforces
-the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| on each, and
+Two kernel calls count the table, one at the block representatives and one
+at a second element of every block.  The representatives are checked to
+cover every block, so the kernel counts every row and enforces the counting
+identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| on each, and
 ``structure_constants`` checks, over the whole table:
 
 - representative independence: both counts give the same table;
@@ -183,8 +183,8 @@ def structure_constants(
     second = np.full(r, group.order, dtype=np.int64)
     np.minimum.at(second, cosets.block_of[others], np.flatnonzero(others))
     second = np.where(second < group.order, second, reps)
-    targets = np.stack([reps, second], axis=1)
-    table, recount = _transversal_counts(embedding, cosets, targets)
+    table = _transversal_counts(embedding, cosets, reps)
+    recount = _transversal_counts(embedding, cosets, second)
     moved = _first_difference(table, recount)
     if moved is not None:
         key, value, other = moved
@@ -247,8 +247,8 @@ def dense_constants(
     at the representatives.  It holds r^3 entries: for ``hecke
     --show-constants`` and the tests only; verdicts come from
     ``structure_constants``."""
-    (column,) = _transversal_counts(embedding, cosets, cosets.representatives)
-    return stack_block_counts(column, cosets.rank)
+    table = _transversal_counts(embedding, cosets, cosets.representatives)
+    return stack_block_counts(table, cosets.rank)
 
 
 def is_commutative(witness: Witness | None) -> bool:

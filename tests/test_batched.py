@@ -125,7 +125,7 @@ class _BrokenBatchInverse(CyclicGroup):
 
 @pytest.mark.parametrize("k", [5, EXHAUSTIVE_ORDER + 101])
 def test_axiom_check_catches_batched_disagreement(k):
-    # exhaustive below the limit, seeded triples above it
+    # every pair is checked at both orders, 200 and below or above
     with pytest.raises(InternalConsistencyError, match="mul_many"):
         verify_group_axioms(_BrokenBatch(k))
     with pytest.raises(InternalConsistencyError, match="inv_many"):
@@ -206,7 +206,7 @@ def _generator_rows(group):
 @pytest.mark.parametrize("side", [0, 1])
 @pytest.mark.parametrize("generator", [0, 1])
 def test_table_build_rejects_one_corrupted_generator_row(side, generator):
-    # S6 has 720 > 200 elements, where verify_group_axioms only samples
+    # S6 has 720 > 200 elements
     s6 = build_group("S6")
     rows = _generator_rows(s6)
     tables = build_cayley_tables(s6.name, s6.identity, s6.generators, *rows)

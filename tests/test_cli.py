@@ -52,6 +52,20 @@ def test_pair_check_machine_record(capsys, tmp_path):
     assert record["multiplicities"] == [1, 1, 1, 2]
 
 
+def test_main_after_an_argparse_exit_still_parses(capsys, tmp_path):
+    # the parser is built once per process and shared by every main call, so
+    # an argparse SystemExit must leave it as it was
+    args = ["pair-check", "wr(Z2,2)", "--format", "machine", "--cache-dir", str(tmp_path)]
+    code, before, _ = run(capsys, *args)
+    assert code == 0
+    with pytest.raises(SystemExit):
+        main(["pair-check", "wr(Z2,2)", "--method", "neither"])
+    assert "invalid choice" in capsys.readouterr().err
+    code, after, _ = run(capsys, *args)
+    assert code == 0
+    assert after == before
+
+
 def test_machine_output_byte_identical_across_cache_states(capsys, tmp_path):
     args = ["pair-check", "wr(Z3,2)", "--format", "machine", "--cache-dir", str(tmp_path)]
     code1, out1, _ = run(capsys, *args)  # cold cache

@@ -10,13 +10,14 @@ from gelfand import (
     DirectProductGroup,
     InternalConsistencyError,
     InvalidParameterError,
+    ResourceLimitError,
     SymmetricGroup,
     conjugacy_classes,
     is_abelian,
     subgroup_from_generators,
     verify_group_axioms,
 )
-from gelfand.groups import perm_compose, perm_inverse, perm_rank, perm_unrank
+from gelfand.groups import TABLE_ORDER_LIMIT, perm_compose, perm_inverse, perm_rank, perm_unrank
 from scalar_oracle import commutator_subgroup, members
 
 
@@ -153,10 +154,35 @@ def test_group_axioms_hold():
         verify_group_axioms(grp)
 
 
-def test_group_axioms_sampled_above_limit():
-    # S5 has order 120 <= 200 (exhaustive); S6 goes through the sampled path
+def test_group_axioms_exhaustive_above_200():
+    # S6 has 720 > 200 elements: proven by Light's test and checked at every
+    # pair like S5, not sampled
     verify_group_axioms(SymmetricGroup(5))
-    verify_group_axioms(SymmetricGroup(6), seed=7)
+    verify_group_axioms(SymmetricGroup(6))
+
+
+class _OneWrongProduct(SymmetricGroup):
+    """S6 whose scalar mul is wrong at (400, 500) alone, neither a generator."""
+
+    def mul(self, a, b):
+        product = super().mul(a, b)
+        return (product + 1) % self.order if (a, b) == (400, 500) else product
+
+
+def test_group_axioms_catch_one_wrong_scalar_product_past_200():
+    s6 = _OneWrongProduct(6)
+    assert not {400, 500} & set(s6.generators)
+    with pytest.raises(InternalConsistencyError, match=r"S6: mul disagrees .* at \(400, 500\)"):
+        verify_group_axioms(s6)
+
+
+def test_group_axioms_refuse_past_the_table_limit_before_any_product():
+    group = CyclicGroup(TABLE_ORDER_LIMIT + 1)
+    calls = []
+    group.mul = lambda a, b: calls.append((a, b)) or (a + b) % group.k
+    with pytest.raises(ResourceLimitError, match="2049"):
+        verify_group_axioms(group)
+    assert len(calls) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Double cosets, structure constants, convolution and the Hecke verdict."""
 
+import itertools
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from gelfand import (
     CyclicGroup,
     DihedralGroup,
     InternalConsistencyError,
+    InvalidParameterError,
     ResourceLimitError,
     SymmetricGroup,
     class_coefficients,
@@ -317,11 +319,27 @@ def test_transversal_count_matches_whole_group(spec):
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
-    (column,) = block_product_counts(
+    table = block_product_counts(
         grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
     )
-    whole_group = stack_block_counts(column, dc.rank)
+    whole_group = stack_block_counts(table, dc.rank)
     assert np.array_equal(dense_constants(emb, dc), whole_group)
+
+
+@pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
+def test_transversal_count_at_second_elements_matches_whole_group(spec):
+    """The recount's targets, the second-smallest id of each block (or its
+    only id), give the same table over [G:K] representatives with weight |K|
+    as over all of G with weight 1."""
+    emb = build_pair(spec)
+    grp = emb.parent
+    dc = double_cosets(emb)
+    second = [np.flatnonzero(dc.block_of == b)[:2][-1] for b in range(dc.rank)]
+    assert any(s != rep for s, rep in zip(second, dc.representatives))
+    transversal_table = block_product_counts(grp, dc.block_of, dc.sizes, second, *transversal(emb))
+    whole_group = block_product_counts(grp, dc.block_of, dc.sizes, second, np.arange(grp.order), 1)
+    for got, expected in zip(transversal_table, whole_group):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("name", ["wr(S3,2)", "(S3,S2)", "wr(D4,2)"])
@@ -347,18 +365,19 @@ def transversal(emb):
     return emb.left_cosets[1], emb.subgroup.order
 
 
-def corrupt_kernel(monkeypatch, entry, amount, columns):
-    """Add amount at c[i][j][k] of hecke's kernel table in the given columns:
-    column 0 is counted at the representatives, column 1 at the second
-    elements of the blocks."""
+def corrupt_kernel(monkeypatch, entry, amount, calls):
+    """Add amount at c[i][j][k] of hecke's kernel table on the given calls:
+    structure_constants' call 0 counts at the representatives, call 1 at the
+    second elements of the blocks."""
     i, j, k = entry
+    made = itertools.count()
 
     def kernel(group, block_of, sizes, *args):
         r = len(sizes)
-        return [
-            bumped(keys, counts, (i * r + j) * r + k, amount, r) if c in columns else (keys, counts)
-            for c, (keys, counts) in enumerate(block_product_counts(group, block_of, sizes, *args))
-        ]
+        keys, counts = block_product_counts(group, block_of, sizes, *args)
+        if next(made) in calls:
+            return bumped(keys, counts, (i * r + j) * r + k, amount, r)
+        return keys, counts
 
     monkeypatch.setattr("gelfand.hecke.block_product_counts", kernel)
 
@@ -376,6 +395,15 @@ def test_kernel_rejects_target_outside_its_block():
     targets = list(dc.representatives)
     targets[1], targets[2] = targets[2], targets[1]
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
+        block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb))
+
+
+def test_kernel_rejects_a_column_of_targets():
+    # one target per block: the representatives beside the second elements
+    # are shape (r, 2), two tables' worth, and the kernel counts one
+    grp, emb, dc = wr_z2_3()
+    targets = np.stack([dc.representatives, dc.representatives], axis=1)
+    with pytest.raises(InvalidParameterError, match=rf"shape \({dc.rank}, 2\)"):
         block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb))
 
 
@@ -420,14 +448,14 @@ def test_structure_constants_need_a_transversal_that_covers_every_block(dropped)
 
 def test_representative_recount_is_enforced(monkeypatch):
     _, emb, dc = wr_z2_3()
-    corrupt_kernel(monkeypatch, (1, 1, 2), 1, columns={1})
+    corrupt_kernel(monkeypatch, (1, 1, 2), 1, calls={1})
     with pytest.raises(InternalConsistencyError, match="depends on the representative"):
         structure_constants(emb, dc)
 
 
 def test_unit_identity_is_enforced(monkeypatch):
     _, emb, dc = wr_z2_3()
-    corrupt_kernel(monkeypatch, (0, 1, 1), 1, columns={0, 1})
+    corrupt_kernel(monkeypatch, (0, 1, 1), 1, calls={0, 1})
     with pytest.raises(InternalConsistencyError, match="unit"):
         structure_constants(emb, dc)
 
@@ -435,7 +463,7 @@ def test_unit_identity_is_enforced(monkeypatch):
 def test_associativity_is_enforced(monkeypatch):
     _, emb, dc = wr_z2_3()
     assert dc.rank >= 3
-    corrupt_kernel(monkeypatch, (1, 1, 2), 1, columns={0, 1})
+    corrupt_kernel(monkeypatch, (1, 1, 2), 1, calls={0, 1})
     with pytest.raises(InternalConsistencyError, match="not associative"):
         structure_constants(emb, dc)
 
@@ -444,13 +472,13 @@ def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
     # 125 s^2 >= 2^63 once some target's constants sum to s >= 2.7e8, so the
     # int64 contraction could overflow: refused rather than checked inexactly
     _, emb, dc = wr_z2_3()
-    corrupt_kernel(monkeypatch, (1, 1, 2), 300_000_000, columns={0, 1})
+    corrupt_kernel(monkeypatch, (1, 1, 2), 300_000_000, calls={0, 1})
     with pytest.raises(ResourceLimitError, match="125 \\* s\\^2 < 2\\^63"):
         structure_constants(emb, dc)
 
 
 def test_structure_constants_count_each_target_twice(monkeypatch):
-    # one kernel call: [G:K] products per target at the representatives and
+    # two kernel calls: [G:K] products per target at the representatives and
     # as many at the second elements, 2 r [G:K] in all
     emb = build_pair("wr(S3,2)")
     grp = emb.parent
