@@ -9,7 +9,12 @@ and degrees and character values follow (J. D. Dixon, "High speed
 computation of group characters", Numer. Math. 10, 1967; G. J. A. Schneider,
 "Dixon's character table algorithm revisited", J. Symbolic Comput. 9, 1990).
 Row A_i costs |C_i| products per target class, so S is grown from the
-smallest classes until the spectrum splits.  The eigensolve is floating
+smallest classes until the spectrum splits.  Scaled by the class sizes,
+D^-1/2 A_i D^1/2 with D = diag(|C_k|), the class matrices of a class and
+of its inverse class are each other's transposes, so the combination is
+made Hermitian and solved by the symmetric eigensolver.  Its orthonormal
+eigenvectors u give every degree as d = sqrt(|G|) |u[0]| and every value
+as chi(z_k) = d u[k] / (u[0] sqrt(|C_k|)).  The eigensolve is floating
 point, but every table is validated against the orthogonality relations and
 every verdict downstream with integer identities, so rounding error cannot
 flip an answer silently: anything that fails to round cleanly aborts instead
@@ -39,7 +44,6 @@ from .groups import (
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
-    stack_block_counts,
 )
 
 CLASS_LIMIT = 80
@@ -80,17 +84,26 @@ def class_coefficients(group: FiniteGroup, classes: GroupPartition, rows) -> np.
     i in rows, as a (len(rows), r, r) int64 array in the order of rows.
 
     The shared block kernel summed over the members of those classes with
-    weight 1, sum |C_i| products per target, stacked dense (r^3 entries) and
-    cut to those rows; the kernel also enforces the counting identity
-    sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.  rows = range(r)
-    gives the whole table.
+    weight 1, sum |C_i| products per target, its sparse keys scattered
+    straight into the rows asked (len(rows) r^2 entries, never r^3); the
+    kernel also enforces the counting identity sum_k a[i][j][k] |C_k| =
+    |C_i| |C_j| on every row.  rows = range(r) gives the whole table.
     """
+    r = classes.count
     rows = np.asarray(rows, dtype=np.int64)
-    elements = np.flatnonzero(np.isin(classes.block_of, rows))
-    table = block_product_counts(
+    asked = np.zeros(r, dtype=bool)
+    asked[rows] = True
+    elements = np.flatnonzero(asked[classes.block_of])
+    keys, counts = block_product_counts(
         group, classes.block_of, classes.sizes, classes.representatives, elements, 1
     )
-    return stack_block_counts(table, classes.count)[rows]
+    # every key's row i is asked: the kernel counts the rows of the members only
+    position = np.zeros(r, dtype=np.int64)
+    position[rows] = np.arange(len(rows))
+    i, jk = np.divmod(keys, r * r)
+    out = np.zeros(len(rows) * r * r, dtype=np.int64)
+    out[position[i] * (r * r) + jk] = counts
+    return out.reshape(len(rows), r, r)
 
 
 def validate_character_table(table: CharacterTable) -> None:
@@ -134,32 +147,32 @@ def validate_character_table(table: CharacterTable) -> None:
         )
 
 
-def _extract_rows(m, sizes, order):
-    """Eigenvectors of one random class-matrix combination -> (degrees, rows)."""
-    evals, evecs = np.linalg.eig(m)
-    r = len(evals)
-    if r > 1:
-        gaps = np.abs(evals[:, None] - evals[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() < 1e-9 * (1.0 + np.abs(evals).max()):
-            raise NumericalQualityError("eigenvalues of the random combination collide")
-    degrees = []
-    rows = []
-    for idx in range(r):
-        v = evecs[:, idx]
-        if abs(v[0]) < 1e-12:
-            raise NumericalQualityError("central character vanishes on the identity class")
-        omega = v / v[0]
-        norm = float(np.sum(np.abs(omega) ** 2 / sizes))
-        d_float = math.sqrt(order / norm)
-        d = round(d_float)
-        if d < 1 or abs(d_float - d) > _INTEGRALITY_TOL * max(1.0, d):
-            raise NumericalQualityError(
-                f"character degree {d_float} does not round to an integer"
-            )
-        degrees.append(d)
-        rows.append(d * omega / sizes)
-    return degrees, rows
+def _extract_rows(h, sizes, order):
+    """Eigenvectors of one Hermitian class-matrix combination -> (degrees, rows).
+
+    h is a combination of the size-scaled class matrices D^-1/2 A_i D^1/2,
+    D = diag(|C_k|), so its orthonormal eigenvectors u are the central
+    characters scaled by D^-1/2: u[k] = phase sqrt(|C_k|) chi(z_k) / sqrt(|G|).
+    Hence d = sqrt(|G|) |u[0]| and chi(z_k) = d u[k] / (u[0] sqrt(|C_k|)),
+    for every eigenvector at once.  The eigenvalues alone are screened for a
+    collision first; most rejected attempts stop there.
+    """
+    r = len(h)
+    evals = np.linalg.eigvalsh(h)  # ascending
+    if r > 1 and np.diff(evals).min() < 1e-6 * (1.0 + np.abs(evals).max()):
+        raise NumericalQualityError("eigenvalues of the random combination collide")
+    u = np.linalg.eigh(h)[1].T  # one eigenvector per row
+    identity = u[:, 0]
+    if np.abs(identity).min() < 1e-12:
+        raise NumericalQualityError("central character vanishes on the identity class")
+    d_float = math.sqrt(order) * np.abs(identity)
+    degrees = np.rint(d_float).astype(np.int64)
+    off = (degrees < 1) | (np.abs(d_float - degrees) > _INTEGRALITY_TOL * np.maximum(1, degrees))
+    if off.any():
+        raise NumericalQualityError(
+            f"character degree {d_float[off][0]} does not round to an integer"
+        )
+    return degrees, u * (degrees / identity)[:, None] / np.sqrt(sizes)
 
 
 def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
@@ -183,12 +196,12 @@ def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
         )
 
 
-def _table_of(group: FiniteGroup, classes: GroupPartition, m) -> CharacterTable:
-    """The validated table from the eigenvectors of m, a combination of class
-    matrices; raises NumericalQualityError or InternalConsistencyError."""
+def _table_of(group: FiniteGroup, classes: GroupPartition, h) -> CharacterTable:
+    """The validated table from the eigenvectors of h, a Hermitian combination
+    of size-scaled class matrices; raises NumericalQualityError or
+    InternalConsistencyError."""
     r = classes.count
-    degrees, rows = _extract_rows(m, np.array(classes.sizes, dtype=np.float64), group.order)
-    rows = np.array(rows)
+    degrees, rows = _extract_rows(h, np.array(classes.sizes, dtype=np.float64), group.order)
     trivial = np.max(np.abs(rows - 1.0), axis=1) <= _INTEGRALITY_TOL
     if np.count_nonzero(trivial) != 1:
         raise NumericalQualityError("trivial character not uniquely identified")
@@ -203,7 +216,7 @@ def _table_of(group: FiniteGroup, classes: GroupPartition, m) -> CharacterTable:
         group_name=group.name,
         group_order=group.order,
         classes=classes,
-        degrees=tuple(degrees[i] for i in order),
+        degrees=tuple(degrees[order].tolist()),
         values=rows[order],
     )
     validate_character_table(table)
@@ -220,13 +233,21 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
 
     The classes are taken by ascending (size, id) into a set S, each step
     adding the fewest classes that at least double sum_{i in S} |C_i| and
-    counting only their rows (class_coefficients).  Each step tries one
-    combination sum_{i in S} t_i A_i with t drawn from the seeded random
-    stream, so results are reproducible; a collision of its eigenvalues, or
-    any other defect, grows S.  Once S holds every class, defective
-    combinations are retried with fresh coefficients up to _MAX_ATTEMPTS
-    times; persistent failure raises NumericalQualityError with the number
-    of attempts and the last diagnostic.
+    counting only their rows (class_coefficients).  Scaled by the class
+    sizes, B_i = D^-1/2 A_i D^1/2 with D = diag(|C_k|), the class of
+    inverses i' of class i has B_i' = B_i^T, since |C_k| a[i][j][k] =
+    |C_j| a[i'][k][j].  So C = sum_{i in S} t_i B_i gives the Hermitian
+    H = C + C^H, with eigenvalue 2 Re sum t_i omega_chi(K_i) on the central
+    character of chi, and one symmetric eigensolve (_extract_rows) yields
+    every row.  The t_i are drawn from the seeded random stream, so results
+    are reproducible: real when every class is its own inverse class (H is
+    then real symmetric), else complex, which keeps a character apart from
+    its complex conjugate.  Each step draws t for its new rows only and adds
+    their term; a collision of the eigenvalues, or any other defect, grows
+    S.  Once S holds every class, defective combinations are retried with
+    fresh coefficients for every row up to _MAX_ATTEMPTS times; persistent
+    failure raises NumericalQualityError with the number of attempts and
+    the last diagnostic.
     """
     check_limits(group)
     classes = conjugacy_classes(group)
@@ -241,8 +262,19 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     # the classes by (size, id), and the members of the first e + 1 of them
     by_size = np.argsort(classes.sizes, kind="stable")
     members = np.cumsum(np.array(classes.sizes)[by_size])
+    root = np.sqrt(np.array(classes.sizes, dtype=np.float64))
+    scale = root / root[:, None]  # B_i[j][k] = a[i][j][k] sqrt(|C_k| / |C_j|)
+    inverses = classes.block_of[group.inv_many(classes.representatives)]
+    real = np.array_equal(inverses, np.arange(r))
     rng = np.random.default_rng(seed)
+
+    def combine(rows):
+        """sum_i t_i A_i over the rows, with t_i freshly drawn."""
+        t = rng.standard_normal(len(rows) if real else 2 * len(rows))
+        return np.tensordot(t if real else t.view(np.complex128), rows, axes=(0, 0))
+
     counted = []  # the rows of S, in the order of by_size
+    combination = 0.0  # sum_{i in S} t_i A_i
     chosen = 0
     attempts = 0
     last = "no attempt made"
@@ -251,14 +283,16 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
         goal = 2 * members[chosen - 1] if chosen else 2
         end = min(r, int(np.searchsorted(members, goal)) + 1)
         counted.append(class_coefficients(group, classes, by_size[chosen:end]).astype(np.float64))
+        combination = combination + combine(counted[-1])
         chosen = end
-        coeffs = np.concatenate(counted)
         # a collision or any other defect grows S; with every class, retry
-        for _ in range(_MAX_ATTEMPTS if chosen == r else 1):
+        for retry in range(_MAX_ATTEMPTS if chosen == r else 1):
+            if retry:
+                combination = sum(combine(rows) for rows in counted)
             attempts += 1
-            t = rng.standard_normal(chosen)
+            c = combination * scale
             try:
-                return _table_of(group, classes, np.tensordot(t, coeffs, axes=(0, 0)))
+                return _table_of(group, classes, c + c.conj().T)
             except (NumericalQualityError, InternalConsistencyError) as exc:
                 last = str(exc)
     raise NumericalQualityError(

@@ -4,7 +4,8 @@ perfbench/tracer.py wraps gelfand names from outside the package and raises
 LookupError at install time for any name that no longer exists, so a rename
 or deletion in src would break the benchmark's traced runs without this test.
 A name that still exists but is no longer called would read as a zero layer,
-so one cold and one warm pair-check must open every traced span.
+so one cold and one warm pair-check must open every traced span, and the
+cold one must count eigensolves.
 """
 
 import importlib.util
@@ -41,8 +42,13 @@ def test_cold_and_warm_pair_check_open_every_span(tmp_path, capsys):
     argv = ["pair-check", "wr(Z2,2)", "--format", "machine", "--cache-dir", str(tmp_path)]
     with tracer_module.Tracer() as tracer:
         assert gelfand.cli.main(argv) == 0  # cold: tables computed and saved
+        cold, cold_counts = tracer.take()
         assert gelfand.cli.main(argv) == 0  # warm: tables loaded and validated
-        spans, _ = tracer.take()
+        warm, warm_counts = tracer.take()
     capsys.readouterr()
-    opened = {span[0] for span in spans}
+    opened = {span[0] for span in cold + warm}
     assert {name for _, _, name in tracer_module.SPANS} - opened == set()
+    # the eigensolve is counted, not spanned: the base's and the wreath's
+    # tables each call _extract_rows, a loaded table never does
+    assert cold_counts["chartab.eig_calls"] >= 2
+    assert warm_counts["chartab.eig_calls"] == 0

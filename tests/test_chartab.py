@@ -31,6 +31,7 @@ from gelfand import (
 )
 from gelfand.chartab import ORDER_LIMIT, cached_character_table, validate_character_table
 from gelfand.reports import build_pair
+from gelfand.specs import build_group
 from scalar_oracle import commutator_subgroup
 
 
@@ -100,6 +101,20 @@ def test_rows_counted_equal_the_full_table(spec, monkeypatch):
     assert len(set(rows)) == len(rows)
     for step, a in counted:
         assert np.array_equal(a, full[step]), (spec, step)
+
+
+@pytest.mark.parametrize("spec", ("S4", "Z7", "Z3xS3", "wr(Z3,2)") + BENCHMARK_PAIRS)
+def test_size_scaled_class_matrices_are_transposes_of_the_inverse_class(spec):
+    # |C_k| a[i][j][k] = |C_j| a[i'][k][j]: both count the triples (x, y, z)
+    # in C_i x C_j x C_k with x y = z, the right one as x^-1 z = y.  So
+    # D^-1/2 A_i D^1/2 is the transpose of D^-1/2 A_i' D^1/2, D = diag(|C_k|),
+    # which makes character_table's combination Hermitian
+    grp = build_pair(spec).parent if spec.startswith("wr(") else build_group(spec)
+    cc = conjugacy_classes(grp)
+    a = class_coefficients(grp, cc, range(cc.count))
+    sizes = np.array(cc.sizes, dtype=np.int64)
+    inverse = cc.block_of[grp.inv_many(cc.representatives)]
+    assert np.array_equal(a * sizes, a[inverse].transpose(0, 2, 1) * sizes[:, None])
 
 
 def test_counting_identity_rejects_one_changed_count(monkeypatch):
@@ -228,6 +243,41 @@ def test_table_invariants_for_many_groups():
         # rows come trivial first, then in the order of the tuple key
         keys = [(i > 0, d, _sort_key(row)) for i, (d, row) in enumerate(zip(t.degrees, t.values))]
         assert keys == sorted(keys), grp.name
+
+
+def test_cyclic_table_is_the_discrete_fourier_matrix():
+    # Z7's classes are its elements, so chi_a(b) = exp(2 pi i a b / 7), up to row order
+    t = character_table(CyclicGroup(7))
+    b = np.array(t.classes.representatives)
+    assert b.tolist() == list(range(7))
+    dft = np.exp(2j * np.pi * np.outer(np.arange(7), b) / 7)
+    distance = np.abs(t.values[:, None, :] - dft[None, :, :]).max(axis=2)
+    assert sorted(distance.argmin(axis=1).tolist()) == list(range(7))
+    assert distance.min(axis=1).max() < 1e-12
+
+
+def test_non_real_and_real_tables():
+    # a class unequal to its inverse class gives complex coefficients and a
+    # complex Hermitian eigensolve; with every class real, a real symmetric one
+    t = character_table(build_pair("wr(Z3,2)").parent)
+    assert np.abs(t.values.imag).max() > 0.5
+    validate_character_table(t)
+    for grp in (SymmetricGroup(4), build_pair("wr(S3,3)").parent):
+        assert not np.imag(character_table(grp).values).any(), grp.name
+
+
+@pytest.mark.parametrize(
+    "spec", ("wr(S4,2)", "wr(S3,2)", "wr(S3,3)", "wr(D4,3)", "wr(Z3,4)", "wr(Z2,5)", "wr(Z5,2)")
+)
+def test_row_orthogonality_headroom_over_seeds(spec):
+    # at least 100x under the 1e-8 that validate_character_table allows, for
+    # every seed and not only the default one
+    grp = build_pair(spec).parent
+    for seed in range(10):
+        t = character_table(grp, seed=seed)
+        v = t.values
+        gram = (v * np.array(t.classes.sizes)) @ v.conj().T / grp.order
+        assert np.max(np.abs(gram - np.eye(len(v)))) <= 1e-10, (spec, seed)
 
 
 def test_linear_character_count_is_abelianization_order():
