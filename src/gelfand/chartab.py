@@ -95,7 +95,7 @@ def class_coefficients(group: FiniteGroup, classes: GroupPartition, rows) -> np.
     asked[rows] = True
     elements = np.flatnonzero(asked[classes.block_of])
     keys, counts = block_product_counts(
-        group, classes.block_of, classes.sizes, classes.representatives, elements, 1
+        group, classes.block_of.take, classes.sizes, classes.representatives, elements, 1
     )
     # every key's row i is asked: the kernel counts the rows of the members only
     position = np.zeros(r, dtype=np.int64)
@@ -379,9 +379,13 @@ def save_character_table(table: CharacterTable, path) -> None:
         "values " + base64.b64encode(values).decode("ascii"),
     ]
     tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -456,5 +460,8 @@ def cached_character_table(
         except (OSError, ValueError, InternalConsistencyError):
             pass  # stale or corrupt entry: recompute and overwrite
     table = character_table(group, seed=seed)
-    save_character_table(table, path)
+    try:
+        save_character_table(table, path)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write cache file {path!r}: {exc.strerror}")
     return table

@@ -25,13 +25,14 @@ arithmetic, ``arith_mul_many``/``arith_inv_many``.  The base class's arithmetic 
 over the scalar oracle; cyclic, dihedral, symmetric, direct-product and
 wreath groups override it with array arithmetic.  Every loop over the
 elements of a group (conjugacy classes, left cosets, the block kernel,
-embedding checks) runs on the batched ops.  ``SubgroupEmbedding.left_cosets``
-is the one enumeration of G/K, read by the Hecke route alone (the double
-cosets and the transversal count); a wreath embedding reads it off the
-action on points (``wreath.WreathEmbedding``).  The permutation character
-is read off the conjugacy classes.  Conjugacy classes
-and double cosets are one ``GroupPartition``: a read-only int64 block label per
-id, blocks numbered by minimal id; embedding maps are read-only int64 too.
+embedding checks) runs on the batched ops.  ``SubgroupEmbedding.coset_reps``
+and ``coset_index`` are the one view of G/K, read by the Hecke route alone
+(the double cosets and the kernel's coset count): walked over the parent
+here, read off the action on points by a wreath embedding
+(``wreath.WreathEmbedding``) with nothing kept per id.  The permutation
+character is read off the conjugacy classes.  Conjugacy classes are a
+``GroupPartition``: a read-only int64 block label per id, blocks numbered by
+minimal id; embedding maps are read-only int64 too.
 
 Every group states what its construction fixes: ``generators`` (ids that
 generate it) and ``class_count`` (its number of conjugacy classes, or None
@@ -60,7 +61,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -528,10 +529,20 @@ class SubgroupEmbedding:
     def index(self) -> int:
         return self.parent.order // self.subgroup.order
 
+    @property
+    def coset_reps(self) -> np.ndarray:
+        """The minimal id of each left coset xK, ascending: coset c is
+        coset_reps[c] K."""
+        return self._cosets[1]
+
+    def coset_index(self, ids) -> np.ndarray:
+        """The number of the left coset of every id."""
+        return self._cosets[0][ids]
+
     @functools.cached_property
-    def left_cosets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coset_of, reps): the left coset xK of every parent id and, in
-        ascending order, the minimal id of each coset.
+    def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(coset_of, reps), walked over the parent: the left coset of every
+        parent id and the minimal id of each coset.
 
         No batch x * K labels more than |K| ids, so [G:K] cosets that cover the
         parent are disjoint and have |K| elements each.
@@ -551,7 +562,6 @@ class SubgroupEmbedding:
         if len(reps) * self.subgroup.order != parent.order or (coset_of < 0).any():
             raise InternalConsistencyError("left cosets do not partition the group")
         reps = np.array(reps, dtype=np.int64)
-        coset_of.setflags(write=False)
         reps.setflags(write=False)
         return coset_of, reps
 
@@ -826,7 +836,7 @@ def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
 
 def block_product_counts(
     group: FiniteGroup,
-    block_of: np.ndarray,
+    block_of: Callable[[np.ndarray], np.ndarray],
     sizes: Sequence[int],
     targets,
     elements,
@@ -844,9 +854,12 @@ def block_product_counts(
     representative per coset with weight |H| gives the same count with [G:H]
     products per target instead of |G|.
 
-    targets has shape (r,), one target per block, and targets[k] must lie in
-    block k.  Returns one sparse table (keys, counts) holding its nonzero
-    entries only: keys (i*r + j)*r + k ascending, counts already weighted.
+    block_of(ids) is the block of every id of an int64 array, in its shape:
+    a class partition's ``block_of.take``, or the double cosets' block of
+    each id's left coset.  targets has shape (r,), one target per block, and
+    targets[k] must lie in block k.  Returns one sparse table (keys, counts)
+    holding its nonzero entries only: keys (i*r + j)*r + k ascending, counts
+    already weighted.
     Each element adds to one (i, j) per target, so the table holds at most
     r m entries for m elements.  Each mul_many call holds at most |G|
     products (at least one target), and its keys are counted at once:
@@ -865,16 +878,17 @@ def block_product_counts(
         raise InvalidParameterError(
             f"targets of {group.name} have shape {targets.shape}; expected one per block, ({r},)"
         )
-    placed = block_of[targets]
+    elements = np.asarray(elements, dtype=np.int64)
+    looked = block_of(np.concatenate([targets, elements]))  # one lookup for both
+    placed, blocks = looked[:r], looked[r:]
     if not np.array_equal(placed, np.arange(r)):
         raise InternalConsistencyError(
             f"targets {targets.tolist()} of {group.name} lie in blocks {placed.tolist()}, "
             f"expected block k at position k"
         )
-    elements = np.asarray(elements, dtype=np.int64)
     m = len(elements)
     sizes = np.asarray(sizes, dtype=np.int64)
-    covered = np.bincount(block_of[elements], minlength=r) * weight
+    covered = np.bincount(blocks, minlength=r) * weight
     full = covered == sizes
     partial = np.flatnonzero(~full & (covered != 0))
     if len(partial):
@@ -884,7 +898,7 @@ def block_product_counts(
             f"{sizes[i]} ids; the counting identity sum_k a[i][j][k] |B_k| = "
             "|B_i| |B_j| holds only on whole blocks"
         )
-    left = block_of[elements] * r
+    left = blocks * r
     inverses = group.inv_many(elements)
     dense = r * r <= m * m.bit_length()  # a dense count costs r^2, a sort m log m
     parts = []
@@ -894,7 +908,7 @@ def block_product_counts(
         nb = len(batch)
         # flat operands: mul_many over an (n, m) broadcast is slower
         products = group.mul_many(np.tile(inverses, nb), np.repeat(batch, m))
-        keys = block_of[products].reshape(nb, m)
+        keys = block_of(products).reshape(nb, m)
         del products
         keys += left  # i r + j
         k = np.arange(nb)[:, None]  # target - start

@@ -9,7 +9,8 @@ One kernel, ``groups.block_product_counts``, counts both this algebra's
 structure constants and the class algebra's coefficients.  Double cosets are
 unions of left cosets xK, and block(xh) = block(x), block((xh)^-1 z) =
 block(x^-1 z) for h in K, so the Hecke algebra sums over the representatives
-of the embedding's left cosets G/K with weight |K|:
+of the embedding's left cosets G/K (``coset_reps``) with weight |K|, the
+block of an id read as the block of its coset (``coset_index``):
 
     c[i][j][k] = |K| * #{cosets c : block(rep_c) = i, block(rep_c^-1 z_k) = j},
 
@@ -20,12 +21,14 @@ entries only: each coset representative adds to exactly one (i, j) per
 target, so it holds at most r [G:K] entries, never r^3.
 
 Two kernel calls count the table, one at the block representatives and one
-at a second element of every block.  The representatives are checked to
-cover every block, so the kernel counts every row and enforces the counting
-identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| on each, and
+at their recount targets.  Every block is a union of cosets, so the
+representatives cover every block, the kernel counts every row and enforces
+the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| on each, and
 ``structure_constants`` checks, over the whole table:
 
-- representative independence: both counts give the same table;
+- representative independence: both counts give the same table, the
+  recount at an element of each block in a left coset other than the
+  representative's wherever the block spans more than one;
 - the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk on row 0 and
   column 0, since K = D_0;
 - the int64 bound 125 s^2 < 2^63, where s is the largest per-target sum
@@ -40,15 +43,18 @@ dense (r, r, r) table is only stacked from the same count, for
 ``hecke --show-constants`` and the tests.
 
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
-as a ``groups.GroupPartition`` of G, found by ``groups.orbit_labels`` from the
-moves of K's generators.  Block 0 must be K, and every representative g must
-satisfy K g ⊆ block(g) and |KgK| * |K ∩ g^-1 K g| = |K|^2, both read off one
-batch of the r |K| <= |G| products K g at the r representatives.
+as the block of each coset, [G:K] labels and nothing per id of G, found by
+``groups.orbit_labels`` from the moves of K's generators.  Block 0 must be
+K, and every representative g must satisfy K g ⊆ block(g) and
+|KgK| * |K ∩ g^-1 K g| = |K|^2, all read off one batch of the r |K| <= |G|
+products K g at the r representatives, which also gives the recount
+targets.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -63,56 +69,69 @@ from .groups import (
 )
 
 
-class DoubleCosetDecomposition(GroupPartition):
-    """K-double cosets of G, numbered by minimal id, so K is block 0."""
+@dataclass(frozen=True, eq=False)
+class DoubleCosetDecomposition:
+    """K-double cosets of G as blocks of the left cosets G/K, numbered by
+    minimal id, so K is block 0.  The block of an id g is
+    coset_block[embedding.coset_index(g)]; nothing is kept per id of G."""
 
-    rank = GroupPartition.count
+    coset_block: np.ndarray  # int64, read-only: the block of each left coset
+    representatives: tuple[int, ...]  # the minimal id of each block, ascending
+    sizes: tuple[int, ...]
+    # one more element of each block, from K rep: in a left coset other than
+    # the representative's wherever the block spans more than one
+    recount_targets: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.sizes)
 
 
 def double_cosets(embedding: SubgroupEmbedding) -> DoubleCosetDecomposition:
-    """The K-orbits on the left cosets G/K, labelled on every id of G.
+    """The K-orbits on the left cosets G/K.
 
-    Generator s of K moves coset c to coset_of[s * rep_c].  Cosets ascend by
-    minimal id, so orbits labelled by their least coset number the blocks by
-    minimal id and put K first.  K g ⊆ block(g) is checked at every rep g.
+    Generator s of K moves coset c to coset_index(s * rep_c).  Cosets ascend
+    by minimal id, so orbits labelled by their least coset number the blocks
+    by minimal id and put K first.  Then, from the batch K g at every
+    representative g, else InternalConsistencyError: K g ⊆ block(g); block 0
+    is one coset that holds the identity, so it is K; and
+    |KgK| * |K ∩ g^-1 K g| = |K|^2, as k g lies in gK iff k lies in gKg^-1,
+    so |K ∩ gKg^-1| = |K ∩ g^-1 K g| is the number of k g in the coset of g.
     """
-    group, image = embedding.parent, embedding.image
-    coset_of, coset_reps = embedding.left_cosets
+    group, image, ksize = embedding.parent, embedding.image, embedding.subgroup.order
+    coset_reps = embedding.coset_reps
     gens = embedding.map[list(embedding.subgroup.generators)]
-    moves = coset_of[group.mul_many(gens[:, None], coset_reps)]
+    moves = embedding.coset_index(group.mul_many(gens[:, None], coset_reps))
     # the blocks as a partition of G/K: [G:K] labels to sort, not |G|
-    coset_blocks = GroupPartition.from_labels(orbit_labels(moves))
-    reps = coset_reps[list(coset_blocks.representatives)]
-    block_of = coset_blocks.block_of[coset_of]
-    block_of.setflags(write=False)
-    sizes = tuple(len(image) * size for size in coset_blocks.sizes)
-    dc = DoubleCosetDecomposition(block_of, tuple(reps.tolist()), sizes)
+    blocks = GroupPartition.from_labels(orbit_labels(moves))
+    reps = coset_reps[list(blocks.representatives)]
     k_reps = group.mul_many(image, reps[:, None])  # row k holds K rep_k
-    bad = np.flatnonzero((block_of[k_reps] != np.arange(dc.rank)[:, None]).any(axis=1))
+    k_cosets = embedding.coset_index(k_reps)
+    bad = np.flatnonzero((blocks.block_of[k_cosets] != np.arange(len(reps))[:, None]).any(axis=1))
     if len(bad):
         raise InternalConsistencyError(f"K g leaves block(g) at representative {reps[bad[0]]}")
-    _check_decomposition(embedding, dc, k_reps)
-    return dc
-
-
-def _check_decomposition(embedding, dc, k_reps):
-    """Block 0 is K, and |KgK| * |K ∩ g^-1 K g| = |K|^2 at every
-    representative g, read off k_reps[b] = K g_b, the batch double_cosets
-    checks K g ⊆ block(g) on: k g lies in gK iff k lies in gKg^-1, so
-    |K ∩ gKg^-1| = |K ∩ g^-1 K g| is the number of k g with the coset of g."""
-    image, ksize = embedding.image, embedding.subgroup.order
-    if not np.array_equal(np.flatnonzero(dc.block_of == 0), image):
+    sizes = np.array(blocks.sizes) * ksize
+    # block 0 is one coset, rep_0 K, and rep_0 is in K iff e is in K rep_0
+    if sizes[0] != ksize or group.identity not in k_reps[0]:
         raise InternalConsistencyError("block 0 is not K itself")
-    coset_of, _ = embedding.left_cosets
-    reps = np.array(dc.representatives, dtype=np.int64)
-    stabs = np.count_nonzero(coset_of[k_reps] == coset_of[reps][:, None], axis=1)
-    bad = np.flatnonzero(np.array(dc.sizes) * stabs != ksize * ksize)
+    at = np.searchsorted(image, group.identity)  # e g = g: column at is g's coset
+    own = k_cosets[:, at, None]
+    stabs = np.count_nonzero(k_cosets == own, axis=1)
+    bad = np.flatnonzero(sizes * stabs != ksize * ksize)
     if len(bad):
         b = bad[0]
         raise InternalConsistencyError(
-            f"|KgK|*|K ∩ g^-1Kg| = {dc.sizes[b]}*{stabs[b]} != |K|^2 = {ksize * ksize} "
-            f"at representative {dc.representatives[b]}"
+            f"|KgK|*|K ∩ g^-1Kg| = {sizes[b]}*{stabs[b]} != |K|^2 = {ksize * ksize} "
+            f"at representative {reps[b]}"
         )
+    # the first k rep in another coset, else the first k rep != rep, else rep
+    pick = (2 * (k_cosets != own) + (k_reps != reps[:, None])).argmax(axis=1)
+    return DoubleCosetDecomposition(
+        blocks.block_of,
+        tuple(reps.tolist()),
+        tuple(sizes.tolist()),
+        tuple(k_reps[np.arange(len(reps)), pick].tolist()),
+    )
 
 
 class Witness(NamedTuple):
@@ -125,24 +144,14 @@ class Witness(NamedTuple):
     jik: int  # c[j][i][k]
 
 
-def _transversal_counts(embedding, cosets, targets):
-    """The kernel summed over the representatives of G/K, each with weight |K|.
-
-    The kernel leaves out the rows of blocks no representative lies in, so
-    every block is checked to be covered first: |K| times its number of
-    representatives must be its size."""
-    _, reps = embedding.left_cosets
-    ksize = embedding.subgroup.order
-    covered = np.bincount(cosets.block_of[reps], minlength=cosets.rank) * ksize
-    missing = np.flatnonzero(covered != cosets.sizes)
-    if len(missing):
-        b = missing[0]
-        raise InternalConsistencyError(
-            f"the coset representatives cover {covered[b]} of the {cosets.sizes[b]} "
-            f"ids of double coset {b}"
-        )
+def _coset_counts(embedding, cosets, targets):
+    """The kernel summed over the left coset representatives with weight
+    |K|, the block of an id read as the block of its coset.  Every block is
+    a union of cosets, so the representatives cover each in full."""
     return block_product_counts(
-        embedding.parent, cosets.block_of, cosets.sizes, targets, reps, ksize
+        embedding.parent,
+        lambda ids: cosets.coset_block[embedding.coset_index(ids)],
+        cosets.sizes, targets, embedding.coset_reps, embedding.subgroup.order,
     )
 
 
@@ -174,17 +183,9 @@ def structure_constants(
     """Count c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} once, check it
     against the identities in the module docstring, and return the first
     noncommutative entry, or None when the algebra is commutative."""
-    group, r, ksize = embedding.parent, cosets.rank, embedding.subgroup.order
-    # the second-smallest id of each block, or the only id of a singleton:
-    # the smallest id left once the representatives are masked out
-    reps = np.array(cosets.representatives, dtype=np.int64)
-    others = np.ones(group.order, dtype=bool)
-    others[reps] = False
-    second = np.full(r, group.order, dtype=np.int64)
-    np.minimum.at(second, cosets.block_of[others], np.flatnonzero(others))
-    second = np.where(second < group.order, second, reps)
-    table = _transversal_counts(embedding, cosets, reps)
-    recount = _transversal_counts(embedding, cosets, second)
+    r, ksize = cosets.rank, embedding.subgroup.order
+    table = _coset_counts(embedding, cosets, cosets.representatives)
+    recount = _coset_counts(embedding, cosets, cosets.recount_targets)
     moved = _first_difference(table, recount)
     if moved is not None:
         key, value, other = moved
@@ -247,7 +248,7 @@ def dense_constants(
     at the representatives.  It holds r^3 entries: for ``hecke
     --show-constants`` and the tests only; verdicts come from
     ``structure_constants``."""
-    table = _transversal_counts(embedding, cosets, cosets.representatives)
+    table = _coset_counts(embedding, cosets, cosets.representatives)
     return stack_block_counts(table, cosets.rank)
 
 

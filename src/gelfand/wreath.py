@@ -25,8 +25,10 @@ its own.
 G wr S_n acts on the n |G| points {0..n-1} x G by
 (b; p) . (j, x) = (p(j), b_(p(j)) x), and G wr S_(n-1), as
 ``embed_wreath_subgroup`` embeds it, is the stabilizer of x0 = (n-1, e).  So
-``WreathEmbedding.left_cosets`` labels the left coset of g by the point
-g . x0, read off the decoded id with no product, BATCH_LIMIT ids at a time.
+``WreathEmbedding.coset_index`` reads the left coset of g off the point
+g . x0 of the decoded id with no product, BATCH_LIMIT ids at a time, and
+``WreathEmbedding.coset_reps``, the least id on each point, comes in closed
+form from the n |G| points, with no pass over the ids.
 
 Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
@@ -58,13 +60,14 @@ from .groups import (
     perm_indexer,
     perm_inverse,
     perm_inverse_many,
+    perm_rank,
     perm_rank_many,
     perm_unrank_many,
 )
 from .partitions import multipartition_count
 
 DEFAULT_SIZE_BUDGET = 2_000_000
-# Batched wreath products, decodes and point labels work on at most this many
+# Batched wreath products, decodes and coset lookups work on at most this many
 # ids at a time, which bounds their (n, ...) temporaries at any batch size.
 BATCH_LIMIT = 2**14
 
@@ -191,7 +194,7 @@ class WreathProduct(FiniteGroup):
         """Base id at coordinate coordinates[i, j] of code codes[j]: one flat
         gather from the digit table."""
         digits = self._digits
-        return digits.take(coordinates.astype(np.int64) * digits.shape[1] + codes)
+        return digits.take(coordinates.astype(np.int64, copy=False) * digits.shape[1] + codes)
 
     def decode_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """Ids -> (base ids with the n coordinates on axis 0, in the digit
@@ -367,76 +370,78 @@ class WreathProduct(FiniteGroup):
 @dataclass(frozen=True, eq=False)
 class WreathEmbedding(SubgroupEmbedding):
     """G wr S_(n-1) in G wr S_n as embed_wreath_subgroup embeds it, with the
-    left cosets read off the action on points."""
-
-    def points(self) -> np.ndarray:
-        """The point g . x0 = (p(n-1), b_(p(n-1))), numbered p(n-1) |B| +
-        b_(p(n-1)), of every id g = (b; p) of the parent: no product, and
-        BATCH_LIMIT ids decoded at a time."""
-        group = self.parent
-        n, base_order, nfact = group.n, group.base_group.order, group._nfact
-        images = group._idx.images
-        point = np.empty(group.order, dtype=np.int64)
-        for start in range(0, group.order, BATCH_LIMIT):
-            ids = np.arange(start, min(start + BATCH_LIMIT, group.order), dtype=np.int64)
-            code, top = np.divmod(ids, nfact)
-            last = perm_unrank_many(n, top)[-1] if images is None else images[-1].take(top)
-            last = last.astype(np.int64)
-            point[start : start + BATCH_LIMIT] = last * base_order + group._digits_at(last, code)
-        return point
+    left cosets read off the action on the n |B| points X = {0..n-1} x B,
+    (b; p) . (j, x) = (p(j), b_(p(j)) x), numbered j |B| + x.  K is the
+    stabilizer of x0 = (n-1, e), so the left coset gK is the point
+    g . x0 = (p(n-1), b_(p(n-1))), and cosets are numbered by their least id
+    as the walk numbers them.  Nothing here is indexed by the ids of G."""
 
     @functools.cached_property
-    def left_cosets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(coset_of, reps) as SubgroupEmbedding.left_cosets gives them, from
-        the action of B wr S_n on the n |B| points X = {0..n-1} x B,
-        (b; p) . (j, x) = (p(j), b_(p(j)) x).  K is the stabilizer of
-        x0 = (n-1, e), so the left coset gK is the point λ(g) = g . x0 (see
-        points).  Points are numbered by their least id, so coset_of and reps
-        equal the walk's.
+    def coset_reps(self) -> np.ndarray:
+        """The least id of each point, ascending (see _cosets), checked
+        through coset_index on first use, else InternalConsistencyError:
 
-        Checked, else InternalConsistencyError: every point labels exactly |K|
-        ids; K's generators fix x0; and λ(s rep_c) = s . λ(rep_c) for every
-        generator s of G and every coset c, |gens(G)| [G:K] products.
+        - K's generators fix x0;
+        - coset_index(s rep_c) = s . c for s = e, so coset_index(coset_reps)
+          is 0..[G:K]-1, and for every generator s of G and every coset c:
+          (1 + |gens(G)|) [G:K] products.
+
+        So the representatives reach every point, the action is transitive,
+        and the stabilizer of x0 has |G| / [G:K] = |K| elements and holds K:
+        it is K, and each point labels exactly the |K| ids of one left coset.
         """
         group, k = self.parent, self.subgroup
         base_group, base_order = group.base_group, group.base_group.order
-        count = group.n * base_order
-        point = self.points()
-        sizes = np.bincount(point, minlength=count)
-        bad = np.flatnonzero(sizes != k.order)
-        if len(bad):
-            raise InternalConsistencyError(
-                f"point {bad[0]} labels {sizes[bad[0]]} ids of {group.name}, "
-                f"not |K| = {k.order}"
-            )
-        x0 = (group.n - 1) * base_order + base_group.identity
-        moved = point[self.map[list(k.generators)]] != x0
+        number, reps = self._cosets
+        x0 = number[(group.n - 1) * base_order + base_group.identity]
+        moved = self.coset_index(self.map[list(k.generators)]) != x0
         if moved.any():
             raise InternalConsistencyError(
                 f"generator {k.generators[np.argmax(moved)]} of K moves the point x0"
             )
-        first = np.full(count, group.order, dtype=np.int64)
-        np.minimum.at(first, point, np.arange(group.order, dtype=np.int64))
-        order = np.argsort(first)
-        number = np.empty(count, dtype=np.int64)
-        number[order] = np.arange(count)
-        coset_of, reps = number[point], first[order]
-        # s . (j, x) = (p_s(j), b_s[p_s(j)] x) against λ(s rep_c)
-        gens = np.array(group.generators, dtype=np.int64)
+        # s . (j, x) = (p_s(j), b_s[p_s(j)] x) against coset_index(s rep_c)
+        gens = np.array((group.identity,) + group.generators, dtype=np.int64)
         s_base, s_top = group.decode_many(gens)
-        j, x = np.divmod(point[reps], base_order)
+        j, x = np.divmod(np.argsort(number), base_order)  # the point of each coset
         to = perm_unrank_many(group.n, s_top)[j].T.astype(np.int64)  # (gens, [G:K])
         acted = to * base_order + base_group.mul_many(s_base[to, np.arange(len(gens))[:, None]], x)
-        wrong = np.argwhere(point[group.mul_many(gens[:, None], reps)] != acted)
+        wrong = np.argwhere(self.coset_index(group.mul_many(gens[:, None], reps)) != number[acted])
         if len(wrong):
             s, c = wrong[0]
             raise InternalConsistencyError(
                 f"the points of {group.name} are not equivariant: generator {gens[s]} "
                 f"takes coset representative {reps[c]} off the point {acted[s, c]}"
             )
-        coset_of.setflags(write=False)
+        return reps
+
+    def coset_index(self, ids) -> np.ndarray:
+        """The coset of every id: the number of its point g . x0, read off
+        the decoded id with no product, BATCH_LIMIT ids at a time."""
+        return _by_chunks(self._coset_chunk, np.asarray(ids, dtype=np.int64))
+
+    def _coset_chunk(self, ids: np.ndarray) -> np.ndarray:
+        group = self.parent
+        code, top = np.divmod(ids, group._nfact)
+        images = group._idx.images
+        last = perm_unrank_many(group.n, top)[-1] if images is None else images[-1].take(top)
+        last = last.astype(np.int64)
+        return self._cosets[0][last * group.base_group.order + group._digits_at(last, code)]
+
+    @functools.cached_property
+    def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(number, reps): the coset number of every point and the least id
+        of each coset, ascending, with no pass over G.  The least id g with
+        g . x0 = (j, x) has the base tuple x e_j (zero but for x at
+        coordinate j) and the least top with p(n-1) = j, the image tuple
+        (0, .., j-1, j+1, .., n-1, j): x |B|^(n-1-j) n! + rank of that top."""
+        group = self.parent
+        n, base_order = group.n, group.base_group.order
+        j, x = np.divmod(np.arange(n * base_order, dtype=np.int64), base_order)
+        tops = [perm_rank(tuple(range(j)) + tuple(range(j + 1, n)) + (j,)) for j in range(n)]
+        first = x * base_order ** (n - 1 - j) * group._nfact + np.array(tops, dtype=np.int64)[j]
+        reps = np.sort(first)
         reps.setflags(write=False)
-        return coset_of, reps
+        return np.argsort(np.argsort(first)), reps
 
 
 def embed_wreath_subgroup(

@@ -13,7 +13,9 @@ fixes, coset by coset; ``chartab.permutation_character`` reads the same
 integers off the classes by Frobenius reciprocity, so here a second
 algorithm checks it, not a scalar copy of it.  They share no code with the
 batched layer.  The partitions are built field by field from the walks' own
-lists, never through ``GroupPartition.from_labels``.
+lists, never through ``GroupPartition.from_labels``.  ``per_id`` reads a
+``DoubleCosetDecomposition``'s block of every id of G through the
+embedding's coset lookup, so it compares with these partitions.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from gelfand.groups import GroupPartition, subgroup_from_generators
-from gelfand.hecke import DoubleCosetDecomposition
 
 
 def members(partition) -> tuple[tuple[int, ...], ...]:
@@ -32,8 +33,16 @@ def members(partition) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(block) for block in blocks)
 
 
-def _partition(cls, blocks, reps, block_of):
-    return cls(
+def per_id(embedding, cosets) -> GroupPartition:
+    """The double cosets as a partition of G: the block of every id, read
+    through embedding.coset_index at every id."""
+    ids = np.arange(embedding.parent.order, dtype=np.int64)
+    block_of = cosets.coset_block[embedding.coset_index(ids)]
+    return GroupPartition(block_of, cosets.representatives, cosets.sizes)
+
+
+def _partition(blocks, reps, block_of):
+    return GroupPartition(
         np.array(block_of, dtype=np.int64),
         tuple(reps),
         tuple(len(block) for block in blocks),
@@ -75,10 +84,10 @@ def conjugacy_classes(group) -> GroupPartition:
             class_of[x] = len(classes)
         classes.append(orbit)
         reps.append(g)
-    return _partition(GroupPartition, classes, reps, class_of)
+    return _partition(classes, reps, class_of)
 
 
-def double_cosets(group, embedding) -> DoubleCosetDecomposition:
+def double_cosets(group, embedding) -> GroupPartition:
     """K g K expanded element by element, blocks numbered by minimal id."""
     image = embedding.image.tolist()
     mul = group.mul
@@ -95,7 +104,7 @@ def double_cosets(group, embedding) -> DoubleCosetDecomposition:
             block_of[x] = len(blocks)
         blocks.append(orbit)
         reps.append(g)
-    return _partition(DoubleCosetDecomposition, blocks, reps, block_of)
+    return _partition(blocks, reps, block_of)
 
 
 def permutation_character(group, embedding, classes) -> tuple[int, ...]:

@@ -35,7 +35,7 @@ from hecke_oracle import (
     convolve,
     convolve_via_constants,
 )
-from scalar_oracle import members
+from scalar_oracle import members, per_id
 
 SYMMETRIC_PAIRS = ["wr(Z1,3)", "wr(Z1,4)", "wr(Z1,5)"]
 ABELIAN_PAIRS = ["wr(Z2,2)", "wr(Z2,3)", "wr(Z3,2)", "wr(Z2xZ2,2)"]
@@ -205,7 +205,8 @@ def test_criterion_8_counting_identities():
     with criterion(8, 120.0):
         for spec in ALL_PAIRS:
             b = bundle(spec)
-            grp, emb, dc, sc = b.wreath, b.emb, b.dc, b.sc
+            grp, emb, sc = b.wreath, b.emb, b.sc
+            dc = per_id(emb, b.dc)  # the block of every id, for the oracles
             # double cosets partition G
             covered = sorted(x for block in members(dc) for x in block)
             assert covered == list(range(grp.order)), spec
@@ -220,7 +221,7 @@ def test_criterion_8_counting_identities():
             sizes = np.array(dc.sizes, dtype=np.int64)
             assert np.array_equal(sc @ sizes, np.outer(sizes, sizes)), spec
             # both convolution paths agree exactly on integer inputs
-            values = [((i * 7 + 3) % 11) - 5 for i in range(dc.rank)]
+            values = [((i * 7 + 3) % 11) - 5 for i in range(b.dc.rank)]
             f = BiInvariantFunction(tuple(values))
             g = BiInvariantFunction(tuple(reversed(values)))
             assert (

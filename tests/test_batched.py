@@ -28,7 +28,7 @@ from gelfand import (
     verify_group_axioms,
 )
 from gelfand.groups import TABLE_ORDER_LIMIT, build_cayley_tables, orbit_labels
-from gelfand.hecke import DoubleCosetDecomposition, _check_decomposition, dense_constants
+from gelfand.hecke import dense_constants
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
 from gelfand import wreath
@@ -222,7 +222,12 @@ def test_table_build_rejects_one_corrupted_generator_row(side, generator):
 def test_cosets_by_the_action_equal_the_walk(pairspec):
     embedding = build_pair(pairspec)
     walked = SubgroupEmbedding(embedding.subgroup, embedding.parent, embedding.map)
-    for by_action, by_walk in zip(embedding.left_cosets, walked.left_cosets):
+    ids = np.arange(embedding.parent.order, dtype=np.int64)
+    pairs = (
+        (embedding.coset_reps, walked.coset_reps),
+        (embedding.coset_index(ids), walked.coset_index(ids)),
+    )
+    for by_action, by_walk in pairs:
         assert by_action.dtype == np.int64
         assert np.array_equal(by_action, by_walk)
 
@@ -233,7 +238,8 @@ def test_orbit_walks_match_scalar_oracle(pairspec):
     group = embedding.parent
     classes = conjugacy_classes(group)
     assert classes == scalar_oracle.conjugacy_classes(group)
-    assert double_cosets(embedding) == scalar_oracle.double_cosets(group, embedding)
+    cosets = double_cosets(embedding)
+    assert scalar_oracle.per_id(embedding, cosets) == scalar_oracle.double_cosets(group, embedding)
     assert permutation_character(embedding, classes) == (
         scalar_oracle.permutation_character(group, embedding, classes)
     )
@@ -296,7 +302,7 @@ def test_double_cosets_match_scalar_oracle_above_the_ladder():
     group = embedding.parent
     dc = double_cosets(embedding)
     assert dc.rank == 31
-    assert dc == scalar_oracle.double_cosets(group, embedding)
+    assert scalar_oracle.per_id(embedding, dc) == scalar_oracle.double_cosets(group, embedding)
 
 
 def test_label_arrays_are_read_only_int64():
@@ -305,7 +311,8 @@ def test_label_arrays_are_read_only_int64():
     cosets = double_cosets(embedding)
     arrays = (
         conjugacy_classes(group).block_of,
-        cosets.block_of,
+        cosets.coset_block,
+        embedding.coset_reps,
         dense_constants(embedding, cosets),
         embedding.map,
         embedding.image,
@@ -324,10 +331,11 @@ def test_left_cosets_must_partition_the_group():
 
 
 def _corrupt_cosets(coset_of):
-    """K = {0, 3} in Z6 with the given coset labels in place of the true ones."""
+    """K = {0, 3} in Z6 with coset_index reading the given coset labels in
+    place of the true ones."""
     embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), (0, 3))
-    assert embedding.left_cosets[0].tolist() == [0, 1, 2, 0, 1, 2]
-    embedding.__dict__["left_cosets"] = (np.array(coset_of), np.array([0, 1, 2]))
+    assert embedding.coset_index(np.arange(6)).tolist() == [0, 1, 2, 0, 1, 2]
+    embedding.__dict__["coset_index"] = np.array(coset_of).take
     return embedding
 
 
@@ -338,15 +346,16 @@ def test_double_cosets_must_be_disjoint():
         double_cosets(embedding)
 
 
-def test_coset_size_identity_names_the_first_failing_representative():
-    # blocks {0, 3}, {1, 4, 5} and {2} of Z6 over K = {0, 3}: the last two
-    # break |KgK| * |K ∩ g^-1Kg| = |K|^2, and the batch reports the first
-    embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), (0, 3))
-    dc = DoubleCosetDecomposition.from_labels(np.array([0, 1, 2, 0, 1, 1]))
-    k_reps = embedding.parent.mul_many(embedding.image, np.array(dc.representatives)[:, None])
-    message = r"= 3\*2 != \|K\|\^2 = 4 at representative 1$"
+def test_coset_size_identity_names_the_first_failing_representative(monkeypatch):
+    # orbits labelled wrongly as the cosets {0}, {1, 2} and {3, 4} of Z10 over
+    # K = {0, 5}: blocks {0, 5}, {1, 6, 2, 7} and {3, 8, 4, 9}, where K g
+    # stays in its block, but the last two break |KgK| * |K ∩ g^-1Kg| = |K|^2,
+    # and the batch reports the first
+    embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(10), (0, 5))
+    monkeypatch.setattr("gelfand.hecke.orbit_labels", lambda moves: np.array([0, 1, 1, 3, 3]))
+    message = r"= 4\*2 != \|K\|\^2 = 4 at representative 1$"
     with pytest.raises(InternalConsistencyError, match=message):
-        _check_decomposition(embedding, dc, k_reps)
+        double_cosets(embedding)
 
 
 def test_double_cosets_must_cover_the_group():

@@ -5,7 +5,7 @@ LookupError at install time for any name that no longer exists, so a rename
 or deletion in src would break the benchmark's traced runs without this test.
 A name that still exists but is no longer called would read as a zero layer,
 so one cold and one warm pair-check must open every traced span, and the
-cold one must count eigensolves.
+cold one must count eigensolves and the double-coset blocks.
 """
 
 import importlib.util
@@ -52,3 +52,5 @@ def test_cold_and_warm_pair_check_open_every_span(tmp_path, capsys):
     # tables each call _extract_rows, a loaded table never does
     assert cold_counts["chartab.eig_calls"] >= 2
     assert warm_counts["chartab.eig_calls"] == 0
+    # the blocks are counted off double_cosets' rank: 3 for wr(Z2,2)
+    assert cold_counts["hecke.blocks"] == 3

@@ -358,6 +358,21 @@ def test_cache_dir_that_is_a_file_is_an_invalid_parameter(capsys, tmp_path, argv
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_cache_file_that_cannot_be_written_is_an_invalid_parameter(capsys, tmp_path):
+    # a directory where the pair's table would go: the write fails after
+    # the table is computed, and leaves no temporary file behind
+    entry = tmp_path / "wr(Z2,2).chartab"
+    entry.mkdir()
+    code, out, err = run(capsys, "pair-check", "wr(Z2,2)", "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    prefix = f"gelfand: invalid parameter: cannot write cache file {str(entry)!r}: "
+    assert err.startswith(prefix)
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not [path.name for path in tmp_path.iterdir() if ".tmp." in path.name]
+    assert list(entry.iterdir()) == []
+
+
 def test_cache_env_var_used(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("GELFAND_CACHE_DIR", str(tmp_path / "envcache"))
     code, _, _ = run(capsys, "group", "S3")

@@ -31,7 +31,7 @@ from hecke_oracle import (
     convolve,
     convolve_via_constants,
 )
-from scalar_oracle import members
+from scalar_oracle import members, per_id
 
 
 def s3_pair():
@@ -44,8 +44,8 @@ def test_s3_s2_blocks():
     _, emb = s3_pair()
     dc = double_cosets(emb)
     assert dc.sizes == (2, 4)
-    assert members(dc)[0] == tuple(emb.image.tolist())
-    assert dc.block_of[0] == 0
+    assert members(per_id(emb, dc))[0] == tuple(emb.image.tolist())
+    assert dc.coset_block[emb.coset_index(0)] == 0
 
 
 def test_whole_group_single_block():
@@ -65,22 +65,33 @@ def test_s3_wr_s2_has_seven_blocks():
     assert sum(dc.sizes) == 72
 
 
+@pytest.mark.parametrize("spec", ["wr(S3,2)", "wr(Z2,4)", "wr(S4,2)"])
+def test_wreath_double_cosets_keep_nothing_per_id(spec):
+    # per left coset or per block: at most [G:K] entries, never |G|
+    emb = build_pair(spec)
+    dc = double_cosets(emb)
+    kept = [np.asarray(value) for value in vars(dc).values()]
+    assert len(kept) == 4 and emb.index < emb.parent.order
+    assert all(value.size <= emb.index for value in kept)
+
+
 def test_blocks_partition_the_group():
     for base, n in ((CyclicGroup(2), 3), (SymmetricGroup(3), 2)):
         emb = embed_wreath_subgroup(base, n)
         dc = double_cosets(emb)
-        covered = sorted(x for block in members(dc) for x in block)
+        blocks = members(per_id(emb, dc))
+        covered = sorted(x for block in blocks for x in block)
         assert covered == list(range(emb.parent.order))
-        assert list(dc.representatives) == [min(b) for b in members(dc)]
+        assert list(dc.representatives) == [min(b) for b in blocks]
 
 
 @pytest.mark.parametrize("spec, rank", [("wr(S3,2)", 7), ("wr(S4,2)", 25), ("wr(Z30,2)", 31)])
 def test_double_cosets_make_two_mul_many_calls_at_any_rank(spec, rank):
-    # the moves of K's generators and the batch K g, which the K g check and
-    # the coset size identity both read; the left cosets are enumerated
-    # beforehand
+    # the moves of K's generators and the batch K g, which the K g check,
+    # the coset size identity and the recount targets all read; the left
+    # cosets are read and checked beforehand
     emb = build_pair(spec)
-    emb.left_cosets
+    emb.coset_reps
     group = emb.parent
     calls = []
 
@@ -147,7 +158,7 @@ def test_coset_size_identity():
     dc = double_cosets(emb)
     image = set(emb.image.tolist())
     ksq = emb.subgroup.order ** 2
-    for block, g in zip(members(dc), dc.representatives):
+    for block, g in zip(members(per_id(emb, dc)), dc.representatives):
         ginv = grp.inv(g)
         stab = sum(1 for k in image if grp.mul(grp.mul(g, k), ginv) in image)
         assert len(block) * stab == ksq
@@ -191,7 +202,7 @@ def test_block_functions_are_bi_invariant():
     emb = embed_wreath_subgroup(CyclicGroup(2), 2)
     grp = emb.parent
     dc = double_cosets(emb)
-    f = [dc.block_of[x] * 3 - 1 for x in range(grp.order)]
+    f = [b * 3 - 1 for b in per_id(emb, dc).block_of.tolist()]
     for x in range(grp.order):
         for k in emb.image.tolist():
             for k2 in emb.image.tolist():
@@ -207,7 +218,7 @@ def test_indicator_of_k_absorbs():
     dc = double_cosets(emb)
     delta_k = BiInvariantFunction((1, 0))
     g = BiInvariantFunction((3, -2))
-    out = convolve(delta_k, g, s3, dc)
+    out = convolve(delta_k, g, s3, per_id(emb, dc))
     ksize = emb.subgroup.order
     assert out.values == tuple(ksize * v for v in g.values)
 
@@ -220,7 +231,7 @@ def test_delta_convolution_matches_constants():
         for j in range(dc.rank):
             fi = BiInvariantFunction(tuple(1 if t == i else 0 for t in range(dc.rank)))
             fj = BiInvariantFunction(tuple(1 if t == j else 0 for t in range(dc.rank)))
-            out = convolve(fi, fj, s3, dc)
+            out = convolve(fi, fj, s3, per_id(emb, dc))
             assert out.values == tuple(int(sc[i, j, k]) for k in range(dc.rank))
 
 
@@ -236,20 +247,20 @@ def test_two_convolution_paths_agree_exactly_on_integers():
         for _ in range(3):
             f = BiInvariantFunction(tuple(rng.randrange(-5, 6) for _ in range(dc.rank)))
             g = BiInvariantFunction(tuple(rng.randrange(-5, 6) for _ in range(dc.rank)))
-            direct = convolve(f, g, grp, dc)
+            direct = convolve(f, g, grp, per_id(emb, dc))
             via = convolve_via_constants(f, g, sc)
             assert direct.values == via.values  # exact integer equality
 
 
 def test_convolution_commutes_for_s3_s2():
     s3, emb = s3_pair()
-    dc = double_cosets(emb)
+    labels = per_id(emb, double_cosets(emb))
     rng = random.Random(5)
     for _ in range(5):
         f = BiInvariantFunction(tuple(complex(rng.random(), rng.random()) for _ in range(2)))
         g = BiInvariantFunction(tuple(complex(rng.random(), rng.random()) for _ in range(2)))
-        fg = convolve(f, g, s3, dc)
-        gf = convolve(g, f, s3, dc)
+        fg = convolve(f, g, s3, labels)
+        gf = convolve(g, f, s3, labels)
         assert max(abs(a - b) for a, b in zip(fg.values, gf.values)) < 1e-12
 
 
@@ -257,14 +268,15 @@ def test_convolution_associative():
     emb = embed_wreath_subgroup(CyclicGroup(2), 2)
     grp = emb.parent
     dc = double_cosets(emb)
+    labels = per_id(emb, dc)
     rng = random.Random(9)
     fs = [
         BiInvariantFunction(tuple(complex(rng.random(), rng.random()) for _ in range(dc.rank)))
         for _ in range(3)
     ]
     f, g, h = fs
-    left = convolve(convolve(f, g, grp, dc), h, grp, dc)
-    right = convolve(f, convolve(g, h, grp, dc), grp, dc)
+    left = convolve(convolve(f, g, grp, labels), h, grp, labels)
+    right = convolve(f, convolve(g, h, grp, labels), grp, labels)
     scale = max(max(abs(v) for v in left.values), 1.0)
     assert max(abs(a - b) for a, b in zip(left.values, right.values)) / scale < 1e-9
 
@@ -309,7 +321,7 @@ def test_kernel_matches_bucketing_oracle():
         dc = double_cosets(emb)
         assert np.array_equal(
             dense_constants(emb, dc),
-            bucketed_constants(grp, members(dc), dc.representatives),
+            bucketed_constants(grp, members(per_id(emb, dc)), dc.representatives),
         ), grp.name
 
 
@@ -319,8 +331,9 @@ def test_transversal_count_matches_whole_group(spec):
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
+    labels = per_id(emb, dc).block_of
     table = block_product_counts(
-        grp, dc.block_of, dc.sizes, dc.representatives, np.arange(grp.order), 1
+        grp, labels.take, dc.sizes, dc.representatives, np.arange(grp.order), 1
     )
     whole_group = stack_block_counts(table, dc.rank)
     assert np.array_equal(dense_constants(emb, dc), whole_group)
@@ -328,16 +341,25 @@ def test_transversal_count_matches_whole_group(spec):
 
 @pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
 def test_transversal_count_at_second_elements_matches_whole_group(spec):
-    """The recount's targets, the second-smallest id of each block (or its
-    only id), give the same table over [G:K] representatives with weight |K|
-    as over all of G with weight 1."""
+    """The recount's targets, one more element of each block, in a left
+    coset other than the representative's wherever the block spans more than
+    one, give the same table over [G:K] representatives with weight |K| as
+    over all of G with weight 1."""
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
-    second = [np.flatnonzero(dc.block_of == b)[:2][-1] for b in range(dc.rank)]
-    assert any(s != rep for s, rep in zip(second, dc.representatives))
-    transversal_table = block_product_counts(grp, dc.block_of, dc.sizes, second, *transversal(emb))
-    whole_group = block_product_counts(grp, dc.block_of, dc.sizes, second, np.arange(grp.order), 1)
+    second = dc.recount_targets
+    labels = per_id(emb, dc).block_of
+    assert labels[list(second)].tolist() == list(range(dc.rank))
+    ksize = emb.subgroup.order
+    for size, z, target in zip(dc.sizes, dc.representatives, second):
+        assert target != z or size == 1
+        assert (emb.coset_index(target) != emb.coset_index(z)) == (size > ksize)
+    assert any(size > ksize for size in dc.sizes)
+    transversal_table = block_product_counts(
+        grp, lookup(emb, dc), dc.sizes, second, *transversal(emb)
+    )
+    whole_group = block_product_counts(grp, labels.take, dc.sizes, second, np.arange(grp.order), 1)
     for got, expected in zip(transversal_table, whole_group):
         assert np.array_equal(got, expected)
 
@@ -362,7 +384,12 @@ def wr_z2_3():
 
 
 def transversal(emb):
-    return emb.left_cosets[1], emb.subgroup.order
+    return emb.coset_reps, emb.subgroup.order
+
+
+def lookup(emb, dc):
+    """The block of any ids, through the embedding's coset lookup."""
+    return lambda ids: dc.coset_block[emb.coset_index(ids)]
 
 
 def corrupt_kernel(monkeypatch, entry, amount, calls):
@@ -395,7 +422,7 @@ def test_kernel_rejects_target_outside_its_block():
     targets = list(dc.representatives)
     targets[1], targets[2] = targets[2], targets[1]
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
-        block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb))
+        block_product_counts(grp, lookup(emb, dc), dc.sizes, targets, *transversal(emb))
 
 
 def test_kernel_rejects_a_column_of_targets():
@@ -404,7 +431,7 @@ def test_kernel_rejects_a_column_of_targets():
     grp, emb, dc = wr_z2_3()
     targets = np.stack([dc.representatives, dc.representatives], axis=1)
     with pytest.raises(InvalidParameterError, match=rf"shape \({dc.rank}, 2\)"):
-        block_product_counts(grp, dc.block_of, dc.sizes, targets, *transversal(emb))
+        block_product_counts(grp, lookup(emb, dc), dc.sizes, targets, *transversal(emb))
 
 
 def test_kernel_enforces_counting_identity():
@@ -412,7 +439,7 @@ def test_kernel_enforces_counting_identity():
     sizes = list(dc.sizes)
     sizes[1] += 1
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, dc.block_of, sizes, dc.representatives, *transversal(emb))
+        block_product_counts(grp, lookup(emb, dc), sizes, dc.representatives, *transversal(emb))
 
 
 def test_kernel_rejects_a_list_that_is_not_a_transversal():
@@ -422,7 +449,7 @@ def test_kernel_rejects_a_list_that_is_not_a_transversal():
     elements = reps.copy()
     elements[1] = emb.image[1]
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, dc.block_of, dc.sizes, dc.representatives, elements, ksize)
+        block_product_counts(grp, lookup(emb, dc), dc.sizes, dc.representatives, elements, ksize)
 
 
 def test_kernel_rejects_a_block_covered_in_part():
@@ -432,17 +459,21 @@ def test_kernel_rejects_a_block_covered_in_part():
     cc = conjugacy_classes(grp)
     elements = np.flatnonzero(cc.block_of == 1)[1:]
     with pytest.raises(InternalConsistencyError, match="cover block 1 with 5 of its 6 ids"):
-        block_product_counts(grp, cc.block_of, cc.sizes, cc.representatives, elements, 1)
+        block_product_counts(grp, cc.block_of.take, cc.sizes, cc.representatives, elements, 1)
 
 
-@pytest.mark.parametrize("dropped", [0, -1])
-def test_structure_constants_need_a_transversal_that_covers_every_block(dropped):
-    # coset 0 is K, all of block 0, which the kernel alone would leave out
-    # as uncovered; the last coset is one of several in its block
+@pytest.mark.parametrize(
+    "dropped, message",
+    [(0, "block 0 does not act as"), (-1, "cover block 1 with 24 of its 32 ids")],
+    ids=["0", "-1"],
+)
+def test_structure_constants_need_a_transversal_that_covers_every_block(dropped, message):
+    # coset 0 is K, all of block 0, which the kernel leaves out as
+    # uncovered, so the unit row is missing; the last coset is one of several
+    # in its block, which the kernel refuses as covered in part
     _, emb, dc = wr_z2_3()
-    coset_of, reps = emb.left_cosets
-    vars(emb)["left_cosets"] = (coset_of, np.delete(reps, dropped))
-    with pytest.raises(InternalConsistencyError, match="coset representatives cover"):
+    vars(emb)["coset_reps"] = np.delete(emb.coset_reps, dropped)
+    with pytest.raises(InternalConsistencyError, match=message):
         structure_constants(emb, dc)
 
 

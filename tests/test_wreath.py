@@ -261,26 +261,39 @@ def test_digit_table_is_int32_past_int16_ids():
     assert np.array_equal(group.inv_many(xs), -xs % 40000)
 
 
-@pytest.mark.parametrize("spec, n", [("S3", 3), ("Z2", 5), ("D4", 3), ("Z1", 8), ("Z3", 2)])
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        ("S3", 3), ("Z2", 5), ("D4", 3), ("Z1", 8), ("Z3", 2),
+        ("Z2", 7), ("S3", 4), ("S3xZ2", 2), ("Z5", 3),
+    ],
+)
 def test_points_by_chunks_equal_the_whole_array(spec, n, monkeypatch):
+    """coset_reps is the least id of each point g . x0 and coset_index
+    numbers the points by it, as found here over every id at once."""
     embedding = embed_wreath_subgroup(build_group(spec), n)
     group = embedding.parent
-    # every id decoded at once, as one array
     ids = np.arange(group.order, dtype=np.int64)
     base, top = group.decode_many(ids)
     last = np.array([p[-1] for p in map(group._idx.unrank, top.tolist())], dtype=np.int64)
-    whole = last * group.base_group.order + base[last, ids]
+    point = last * group.base_group.order + base[last, ids]
+    first = np.full(embedding.index, group.order, dtype=np.int64)
+    np.minimum.at(first, point, ids)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
     monkeypatch.setattr(wreath, "BATCH_LIMIT", 100)  # many chunks, one partial
-    assert np.array_equal(embedding.points(), whole)
+    assert np.array_equal(embedding.coset_reps, first[order])
+    assert np.array_equal(embedding.coset_index(ids), number[point])
 
 
 def _relabelled(embedding, a, b):
-    """The embedding with points a and b of its action swapped."""
+    """The embedding with cosets a and b swapped by coset_index."""
 
     class Relabelled(WreathEmbedding):
-        def points(self):
-            point = super().points()
-            return np.where(point == a, b, np.where(point == b, a, point))
+        def coset_index(self, ids):
+            coset = super().coset_index(ids)
+            return np.where(coset == a, b, np.where(coset == b, a, coset))
 
     return Relabelled(embedding.subgroup, embedding.parent, embedding.map)
 
@@ -288,25 +301,29 @@ def _relabelled(embedding, a, b):
 @pytest.mark.parametrize(
     "a, b, message",
     [
-        (1, 2, "not equivariant: generator"),  # two points other than x0
-        (6, 0, "of K moves the point x0"),  # x0 = (1, e) is point 6 of wr(S3,2)
+        (1, 2, "not equivariant: generator"),  # two cosets other than K's
+        (6, 0, "of K moves the point x0"),  # K's generators lie in coset 0
     ],
 )
 def test_cosets_by_the_action_reject_corrupted_points(a, b, message):
     embedding = embed_wreath_subgroup(SymmetricGroup(3), 2)
-    assert "left_cosets" not in vars(embedding)  # built lazily
+    assert "coset_reps" not in vars(embedding)  # built lazily
     with pytest.raises(InternalConsistencyError, match=message):
-        _relabelled(embedding, a, b).left_cosets
+        _relabelled(embedding, a, b).coset_reps
 
 
 def test_cosets_by_the_action_reject_a_point_with_too_many_ids():
+    # coset 2 merged into coset 1: its representative, id 2, is found in
+    # coset 1, so the identity takes it off its point, and the
+    # representatives no longer reach every point
     embedding = embed_wreath_subgroup(SymmetricGroup(3), 2)
 
     class Merged(WreathEmbedding):
-        def points(self):
-            point = super().points()
-            return np.where(point == 2, 1, point)
+        def coset_index(self, ids):
+            coset = super().coset_index(ids)
+            return np.where(coset == 2, 1, coset)
 
     broken = Merged(embedding.subgroup, embedding.parent, embedding.map)
-    with pytest.raises(InternalConsistencyError, match="point 1 labels 12 ids"):
-        broken.left_cosets
+    message = "generator 0 takes coset representative 2 off"
+    with pytest.raises(InternalConsistencyError, match=message):
+        broken.coset_reps
