@@ -44,6 +44,7 @@ from .groups import (
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
+    stack_block_counts,
 )
 
 CLASS_LIMIT = 80
@@ -83,27 +84,21 @@ def class_coefficients(group: FiniteGroup, classes: GroupPartition, rows) -> np.
     #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k, for the classes
     i in rows, as a (len(rows), r, r) int64 array in the order of rows.
 
-    The shared block kernel summed over the members of those classes with
-    weight 1, sum |C_i| products per target, its sparse keys scattered
-    straight into the rows asked (len(rows) r^2 entries, never r^3); the
-    kernel also enforces the counting identity sum_k a[i][j][k] |C_k| =
-    |C_i| |C_j| on every row.  rows = range(r) gives the whole table.
+    The shared block kernel over the members of those classes, sum |C_i|
+    products per target, its sparse table scattered straight into the rows
+    asked (len(rows) r^2 entries, never r^3); the kernel also enforces the
+    counting identity sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.
+    rows = range(r) gives the whole table.
     """
     r = classes.count
-    rows = np.asarray(rows, dtype=np.int64)
     asked = np.zeros(r, dtype=bool)
-    asked[rows] = True
+    asked[np.asarray(rows, dtype=np.int64)] = True
     elements = np.flatnonzero(asked[classes.block_of])
-    keys, counts = block_product_counts(
-        group, classes.block_of.take, classes.sizes, classes.representatives, elements, 1
+    table = block_product_counts(
+        group, classes.block_of.take, classes.sizes, classes.representatives, elements
     )
     # every key's row i is asked: the kernel counts the rows of the members only
-    position = np.zeros(r, dtype=np.int64)
-    position[rows] = np.arange(len(rows))
-    i, jk = np.divmod(keys, r * r)
-    out = np.zeros(len(rows) * r * r, dtype=np.int64)
-    out[position[i] * (r * r) + jk] = counts
-    return out.reshape(len(rows), r, r)
+    return stack_block_counts(table, r, rows)
 
 
 def validate_character_table(table: CharacterTable) -> None:

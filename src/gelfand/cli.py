@@ -303,7 +303,7 @@ def main(argv=None) -> int:
     except InvalidParameterError as exc:
         print(f"gelfand: invalid parameter: {exc}", file=sys.stderr)
         return 2
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, MemoryError) as exc:
         print(f"gelfand: resource limit: {exc}", file=sys.stderr)
         return 3
     except (NumericalQualityError, InternalConsistencyError) as exc:

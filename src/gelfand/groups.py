@@ -50,7 +50,10 @@ over the moves of K's generators on G/K the double cosets.
 
 ``block_product_counts`` is the one counting kernel of the class algebra and
 the double-coset algebra: one sparse table per call, at one target per
-block.  ``verify_group_axioms`` proves a group's scalar ``mul`` a group by the
+block, each element it is given counted once (class members for the class
+algebra, left coset representatives for the intersection numbers of the
+double cosets); ``stack_block_counts`` is the one scatter of that table into
+dense rows.  ``verify_group_axioms`` proves a group's scalar ``mul`` a group by the
 same table build as ``cayley_tables`` and checks ``mul``, ``mul_many``,
 ``inv`` and ``inv_many`` against that table at every pair, at every order up
 to ``TABLE_ORDER_LIMIT``.
@@ -840,37 +843,36 @@ def block_product_counts(
     sizes: Sequence[int],
     targets,
     elements,
-    weight: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The table a[i][j][k] = weight * #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
+    """The table a[i][j][k] = #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
 
     The one counting kernel behind both the class algebra and the
     double-coset algebra: it counts the factorizations z_k = x * y with x in
     block i and y in block j, which is the coefficient of B_k in the product
     of block sums B_i B_j whenever the count is the same at every element of
     B_k.  The class algebra counts the rows i it needs from the members of
-    those classes with weight 1.  When every block is a union of left cosets
-    xH and block(x^-1 z) is constant on them (the double cosets of H), one
-    representative per coset with weight |H| gives the same count with [G:H]
-    products per target instead of |G|.
+    those classes.  When every block is a union of left cosets xH and
+    block(x^-1 z) is constant on them (the double cosets of H), one
+    representative per coset counts the intersection numbers, 1/|H| times
+    the coefficients, with [G:H] products per target instead of |G|.
 
     block_of(ids) is the block of every id of an int64 array, in its shape:
     a class partition's ``block_of.take``, or the double cosets' block of
-    each id's left coset.  targets has shape (r,), one target per block, and
-    targets[k] must lie in block k.  Returns one sparse table (keys, counts)
-    holding its nonzero entries only: keys (i*r + j)*r + k ascending, counts
-    already weighted.
+    each id's left coset.  sizes are the block sizes in units of the
+    elements: ids for class members, cosets for coset representatives.
+    targets has shape (r,), one target per block, and targets[k] must lie
+    in block k.  Returns one sparse table (keys, counts) holding its nonzero
+    entries only: keys (i*r + j)*r + k ascending.
     Each element adds to one (i, j) per target, so the table holds at most
     r m entries for m elements.  Each mul_many call holds at most |G|
     products (at least one target), and its keys are counted at once:
     densely by one bincount over the batch's key range (r^2 per target) when
     r^2 <= m log2 m, and otherwise by one sort of its keys, so rank ~1000
-    never costs r^3.  The elements must cover each block in full (weight
-    times the number of elements in B_i is |B_i|) or not at all, and the
-    rows of the blocks uncovered are left out.  sum_k a[i][j][k] |B_k| =
-    |B_i| |B_j| is enforced for every covered block i; a violation, a block
-    covered in part, or a target outside its block raises
-    InternalConsistencyError.
+    never costs r^3.  The elements must cover each block in full (their
+    number in B_i is sizes[i]) or not at all, and the rows of the blocks
+    uncovered are left out.  sum_k a[i][j][k] sizes[k] = sizes[i] sizes[j]
+    is enforced for every covered block i; a violation, a block covered in
+    part, or a target outside its block raises InternalConsistencyError.
     """
     r = len(sizes)
     targets = np.asarray(targets, dtype=np.int64)
@@ -888,14 +890,14 @@ def block_product_counts(
         )
     m = len(elements)
     sizes = np.asarray(sizes, dtype=np.int64)
-    covered = np.bincount(blocks, minlength=r) * weight
+    covered = np.bincount(blocks, minlength=r)
     full = covered == sizes
     partial = np.flatnonzero(~full & (covered != 0))
     if len(partial):
         i = partial[0]
         raise InternalConsistencyError(
-            f"elements of {group.name} cover block {i} with {covered[i]} of its "
-            f"{sizes[i]} ids; the counting identity sum_k a[i][j][k] |B_k| = "
+            f"{covered[i]} elements of {group.name} lie in block {i} of size "
+            f"{sizes[i]}; the counting identity sum_k a[i][j][k] |B_k| = "
             "|B_i| |B_j| holds only on whole blocks"
         )
     left = blocks * r
@@ -926,7 +928,7 @@ def block_product_counts(
         parts.append((keys, counts))
     keys, counts = (np.concatenate(part) for part in zip(*parts))
     order = np.argsort(keys)
-    keys, counts = keys[order], counts[order] * weight
+    keys, counts = keys[order], counts[order]
     ij, k = np.divmod(keys, r)
     totals = np.zeros(r * r, dtype=np.int64)
     np.add.at(totals, ij, counts * sizes[k])
@@ -938,15 +940,19 @@ def block_product_counts(
     return keys, counts
 
 
-def stack_block_counts(table: tuple[np.ndarray, np.ndarray], r: int) -> np.ndarray:
-    """The dense (r, r, r) table a[i][j][k] of the kernel's sparse table,
-    read-only int64."""
+def stack_block_counts(table: tuple[np.ndarray, np.ndarray], r: int, rows) -> np.ndarray:
+    """The rows i in rows of the kernel's sparse table a[i][j][k], as a
+    read-only (len(rows), r, r) int64 array in the order of rows: len(rows)
+    r^2 entries, r^3 only for rows = range(r).  Every key's row must be
+    asked."""
     keys, counts = table
-    dense = np.zeros(r * r * r, dtype=np.int64)
-    dense[keys] = counts
-    dense = dense.reshape(r, r, r)
-    dense.setflags(write=False)
-    return dense
+    position = np.zeros(r, dtype=np.int64)
+    position[np.asarray(rows, dtype=np.int64)] = np.arange(len(rows))
+    i, jk = np.divmod(keys, r * r)
+    out = np.zeros(len(rows) * r * r, dtype=np.int64)
+    out[position[i] * (r * r) + jk] = counts
+    out.setflags(write=False)
+    return out.reshape(len(rows), r, r)
 
 
 def is_abelian(group: FiniteGroup) -> bool:

@@ -8,14 +8,16 @@ corrupted by rounding.
 One kernel, ``groups.block_product_counts``, counts both this algebra's
 structure constants and the class algebra's coefficients.  Double cosets are
 unions of left cosets xK, and block(xh) = block(x), block((xh)^-1 z) =
-block(x^-1 z) for h in K, so the Hecke algebra sums over the representatives
-of the embedding's left cosets G/K (``coset_reps``) with weight |K|, the
-block of an id read as the block of its coset (``coset_index``):
+block(x^-1 z) for h in K, so the kernel counts over the representatives of
+the embedding's left cosets G/K (``coset_reps``), the block of an id read
+as the block of its coset (``coset_index``), with the block sizes in cosets,
+s_k = |D_k| / |K|.  What it counts are the intersection numbers of the
+orbital scheme of G on G/K,
 
-    c[i][j][k] = |K| * #{cosets c : block(rep_c) = i, block(rep_c^-1 z_k) = j},
+    p[i][j][k] = #{cosets c : block(rep_c) = i, block(rep_c^-1 z_k) = j},
 
-[G:K] products per target instead of |G|: the intersection numbers of the
-orbital scheme of G on G/K.  Each kernel call batches targets so that one
+[G:K] products per target instead of |G|, and the structure constants are
+c[i][j][k] = |K| p[i][j][k].  Each kernel call batches targets so that one
 mul_many call holds at most |G| products.  The table is held sparse, nonzero
 entries only: each coset representative adds to exactly one (i, j) per
 target, so it holds at most r [G:K] entries, never r^3.
@@ -23,24 +25,27 @@ target, so it holds at most r [G:K] entries, never r^3.
 Two kernel calls count the table, one at the block representatives and one
 at their recount targets.  Every block is a union of cosets, so the
 representatives cover every block, the kernel counts every row and enforces
-the counting identity sum_k c[i][j][k] |D_k| = |D_i| |D_j| on each, and
-``structure_constants`` checks, over the whole table:
+the counting identity sum_k p[i][j][k] s_k = s_i s_j on each, and
+``structure_constants`` checks, over the whole table of p:
 
 - representative independence: both counts give the same table, the
   recount at an element of each block in a left coset other than the
   representative's wherever the block spans more than one;
-- the unit identity c[0][j][k] = c[j][0][k] = |K| delta_jk on row 0 and
+- the unit identity p[0][j][k] = p[j][0][k] = delta_jk on row 0 and
   column 0, since K = D_0;
 - the int64 bound 125 s^2 < 2^63, where s is the largest per-target sum
-  sum_{i,j} |c[i][j][k]| (|G| for a correct table); past it, ResourceLimitError;
-- associativity, (f*g)*h = f*(g*h) with (f*g)_k = sum_{i,j} f_i g_j c[i][j][k],
+  sum_{i,j} |p[i][j][k]| ([G:K] for a correct table); past it,
+  ResourceLimitError;
+- associativity, (f*g)*h = f*(g*h) with (f*g)_k = sum_{i,j} f_i g_j p[i][j][k],
   for three seeded random integer triples with entries in -5..5, exactly in
-  int64: every partial sum is at most 125 s^2.
+  int64: every partial sum is at most 125 s^2.  Scaling by |K| keeps it, so
+  it holds for c as for p.
 
-It returns the lexicographically first (i, j, k) with c[i][j][k] !=
-c[j][i][k], the first key where the table differs from its transpose.  The
-dense (r, r, r) table is only stacked from the same count, for
-``hecke --show-constants`` and the tests.
+``structure_constants`` returns the lexicographically first (i, j, k)
+with p[i][j][k] != p[j][i][k], the first key where the table differs from
+its transpose.  |K| enters only where c is shown: the witness values, the
+recount's error message and ``dense_constants``, the dense (r, r, r) table
+stacked from the same count for ``hecke --show-constants`` and the tests.
 
 The double cosets are the K-orbits on the embedding's left cosets G/K, held
 as the block of each coset, [G:K] labels and nothing per id of G, found by
@@ -145,13 +150,15 @@ class Witness(NamedTuple):
 
 
 def _coset_counts(embedding, cosets, targets):
-    """The kernel summed over the left coset representatives with weight
-    |K|, the block of an id read as the block of its coset.  Every block is
-    a union of cosets, so the representatives cover each in full."""
+    """The intersection numbers p[i][j][k] at the targets: the kernel over
+    the left coset representatives with the block sizes in cosets, the block
+    of an id read as the block of its coset.  Every block is a union of
+    cosets, so the representatives cover each in full."""
+    ksize = embedding.subgroup.order
     return block_product_counts(
         embedding.parent,
         lambda ids: cosets.coset_block[embedding.coset_index(ids)],
-        cosets.sizes, targets, embedding.coset_reps, embedding.subgroup.order,
+        [size // ksize for size in cosets.sizes], targets, embedding.coset_reps,
     )
 
 
@@ -180,9 +187,9 @@ def _first_difference(table, other) -> tuple[int, int, int] | None:
 def structure_constants(
     embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
 ) -> Witness | None:
-    """Count c[i][j][k] = #{(x, y) in D_i x D_j : x*y = z_k} once, check it
-    against the identities in the module docstring, and return the first
-    noncommutative entry, or None when the algebra is commutative."""
+    """Count p[i][j][k] once, check it against the identities in the module
+    docstring, and return the first noncommutative entry of c = |K| p, or
+    None when the algebra is commutative."""
     r, ksize = cosets.rank, embedding.subgroup.order
     table = _coset_counts(embedding, cosets, cosets.representatives)
     recount = _coset_counts(embedding, cosets, cosets.recount_targets)
@@ -192,39 +199,42 @@ def structure_constants(
         i, j, k = np.unravel_index(key, (r, r, r))
         raise InternalConsistencyError(
             f"structure constant c[{i}][{j}][{k}] depends on the representative: "
-            f"{value} vs {other}"
+            f"{value * ksize} vs {other * ksize}"
         )
     keys, counts = table
     i, j, k = np.unravel_index(keys, (r, r, r))
-    # row 0 holds only c[0][k][k] = |K|, column 0 only c[k][0][k] = |K|
+    # row 0 holds only p[0][k][k] = 1, column 0 only p[k][0][k] = 1
     unit = np.arange(r)
     if not (
         np.array_equal(keys[i == 0], unit * (r + 1))
         and np.array_equal(keys[j == 0], unit * (r * r + 1))
-        and (counts[(i == 0) | (j == 0)] == ksize).all()
+        and (counts[(i == 0) | (j == 0)] == 1).all()
     ):
         raise InternalConsistencyError(
-            f"block 0 does not act as {ksize} times the unit of the double-coset algebra"
+            "block 0 does not act as the unit of the double-coset algebra"
         )
     sums = np.zeros(r, dtype=np.int64)
     np.add.at(sums, k, np.abs(counts))
     s = int(sums.max())
     if 125 * s * s >= 2**63:
         raise ResourceLimitError(
-            f"structure constants sum to {s} at one target; the int64 associativity "
+            f"intersection numbers sum to {s} at one target; the int64 associativity "
             "check needs 125 * s^2 < 2^63"
         )
 
     def product(a, b):
-        """(a*b)_k = sum_{i,j} a_i b_j c[i][j][k] for each row of a and b."""
+        """(a*b)_k = sum_{i,j} a_i b_j p[i][j][k] for each row of a and b."""
         out = np.zeros_like(a)
+        # one 1-d add.at per row: one pass over (row, k) held 3x the nonzeros
+        # at once and was slower at the size budget's edge
         for t in range(len(a)):
             np.add.at(out[t], k, a[t, i] * b[t, j] * counts)
         return out
 
-    rng = random.Random(0)
-    draws = [[[rng.randrange(-5, 6) for _ in range(r)] for _ in range(3)] for _ in range(3)]
-    f, g, h = np.array(draws, dtype=np.int64).transpose(1, 0, 2)  # row t: triple t
+    # row t of f, g and h is triple t; the stdlib stream, as numpy.random
+    # costs the Hecke-only CLI ~5 MiB to import
+    draw = random.Random(0).choices(range(-5, 6), k=9 * r)
+    f, g, h = np.array(draw, dtype=np.int64).reshape(3, 3, r)
     left, right = product(product(f, g), h), product(f, product(g, h))
     for t in range(3):
         if not np.array_equal(left[t], right[t]):
@@ -238,18 +248,19 @@ def structure_constants(
     if asym is None:
         return None
     key, ijk, jik = asym
-    return Witness(*map(int, np.unravel_index(key, (r, r, r))), ijk, jik)
+    return Witness(*map(int, np.unravel_index(key, (r, r, r))), ijk * ksize, jik * ksize)
 
 
 def dense_constants(
     embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
 ) -> np.ndarray:
-    """The (r, r, r) int64 table c[i][j][k], stacked from the kernel's count
-    at the representatives.  It holds r^3 entries: for ``hecke
-    --show-constants`` and the tests only; verdicts come from
+    """The (r, r, r) int64 table c[i][j][k] = |K| p[i][j][k], stacked from
+    the kernel's count at the representatives.  It holds r^3 entries: for
+    ``hecke --show-constants`` and the tests only; verdicts come from
     ``structure_constants``."""
-    table = _coset_counts(embedding, cosets, cosets.representatives)
-    return stack_block_counts(table, cosets.rank)
+    keys, counts = _coset_counts(embedding, cosets, cosets.representatives)
+    r = cosets.rank
+    return stack_block_counts((keys, embedding.subgroup.order * counts), r, range(r))
 
 
 def is_commutative(witness: Witness | None) -> bool:

@@ -51,6 +51,7 @@ import numpy as np
 
 from .errors import InternalConsistencyError, InvalidParameterError, ResourceLimitError
 from .groups import (
+    _BATCH_ORDER_LIMIT,
     FiniteGroup,
     SubgroupEmbedding,
     SymmetricGroup,
@@ -88,7 +89,8 @@ def _by_chunks(function, *arrays) -> np.ndarray:
 
 
 def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET) -> int:
-    """|G wr S_n| = |G|^n * n!, or ResourceLimitError if over the size budget.
+    """|G wr S_n| = |G|^n * n!, or ResourceLimitError if over the size budget,
+    which is capped at the 2^62 ids that batched int64 arithmetic holds.
 
     Computed from |G| and n alone, so it is safe to call before any work
     proportional to |G|.
@@ -96,10 +98,11 @@ def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZ
     if n < 1:
         raise InvalidParameterError(f"wreath product needs n >= 1, got {n}")
     order = base_group.order**n * math.factorial(n)
-    if order > size_budget:
+    limit = min(size_budget, _BATCH_ORDER_LIMIT)
+    if order > limit:
         raise ResourceLimitError(
             f"wr({base_group.name},{n}) needs {order} elements, "
-            f"over the size budget of {size_budget}"
+            f"over the size budget of {limit}"
         )
     return order
 

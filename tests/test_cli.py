@@ -201,7 +201,8 @@ def test_hecke_command(capsys, tmp_path):
     code, out, _ = run(capsys, "hecke", "wr(S3,2)", "--cache-dir", str(tmp_path))
     assert code == 0
     assert "NOT commutative" in out
-    assert "witness" in out
+    # the values are c = |K| p, with |K| = 6
+    assert "  witness: c[2][3][4] = 0 != c[3][2][4] = 6\n" in out
 
 
 def test_hecke_constants_suppressed_above_rank_limit(capsys, tmp_path):
@@ -341,6 +342,31 @@ def test_resource_limit_exit_code(capsys, tmp_path):
     )
     assert code == 3
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize(
+    "argv, said",
+    [
+        # 1.7e21 elements: the budget is capped at the 2^62 ids, before any work
+        (
+            ("pair-check", "wr(S5,8)", "--size-budget", "10000000000000000000000"),
+            "needs 1733686198272000000000 elements, over the size budget of 4611686018427387904",
+        ),
+        # 2.4e18 elements fit the ids, but no array of K's 19! ids can be made
+        (
+            ("pair-check", "wr(Z1,20)", "--method", "hecke", "--size-budget", "10000000000000000000"),
+            "",
+        ),
+    ],
+    ids=["past-the-ids", "out-of-memory"],
+)
+def test_huge_size_budget_is_a_resource_limit(tmp_path, argv, said):
+    proc = _run_module(*argv, "--cache-dir", str(tmp_path))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("gelfand: resource limit: "), proc.stderr
+    assert said in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -327,24 +327,31 @@ def test_kernel_matches_bucketing_oracle():
 
 @pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
 def test_transversal_count_matches_whole_group(spec):
-    """[G:K] representatives with weight |K| count what all of G with weight 1 does."""
+    """All of G, each id once with the sizes |D_k|, counts |K| times what the
+    [G:K] representatives count with the sizes |D_k|/|K|."""
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
     labels = per_id(emb, dc).block_of
     table = block_product_counts(
-        grp, labels.take, dc.sizes, dc.representatives, np.arange(grp.order), 1
+        grp, labels.take, dc.sizes, dc.representatives, np.arange(grp.order)
     )
-    whole_group = stack_block_counts(table, dc.rank)
+    whole_group = stack_block_counts(table, dc.rank, range(dc.rank))
     assert np.array_equal(dense_constants(emb, dc), whole_group)
+    transversal_table = block_product_counts(
+        grp, lookup(emb, dc), coset_sizes(emb, dc), dc.representatives, emb.coset_reps
+    )
+    ksize = emb.subgroup.order
+    assert np.array_equal(transversal_table[0], table[0])
+    assert np.array_equal(ksize * transversal_table[1], table[1])
 
 
 @pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
 def test_transversal_count_at_second_elements_matches_whole_group(spec):
-    """The recount's targets, one more element of each block, in a left
+    """At the recount's targets, one more element of each block, in a left
     coset other than the representative's wherever the block spans more than
-    one, give the same table over [G:K] representatives with weight |K| as
-    over all of G with weight 1."""
+    one, all of G (sizes |D_k|) counts |K| times what the [G:K]
+    representatives (sizes |D_k|/|K|) count."""
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
@@ -357,11 +364,11 @@ def test_transversal_count_at_second_elements_matches_whole_group(spec):
         assert (emb.coset_index(target) != emb.coset_index(z)) == (size > ksize)
     assert any(size > ksize for size in dc.sizes)
     transversal_table = block_product_counts(
-        grp, lookup(emb, dc), dc.sizes, second, *transversal(emb)
+        grp, lookup(emb, dc), coset_sizes(emb, dc), second, emb.coset_reps
     )
-    whole_group = block_product_counts(grp, labels.take, dc.sizes, second, np.arange(grp.order), 1)
-    for got, expected in zip(transversal_table, whole_group):
-        assert np.array_equal(got, expected)
+    whole_group = block_product_counts(grp, labels.take, dc.sizes, second, np.arange(grp.order))
+    assert np.array_equal(transversal_table[0], whole_group[0])
+    assert np.array_equal(ksize * transversal_table[1], whole_group[1])
 
 
 @pytest.mark.parametrize("name", ["wr(S3,2)", "(S3,S2)", "wr(D4,2)"])
@@ -383,8 +390,9 @@ def wr_z2_3():
     return emb.parent, emb, double_cosets(emb)
 
 
-def transversal(emb):
-    return emb.coset_reps, emb.subgroup.order
+def coset_sizes(emb, dc):
+    """The block sizes in cosets, |D_k|/|K|: the units of the coset count."""
+    return [size // emb.subgroup.order for size in dc.sizes]
 
 
 def lookup(emb, dc):
@@ -422,7 +430,7 @@ def test_kernel_rejects_target_outside_its_block():
     targets = list(dc.representatives)
     targets[1], targets[2] = targets[2], targets[1]
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
-        block_product_counts(grp, lookup(emb, dc), dc.sizes, targets, *transversal(emb))
+        block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, emb.coset_reps)
 
 
 def test_kernel_rejects_a_column_of_targets():
@@ -431,25 +439,26 @@ def test_kernel_rejects_a_column_of_targets():
     grp, emb, dc = wr_z2_3()
     targets = np.stack([dc.representatives, dc.representatives], axis=1)
     with pytest.raises(InvalidParameterError, match=rf"shape \({dc.rank}, 2\)"):
-        block_product_counts(grp, lookup(emb, dc), dc.sizes, targets, *transversal(emb))
+        block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, emb.coset_reps)
 
 
 def test_kernel_enforces_counting_identity():
     grp, emb, dc = wr_z2_3()
-    sizes = list(dc.sizes)
+    sizes = coset_sizes(emb, dc)
     sizes[1] += 1
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, lookup(emb, dc), sizes, dc.representatives, *transversal(emb))
+        block_product_counts(grp, lookup(emb, dc), sizes, dc.representatives, emb.coset_reps)
 
 
 def test_kernel_rejects_a_list_that_is_not_a_transversal():
     # K twice (the identity and another element of K), the coset of reps[1] never
     grp, emb, dc = wr_z2_3()
-    reps, ksize = transversal(emb)
-    elements = reps.copy()
+    elements = emb.coset_reps.copy()
     elements[1] = emb.image[1]
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, lookup(emb, dc), dc.sizes, dc.representatives, elements, ksize)
+        block_product_counts(
+            grp, lookup(emb, dc), coset_sizes(emb, dc), dc.representatives, elements
+        )
 
 
 def test_kernel_rejects_a_block_covered_in_part():
@@ -458,13 +467,13 @@ def test_kernel_rejects_a_block_covered_in_part():
     grp = SymmetricGroup(4)
     cc = conjugacy_classes(grp)
     elements = np.flatnonzero(cc.block_of == 1)[1:]
-    with pytest.raises(InternalConsistencyError, match="cover block 1 with 5 of its 6 ids"):
-        block_product_counts(grp, cc.block_of.take, cc.sizes, cc.representatives, elements, 1)
+    with pytest.raises(InternalConsistencyError, match="5 elements of S4 lie in block 1 of size 6"):
+        block_product_counts(grp, cc.block_of.take, cc.sizes, cc.representatives, elements)
 
 
 @pytest.mark.parametrize(
     "dropped, message",
-    [(0, "block 0 does not act as"), (-1, "cover block 1 with 24 of its 32 ids")],
+    [(0, "block 0 does not act as"), (-1, r"3 elements of wr\(Z2,3\) lie in block 1 of size 4")],
     ids=["0", "-1"],
 )
 def test_structure_constants_need_a_transversal_that_covers_every_block(dropped, message):
