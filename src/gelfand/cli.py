@@ -296,6 +296,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:  # numpy's seeded streams take none; refuse it before any work
+            raise InvalidParameterError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except SpecParseError as exc:
         print(f"gelfand: parse error: {exc}", file=sys.stderr)

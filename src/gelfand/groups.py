@@ -23,9 +23,15 @@ a group by Light's associativity test); a larger group, or a wreath product
 (whose products already gather from its base's and S_n's tables), by its
 arithmetic, ``arith_mul_many``/``arith_inv_many``.  The base class's arithmetic loops
 over the scalar oracle; cyclic, dihedral, symmetric, direct-product and
-wreath groups override it with array arithmetic.  Every loop over the
-elements of a group (conjugacy classes, left cosets, the block kernel,
-embedding checks) runs on the batched ops.  ``SubgroupEmbedding.coset_reps``
+wreath groups override it with array arithmetic.  ``mul_all(s, left=...)``
+gives the row x s (or s x) over every id x: ``mul_many`` over all ids by
+default, so an overridden ``mul_many`` feeds every check; a wreath product
+answers it on its id grid in O(|G|) broadcasts.  The rows of the class
+checks, of ``right_products`` (generation, ``is_abelian``,
+``subgroup_from_generators``, K's rows in ``SubgroupEmbedding.validate``)
+come from ``mul_all``; every other loop over the elements of a group (left
+cosets, the block kernel, the embedding's products in G) runs on
+``mul_many``.  ``SubgroupEmbedding.coset_reps``
 and ``coset_index`` are the one view of G/K, read by the Hecke route alone
 (the double cosets and the kernel's coset count): walked over the parent
 here, read off the action on points by a wreath embedding
@@ -55,8 +61,8 @@ algebra, left coset representatives for the intersection numbers of the
 double cosets); ``stack_block_counts`` is the one scatter of that table into
 dense rows.  ``verify_group_axioms`` proves a group's scalar ``mul`` a group by the
 same table build as ``cayley_tables`` and checks ``mul``, ``mul_many``,
-``inv`` and ``inv_many`` against that table at every pair, at every order up
-to ``TABLE_ORDER_LIMIT``.
+``mul_all`` (both sides), ``inv`` and ``inv_many`` against that table at
+every pair, at every order up to ``TABLE_ORDER_LIMIT``.
 """
 
 from __future__ import annotations
@@ -162,12 +168,16 @@ def perm_inverse_many(perms: np.ndarray) -> np.ndarray:
 
 
 def as_id_arrays(group: "FiniteGroup", *arrays) -> list[np.ndarray]:
-    """The arrays as int64 ids broadcast to one shape."""
+    """The arrays as int64 ids broadcast to one shape (as they are, when
+    their shapes already agree)."""
     if group.order > _BATCH_ORDER_LIMIT:
         raise ResourceLimitError(
             f"|{group.name}| = {group.order} does not fit batched int64 ids"
         )
-    return np.broadcast_arrays(*(np.asarray(a, dtype=np.int64) for a in arrays))
+    arrays = [np.asarray(a, dtype=np.int64) for a in arrays]
+    if all(a.shape == arrays[0].shape for a in arrays[1:]):
+        return arrays
+    return np.broadcast_arrays(*arrays)
 
 
 class _PermIndexer:
@@ -267,6 +277,12 @@ class FiniteGroup:
             return self.arith_inv_many(xs)
         return tables.inverses[xs]
 
+    def mul_all(self, s: int, *, left: bool = False) -> np.ndarray:
+        """x s (or s x, with left) for every id x, in id order, as int64: by
+        mul_many over all ids, unless the group knows a cheaper way."""
+        everything = np.arange(self.order, dtype=np.int64)
+        return self.mul_many(s, everything) if left else self.mul_many(everything, s)
+
     def arith_mul_many(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """mul_many from the group's construction, for int64 ids of one shape
         (scalar fallback)."""
@@ -294,8 +310,7 @@ class FiniteGroup:
         that know their classes better override it (wreath products label
         every id by its type).  conjugacy_classes numbers them by minimal id.
         """
-        ids = np.arange(self.order, dtype=np.int64)
-        conjugates = [self.mul_many(self.mul_many(s, ids), self.inv(s)) for s in self.generators]
+        conjugates = [self.mul_many(self.mul_all(s, left=True), self.inv(s)) for s in self.generators]
         labels = orbit_labels(np.reshape(conjugates, (-1, self.order)))
         sizes = np.unique(labels, return_counts=True)[1]
         bad = sizes[self.order % sizes != 0]
@@ -624,11 +639,11 @@ class GroupPartition:
 
 
 def right_products(group: FiniteGroup, generators: Sequence[int]) -> np.ndarray:
-    """table[i][x] = x * generators[i] for every id x: one batch per generator."""
-    everything = np.arange(group.order, dtype=np.int64)
-    return np.array(
-        [group.mul_many(everything, g) for g in generators], dtype=np.int64
-    ).reshape(len(generators), group.order)
+    """table[i][x] = x * generators[i] for every id x: one mul_all per generator."""
+    table = np.empty((len(generators), group.order), dtype=np.int64)
+    for row, g in zip(table, generators):
+        row[:] = group.mul_all(g)
+    return table
 
 
 def orbit_labels(steps: np.ndarray) -> np.ndarray:
@@ -809,7 +824,7 @@ def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
       every label is a union of classes;
     - the label count equals group.class_count, when known, so every label
       is exactly one class.
-    Costs 2 |G| products per generator: x * s for every x (the orbit) and
+    Costs two mul_all rows per generator: x * s for every x (the orbit) and
     s * x (invariance: s x s^-1 has the label of x for every x iff s y has
     the label of y s for every y).  The partition is stored on the group once
     every check has passed and returned by every later call; a group that
@@ -819,9 +834,8 @@ def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
         return group._classes
     labels = np.asarray(group.class_labels(), dtype=np.int64)
     right = _generator_products(group)
-    everything = np.arange(group.order, dtype=np.int64)
     for s, times_s in zip(group.generators, right):
-        bad = np.flatnonzero(labels[group.mul_many(s, everything)] != labels[times_s])
+        bad = np.flatnonzero(labels[group.mul_all(s, left=True)] != labels[times_s])
         if len(bad):
             raise InternalConsistencyError(
                 f"class labels of {group.name} are not invariant under "
@@ -967,9 +981,10 @@ def verify_group_axioms(group: FiniteGroup) -> None:
 
     build_cayley_tables fills a table from the scalar mul's generator rows
     (2 |gens| m calls) and proves it a group by Light's associativity test;
-    then mul and mul_many must equal the table at all m^2 pairs, and inv and
-    inv_many its inverses.  Past TABLE_ORDER_LIMIT, ResourceLimitError
-    before any product.  Raises InternalConsistencyError on any violation.
+    then mul, mul_many and mul_all (both sides, at every s) must equal the
+    table at all m^2 pairs, and inv and inv_many its inverses.  Past
+    TABLE_ORDER_LIMIT, ResourceLimitError before any product.  Raises
+    InternalConsistencyError on any violation.
     """
     m = group.order
     if m > TABLE_ORDER_LIMIT:
@@ -983,8 +998,15 @@ def verify_group_axioms(group: FiniteGroup) -> None:
     ids = np.arange(m, dtype=np.int64)
     pairs = itertools.product(range(m), repeat=2)  # x * m + y
     products = np.fromiter(itertools.starmap(group.mul, pairs), dtype=np.int64, count=m * m)
-    for op, got in (("mul", products), ("mul_many", group.mul_many(ids[:, None], ids).ravel())):
-        bad = np.flatnonzero(got != tables.products)
+    candidates = (  # each m^2 array is built only when its turn comes
+        ("mul", lambda: products),
+        ("mul_many", lambda: group.mul_many(ids[:, None], ids).ravel()),
+        # row s of the table is s y, column s is x s
+        ("mul_all", lambda: np.array([group.mul_all(s, left=True) for s in range(m)]).ravel()),
+        ("mul_all", lambda: np.array([group.mul_all(s) for s in range(m)]).T.ravel()),
+    )
+    for op, got in candidates:
+        bad = np.flatnonzero(got() != tables.products)
         if len(bad):
             x, y = divmod(int(bad[0]), m)
             raise InternalConsistencyError(

@@ -22,6 +22,12 @@ of at most ``BATCH_LIMIT`` ids, so their temporaries stay bounded however
 many products a caller asks for.  A wreath product keeps no Cayley table of
 its own.
 
+A whole row x s or s x (``WreathProduct.mul_all``) is read off the grid of
+the ids code * n! + top: with s fixed, the new code and the new top of the
+product vary apart, so |B|^n new codes (s x) or an (|B|^n, n) table of
+code gains read at p(j) (x s) meet the n! new tops in one broadcast per
+block of codes, with no decode or re-encode of the ids.
+
 G wr S_n acts on the n |G| points {0..n-1} x G by
 (b; p) . (j, x) = (p(j), b_(p(j)) x), and G wr S_(n-1), as
 ``embed_wreath_subgroup`` embeds it, is the stabilizer of x0 = (n-1, e).  So
@@ -36,7 +42,9 @@ Kerber, *The Representation Theory of the Symmetric Group*, ch. 4; Macdonald,
 *Symmetric Functions and Hall Polynomials*, ch. I app. B).  So the classes
 are indexed by the multipartitions of n over the base classes, their count is
 known from the construction, and ``WreathProduct.class_labels`` labels every
-element in one vectorized pass; ``groups.conjugacy_classes`` checks the
+element by a walk on the id grid: the cursors p^-t(i) of a block of tops are
+found once, and every id then takes exactly n - 1 steps, one base
+``mul_many`` each on all n points.  ``groups.conjugacy_classes`` checks the
 labels, and the pass checks every class size against the centralizer order
 of its type.
 """
@@ -214,10 +222,14 @@ class WreathProduct(FiniteGroup):
 
     def encode_many(self, base: np.ndarray, top: np.ndarray) -> np.ndarray:
         """Inverse of decode_many."""
+        return self._codes(base) * self._nfact + top
+
+    def _codes(self, base: np.ndarray) -> np.ndarray:
+        """The code of every base tuple (coordinates on axis 0), int64."""
         code = np.zeros(base.shape[1:], dtype=np.int64)
         for coordinate in base:
             code = code * self.base_group.order + coordinate
-        return code * self._nfact + top
+        return code
 
     def mul(self, x: int, y: int) -> int:
         a = self.decode(x)
@@ -242,13 +254,14 @@ class WreathProduct(FiniteGroup):
     def _mul_chunk(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         x_code, x_top = np.divmod(xs, self._nfact)
         y_code, y_top = np.divmod(ys, self._nfact)
-        if self._top.cayley_tables is None:  # n! past the table limit
+        tables = self._top.cayley_tables
+        if tables is None:  # n! past the table limit
             p = perm_unrank_many(self.n, x_top)
             back = perm_inverse_many(p)
             top = perm_rank_many(perm_compose_many(p, perm_unrank_many(self.n, y_top)))
         else:
-            back = self._idx.images.take(self._top.inv_many(x_top), axis=1)
-            top = self._top.mul_many(x_top, y_top)
+            back = self._idx.images.take(tables.inverses.take(x_top), axis=1)
+            top = tables.products.take(x_top * self._nfact + y_top)
         # coordinate i of the product is x_i * y_(p^-1(i))
         products = self.base_group.mul_many(
             self._digits.take(x_code, axis=1), self._digits_at(back, y_code)
@@ -257,14 +270,80 @@ class WreathProduct(FiniteGroup):
 
     def _inv_chunk(self, xs: np.ndarray) -> np.ndarray:
         code, top = np.divmod(xs, self._nfact)
-        if self._top.cayley_tables is None:
+        tables = self._top.cayley_tables
+        if tables is None:
             p = perm_unrank_many(self.n, top)
             top = perm_rank_many(perm_inverse_many(p))
         else:
             p = self._idx.images.take(top, axis=1)
-            top = self._top.inv_many(top)
+            top = tables.inverses.take(top)
         # coordinate i of the inverse is x_(p(i))^-1
         return self.encode_many(self.base_group.inv_many(self._digits_at(p, code)), top)
+
+    def mul_all(self, s: int, *, left: bool = False) -> np.ndarray:
+        """x s (or s x, with left) for every id x, on the grid of the ids
+        code * n! + top: the new code and the new top of a product with a
+        fixed s vary apart, so one broadcast per block of codes joins them.
+
+        For s = (c; q) and x = (b; p):
+        - s x = ((c_i b_(q^-1(i))); q p): the new code is a function of the
+          code of x alone, found for the |B|^n codes by one base mul_many,
+          and the new top is row q of S_n's table;
+        - x s = ((b_i c_(p^-1(i))); p q): the new top is column q, and the
+          base changes only at coordinate p(j) for each j with c_j != e,
+          where the code gains w_(p(j)) (b_(p(j)) c_j - b_(p(j))), w_i =
+          |B|^(n-1-i): an (|B|^n, n) table read at p(j) over the tops.  A
+          generator has at most one such j.
+        Blocks hold at most BATCH_LIMIT ids (one code past that many tops).
+        """
+        if not 0 <= s < self.order:
+            raise InvalidParameterError(f"element id {s} out of range for {self.name}")
+        base_group, n, tops = self.base_group, self.n, self._nfact
+        code, q = divmod(int(s), tops)
+        c = self._digits[:, code].astype(np.int64)
+        if left:
+            moved = np.zeros(0, dtype=np.int64)
+            back = np.array(perm_inverse(self._idx.unrank(q)), dtype=np.int64)
+        else:
+            moved = np.flatnonzero(c != base_group.identity)
+            weights = base_group.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        new_top, at = self._tops_times(q, left, moved)
+        count = self.order // tops  # |B|^n codes
+        out = np.empty((count, tops), dtype=np.int64)
+        step = max(1, BATCH_LIMIT // tops)
+        for start in range(0, count, step):
+            codes = np.arange(start, min(start + step, count), dtype=np.int64)
+            if left:
+                new = self._codes(base_group.mul_many(c[:, None], self._digits_at(back[:, None], codes)))
+                new = new[:, None]
+            else:
+                new = codes[:, None]
+                b = self._digits[:, start : start + step]
+                for j, to in zip(moved.tolist(), at):
+                    gain = (base_group.mul_many(b, c[j]) - b) * weights[:, None]
+                    new = new + gain.T.take(to, axis=1)
+            np.add(new * tops, new_top, out=out[start : start + step])
+        return out.reshape(-1)
+
+    def _tops_times(self, q: int, left: bool, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(new_top, at): the rank of q p (left) or p q for every top p, as
+        int64, and at[k] = p(points[k]) for every top p, in rank order; by
+        S_n's table when it has one, else by Lehmer codes, BATCH_LIMIT tops
+        at a time."""
+        tables, tops = self._top.cayley_tables, self._nfact
+        if tables is not None:
+            row = tables.products[q * tops : (q + 1) * tops] if left else tables.products[q::tops]
+            return row.astype(np.int64), self._idx.images[points]
+        q_image = np.array(self._idx.unrank(q), dtype=np.int8)
+        new_top = np.empty(tops, dtype=np.int64)
+        at = np.empty((len(points), tops), dtype=np.int8)
+        for start in range(0, tops, BATCH_LIMIT):
+            part = slice(start, start + BATCH_LIMIT)
+            p = perm_unrank_many(self.n, np.arange(start, min(start + BATCH_LIMIT, tops)))
+            # (q p)(i) = q(p(i)); (p q)(i) = p(q(i))
+            new_top[part] = perm_rank_many(q_image[p] if left else p[q_image])
+            at[:, part] = p[points]
+        return new_top, at
 
     @functools.cached_property
     def generators(self) -> tuple[int, ...]:
@@ -287,56 +366,77 @@ class WreathProduct(FiniteGroup):
         return multipartition_count(base_count, self.n)
 
     def class_labels(self) -> np.ndarray:
-        """Label every id by its type in one vectorized pass.
+        """Label every id by its type, by a walk of n - 1 steps per id.
 
         For x = ((g); p), the cycle of p through point i, of length m, has the
         cycle product g_i g_(p^-1(i)) ... g_(p^-(m-1)(i)), coordinate i of x^m.
         The type of x is the multiset of (m, base class of the cycle product)
         over the cycles of p, and two elements are conjugate iff their types
         agree (James & Kerber, The Representation Theory of the Symmetric
-        Group, ch. 4).  Every point carries the code of its cycle, so the n
-        codes of an id, sorted, are its type.  Batched base products find
-        them point by point, each over the ids whose cycle through the point
-        is still open: a point on a cycle of length m takes m - 1 products.
+        Group, ch. 4).  Every point carries the code (m - 1) r + class of its
+        cycle, so the n codes of an id, sorted, are its type.
+
+        The walk runs on the grid of the ids code * n! + top, one block of
+        at most BATCH_LIMIT tops at a time: the cursors p^-t(i) of the
+        block's tops for t = 1..n-1 are found once, with the point n standing
+        for every step past a closed cycle, and the cycle lengths are read
+        off them.  Then every id of a block of codes takes exactly n - 1
+        steps, one base mul_many each on all n points, multiplying in the
+        digit at the cursor; an extra identity row of the digit table answers
+        the point n.
 
         Each class size must equal |G| / |C(type)| with
         |C(type)| = prod (m |C_G(c)|)^a a!, a = a_(m,c) the number of cycles
         of length m and class c; else InternalConsistencyError.
         """
-        base_group, n = self.base_group, self.n
+        base_group, n, tops = self.base_group, self.n, self._nfact
         base_classes = conjugacy_classes(base_group)
         r = base_classes.count
-        size = self.order
-        ids = np.arange(size, dtype=np.int64)
-        base, top = self.decode_many(ids)
-        back = perm_inverse_many(perm_unrank_many(n, top))  # back[i] = p^-1(i)
-        codes = np.empty((n, size), dtype=np.int64)
-        for i in range(n):
-            # the ids whose cycle through i is still open, each with its
-            # cursor p^-step(i) and the product of the first step factors
-            column, cursor, running = ids, back[i], base[i]
-            for step in range(1, n + 1):
-                closed = cursor == i
-                codes[i, column[closed]] = (step - 1) * r + base_classes.block_of[running[closed]]
-                open_ = ~closed
-                column, cursor, running = column[open_], cursor[open_], running[open_]
-                if not len(column):
-                    break
-                at = cursor.astype(np.int64) * size + column  # flat (p^-step(i), x)
-                running = base_group.mul_many(running, base.ravel()[at])
-                cursor = back.ravel()[at]
-        codes.sort(axis=0)
+        count = self.order // tops  # |B|^n codes
+        identity = np.full((1, count), base_group.identity, dtype=self._digits.dtype)
+        digits = np.concatenate([self._digits, identity]).ravel()
         # one integer key per type, Horner in radix n r.  Keys stay below
         # (n r)^n <= n^n |base|^n < e^n |G| (as n^n < e^n n!): 9^9 at most
         # within the character-table limits, ~8.9e12 up to 2^31 elements
         radix = n * r
-        key = np.zeros(size, dtype=np.int64)
-        for row in codes:
-            key = key * radix + row
-        _, first, label = np.unique(key, return_index=True, return_inverse=True)
-        self._check_class_sizes(
-            codes[:, first], np.bincount(label), base_classes.sizes, r
-        )
+        key = np.empty((count, tops), dtype=np.int64)
+        points = np.arange(n)[:, None]
+        images = self._idx.images  # None past S_n's table: Lehmer codes
+        for top_start in range(0, tops, BATCH_LIMIT):
+            top_stop = min(top_start + BATCH_LIMIT, tops)
+            width = top_stop - top_start
+            ranks = np.arange(top_start, top_stop)
+            p = perm_unrank_many(n, ranks) if images is None else images.take(ranks, axis=1)
+            back = np.full((n + 1, width), n, dtype=np.int64)
+            back[:n] = perm_inverse_many(p)
+            columns = np.arange(width)
+            cursors = np.empty((n - 1, n, width), dtype=np.int8)
+            cursor = points
+            for t in range(n - 1):  # cursors[t][i] = p^-(t+1)(i), or n once closed
+                cursor = back.take(cursor * width + columns)
+                cursor[cursor == points] = n
+                cursors[t] = cursor
+            lengths = 1 + (cursors != n).sum(axis=0)
+            step = max(1, BATCH_LIMIT // width)
+            for start in range(0, count, step):
+                codes = np.arange(start, min(start + step, count), dtype=np.int64)
+                shape = (n, len(codes), width)
+                running = np.broadcast_to(self._digits[:, start : start + step, None], shape)
+                for cursor in cursors:
+                    at = (cursor.astype(np.int64) * count)[:, None, :] + codes[:, None]
+                    running = base_group.mul_many(running, digits.take(at))
+                typed = base_classes.block_of.take(running) + ((lengths - 1) * r)[:, None, :]
+                typed.sort(axis=0)
+                block = key[start : start + step, top_start:top_stop]
+                block[:] = 0
+                for row in typed:
+                    block *= radix
+                    block += row
+        keys, label = np.unique(key.ravel(), return_inverse=True)
+        types = np.empty((n, len(keys)), dtype=np.int64)
+        for i in range(n - 1, -1, -1):
+            keys, types[i] = np.divmod(keys, radix)
+        self._check_class_sizes(types, np.bincount(label), base_classes.sizes, r)
         return label
 
     def _check_class_sizes(self, types, sizes, base_sizes, r) -> None:

@@ -18,6 +18,7 @@ from gelfand import (
     CyclicGroup,
     DihedralGroup,
     InternalConsistencyError,
+    InvalidParameterError,
     ResourceLimitError,
     SubgroupEmbedding,
     SymmetricGroup,
@@ -32,7 +33,7 @@ from gelfand.hecke import dense_constants
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
 from gelfand import wreath
-from gelfand.wreath import WreathProduct
+from gelfand.wreath import WreathElement, WreathProduct
 
 EXHAUSTIVE_ORDER = 200
 SAMPLES = 4000
@@ -123,6 +124,19 @@ class _BrokenBatchInverse(CyclicGroup):
         return np.zeros_like(super().inv_many(xs))
 
 
+class _BrokenRows(CyclicGroup):
+    """Correct scalar and batched products; mul_all is off by one at s = 1,
+    on one side."""
+
+    def __init__(self, k, broken_left):
+        super().__init__(k)
+        self.broken_left = broken_left
+
+    def mul_all(self, s, *, left=False):
+        row = super().mul_all(s, left=left)
+        return (row + 1) % self.k if s == 1 and left == self.broken_left else row
+
+
 @pytest.mark.parametrize("k", [5, EXHAUSTIVE_ORDER + 101])
 def test_axiom_check_catches_batched_disagreement(k):
     # every pair is checked at both orders, 200 and below or above
@@ -130,6 +144,11 @@ def test_axiom_check_catches_batched_disagreement(k):
         verify_group_axioms(_BrokenBatch(k))
     with pytest.raises(InternalConsistencyError, match="inv_many"):
         verify_group_axioms(_BrokenBatchInverse(k))
+    # row 1 of the table is 1 y, column 1 is x 1
+    with pytest.raises(InternalConsistencyError, match=r"mul_all disagrees .* at \(1, 0\)"):
+        verify_group_axioms(_BrokenRows(k, broken_left=True))
+    with pytest.raises(InternalConsistencyError, match=r"mul_all disagrees .* at \(0, 1\)"):
+        verify_group_axioms(_BrokenRows(k, broken_left=False))
     verify_group_axioms(CyclicGroup(k))
 
 
@@ -193,6 +212,36 @@ def test_batches_past_the_cap_equal_the_scalar_ops(spec, n):
     assert products.dtype == inverses.dtype == np.int64
     assert products.tolist() == list(map(group.mul, xs.tolist(), ys.tolist()))
     assert inverses.tolist() == list(map(group.inv, xs.tolist()))
+
+
+def _wreaths_for_mul_all():
+    # Lehmer tops past S_n's table (wr(Z1,7)), a base of 60 elements, and a
+    # base with no arithmetic of its own
+    for spec, n in (("D4", 3), ("Z2", 5), ("Z1", 7), ("D30", 2)):
+        yield WreathProduct(build_group(spec), n)
+    yield WreathProduct(subgroup_from_generators(SymmetricGroup(4), [1, 6]).subgroup, 3)
+
+
+@pytest.mark.parametrize("group", list(_wreaths_for_mul_all()), ids=lambda g: g.name)
+def test_mul_all_equals_mul_many_over_every_id(group):
+    base_group, n = group.base_group, group.n
+    rng = np.random.default_rng(group.order)
+    # seeded ids with every coordinate off the identity (Z1 has no other id)
+    others = [g for g in range(base_group.order) if g != base_group.identity] or [0]
+    spread = [
+        group.encode(WreathElement(
+            tuple(rng.choice(others, n).tolist()), tuple(rng.permutation(n).tolist())
+        ))
+        for _ in range(4)
+    ]
+    ids = np.arange(group.order, dtype=np.int64)
+    for s in group.generators + tuple(spread) + tuple(rng.integers(0, group.order, 4).tolist()):
+        for left in (False, True):
+            got = group.mul_all(s, left=left)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, group.mul_many(s, ids) if left else group.mul_many(ids, s))
+    with pytest.raises(InvalidParameterError, match="out of range"):
+        group.mul_all(group.order)
 
 
 def _generator_rows(group):

@@ -60,6 +60,14 @@ def test_typed_classes_match_the_orbit_walks(spec, n, scalar):
         assert typed == scalar_oracle.conjugacy_classes(_wreath(spec, n))
 
 
+@pytest.mark.parametrize("spec, n", [("S3", 3), ("D4", 3), ("Z2", 5), ("Z1", 7)])
+def test_typed_classes_by_chunks_equal_the_whole_pass(spec, n, monkeypatch):
+    whole = conjugacy_classes(_wreath(spec, n))
+    # many blocks of codes, or of tops past 100 of them, with partial ones
+    monkeypatch.setattr(gelfand.wreath, "BATCH_LIMIT", 100)
+    assert conjugacy_classes(_wreath(spec, n)) == whole
+
+
 def test_typed_classes_over_a_base_of_unknown_class_count():
     # a generated subgroup states no class count; the wreath walks its base
     base = subgroup_from_generators(SymmetricGroup(4), [1, 6]).subgroup

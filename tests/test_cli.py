@@ -330,6 +330,28 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pair-check", "wr(Z2,2)"],
+        ["pair-check", "wr(Z2,2)", "--method", "hecke"],
+        ["pair-check", "wr(Z2,2)", "--method", "character"],
+        ["scan", "Z2", "S3"],
+        ["branch", "S3", "--n", "3"],
+        ["hecke", "wr(S3,2)"],
+        ["partitions", "extend", "2,1"],
+        ["group", "S3"],
+    ],
+)
+def test_negative_seed_is_an_invalid_parameter_before_any_work(capsys, tmp_path, argv):
+    cache = tmp_path / "cold"
+    code, out, err = run(capsys, *argv, "--seed", "-1", "--cache-dir", str(cache))
+    assert code == 2
+    assert out == ""
+    assert err == "gelfand: invalid parameter: --seed must be a non-negative integer, got -1\n"
+    assert not cache.exists()  # nothing computed, nothing cached
+
+
 def test_resource_limit_exit_code(capsys, tmp_path):
     code, _, err = run(
         capsys,
