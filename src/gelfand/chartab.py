@@ -299,22 +299,18 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
 def permutation_character(
     embedding: SubgroupEmbedding, classes: GroupPartition
 ) -> tuple[int, ...]:
-    """pi(C_j) = number of left cosets xK fixed by a member of C_j, per class.
+    """pi(C_j) = number of left cosets xK fixed by a member of C_j, per class,
+    in the form the embedding's type gives:
 
-    By Frobenius reciprocity pi(C_j) = [G:K] |K ∩ C_j| / |C_j|, read from
-    the class labels of K's image alone: no product, no coset of G/K.  A
-    quotient that is not an integer means the labels are not G's classes.
+    - a generic SubgroupEmbedding by Frobenius reciprocity,
+      pi(C_j) = [G:K] |K ∩ C_j| / |C_j|, from the class labels of K's image;
+    - a wreath embedding (wreath.WreathEmbedding) as the fixed points of the
+      class representatives on the n |B| points X = {0..n-1} x B, on which K
+      is the stabilizer of x0: no id of K is read.
+
+    Neither form takes a product or reads a coset of G/K.
     """
-    counts = np.bincount(classes.block_of[embedding.image], minlength=classes.count)
-    fixed = embedding.index * counts
-    sizes = np.array(classes.sizes, dtype=np.int64)
-    bad = np.flatnonzero(fixed % sizes)
-    if len(bad):
-        j = bad[0]
-        raise InternalConsistencyError(
-            f"[G:K] |K ∩ C_{j}| = {fixed[j]} is not divisible by |C_{j}| = {sizes[j]}"
-        )
-    return tuple((fixed // sizes).tolist())
+    return embedding.permutation_character(classes)
 
 
 def _round_multiplicity(value: complex, what: str) -> int:

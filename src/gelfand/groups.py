@@ -36,7 +36,10 @@ and ``coset_index`` are the one view of G/K, read by the Hecke route alone
 (the double cosets and the kernel's coset count): walked over the parent
 here, read off the action on points by a wreath embedding
 (``wreath.WreathEmbedding``) with nothing kept per id.  The permutation
-character is read off the conjugacy classes.  Conjugacy classes are a
+character is read off the conjugacy classes: by Frobenius reciprocity here
+(``SubgroupEmbedding.permutation_character``), as fixed points on X by a
+wreath embedding, which builds K's ids only when the Hecke route reads
+them.  Conjugacy classes are a
 ``GroupPartition``: a read-only int64 block label per id, blocks numbered by
 minimal id; embedding maps are read-only int64 too.
 
@@ -169,15 +172,29 @@ def perm_inverse_many(perms: np.ndarray) -> np.ndarray:
 
 def as_id_arrays(group: "FiniteGroup", *arrays) -> list[np.ndarray]:
     """The arrays as int64 ids broadcast to one shape (as they are, when
-    their shapes already agree)."""
+    their shapes already agree).  Scalar ids beside arrays of one shape are
+    spread to that shape as read-only stride-0 views, without the per-call
+    cost of np.broadcast_arrays, which is kept for the other shapes."""
     if group.order > _BATCH_ORDER_LIMIT:
         raise ResourceLimitError(
             f"|{group.name}| = {group.order} does not fit batched int64 ids"
         )
     arrays = [np.asarray(a, dtype=np.int64) for a in arrays]
-    if all(a.shape == arrays[0].shape for a in arrays[1:]):
+    shapes = {a.shape for a in arrays}
+    if len(shapes) == 1:
         return arrays
+    shapes.discard(())
+    if len(shapes) == 1:
+        (shape,) = shapes
+        return [a if a.ndim else _spread(a, shape) for a in arrays]
     return np.broadcast_arrays(*arrays)
+
+
+def _spread(scalar: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A 0-d array as a read-only view of the given shape, every stride 0."""
+    view = np.ndarray(shape, dtype=scalar.dtype, buffer=scalar, strides=(0,) * len(shape))
+    view.setflags(write=False)
+    return view
 
 
 class _PermIndexer:
@@ -582,6 +599,22 @@ class SubgroupEmbedding:
         reps = np.array(reps, dtype=np.int64)
         reps.setflags(write=False)
         return coset_of, reps
+
+    def permutation_character(self, classes: GroupPartition) -> tuple[int, ...]:
+        """pi(C_j) = [G:K] |K ∩ C_j| / |C_j| by Frobenius reciprocity, per
+        class of G, read from the class labels of K's image alone: no
+        product, no coset of G/K.  A quotient that is not an integer means
+        the labels are not G's classes: InternalConsistencyError."""
+        counts = np.bincount(classes.block_of[self.image], minlength=classes.count)
+        fixed = self.index * counts
+        sizes = np.array(classes.sizes, dtype=np.int64)
+        bad = np.flatnonzero(fixed % sizes)
+        if len(bad):
+            j = bad[0]
+            raise InternalConsistencyError(
+                f"[G:K] |K ∩ C_{j}| = {fixed[j]} is not divisible by |C_{j}| = {sizes[j]}"
+            )
+        return tuple((fixed // sizes).tolist())
 
     def validate(self) -> None:
         """Check injectivity, range, identity and the homomorphism property.

@@ -34,7 +34,11 @@ G wr S_n acts on the n |G| points {0..n-1} x G by
 ``WreathEmbedding.coset_index`` reads the left coset of g off the point
 g . x0 of the decoded id with no product, BATCH_LIMIT ids at a time, and
 ``WreathEmbedding.coset_reps``, the least id on each point, comes in closed
-form from the n |G| points, with no pass over the ids.
+form from the n |G| points, with no pass over the ids.  The permutation
+character is the fixed-point count on these points, |G| #{j : p(j) = j,
+b_j = e} at (b; p), read off the decoded class representatives, so the
+character route reads no id of G wr S_(n-1): its ids are built and proven
+only when the Hecke route (or a test) first reads them.
 
 Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
@@ -61,6 +65,7 @@ from .errors import InternalConsistencyError, InvalidParameterError, ResourceLim
 from .groups import (
     _BATCH_ORDER_LIMIT,
     FiniteGroup,
+    GroupPartition,
     SubgroupEmbedding,
     SymmetricGroup,
     conjugacy_classes,
@@ -345,6 +350,13 @@ class WreathProduct(FiniteGroup):
             at[:, part] = p[points]
         return new_top, at
 
+    def _top_images(self, ranks: np.ndarray) -> np.ndarray:
+        """The images of the tops of the given ranks, positions first (as
+        perm_unrank_many gives them): from S_n's rank -> image table when it
+        has one, else by Lehmer codes."""
+        images = self._idx.images
+        return perm_unrank_many(self.n, ranks) if images is None else images.take(ranks, axis=1)
+
     @functools.cached_property
     def generators(self) -> tuple[int, ...]:
         """The base generators on coordinate 0, then (0 1) and the n-cycle."""
@@ -401,12 +413,11 @@ class WreathProduct(FiniteGroup):
         radix = n * r
         key = np.empty((count, tops), dtype=np.int64)
         points = np.arange(n)[:, None]
-        images = self._idx.images  # None past S_n's table: Lehmer codes
         for top_start in range(0, tops, BATCH_LIMIT):
             top_stop = min(top_start + BATCH_LIMIT, tops)
             width = top_stop - top_start
             ranks = np.arange(top_start, top_stop)
-            p = perm_unrank_many(n, ranks) if images is None else images.take(ranks, axis=1)
+            p = self._top_images(ranks)
             back = np.full((n + 1, width), n, dtype=np.int64)
             back[:n] = perm_inverse_many(p)
             columns = np.arange(width)
@@ -470,14 +481,86 @@ class WreathProduct(FiniteGroup):
                 )
 
 
-@dataclass(frozen=True, eq=False)
 class WreathEmbedding(SubgroupEmbedding):
-    """G wr S_(n-1) in G wr S_n as embed_wreath_subgroup embeds it, with the
-    left cosets read off the action on the n |B| points X = {0..n-1} x B,
+    """K = B wr S_(n-1) in G = B wr S_n as embed_wreath_subgroup embeds it,
+    read off the action on the n |B| points X = {0..n-1} x B,
     (b; p) . (j, x) = (p(j), b_(p(j)) x), numbered j |B| + x.  K is the
-    stabilizer of x0 = (n-1, e), so the left coset gK is the point
-    g . x0 = (p(n-1), b_(p(n-1))), and cosets are numbered by their least id
-    as the walk numbers them.  Nothing here is indexed by the ids of G."""
+    stabilizer of x0 = (n-1, e), so:
+
+    - the left coset gK is the point g . x0 = (p(n-1), b_(p(n-1))), and
+      cosets are numbered by their least id as the walk numbers them;
+    - the permutation character is the fixed-point count on X, from the
+      class representatives alone.
+
+    Nothing here is indexed by the ids of G, and K's ids (``map`` and
+    ``image``) are built only when first read, which only the Hecke route
+    and the tests do; validate() proves them then, once.
+    """
+
+    def __init__(self, subgroup: WreathProduct, parent: WreathProduct):
+        object.__setattr__(self, "subgroup", subgroup)
+        object.__setattr__(self, "parent", parent)
+
+    def __repr__(self) -> str:
+        # the dataclass repr of SubgroupEmbedding would read map, building K
+        return f"{type(self).__name__}({self.subgroup.name} in {self.parent.name})"
+
+    @property
+    def map(self) -> np.ndarray:
+        """K's ids in G, built on the first read of map or image and proven
+        by validate() then; a failed proof keeps nothing."""
+        if "map" not in self.__dict__:
+            self.__dict__["map"] = self._k_ids()  # validate reads it
+            try:
+                self.validate()
+            except BaseException:
+                del self.__dict__["map"]
+                self.__dict__.pop("image", None)
+                raise
+        return self.__dict__["map"]
+
+    @property
+    def image(self) -> np.ndarray:
+        """K's ids in G, ascending; read first, they are built and proven
+        through map, whose proof computes (and keeps) them once."""
+        self.map
+        return super().image
+
+    def _k_ids(self) -> np.ndarray:
+        """Every id of K decoded, widened by the identity at coordinate n - 1
+        and a top that fixes n - 1, and encoded in G: read-only int64."""
+        parent, sub = self.parent, self.subgroup
+        base, top = sub.decode_many(np.arange(sub.order, dtype=np.int64))
+        fixed = np.ones((1, sub.order), dtype=np.int64)
+        widened_base = np.vstack([base, parent.base_group.identity * fixed])
+        widened_top = np.vstack([perm_unrank_many(sub.n, top), sub.n * fixed])
+        mapping = parent.encode_many(widened_base, perm_rank_many(widened_top))
+        mapping.setflags(write=False)
+        return mapping
+
+    def permutation_character(self, classes: GroupPartition) -> tuple[int, ...]:
+        """pi(C_j) = #{points of X fixed by the class representative (b; p)}
+        = |B| #{j : p(j) = j, b_j = e}, since (b; p) fixes (j, x) iff
+        p(j) = j and b_j x = x.  One decode_many of the r representatives;
+        no product and no id of K.
+
+        The action on X is transitive, so Burnside's count
+        sum_j |C_j| pi(C_j) = |G| must hold in exact integers; a wrong class
+        size or a misdecoded representative breaks it:
+        InternalConsistencyError.
+        """
+        group = self.parent
+        base, top = group.decode_many(np.array(classes.representatives, dtype=np.int64))
+        p = group._top_images(top)
+        fixed = (p == np.arange(group.n)[:, None]) & (base == group.base_group.identity)
+        pi = (group.base_group.order * fixed.sum(axis=0)).tolist()
+        total = sum(size * value for size, value in zip(classes.sizes, pi))
+        if total != group.order:
+            raise InternalConsistencyError(
+                f"Burnside's count sum |C_j| pi(C_j) = {total} != |{group.name}| = "
+                f"{group.order}: the classes are not those of a transitive action on X"
+            )
+        return tuple(pi)
 
     @functools.cached_property
     def coset_reps(self) -> np.ndarray:
@@ -553,19 +636,13 @@ def embed_wreath_subgroup(
     """Embed G wr S_{n-1} into G wr S_n.
 
     The last coordinate carries the identity and the top permutation fixes
-    the last point; any conjugate embedding gives the same verdicts.
+    the last point; any conjugate embedding gives the same verdicts.  No id
+    of either group is touched here: K's ids are built and proven on their
+    first read (WreathEmbedding.map).
     """
     if n < 2:
         raise InvalidParameterError(
             f"the pair (G wr S_n, G wr S_(n-1)) needs n >= 2, got {n}"
         )
     parent = WreathProduct(base_group, n, size_budget)
-    sub = WreathProduct(base_group, n - 1, size_budget)
-    base, top = sub.decode_many(np.arange(sub.order, dtype=np.int64))
-    fixed = np.ones((1, sub.order), dtype=np.int64)
-    widened_base = np.vstack([base, base_group.identity * fixed])
-    widened_top = np.vstack([perm_unrank_many(n - 1, top), (n - 1) * fixed])
-    mapping = parent.encode_many(widened_base, perm_rank_many(widened_top))
-    emb = WreathEmbedding(subgroup=sub, parent=parent, map=mapping)
-    emb.validate()
-    return emb
+    return WreathEmbedding(WreathProduct(base_group, n - 1, size_budget), parent)

@@ -16,7 +16,9 @@ from gelfand import (
     InternalConsistencyError,
     NumericalQualityError,
     ResourceLimitError,
+    SubgroupEmbedding,
     SymmetricGroup,
+    check_pair,
     character_table,
     class_coefficients,
     conjugacy_classes,
@@ -32,6 +34,9 @@ from gelfand import (
 from gelfand.chartab import ORDER_LIMIT, cached_character_table, validate_character_table
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
+from gelfand.wreath import WreathEmbedding
+
+import scalar_oracle
 from scalar_oracle import commutator_subgroup
 
 
@@ -355,10 +360,83 @@ def test_permutation_character_rejects_labels_that_are_not_classes():
 
 
 def test_character_route_reads_no_left_cosets():
-    # pi comes from G's classes alone, so G/K is left to the Hecke route
+    # pi comes from G's classes alone, so G/K is left to the Hecke route,
+    # and K's ids (map, image) are never built
     emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
     decompose_induced_trivial(emb, character_table(emb.parent))
-    assert {"coset_reps", "_cosets"}.isdisjoint(vars(emb))
+    assert {"coset_reps", "_cosets", "map", "image"}.isdisjoint(vars(emb))
+
+
+def test_burnside_count_rejects_labels_that_are_not_classes():
+    # wr(S3,2) on its 12 points: classes {e} and C_1 (6 elements, pi 0)
+    # merged keep their sizes' sum, but the merged block is read at e, where
+    # pi = 12, so Burnside's count reads 7 * 12 + 60 = 144, not |G| = 72
+    emb = build_pair("wr(S3,2)")
+    classes = conjugacy_classes(emb.parent)
+    assert permutation_character(emb, classes) == (12, 0, 6, 0, 6, 0, 0, 0, 0)
+    labels = classes.block_of.copy()
+    labels[labels == 1] = 0
+    doctored = GroupPartition.from_labels(labels)
+    assert doctored.sizes[0] == 7
+    message = r"Burnside's count sum \|C_j\| pi\(C_j\) = 144 != \|wr\(S3,2\)\| = 72"
+    with pytest.raises(InternalConsistencyError, match=message):
+        permutation_character(emb, doctored)
+
+
+# perfbench's character-cold and ladder-both pairs, and two past them
+X_PAIRS = BENCHMARK_PAIRS + ("wr(Z1,7)", "wr(S3,4)")
+
+
+@pytest.mark.parametrize("spec", X_PAIRS)
+def test_permutation_character_on_x_equals_the_forms_that_read_k(spec):
+    emb = build_pair(spec)
+    group = emb.parent
+    classes = conjugacy_classes(group)
+    on_x = permutation_character(emb, classes)
+    assert {"map", "image"}.isdisjoint(vars(emb))
+    # Frobenius on a generic embedding of K's ids, built and proven lazily
+    generic = SubgroupEmbedding(emb.subgroup, group, emb.map)
+    assert on_x == permutation_character(generic, classes)
+    # the definition: the left cosets c with z rep_c in c, over walked cosets
+    reps = generic.coset_reps
+    z = np.array(classes.representatives, dtype=np.int64)[:, None]
+    fixed = generic.coset_index(group.mul_many(z, reps)) == np.arange(len(reps))
+    assert on_x == tuple(fixed.sum(axis=1).tolist())
+    assert on_x == scalar_oracle.permutation_character(group, generic, classes)
+
+
+CHARACTER_COLD = ("wr(S3,3)", "wr(Z3,4)", "wr(D4,3)", "wr(Z2,5)")
+
+
+@pytest.mark.parametrize("spec", CHARACTER_COLD)
+def test_character_route_reads_no_id_of_k(spec, tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"K's ids were read for {spec}")
+
+    monkeypatch.setattr(WreathEmbedding, "_k_ids", refuse)
+    monkeypatch.setattr(SubgroupEmbedding, "validate", refuse)
+    cold = check_pair(spec, method="character", cache_dir=tmp_path)
+    assert (tmp_path / f"{spec}.chartab").exists()
+    warm = check_pair(spec, method="character", cache_dir=tmp_path)
+    for report in (cold, warm):
+        assert report.consistent and isinstance(report.gelfand_character, bool)
+    assert cold.multiplicities == warm.multiplicities
+
+
+@pytest.mark.parametrize("method", ["both", "hecke"])
+@pytest.mark.parametrize("spec", CHARACTER_COLD)
+def test_hecke_route_proves_k_once(spec, method, monkeypatch):
+    proven = []
+    validate = SubgroupEmbedding.validate
+
+    def counting(self):
+        proven.append(self)
+        validate(self)
+
+    monkeypatch.setattr(SubgroupEmbedding, "validate", counting)
+    report = check_pair(spec, method=method)
+    assert report.consistent and isinstance(report.gelfand_hecke, bool)
+    assert len(proven) == 1
 
 
 def test_inner_products():

@@ -28,6 +28,9 @@ COMMANDS = {
     "pair-check-S3-3": ["pair-check", "wr(S3,3)", "--method", "both"],
     "pair-check-Z2-4": ["pair-check", "wr(Z2,4)", "--method", "both"],
     "group-S4": ["group", "S4"],
+    "character-D4-3": ["pair-check", "wr(D4,3)", "--method", "character"],
+    "character-Z3-4": ["pair-check", "wr(Z3,4)", "--method", "character"],
+    "pair-check-S4-2": ["pair-check", "wr(S4,2)", "--method", "both"],
 }
 
 

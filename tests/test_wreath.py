@@ -154,6 +154,39 @@ def test_embedding_fixes_last_coordinate():
         assert el.top[-1] == 2
 
 
+def test_embedding_builds_and_proves_k_on_first_read(monkeypatch):
+    # read first, the image is sorted once, by the proof that it triggers
+    proven, sorted_images = [], []
+    validate = SubgroupEmbedding.validate
+    monkeypatch.setattr(SubgroupEmbedding, "validate", lambda self: proven.append(validate(self)))
+    image = vars(SubgroupEmbedding)["image"]
+    sort = image.func
+
+    def counting_sort(self):
+        sorted_images.append(sort(self))
+        return sorted_images[-1]
+
+    monkeypatch.setattr(image, "func", counting_sort)
+    emb = embed_wreath_subgroup(CyclicGroup(3), 3)
+    assert proven == [] and {"map", "image"}.isdisjoint(vars(emb))
+    assert len(emb.image) == emb.subgroup.order == 18
+    assert emb.map[emb.subgroup.identity] == emb.parent.identity
+    assert len(proven) == len(sorted_images) == 1
+
+
+def test_embedding_keeps_no_ids_that_failed_their_proof(monkeypatch):
+    # two entries of K's map swapped: every read of K's ids fails the proof
+    emb = embed_wreath_subgroup(CyclicGroup(2), 4)
+    mapping = emb.map.copy()
+    mapping[[5, 6]] = mapping[[6, 5]]
+    monkeypatch.setattr(WreathEmbedding, "_k_ids", lambda self: mapping)
+    broken = WreathEmbedding(emb.subgroup, emb.parent)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="not a homomorphism"):
+            broken.image
+        assert {"map", "image"}.isdisjoint(vars(broken))
+
+
 def test_embedding_rejects_n_below_two():
     with pytest.raises(InvalidParameterError):
         embed_wreath_subgroup(CyclicGroup(2), 1)
@@ -215,6 +248,8 @@ def test_validate_costs_one_parent_product_per_element_and_generator(monkeypatch
     monkeypatch.setattr(WreathProduct, "mul_many", counting)
     emb = embed_wreath_subgroup(CyclicGroup(2), 5)
     assert len(emb.subgroup.generators) == 3
+    assert counted == []  # K's ids are built and proven on their first read
+    emb.map
     assert sum(counted) == 3 * 384
 
 
@@ -295,7 +330,7 @@ def _relabelled(embedding, a, b):
             coset = super().coset_index(ids)
             return np.where(coset == a, b, np.where(coset == b, a, coset))
 
-    return Relabelled(embedding.subgroup, embedding.parent, embedding.map)
+    return Relabelled(embedding.subgroup, embedding.parent)
 
 
 @pytest.mark.parametrize(
@@ -323,7 +358,7 @@ def test_cosets_by_the_action_reject_a_point_with_too_many_ids():
             coset = super().coset_index(ids)
             return np.where(coset == 2, 1, coset)
 
-    broken = Merged(embedding.subgroup, embedding.parent, embedding.map)
+    broken = Merged(embedding.subgroup, embedding.parent)
     message = "generator 0 takes coset representative 2 off"
     with pytest.raises(InternalConsistencyError, match=message):
         broken.coset_reps
