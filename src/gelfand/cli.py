@@ -149,7 +149,7 @@ def _cmd_branch(args) -> int:
 
 
 def _cmd_hecke(args) -> int:
-    embedding = build_pair(args.pairspec, args.size_budget)
+    embedding = build_pair(args.pairspec, args.size_budget, on_points=True)
     wreath = embedding.parent
     cosets = double_cosets(embedding)
     witness = structure_constants(embedding, cosets)
@@ -250,7 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--size-budget",
         type=int,
         default=DEFAULT_SIZE_BUDGET,
-        help="largest wreath-product order that will be constructed",
+        help=(
+            "largest wreath-product order that will be constructed; the Hecke-only "
+            "commands (hecke, pair-check --method hecke) bound n^2 |B|^2 <= 2 * budget "
+            "instead, on the n |B| points of G/K"
+        ),
     )
 
     sub = parser.add_subparsers(dest="command", required=True)

@@ -31,15 +31,16 @@ checks, of ``right_products`` (generation, ``is_abelian``,
 ``subgroup_from_generators``, K's rows in ``SubgroupEmbedding.validate``)
 come from ``mul_all``; every other loop over the elements of a group (left
 cosets, the block kernel, the embedding's products in G) runs on
-``mul_many``.  ``SubgroupEmbedding.coset_reps``
-and ``coset_index`` are the one view of G/K, read by the Hecke route alone
-(the double cosets and the kernel's coset count): walked over the parent
-here, read off the action on points by a wreath embedding
-(``wreath.WreathEmbedding``) with nothing kept per id.  The permutation
+``mul_many``.  A ``SubgroupEmbedding`` gives the Hecke route G/K as points:
+here its left cosets walked over the parent (``coset_reps``,
+``coset_index``), with the moves of K's generators, the transversal and
+the points u_c^-1 y read off products in G; a wreath embedding
+(``wreath.WreathEmbedding``) gives the same from its action on
+X = {0..n-1} x B, with no id of G or K.  The permutation
 character is read off the conjugacy classes: by Frobenius reciprocity here
 (``SubgroupEmbedding.permutation_character``), as fixed points on X by a
-wreath embedding, which builds K's ids only when the Hecke route reads
-them.  Conjugacy classes are a
+wreath embedding, which builds K's ids only when a test reads them.
+Conjugacy classes are a
 ``GroupPartition``: a read-only int64 block label per id, blocks numbered by
 minimal id; embedding maps are read-only int64 too.
 
@@ -57,12 +58,12 @@ classes are labelled and checked once, however many callers ask.
 what generators generate, over conjugation the default class labels, and
 over the moves of K's generators on G/K the double cosets.
 
-``block_product_counts`` is the one counting kernel of the class algebra and
-the double-coset algebra: one sparse table per call, at one target per
-block, each element it is given counted once (class members for the class
-algebra, left coset representatives for the intersection numbers of the
-double cosets); ``stack_block_counts`` is the one scatter of that table into
-dense rows.  ``verify_group_axioms`` proves a group's scalar ``mul`` a group by the
+``block_pair_counts`` is the one keying and counting identity of the class
+algebra and the double-coset algebra: one sparse table per call, at one
+target per block, each element it is given counted once (class members
+for the class algebra, through ``block_product_counts``; the points of G/K
+for the intersection numbers of the double cosets, through ``hecke``);
+``stack_block_counts`` is the one scatter of that table into dense rows.  ``verify_group_axioms`` proves a group's scalar ``mul`` a group by the
 same table build as ``cayley_tables`` and checks ``mul``, ``mul_many``,
 ``mul_all`` (both sides), ``inv`` and ``inv_many`` against that table at
 every pair, at every order up to ``TABLE_ORDER_LIMIT``.
@@ -600,6 +601,62 @@ class SubgroupEmbedding:
         reps.setflags(write=False)
         return coset_of, reps
 
+    # G/K as points, read by hecke: the left cosets walked above, the
+    # transversal u_c = coset_reps[c].  A wreath embedding overrides these
+    # five members with its action on X, with no id of G or K.
+
+    @property
+    def base_point(self) -> int:
+        """The point x0 = K of G/K."""
+        return int(self.coset_index(self.parent.identity))
+
+    def point_moves(self) -> np.ndarray:
+        """(|gens(K)|, [G:K]) int64: the coset of s u_c for every generator s
+        of K and every coset c."""
+        gens = self.map[list(self.subgroup.generators)]
+        return self.coset_index(self.parent.mul_many(gens[:, None], self.coset_reps))
+
+    @property
+    def transversal_points(self) -> np.ndarray:
+        """The point u_c x0 of every transversal element, in the order
+        back_points takes them: c itself when the cosets are honest."""
+        return self.coset_index(self.coset_reps)
+
+    def back_points(self, targets: np.ndarray) -> np.ndarray:
+        """(len(targets), m) int64: the point u_c^-1 y for every target point
+        y and every transversal element u_c, read off the coset of the
+        product u_c^-1 u_y."""
+        reps = self.coset_reps
+        inverses = self.parent.inv_many(reps)
+        products = self.parent.mul_many(
+            np.tile(inverses, len(targets)), np.repeat(reps[targets], len(reps))
+        )
+        return self.coset_index(products).reshape(len(targets), len(reps))
+
+    def check_double_cosets(self, blocks: GroupPartition) -> None:
+        """Check that the orbits of K's generators on the walked cosets are
+        the double cosets, else InternalConsistencyError, from one batch of
+        the r |K| <= |G| products K g at the least id g of every block:
+        K g ⊆ block(g), and |KgK| * |K ∩ g^-1 K g| = |K|^2, as k g lies in
+        gK iff k lies in gKg^-1, so |K ∩ gKg^-1| = |K ∩ g^-1 K g| is the
+        number of k g in the coset of g."""
+        group, image, ksize = self.parent, self.image, self.subgroup.order
+        reps = self.coset_reps[list(blocks.representatives)]
+        k_cosets = self.coset_index(group.mul_many(image, reps[:, None]))  # row k: K rep_k
+        bad = np.flatnonzero((blocks.block_of[k_cosets] != np.arange(len(reps))[:, None]).any(axis=1))
+        if len(bad):
+            raise InternalConsistencyError(f"K g leaves block(g) at representative {reps[bad[0]]}")
+        sizes = np.array(blocks.sizes) * ksize
+        at = np.searchsorted(image, group.identity)  # e g = g: column at is g's coset
+        stabs = np.count_nonzero(k_cosets == k_cosets[:, at, None], axis=1)
+        bad = np.flatnonzero(sizes * stabs != ksize * ksize)
+        if len(bad):
+            b = bad[0]
+            raise InternalConsistencyError(
+                f"|KgK|*|K ∩ g^-1Kg| = {sizes[b]}*{stabs[b]} != |K|^2 = {ksize * ksize} "
+                f"at representative {reps[b]}"
+            )
+
     def permutation_character(self, classes: GroupPartition) -> tuple[int, ...]:
         """pi(C_j) = [G:K] |K ∩ C_j| / |C_j| by Frobenius reciprocity, per
         class of G, read from the class labels of K's image alone: no
@@ -893,33 +950,18 @@ def block_product_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The table a[i][j][k] = #{x in elements : block(x) = i, block(x^-1 z_k) = j}.
 
-    The one counting kernel behind both the class algebra and the
-    double-coset algebra: it counts the factorizations z_k = x * y with x in
-    block i and y in block j, which is the coefficient of B_k in the product
-    of block sums B_i B_j whenever the count is the same at every element of
-    B_k.  The class algebra counts the rows i it needs from the members of
-    those classes.  When every block is a union of left cosets xH and
-    block(x^-1 z) is constant on them (the double cosets of H), one
-    representative per coset counts the intersection numbers, 1/|H| times
-    the coefficients, with [G:H] products per target instead of |G|.
+    The counting kernel of the class algebra: it counts the factorizations
+    z_k = x * y with x in block i and y in block j, which is the coefficient
+    of B_k in the product of block sums B_i B_j whenever the count is the
+    same at every element of B_k.  The class algebra counts the rows i it
+    needs from the members of those classes.
 
-    block_of(ids) is the block of every id of an int64 array, in its shape:
-    a class partition's ``block_of.take``, or the double cosets' block of
-    each id's left coset.  sizes are the block sizes in units of the
-    elements: ids for class members, cosets for coset representatives.
-    targets has shape (r,), one target per block, and targets[k] must lie
-    in block k.  Returns one sparse table (keys, counts) holding its nonzero
-    entries only: keys (i*r + j)*r + k ascending.
-    Each element adds to one (i, j) per target, so the table holds at most
-    r m entries for m elements.  Each mul_many call holds at most |G|
-    products (at least one target), and its keys are counted at once:
-    densely by one bincount over the batch's key range (r^2 per target) when
-    r^2 <= m log2 m, and otherwise by one sort of its keys, so rank ~1000
-    never costs r^3.  The elements must cover each block in full (their
-    number in B_i is sizes[i]) or not at all, and the rows of the blocks
-    uncovered are left out.  sum_k a[i][j][k] sizes[k] = sizes[i] sizes[j]
-    is enforced for every covered block i; a violation, a block covered in
-    part, or a target outside its block raises InternalConsistencyError.
+    block_of(ids) is the block of every id of an int64 array, in its shape
+    (a class partition's ``block_of.take``).  sizes are the block sizes in
+    units of the elements.  targets has shape (r,), one target per block,
+    and targets[k] must lie in block k.  Each mul_many call holds at most
+    |G| products (at least one target).  The keying and the checks are
+    block_pair_counts'.
     """
     r = len(sizes)
     targets = np.asarray(targets, dtype=np.int64)
@@ -929,36 +971,72 @@ def block_product_counts(
         )
     elements = np.asarray(elements, dtype=np.int64)
     looked = block_of(np.concatenate([targets, elements]))  # one lookup for both
-    placed, blocks = looked[:r], looked[r:]
+    m = len(elements)
+    inverses = group.inv_many(elements)
+
+    def right_blocks(batch):
+        # flat operands: mul_many over an (n, m) broadcast is slower
+        products = group.mul_many(np.tile(inverses, len(batch)), np.repeat(batch, m))
+        return block_of(products).reshape(len(batch), m)
+
+    return block_pair_counts(
+        group.name, looked[r:], sizes, targets, looked[:r], right_blocks, max(1, group.order // m)
+    )
+
+
+def block_pair_counts(
+    name: str,
+    left: np.ndarray,
+    sizes: Sequence[int],
+    targets: np.ndarray,
+    placed: np.ndarray,
+    right_blocks: Callable[[np.ndarray], np.ndarray],
+    step: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The table a[i][j][k] = #{x : left[x] = i, right_blocks(z_k)[x] = j},
+    the one keying and counting of the class algebra (``block_product_counts``)
+    and the double-coset algebra (``hecke``).
+
+    left holds the block i of each of the m counted elements x, placed the
+    block of each target z_k, which must be k, and right_blocks(batch) the
+    block j of every x for each target of a batch of at most step targets,
+    as an (len(batch), m) int64 array: block(x^-1 z) for the class algebra,
+    the K-orbit of u_z^-1 y for the double cosets.  Returns one sparse table
+    (keys, counts) holding its nonzero entries only: keys (i*r + j)*r + k
+    ascending.  Each element adds to one (i, j) per target, so the table
+    holds at most r m entries.  A batch's keys are counted at once: densely
+    by one bincount over its key range (r^2 per target) when
+    r^2 <= m log2 m, and otherwise by one sort of its keys, so rank ~1000
+    never costs r^3.  The elements must cover each block in full (their
+    number in B_i is sizes[i]) or not at all, and the rows of the blocks
+    uncovered are left out.  sum_k a[i][j][k] sizes[k] = sizes[i] sizes[j]
+    is enforced for every covered block i; a violation, a block covered in
+    part, or a target outside its block raises InternalConsistencyError.
+    """
+    r = len(sizes)
     if not np.array_equal(placed, np.arange(r)):
         raise InternalConsistencyError(
-            f"targets {targets.tolist()} of {group.name} lie in blocks {placed.tolist()}, "
+            f"targets {targets.tolist()} of {name} lie in blocks {placed.tolist()}, "
             f"expected block k at position k"
         )
-    m = len(elements)
+    m = len(left)
     sizes = np.asarray(sizes, dtype=np.int64)
-    covered = np.bincount(blocks, minlength=r)
+    covered = np.bincount(left, minlength=r)
     full = covered == sizes
     partial = np.flatnonzero(~full & (covered != 0))
     if len(partial):
         i = partial[0]
         raise InternalConsistencyError(
-            f"{covered[i]} elements of {group.name} lie in block {i} of size "
+            f"{covered[i]} elements of {name} lie in block {i} of size "
             f"{sizes[i]}; the counting identity sum_k a[i][j][k] |B_k| = "
             "|B_i| |B_j| holds only on whole blocks"
         )
-    left = blocks * r
-    inverses = group.inv_many(elements)
+    left = left * r
     dense = r * r <= m * m.bit_length()  # a dense count costs r^2, a sort m log m
     parts = []
-    step = max(1, group.order // m)
     for start in range(0, r, step):
-        batch = targets[start : start + step]
-        nb = len(batch)
-        # flat operands: mul_many over an (n, m) broadcast is slower
-        products = group.mul_many(np.tile(inverses, nb), np.repeat(batch, m))
-        keys = block_of(products).reshape(nb, m)
-        del products
+        keys = right_blocks(targets[start : start + step])
+        nb = len(keys)
         keys += left  # i r + j
         k = np.arange(nb)[:, None]  # target - start
         if dense:  # one bincount over (k, i, j)
@@ -981,7 +1059,7 @@ def block_product_counts(
     np.add.at(totals, ij, counts * sizes[k])
     if not (totals.reshape(r, r)[full] == np.outer(sizes[full], sizes)).all():
         raise InternalConsistencyError(
-            f"block product counts of {group.name} violate the counting identity "
+            f"block product counts of {name} violate the counting identity "
             "sum_k a[i][j][k] |B_k| = |B_i| |B_j|"
         )
     return keys, counts

@@ -5,32 +5,36 @@ feeds the verdict is integer arithmetic: structure constants are counted
 exactly and commutativity is compared entry by entry, so the answer cannot be
 corrupted by rounding.
 
-One kernel, ``groups.block_product_counts``, counts both this algebra's
-structure constants and the class algebra's coefficients.  Double cosets are
-unions of left cosets xK, and block(xh) = block(x), block((xh)^-1 z) =
-block(x^-1 z) for h in K, so the kernel counts over the representatives of
-the embedding's left cosets G/K (``coset_reps``), the block of an id read
-as the block of its coset (``coset_index``), with the block sizes in cosets,
-s_k = |D_k| / |K|.  What it counts are the intersection numbers of the
-orbital scheme of G on G/K,
+The algebra is read off the points G/K, numbered by the least id of each left
+coset, with x0 = K.  The embedding gives them: a generic
+``SubgroupEmbedding`` as its walked left cosets, a wreath embedding as the
+points X = {0..n-1} x B of the action of B wr S_n, with no id of G or K
+(``wreath.WreathEmbedding``).  Everything here is the one engine over those
+points.  The double cosets KgK are the K-orbits on G/K, KgK <-> K g x0,
+found by ``groups.orbit_labels`` from the moves of K's generators and
+numbered by least point, which is the least id of each double coset, so K
+is block 0.  The Hecke algebra is the algebra of orbitals of G on G/K
+(Ceccherini-Silberstein, Scarabotti, Tolli, *Harmonic Analysis on Finite
+Groups*, CUP 2008; Bannai, Ito, *Algebraic Combinatorics I*, 1984), and its
+intersection numbers, with u_z a transversal element, u_z x0 = z, and y_k a
+point of orbit k, are
 
-    p[i][j][k] = #{cosets c : block(rep_c) = i, block(rep_c^-1 z_k) = j},
+    p[i][j][k] = #{points z : orb(z) = i, orb(u_z^-1 y_k) = j},
 
-[G:K] products per target instead of |G|, and the structure constants are
-c[i][j][k] = |K| p[i][j][k].  Each kernel call batches targets so that one
-mul_many call holds at most |G| products.  The table is held sparse, nonzero
-entries only: each coset representative adds to exactly one (i, j) per
-target, so it holds at most r [G:K] entries, never r^3.
+[G:K] lookups per target.  The structure constants are c[i][j][k] =
+|K| p[i][j][k].  ``groups.block_pair_counts``, the class algebra's keying
+and counting identity, counts them, at most a fixed number of lookups per
+batch of targets.  The table is held sparse, nonzero entries only: each
+point adds to exactly one (i, j) per target, so it holds at most r [G:K]
+entries, never r^3.
 
-Two kernel calls count the table, one at the block representatives and one
-at their recount targets.  Every block is a union of cosets, so the
-representatives cover every block, the kernel counts every row and enforces
-the counting identity sum_k p[i][j][k] s_k = s_i s_j on each, and
+Two counts make the table, one at the least point of each orbit and one at
+a second point of each orbit that has one.  Every block is covered by its
+points, so the count enforces the counting identity
+sum_k p[i][j][k] s_k = s_i s_j on every row (s_k the orbit sizes), and
 ``structure_constants`` checks, over the whole table of p:
 
-- representative independence: both counts give the same table, the
-  recount at an element of each block in a left coset other than the
-  representative's wherever the block spans more than one;
+- representative independence: both counts give the same table;
 - the unit identity p[0][j][k] = p[j][0][k] = delta_jk on row 0 and
   column 0, since K = D_0;
 - the int64 bound 125 s^2 < 2^63, where s is the largest per-target sum
@@ -44,16 +48,14 @@ the counting identity sum_k p[i][j][k] s_k = s_i s_j on each, and
 ``structure_constants`` returns the lexicographically first (i, j, k)
 with p[i][j][k] != p[j][i][k], the first key where the table differs from
 its transpose.  |K| enters only where c is shown: the witness values, the
-recount's error message and ``dense_constants``, the dense (r, r, r) table
-stacked from the same count for ``hecke --show-constants`` and the tests.
+recount's error message, the block sizes |D_k| = |K| s_k and
+``dense_constants``, the dense (r, r, r) table stacked from the same count
+for ``hecke --show-constants`` and the tests.
 
-The double cosets are the K-orbits on the embedding's left cosets G/K, held
-as the block of each coset, [G:K] labels and nothing per id of G, found by
-``groups.orbit_labels`` from the moves of K's generators.  Block 0 must be
-K, and every representative g must satisfy K g ⊆ block(g) and
-|KgK| * |K ∩ g^-1 K g| = |K|^2, all read off one batch of the r |K| <= |G|
-products K g at the r representatives, which also gives the recount
-targets.
+``double_cosets`` checks that block 0 is the one point x0, and has the
+embedding prove that its orbits are the double cosets
+(``check_double_cosets``): a generic embedding by the batch K g at the
+least id g of each block, a wreath embedding by its action's checks.
 """
 
 from __future__ import annotations
@@ -68,24 +70,27 @@ from .errors import InternalConsistencyError, ResourceLimitError
 from .groups import (
     GroupPartition,
     SubgroupEmbedding,
-    block_product_counts,
+    block_pair_counts,
     orbit_labels,
     stack_block_counts,
 )
 
+# The count looks up at most this many points u_z^-1 y per batch of
+# targets, so its (targets, [G:K]) temporaries stay bounded at any rank.
+BATCH_POINTS = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class DoubleCosetDecomposition:
-    """K-double cosets of G as blocks of the left cosets G/K, numbered by
-    minimal id, so K is block 0.  The block of an id g is
-    coset_block[embedding.coset_index(g)]; nothing is kept per id of G."""
+    """K-double cosets of G as the K-orbits on the points G/K: ``orbits``
+    holds the block of each point, the least point of each block, ascending
+    (so K is block 0), and the points per block.  Nothing is kept per id
+    of G."""
 
-    coset_block: np.ndarray  # int64, read-only: the block of each left coset
-    representatives: tuple[int, ...]  # the minimal id of each block, ascending
-    sizes: tuple[int, ...]
-    # one more element of each block, from K rep: in a left coset other than
-    # the representative's wherever the block spans more than one
-    recount_targets: tuple[int, ...]
+    orbits: GroupPartition
+    sizes: tuple[int, ...]  # |D_k| = |K| * points of block k
+    # the second least point of each block, or its only point
+    recount_points: tuple[int, ...]
 
     @property
     def rank(self) -> int:
@@ -93,49 +98,23 @@ class DoubleCosetDecomposition:
 
 
 def double_cosets(embedding: SubgroupEmbedding) -> DoubleCosetDecomposition:
-    """The K-orbits on the left cosets G/K.
+    """The K-orbits on the points G/K, from the moves of K's generators.
 
-    Generator s of K moves coset c to coset_index(s * rep_c).  Cosets ascend
-    by minimal id, so orbits labelled by their least coset number the blocks
-    by minimal id and put K first.  Then, from the batch K g at every
-    representative g, else InternalConsistencyError: K g ⊆ block(g); block 0
-    is one coset that holds the identity, so it is K; and
-    |KgK| * |K ∩ g^-1 K g| = |K|^2, as k g lies in gK iff k lies in gKg^-1,
-    so |K ∩ gKg^-1| = |K ∩ g^-1 K g| is the number of k g in the coset of g.
+    Orbits labelled by their least point number the blocks by least point.
+    Block 0 must be the one point x0, else InternalConsistencyError; then
+    the embedding proves the orbits are the double cosets.
     """
-    group, image, ksize = embedding.parent, embedding.image, embedding.subgroup.order
-    coset_reps = embedding.coset_reps
-    gens = embedding.map[list(embedding.subgroup.generators)]
-    moves = embedding.coset_index(group.mul_many(gens[:, None], coset_reps))
-    # the blocks as a partition of G/K: [G:K] labels to sort, not |G|
-    blocks = GroupPartition.from_labels(orbit_labels(moves))
-    reps = coset_reps[list(blocks.representatives)]
-    k_reps = group.mul_many(image, reps[:, None])  # row k holds K rep_k
-    k_cosets = embedding.coset_index(k_reps)
-    bad = np.flatnonzero((blocks.block_of[k_cosets] != np.arange(len(reps))[:, None]).any(axis=1))
-    if len(bad):
-        raise InternalConsistencyError(f"K g leaves block(g) at representative {reps[bad[0]]}")
-    sizes = np.array(blocks.sizes) * ksize
-    # block 0 is one coset, rep_0 K, and rep_0 is in K iff e is in K rep_0
-    if sizes[0] != ksize or group.identity not in k_reps[0]:
+    blocks = GroupPartition.from_labels(orbit_labels(embedding.point_moves()))
+    if blocks.sizes[0] != 1 or embedding.base_point != 0:
         raise InternalConsistencyError("block 0 is not K itself")
-    at = np.searchsorted(image, group.identity)  # e g = g: column at is g's coset
-    own = k_cosets[:, at, None]
-    stabs = np.count_nonzero(k_cosets == own, axis=1)
-    bad = np.flatnonzero(sizes * stabs != ksize * ksize)
-    if len(bad):
-        b = bad[0]
-        raise InternalConsistencyError(
-            f"|KgK|*|K ∩ g^-1Kg| = {sizes[b]}*{stabs[b]} != |K|^2 = {ksize * ksize} "
-            f"at representative {reps[b]}"
-        )
-    # the first k rep in another coset, else the first k rep != rep, else rep
-    pick = (2 * (k_cosets != own) + (k_reps != reps[:, None])).argmax(axis=1)
+    embedding.check_double_cosets(blocks)
+    ksize = embedding.subgroup.order
+    counts = np.array(blocks.sizes)
+    # each block's points in ascending order: its least, then the next
+    order = np.argsort(blocks.block_of, kind="stable")
+    second = order[np.cumsum(counts) - counts + (counts > 1)]
     return DoubleCosetDecomposition(
-        blocks.block_of,
-        tuple(reps.tolist()),
-        tuple(sizes.tolist()),
-        tuple(k_reps[np.arange(len(reps)), pick].tolist()),
+        blocks, tuple(ksize * size for size in blocks.sizes), tuple(second.tolist())
     )
 
 
@@ -149,16 +128,21 @@ class Witness(NamedTuple):
     jik: int  # c[j][i][k]
 
 
-def _coset_counts(embedding, cosets, targets):
-    """The intersection numbers p[i][j][k] at the targets: the kernel over
-    the left coset representatives with the block sizes in cosets, the block
-    of an id read as the block of its coset.  Every block is a union of
-    cosets, so the representatives cover each in full."""
-    ksize = embedding.subgroup.order
-    return block_product_counts(
-        embedding.parent,
-        lambda ids: cosets.coset_block[embedding.coset_index(ids)],
-        [size // ksize for size in cosets.sizes], targets, embedding.coset_reps,
+def _point_counts(embedding, cosets, targets):
+    """The intersection numbers p[i][j][k] at the target points: over the
+    transversal, orb(u_z) against orb(u_z^-1 y_k), BATCH_POINTS lookups at
+    a time."""
+    orbit_of = cosets.orbits.block_of
+    left = orbit_of[embedding.transversal_points]
+    targets = np.array(targets, dtype=np.int64)
+    return block_pair_counts(
+        embedding.parent.name,
+        left,
+        cosets.orbits.sizes,
+        targets,
+        orbit_of[targets],
+        lambda batch: orbit_of[embedding.back_points(batch)],
+        max(1, BATCH_POINTS // len(left)),
     )
 
 
@@ -191,8 +175,8 @@ def structure_constants(
     docstring, and return the first noncommutative entry of c = |K| p, or
     None when the algebra is commutative."""
     r, ksize = cosets.rank, embedding.subgroup.order
-    table = _coset_counts(embedding, cosets, cosets.representatives)
-    recount = _coset_counts(embedding, cosets, cosets.recount_targets)
+    table = _point_counts(embedding, cosets, cosets.orbits.representatives)
+    recount = _point_counts(embedding, cosets, cosets.recount_points)
     moved = _first_difference(table, recount)
     if moved is not None:
         key, value, other = moved
@@ -254,13 +238,15 @@ def structure_constants(
 def dense_constants(
     embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
 ) -> np.ndarray:
-    """The (r, r, r) int64 table c[i][j][k] = |K| p[i][j][k], stacked from
-    the kernel's count at the representatives.  It holds r^3 entries: for
-    ``hecke --show-constants`` and the tests only; verdicts come from
-    ``structure_constants``."""
-    keys, counts = _coset_counts(embedding, cosets, cosets.representatives)
-    r = cosets.rank
-    return stack_block_counts((keys, embedding.subgroup.order * counts), r, range(r))
+    """The (r, r, r) table c[i][j][k] = |K| p[i][j][k], stacked from the
+    count at the least points: int64, or exact Python integers where |K| p
+    passes int64.  It holds r^3 entries: for ``hecke --show-constants`` and
+    the tests only; verdicts come from ``structure_constants``."""
+    keys, counts = _point_counts(embedding, cosets, cosets.orbits.representatives)
+    r, ksize = cosets.rank, embedding.subgroup.order
+    if ksize * int(counts.max()) >= 2**63:
+        return stack_block_counts((keys, counts), r, range(r)).astype(object) * ksize
+    return stack_block_counts((keys, ksize * counts), r, range(r))
 
 
 def is_commutative(witness: Witness | None) -> bool:

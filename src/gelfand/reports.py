@@ -106,18 +106,19 @@ def _consistency_failures(report: PairReport) -> list[str]:
     return out
 
 
-def build_pair(pairspec: str, size_budget: int = DEFAULT_SIZE_BUDGET):
+def build_pair(pairspec: str, size_budget: int = DEFAULT_SIZE_BUDGET, *, on_points=False):
     """Parse wr(<group>,<n>), build the base group and embed the pair.
 
     Returns the embedding of G wr S_(n-1) into G wr S_n; its parent, a
     WreathProduct, carries the canonical name, the base group and n.  The
-    wreath size budget is enforced here, before any work proportional to a
-    group's order.
+    size budget is enforced here, before any work proportional to a
+    group's order: on |G wr S_n|, or with on_points, for the Hecke route
+    alone, on the points X (wreath.point_budget).
     """
     base_ast, n = parse_pair_spec(pairspec)
     if n < 2:
         raise InvalidParameterError(f"pair spec needs n >= 2, got n={n}")
-    return embed_wreath_subgroup(build_group(base_ast), n, size_budget)
+    return embed_wreath_subgroup(build_group(base_ast), n, size_budget, on_points=on_points)
 
 
 def check_pair(
@@ -127,6 +128,7 @@ def check_pair(
     seed: int = 0,
     size_budget: int = DEFAULT_SIZE_BUDGET,
     cache_dir=None,
+    on_points: bool | None = None,
 ) -> PairReport:
     """Verify one pair with the selected method(s) and cross-check the results.
 
@@ -149,7 +151,9 @@ def check_pair(
             f"method must be 'hecke', 'character' or 'both', got {method!r}"
         )
     t0 = time.perf_counter()
-    embedding = build_pair(pairspec, size_budget)
+    if on_points is None:
+        on_points = method == "hecke"
+    embedding = build_pair(pairspec, size_budget, on_points=on_points)
     wreath = embedding.parent
     base, n = wreath.base_group, wreath.n
     report = PairReport(pair=wreath.name, base=base.name, n=n)
@@ -207,14 +211,15 @@ def scan_pairs(base_specs: list[str], n: int, **kwargs) -> list[PairReport]:
     """One report per base; per-row errors are recorded, never abort the scan.
 
     Each base is parsed on its own first, so a parse error's offset points
-    into the base as typed.
+    into the base as typed.  Every row keeps the |G| budget, whatever the
+    method.
     """
     reports = []
     for base in base_specs:
         spec = f"wr({base},{n})"
         try:
             parse_group_spec(base)
-            reports.append(check_pair(spec, **kwargs))
+            reports.append(check_pair(spec, on_points=False, **kwargs))
         except Exception as exc:  # recorded in the row
             reports.append(PairReport(pair=spec, base=base, n=n, error=str(exc)))
     return reports

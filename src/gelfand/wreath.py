@@ -28,17 +28,19 @@ product vary apart, so |B|^n new codes (s x) or an (|B|^n, n) table of
 code gains read at p(j) (x s) meet the n! new tops in one broadcast per
 block of codes, with no decode or re-encode of the ids.
 
-G wr S_n acts on the n |G| points {0..n-1} x G by
+G wr S_n acts on the n |G| points X = {0..n-1} x G by
 (b; p) . (j, x) = (p(j), b_(p(j)) x), and G wr S_(n-1), as
 ``embed_wreath_subgroup`` embeds it, is the stabilizer of x0 = (n-1, e).  So
-``WreathEmbedding.coset_index`` reads the left coset of g off the point
-g . x0 of the decoded id with no product, BATCH_LIMIT ids at a time, and
-``WreathEmbedding.coset_reps``, the least id on each point, comes in closed
-form from the n |G| points, with no pass over the ids.  The permutation
-character is the fixed-point count on these points, |G| #{j : p(j) = j,
-b_j = e} at (b; p), read off the decoded class representatives, so the
-character route reads no id of G wr S_(n-1): its ids are built and proven
-only when the Hecke route (or a test) first reads them.
+``WreathEmbedding`` gives the Hecke route the points G/K as X itself: the
+moves of the generators, a closed-form transversal and the points
+u_z^-1 y, from base products on X alone, with no id of G or K.  Past the
+2^62 ids (wr(S5,8)) the pair is still built for that route
+(``embed_wreath_subgroup(..., on_points=True)``, budgeted by
+``point_budget``), and its batched id ops are refused.  The permutation
+character is the fixed-point count on X, |G| #{j : p(j) = j, b_j = e} at
+(b; p), read off the decoded class representatives, so the character route
+reads no id of G wr S_(n-1) either: its ids are built and proven only when
+a test first reads them.
 
 Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
@@ -69,20 +71,20 @@ from .groups import (
     SubgroupEmbedding,
     SymmetricGroup,
     conjugacy_classes,
+    orbit_labels,
     perm_compose,
     perm_compose_many,
     perm_indexer,
     perm_inverse,
     perm_inverse_many,
-    perm_rank,
     perm_rank_many,
     perm_unrank_many,
 )
 from .partitions import multipartition_count
 
 DEFAULT_SIZE_BUDGET = 2_000_000
-# Batched wreath products, decodes and coset lookups work on at most this many
-# ids at a time, which bounds their (n, ...) temporaries at any batch size.
+# Batched wreath products and decodes work on at most this many ids at a
+# time, which bounds their (n, ...) temporaries at any batch size.
 BATCH_LIMIT = 2**14
 
 
@@ -101,9 +103,13 @@ def _by_chunks(function, *arrays) -> np.ndarray:
     return out.reshape(shape)
 
 
-def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET) -> int:
+def wreath_order(
+    base_group: FiniteGroup, n: int, size_budget: int | None = DEFAULT_SIZE_BUDGET
+) -> int:
     """|G wr S_n| = |G|^n * n!, or ResourceLimitError if over the size budget,
     which is capped at the 2^62 ids that batched int64 arithmetic holds.
+    With size_budget None there is no limit: the caller budgets the points
+    (point_budget), and ids past 2^62 are refused by the batched ops.
 
     Computed from |G| and n alone, so it is safe to call before any work
     proportional to |G|.
@@ -111,6 +117,8 @@ def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZ
     if n < 1:
         raise InvalidParameterError(f"wreath product needs n >= 1, got {n}")
     order = base_group.order**n * math.factorial(n)
+    if size_budget is None:
+        return order
     limit = min(size_budget, _BATCH_ORDER_LIMIT)
     if order > limit:
         raise ResourceLimitError(
@@ -118,6 +126,23 @@ def wreath_order(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZ
             f"over the size budget of {limit}"
         )
     return order
+
+
+def point_budget(base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET) -> int:
+    """|X| = n |G|, the points of the Hecke route on X, or ResourceLimitError
+    when n^2 |G|^2 > 2 * the size budget (capped at 2^62, as in
+    wreath_order).  The route's count looks up r |X| <= |X|^2 points; at
+    n = 2 the bound is |G wr S_2| <= budget, and at n >= 3 the order bound
+    |G wr S_n| <= budget implies it.  Computed from |G| and n alone, before
+    any work."""
+    points = n * base_group.order
+    limit = min(size_budget, _BATCH_ORDER_LIMIT)
+    if points * points > 2 * limit:
+        raise ResourceLimitError(
+            f"wr({base_group.name},{n}) acts on |X| = {points} points: |X|^2 = "
+            f"{points * points} is over twice the size budget of {limit}"
+        )
+    return points
 
 
 @dataclass(frozen=True)
@@ -140,7 +165,9 @@ class WreathProduct(FiniteGroup):
     The scalar ops do the same one element at a time.
     """
 
-    def __init__(self, base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET):
+    def __init__(
+        self, base_group: FiniteGroup, n: int, size_budget: int | None = DEFAULT_SIZE_BUDGET
+    ):
         self.order = wreath_order(base_group, n, size_budget)
         self.base_group = base_group
         self.n = n
@@ -194,7 +221,10 @@ class WreathProduct(FiniteGroup):
         """The n base ids of every code c < |B|^n, coordinates on axis 0:
         an (n, |B|^n) read-only table, int16 when |B| < 2^15, else int32
         (int64 past 2^31), filled by divmod in radix |B|, BATCH_LIMIT codes
-        at a time."""
+        at a time.  Every batched op reads it, so a group whose ids pass
+        2^62 refuses them all here: ResourceLimitError."""
+        if self.order > _BATCH_ORDER_LIMIT:
+            raise ResourceLimitError(f"|{self.name}| = {self.order} does not fit batched int64 ids")
         order, n = self.base_group.order, self.n
         count = order**n
         dtype = np.int16 if order < 2**15 else np.int32 if order < 2**31 else np.int64
@@ -358,16 +388,21 @@ class WreathProduct(FiniteGroup):
         return perm_unrank_many(self.n, ranks) if images is None else images.take(ranks, axis=1)
 
     @functools.cached_property
-    def generators(self) -> tuple[int, ...]:
+    def generator_elements(self) -> tuple[WreathElement, ...]:
         """The base generators on coordinate 0, then (0 1) and the n-cycle."""
         rest = (self.base_group.identity,) * (self.n - 1)
         points = tuple(range(self.n))
-        gens = [self._encode_raw((g,) + rest, points) for g in self.base_group.generators]
+        gens = [WreathElement((g,) + rest, points) for g in self.base_group.generators]
         if self.n > 1:
             unit = (self.base_group.identity,) * self.n
-            gens.append(self._encode_raw(unit, (1, 0) + points[2:]))
-            gens.append(self._encode_raw(unit, points[1:] + (0,)))
+            gens.append(WreathElement(unit, (1, 0) + points[2:]))
+            gens.append(WreathElement(unit, points[1:] + (0,)))
         return tuple(gens)
+
+    @functools.cached_property
+    def generators(self) -> tuple[int, ...]:
+        """The ids of generator_elements."""
+        return tuple(self._encode_raw(g.base, g.top) for g in self.generator_elements)
 
     @functools.cached_property
     def class_count(self) -> int:
@@ -483,18 +518,35 @@ class WreathProduct(FiniteGroup):
 
 class WreathEmbedding(SubgroupEmbedding):
     """K = B wr S_(n-1) in G = B wr S_n as embed_wreath_subgroup embeds it,
-    read off the action on the n |B| points X = {0..n-1} x B,
-    (b; p) . (j, x) = (p(j), b_(p(j)) x), numbered j |B| + x.  K is the
-    stabilizer of x0 = (n-1, e), so:
+    read off the action of G on the n |B| points X = {0..n-1} x B,
 
-    - the left coset gK is the point g . x0 = (p(n-1), b_(p(n-1))), and
-      cosets are numbered by their least id as the walk numbers them;
-    - the permutation character is the fixed-point count on X, from the
-      class representatives alone.
+        (b; p) . (j, x) = (p(j), b_(p(j)) x),
 
-    Nothing here is indexed by the ids of G, and K's ids (``map`` and
-    ``image``) are built only when first read, which only the Hecke route
-    and the tests do; validate() proves them then, once.
+    a left action in the toolkit's product convention.
+
+    Lemma: X is G/K with gK <-> g x0, x0 = (n-1, e).  The action is
+    faithful, since (b; p) fixes every point only if p = id and b_j x = x
+    for all j and x, so b = e; so the images of G's generators generate a
+    group P ≅ G.  check_double_cosets checks that P is transitive, so
+    Stab(x0) has |G| / |X| = |K| elements, and point_moves checks that K's
+    generators fix x0, so Stab(x0) holds K: Stab(x0) = K.  The double
+    cosets KgK are then the K-orbits on X.
+
+    Points are numbered by the least id on them, as a walk of the left
+    cosets numbers G/K.  The least g with g x0 = (j, x) has base x at
+    coordinate j and base id 0 elsewhere, and the least top with
+    p(n-1) = j, tau_j = (0, .., j-1, j+1, .., n-1, j): its id is
+    x |B|^(n-1-j) n! + rank(tau_j), where rank(tau_j) < n! falls as j
+    rises.  So the points (j, 0) come first, by j descending, then the rest
+    by j descending and x ascending.  Inside, a point is j |B| + x.  The
+    transversal u_(j,x) = (x at coordinate j; tau_j) has u x0 = (j, x) and
+    u^-1 (j', x') = (tau_j^-1(j'), b_(j')^-1 x'), b_j = x and e elsewhere:
+    (n-1, x^-1 x') at j' = j, else (j' - [j' > j], x').
+
+    The permutation character is the fixed-point count on X, from the class
+    representatives alone.  Nothing here is indexed by the ids of G, and
+    K's ids (``map`` and ``image``) are built only when first read, which
+    only the tests do; validate() proves them then, once.
     """
 
     def __init__(self, subgroup: WreathProduct, parent: WreathProduct):
@@ -563,86 +615,125 @@ class WreathEmbedding(SubgroupEmbedding):
         return tuple(pi)
 
     @functools.cached_property
-    def coset_reps(self) -> np.ndarray:
-        """The least id of each point, ascending (see _cosets), checked
-        through coset_index on first use, else InternalConsistencyError:
-
-        - K's generators fix x0;
-        - coset_index(s rep_c) = s . c for s = e, so coset_index(coset_reps)
-          is 0..[G:K]-1, and for every generator s of G and every coset c:
-          (1 + |gens(G)|) [G:K] products.
-
-        So the representatives reach every point, the action is transitive,
-        and the stabilizer of x0 has |G| / [G:K] = |K| elements and holds K:
-        it is K, and each point labels exactly the |K| ids of one left coset.
-        """
-        group, k = self.parent, self.subgroup
-        base_group, base_order = group.base_group, group.base_group.order
-        number, reps = self._cosets
-        x0 = number[(group.n - 1) * base_order + base_group.identity]
-        moved = self.coset_index(self.map[list(k.generators)]) != x0
-        if moved.any():
-            raise InternalConsistencyError(
-                f"generator {k.generators[np.argmax(moved)]} of K moves the point x0"
-            )
-        # s . (j, x) = (p_s(j), b_s[p_s(j)] x) against coset_index(s rep_c)
-        gens = np.array((group.identity,) + group.generators, dtype=np.int64)
-        s_base, s_top = group.decode_many(gens)
-        j, x = np.divmod(np.argsort(number), base_order)  # the point of each coset
-        to = perm_unrank_many(group.n, s_top)[j].T.astype(np.int64)  # (gens, [G:K])
-        acted = to * base_order + base_group.mul_many(s_base[to, np.arange(len(gens))[:, None]], x)
-        wrong = np.argwhere(self.coset_index(group.mul_many(gens[:, None], reps)) != number[acted])
-        if len(wrong):
-            s, c = wrong[0]
-            raise InternalConsistencyError(
-                f"the points of {group.name} are not equivariant: generator {gens[s]} "
-                f"takes coset representative {reps[c]} off the point {acted[s, c]}"
-            )
-        return reps
-
-    def coset_index(self, ids) -> np.ndarray:
-        """The coset of every id: the number of its point g . x0, read off
-        the decoded id with no product, BATCH_LIMIT ids at a time."""
-        return _by_chunks(self._coset_chunk, np.asarray(ids, dtype=np.int64))
-
-    def _coset_chunk(self, ids: np.ndarray) -> np.ndarray:
-        group = self.parent
-        code, top = np.divmod(ids, group._nfact)
-        images = group._idx.images
-        last = perm_unrank_many(group.n, top)[-1] if images is None else images[-1].take(top)
-        last = last.astype(np.int64)
-        return self._cosets[0][last * group.base_group.order + group._digits_at(last, code)]
+    def _numbers(self) -> np.ndarray:
+        """The number of every point j |B| + x, by the least id on it."""
+        n, order = self.parent.n, self.parent.base_group.order
+        j, x = np.divmod(np.arange(n * order, dtype=np.int64), order)
+        down = n - 1 - j
+        numbers = np.where(x == 0, down, n + down * (order - 1) + x - 1)
+        numbers.setflags(write=False)
+        return numbers
 
     @functools.cached_property
-    def _cosets(self) -> tuple[np.ndarray, np.ndarray]:
-        """(number, reps): the coset number of every point and the least id
-        of each coset, ascending, with no pass over G.  The least id g with
-        g . x0 = (j, x) has the base tuple x e_j (zero but for x at
-        coordinate j) and the least top with p(n-1) = j, the image tuple
-        (0, .., j-1, j+1, .., n-1, j): x |B|^(n-1-j) n! + rank of that top."""
+    def _points(self) -> np.ndarray:
+        """The point j |B| + x of every number: the inverse of _numbers."""
+        points = np.empty_like(self._numbers)
+        points[self._numbers] = np.arange(len(points))
+        points.setflags(write=False)
+        return points
+
+    def _act(self, to: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The number of the point (to, b x), for arrays of coordinates and
+        base ids: (b'; p) takes (j, x) there with to = p(j), b = b'_(p(j))."""
+        base_group = self.parent.base_group
+        return self._numbers[to * base_group.order + base_group.mul_many(b, x)]
+
+    def _moves(self, elements) -> np.ndarray:
+        """(len(elements), |X|) int64: the number of g . z for every element
+        g of G and every point z, indexed by the number of z."""
+        j, x = np.divmod(self._points, self.parent.base_group.order)
+        moves = np.empty((len(elements), len(j)), dtype=np.int64)
+        for row, g in zip(moves, elements):
+            to = np.array(g.top, dtype=np.int64)[j]
+            row[:] = self._act(to, np.array(g.base, dtype=np.int64)[to], x)
+        return moves
+
+    @property
+    def base_point(self) -> int:
+        """The number of x0 = (n-1, e)."""
         group = self.parent
-        n, base_order = group.n, group.base_group.order
-        j, x = np.divmod(np.arange(n * base_order, dtype=np.int64), base_order)
-        tops = [perm_rank(tuple(range(j)) + tuple(range(j + 1, n)) + (j,)) for j in range(n)]
-        first = x * base_order ** (n - 1 - j) * group._nfact + np.array(tops, dtype=np.int64)[j]
-        reps = np.sort(first)
-        reps.setflags(write=False)
-        return np.argsort(np.argsort(first)), reps
+        return int(self._numbers[(group.n - 1) * group.base_group.order + group.base_group.identity])
+
+    def point_moves(self) -> np.ndarray:
+        """The moves of K's generators on X, each widened by e at coordinate
+        n - 1 and a top that fixes n - 1; each must fix x0, else
+        InternalConsistencyError."""
+        identity, last = self.parent.base_group.identity, self.subgroup.n
+        gens = [
+            WreathElement(g.base + (identity,), g.top + (last,))
+            for g in self.subgroup.generator_elements
+        ]
+        moves = self._moves(gens)
+        x0 = self.base_point
+        moved = np.flatnonzero(moves[:, x0] != x0)
+        if len(moved):
+            raise InternalConsistencyError(f"generator {gens[moved[0]]} of K moves the point x0")
+        return moves
+
+    @property
+    def transversal_points(self) -> np.ndarray:
+        """The number of every point z = j |B| + x, in that order: the
+        transversal takes u_z point by point, and u_z x0 = z."""
+        return self._numbers
+
+    def back_points(self, targets: np.ndarray) -> np.ndarray:
+        """(len(targets), |X|) int64: the number of u_z^-1 y for every target
+        y and every point z, by the closed form in the class docstring: n
+        lookups per target off the column of y, and |B| base products on it."""
+        group = self.parent
+        n, order = group.n, group.base_group.order
+        j, x = np.divmod(self._points[targets], order)
+        j = j[:, None]
+        x = x[:, None]
+        off = self._numbers[(j - (j > np.arange(n))) * order + x]  # (targets, n)
+        back = np.repeat(off, order, axis=1)
+        inverses = group.base_group.inv_many(np.arange(order, dtype=np.int64))
+        on = self._numbers[(n - 1) * order + group.base_group.mul_many(inverses, x)]
+        back.reshape(len(targets), n, order)[np.arange(len(targets)), j[:, 0]] = on
+        return back
+
+    def check_double_cosets(self, blocks: GroupPartition) -> None:
+        """Check the lemma's premises that point_moves leaves, else
+        InternalConsistencyError: G's generators act transitively on X, and
+        u_z x0 = (tau_j(n-1), x e) = (j, x e) is z at every point z = (j, x).
+        The K-orbits are then the double cosets, whatever the blocks."""
+        group = self.parent
+        if orbit_labels(self._moves(group.generator_elements)).any():
+            raise InternalConsistencyError(
+                f"the generators of {group.name} are not transitive on its {self.index} points"
+            )
+        j, x = np.divmod(self._points, group.base_group.order)
+        moved = self._act(j, x, group.base_group.identity)
+        wrong = np.flatnonzero(moved != np.arange(len(moved)))
+        if len(wrong):
+            raise InternalConsistencyError(
+                f"the transversal element of point {wrong[0]} takes x0 to point {moved[wrong[0]]}"
+            )
 
 
 def embed_wreath_subgroup(
-    base_group: FiniteGroup, n: int, size_budget: int = DEFAULT_SIZE_BUDGET
+    base_group: FiniteGroup,
+    n: int,
+    size_budget: int = DEFAULT_SIZE_BUDGET,
+    *,
+    on_points: bool = False,
 ) -> WreathEmbedding:
     """Embed G wr S_{n-1} into G wr S_n.
 
     The last coordinate carries the identity and the top permutation fixes
     the last point; any conjugate embedding gives the same verdicts.  No id
     of either group is touched here: K's ids are built and proven on their
-    first read (WreathEmbedding.map).
+    first read (WreathEmbedding.map).  The size budget bounds |G wr S_n|
+    (wreath_order), or with on_points, for a pair read only on X by the
+    Hecke route, the points (point_budget): then the orders are not
+    bounded, and ids past 2^62 are refused by the batched ops.
     """
     if n < 2:
         raise InvalidParameterError(
             f"the pair (G wr S_n, G wr S_(n-1)) needs n >= 2, got {n}"
         )
+    if on_points:
+        point_budget(base_group, n, size_budget)
+        size_budget = None
     parent = WreathProduct(base_group, n, size_budget)
     return WreathEmbedding(WreathProduct(base_group, n - 1, size_budget), parent)

@@ -15,7 +15,9 @@ algorithm checks it, not a scalar copy of it.  They share no code with the
 batched layer.  The partitions are built field by field from the walks' own
 lists, never through ``GroupPartition.from_labels``.  ``per_id`` reads a
 ``DoubleCosetDecomposition``'s block of every id of G through the
-embedding's coset lookup, so it compares with these partitions.
+embedding's walked left cosets, which number G/K as the points do
+(``test_cosets_by_the_action_equal_the_walk`` checks that on wreath
+pairs), so it compares with these partitions.
 """
 
 from __future__ import annotations
@@ -34,11 +36,13 @@ def members(partition) -> tuple[tuple[int, ...], ...]:
 
 
 def per_id(embedding, cosets) -> GroupPartition:
-    """The double cosets as a partition of G: the block of every id, read
-    through embedding.coset_index at every id."""
+    """The double cosets as a partition of G: the block of every id and the
+    least id of every block, read through the walked left cosets
+    (embedding.coset_index and coset_reps)."""
     ids = np.arange(embedding.parent.order, dtype=np.int64)
-    block_of = cosets.coset_block[embedding.coset_index(ids)]
-    return GroupPartition(block_of, cosets.representatives, cosets.sizes)
+    block_of = cosets.orbits.block_of[embedding.coset_index(ids)]
+    reps = embedding.coset_reps[list(cosets.orbits.representatives)]
+    return GroupPartition(block_of, tuple(reps.tolist()), cosets.sizes)
 
 
 def _partition(blocks, reps, block_of):

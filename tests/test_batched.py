@@ -269,16 +269,24 @@ def test_table_build_rejects_one_corrupted_generator_row(side, generator):
 
 @pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)
 def test_cosets_by_the_action_equal_the_walk(pairspec):
+    """The points of X, numbered in closed form, are the walked left cosets:
+    the point g . x0 of the least id of coset c is point c, and the moves of
+    K's generators, the transversal's points and the points u_z^-1 y are
+    the walk's, once its transversal is taken in X's order."""
     embedding = build_pair(pairspec)
-    walked = SubgroupEmbedding(embedding.subgroup, embedding.parent, embedding.map)
-    ids = np.arange(embedding.parent.order, dtype=np.int64)
-    pairs = (
-        (embedding.coset_reps, walked.coset_reps),
-        (embedding.coset_index(ids), walked.coset_index(ids)),
-    )
-    for by_action, by_walk in pairs:
-        assert by_action.dtype == np.int64
-        assert np.array_equal(by_action, by_walk)
+    group = embedding.parent
+    walked = SubgroupEmbedding(embedding.subgroup, group, embedding.map)
+    base, top = group.decode_many(walked.coset_reps)
+    last = np.array([group._idx.unrank(t)[-1] for t in top.tolist()], dtype=np.int64)
+    point = last * group.base_group.order + base[last, np.arange(len(last))]
+    numbers = embedding.transversal_points  # the number of each point j |B| + x
+    assert numbers.dtype == np.int64
+    assert np.array_equal(numbers[point], np.arange(embedding.index))
+    assert embedding.base_point == walked.base_point == 0
+    assert np.array_equal(embedding.point_moves(), walked.point_moves())
+    targets = np.arange(embedding.index, dtype=np.int64)
+    by_walk = walked.back_points(targets)
+    assert np.array_equal(embedding.back_points(targets), by_walk[:, numbers])
 
 
 @pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)
@@ -360,8 +368,8 @@ def test_label_arrays_are_read_only_int64():
     cosets = double_cosets(embedding)
     arrays = (
         conjugacy_classes(group).block_of,
-        cosets.coset_block,
-        embedding.coset_reps,
+        cosets.orbits.block_of,
+        embedding.transversal_points,
         dense_constants(embedding, cosets),
         embedding.map,
         embedding.image,

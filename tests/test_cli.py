@@ -374,13 +374,8 @@ def test_resource_limit_exit_code(capsys, tmp_path):
             ("pair-check", "wr(S5,8)", "--size-budget", "10000000000000000000000"),
             "needs 1733686198272000000000 elements, over the size budget of 4611686018427387904",
         ),
-        # 2.4e18 elements fit the ids, but no array of K's 19! ids can be made
-        (
-            ("pair-check", "wr(Z1,20)", "--method", "hecke", "--size-budget", "10000000000000000000"),
-            "",
-        ),
     ],
-    ids=["past-the-ids", "out-of-memory"],
+    ids=["past-the-ids"],
 )
 def test_huge_size_budget_is_a_resource_limit(tmp_path, argv, said):
     proc = _run_module(*argv, "--cache-dir", str(tmp_path))
@@ -389,6 +384,64 @@ def test_huge_size_budget_is_a_resource_limit(tmp_path, argv, said):
     assert said in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_huge_size_budget_answers_the_hecke_route_on_x(tmp_path):
+    # 2.4e18 elements fit the ids, but no array of K's 19! ids could be
+    # made; the Hecke route reads only the 20 points of X, and answers
+    proc = _run_module(
+        "pair-check", "wr(Z1,20)", "--method", "hecke", "--size-budget", "10000000000000000000",
+        "--format", "machine", "--cache-dir", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(proc.stdout)
+    assert record["rank"] == record["predicted_rank"] == 2
+    assert record["gelfand_hecke"] is True and record["consistent"] is True
+
+
+HECKE_ONLY = (("hecke",), ("pair-check", "--method", "hecke"))
+
+
+@pytest.mark.parametrize("command", HECKE_ONLY, ids=["hecke", "pair-check"])
+def test_hecke_only_budget_is_on_the_points(capsys, tmp_path, command):
+    # n^2 |B|^2 <= 2 * budget: at n = 2 that is |G| <= budget, exactly
+    name, *flags = command
+    for budget, code in (("72", 0), ("71", 3)):
+        got, out, err = run(
+            capsys, name, "wr(S3,2)", *flags, "--size-budget", budget, "--cache-dir", str(tmp_path)
+        )
+        assert got == code, err
+    assert err == (
+        "gelfand: resource limit: wr(S3,2) acts on |X| = 12 points: |X|^2 = 144 is "
+        "over twice the size budget of 71\n"
+    )
+    # past the |G| budget at n >= 3 (33,592,320 elements), within the
+    # points' (36^2 <= 4,000,000): answered
+    got, out, err = run(capsys, name, "wr(S3,6)", *flags, "--format", "machine",
+                        "--cache-dir", str(tmp_path))
+    assert got == 0, err
+    assert json.loads(out)["rank"] == 7
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pair-check", "wr(S3,6)", "--method", "both"),
+        ("pair-check", "wr(S3,6)", "--method", "character"),
+        ("scan", "S3", "--n", "6", "--method", "hecke", "--format", "machine"),
+        ("branch", "S3", "--n", "6"),
+    ],
+    ids=["both", "character", "scan", "branch"],
+)
+def test_other_commands_keep_the_order_budget(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, "--cache-dir", str(tmp_path))
+    said = "wr(S3,6) needs 33592320 elements, over the size budget of 2000000"
+    if argv[0] == "scan":
+        assert code == 1
+        assert json.loads(out.splitlines()[0])["error"] == said
+    else:
+        assert code == 3
+        assert err == f"gelfand: resource limit: {said}\n"
 
 
 @pytest.mark.parametrize(
@@ -448,6 +501,16 @@ def test_over_budget_pair_exits_before_order_sized_work(tmp_path):
     proc = _run_module("pair-check", "wr(Z100000,2)", "--cache-dir", str(tmp_path))
     assert proc.returncode == 3, proc.stderr
     assert "size budget" in proc.stderr
+
+
+def test_over_budget_hecke_pair_exits_before_any_work(tmp_path):
+    # on the points as on |G|: 200,000 points are over the budget
+    proc = _run_module(
+        "pair-check", "wr(Z100000,2)", "--method", "hecke", "--cache-dir", str(tmp_path)
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "size budget" in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_abelian_base_past_the_table_limits_predicts_from_unit_degrees(tmp_path):

@@ -4,9 +4,9 @@ Machine records hold integers, booleans and names only, never a timing, so
 stdout depends neither on the host nor on the run.  The stdout of each
 command below is kept in tests/data/golden/<name>.jsonl; a change that alters
 any record alters one of those files.  Regenerate them (a change to name as
-such) with:
+such), all or the named ones, with:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [name ...]
 """
 
 import contextlib
@@ -31,6 +31,14 @@ COMMANDS = {
     "character-D4-3": ["pair-check", "wr(D4,3)", "--method", "character"],
     "character-Z3-4": ["pair-check", "wr(Z3,4)", "--method", "character"],
     "pair-check-S4-2": ["pair-check", "wr(S4,2)", "--method", "both"],
+    "hecke-S4-2": ["hecke", "wr(S4,2)", "--show-constants"],
+    "hecke-Z2-4": ["hecke", "wr(Z2,4)", "--show-constants"],
+    "hecke-Z1-6": ["hecke", "wr(Z1,6)", "--show-constants"],
+    "hecke-only-S3-3": ["pair-check", "wr(S3,3)", "--method", "hecke"],
+    "hecke-only-Z2-5": ["pair-check", "wr(Z2,5)", "--method", "hecke"],
+    # past the 2^62 ids: answered on the points of X alone
+    "hecke-S5-8": ["hecke", "wr(S5,8)"],
+    "hecke-only-S5-8": ["pair-check", "wr(S5,8)", "--method", "hecke"],
 }
 
 
@@ -50,7 +58,7 @@ def test_machine_output_equals_its_golden_file(name, tmp_path):
 
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name in COMMANDS:
+    for name in sys.argv[1:] or COMMANDS:
         with tempfile.TemporaryDirectory() as cache_dir:
             (GOLDEN / f"{name}.jsonl").write_text(machine_output(name, cache_dir))
         print(f"wrote {GOLDEN / name}.jsonl", file=sys.stderr)

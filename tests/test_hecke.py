@@ -1,6 +1,8 @@
 """Double cosets, structure constants, convolution and the Hecke verdict."""
 
 import itertools
+import json
+import math
 import random
 
 import numpy as np
@@ -12,19 +14,25 @@ from gelfand import (
     InternalConsistencyError,
     InvalidParameterError,
     ResourceLimitError,
+    SubgroupEmbedding,
     SymmetricGroup,
+    WreathProduct,
     class_coefficients,
     conjugacy_classes,
     double_cosets,
     embed_wreath_subgroup,
     full_embedding,
+    is_abelian,
     is_commutative,
     structure_constants,
     subgroup_from_generators,
 )
-from gelfand.groups import block_product_counts, stack_block_counts
-from gelfand.hecke import dense_constants
+from gelfand.groups import block_pair_counts, block_product_counts, stack_block_counts
+from gelfand.hecke import _point_counts, dense_constants
+from gelfand.cli import main as cli_main
 from gelfand.reports import build_pair
+from gelfand.specs import build_group
+from gelfand.wreath import WreathEmbedding
 from hecke_oracle import (
     BiInvariantFunction,
     bucketed_constants,
@@ -45,7 +53,7 @@ def test_s3_s2_blocks():
     dc = double_cosets(emb)
     assert dc.sizes == (2, 4)
     assert members(per_id(emb, dc))[0] == tuple(emb.image.tolist())
-    assert dc.coset_block[emb.coset_index(0)] == 0
+    assert dc.orbits.block_of[emb.coset_index(0)] == 0
 
 
 def test_whole_group_single_block():
@@ -67,31 +75,33 @@ def test_s3_wr_s2_has_seven_blocks():
 
 @pytest.mark.parametrize("spec", ["wr(S3,2)", "wr(Z2,4)", "wr(S4,2)"])
 def test_wreath_double_cosets_keep_nothing_per_id(spec):
-    # per left coset or per block: at most [G:K] entries, never |G|
+    # per point or per block: at most [G:K] entries, never |G|
     emb = build_pair(spec)
     dc = double_cosets(emb)
-    kept = [np.asarray(value) for value in vars(dc).values()]
-    assert len(kept) == 4 and emb.index < emb.parent.order
-    assert all(value.size <= emb.index for value in kept)
+    assert len(vars(dc)) == 3 and emb.index < emb.parent.order
+    kept = [*vars(dc.orbits).values(), dc.sizes, dc.recount_points]
+    assert all(np.asarray(value).size <= emb.index for value in kept)
 
 
 def test_blocks_partition_the_group():
     for base, n in ((CyclicGroup(2), 3), (SymmetricGroup(3), 2)):
         emb = embed_wreath_subgroup(base, n)
         dc = double_cosets(emb)
-        blocks = members(per_id(emb, dc))
+        labels = per_id(emb, dc)
+        blocks = members(labels)
         covered = sorted(x for block in blocks for x in block)
         assert covered == list(range(emb.parent.order))
-        assert list(dc.representatives) == [min(b) for b in blocks]
+        assert list(labels.representatives) == [min(b) for b in blocks]
 
 
 @pytest.mark.parametrize("spec, rank", [("wr(S3,2)", 7), ("wr(S4,2)", 25), ("wr(Z30,2)", 31)])
 def test_double_cosets_make_two_mul_many_calls_at_any_rank(spec, rank):
-    # the moves of K's generators and the batch K g, which the K g check,
-    # the coset size identity and the recount targets all read; the left
-    # cosets are read and checked beforehand
+    # over the walked cosets of K's ids: the moves of K's generators and the
+    # batch K g, which the K g check and the coset size identity read; the
+    # left cosets are read and checked beforehand.  On X, no product in G
     emb = build_pair(spec)
-    emb.coset_reps
+    generic = SubgroupEmbedding(emb.subgroup, emb.parent, emb.map)
+    generic.coset_reps
     group = emb.parent
     calls = []
 
@@ -101,6 +111,8 @@ def test_double_cosets_make_two_mul_many_calls_at_any_rank(spec, rank):
 
     group.mul_many = counted
     assert double_cosets(emb).rank == rank
+    assert calls == []
+    assert double_cosets(generic).rank == rank
     assert len(calls) == 2
 
 
@@ -155,10 +167,10 @@ def test_coset_size_identity():
     # the constructor's internal check
     emb = embed_wreath_subgroup(CyclicGroup(2), 3)
     grp = emb.parent
-    dc = double_cosets(emb)
+    labels = per_id(emb, double_cosets(emb))
     image = set(emb.image.tolist())
     ksq = emb.subgroup.order ** 2
-    for block, g in zip(members(per_id(emb, dc)), dc.representatives):
+    for block, g in zip(members(labels), labels.representatives):
         ginv = grp.inv(g)
         stab = sum(1 for k in image if grp.mul(grp.mul(g, k), ginv) in image)
         assert len(block) * stab == ksq
@@ -319,56 +331,52 @@ def test_kernel_matches_bucketing_oracle():
     ladder = [(emb.parent, emb) for emb in map(build_pair, LADDER[2:])]
     for grp, emb in small_pairs() + ladder:
         dc = double_cosets(emb)
+        labels = per_id(emb, dc)
         assert np.array_equal(
             dense_constants(emb, dc),
-            bucketed_constants(grp, members(per_id(emb, dc)), dc.representatives),
+            bucketed_constants(grp, members(labels), labels.representatives),
         ), grp.name
 
 
 @pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
 def test_transversal_count_matches_whole_group(spec):
-    """All of G, each id once with the sizes |D_k|, counts |K| times what the
-    [G:K] representatives count with the sizes |D_k|/|K|."""
+    """All of G, each id once with the sizes |D_k|, counts |K| times what
+    the [G:K] points of X count with the sizes |D_k|/|K|."""
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
-    labels = per_id(emb, dc).block_of
+    labels = per_id(emb, dc)
     table = block_product_counts(
-        grp, labels.take, dc.sizes, dc.representatives, np.arange(grp.order)
+        grp, labels.block_of.take, dc.sizes, labels.representatives, np.arange(grp.order)
     )
     whole_group = stack_block_counts(table, dc.rank, range(dc.rank))
     assert np.array_equal(dense_constants(emb, dc), whole_group)
-    transversal_table = block_product_counts(
-        grp, lookup(emb, dc), coset_sizes(emb, dc), dc.representatives, emb.coset_reps
-    )
+    point_table = _point_counts(emb, dc, dc.orbits.representatives)
     ksize = emb.subgroup.order
-    assert np.array_equal(transversal_table[0], table[0])
-    assert np.array_equal(ksize * transversal_table[1], table[1])
+    assert np.array_equal(point_table[0], table[0])
+    assert np.array_equal(ksize * point_table[1], table[1])
 
 
 @pytest.mark.parametrize("spec", LADDER + ("wr(S3xS4,2)",))
 def test_transversal_count_at_second_elements_matches_whole_group(spec):
-    """At the recount's targets, one more element of each block, in a left
-    coset other than the representative's wherever the block spans more than
-    one, all of G (sizes |D_k|) counts |K| times what the [G:K]
-    representatives (sizes |D_k|/|K|) count."""
+    """At the recount's targets, a second point of each orbit that has one,
+    all of G at the least id on that point (sizes |D_k|) counts |K| times
+    what the [G:K] points of X (sizes |D_k|/|K|) count."""
     emb = build_pair(spec)
     grp = emb.parent
     dc = double_cosets(emb)
-    second = dc.recount_targets
-    labels = per_id(emb, dc).block_of
-    assert labels[list(second)].tolist() == list(range(dc.rank))
+    second = dc.recount_points
+    labels = per_id(emb, dc)
+    ids = emb.coset_reps[list(second)]  # the least id on each point
+    assert labels.block_of[ids].tolist() == list(range(dc.rank))
+    for points, z, target in zip(dc.orbits.sizes, dc.orbits.representatives, second):
+        assert (target != z) == (points > 1)
+    assert any(points > 1 for points in dc.orbits.sizes)
+    point_table = _point_counts(emb, dc, second)
+    whole_group = block_product_counts(grp, labels.block_of.take, dc.sizes, ids, np.arange(grp.order))
     ksize = emb.subgroup.order
-    for size, z, target in zip(dc.sizes, dc.representatives, second):
-        assert target != z or size == 1
-        assert (emb.coset_index(target) != emb.coset_index(z)) == (size > ksize)
-    assert any(size > ksize for size in dc.sizes)
-    transversal_table = block_product_counts(
-        grp, lookup(emb, dc), coset_sizes(emb, dc), second, emb.coset_reps
-    )
-    whole_group = block_product_counts(grp, labels.take, dc.sizes, second, np.arange(grp.order))
-    assert np.array_equal(transversal_table[0], whole_group[0])
-    assert np.array_equal(ksize * transversal_table[1], whole_group[1])
+    assert np.array_equal(point_table[0], whole_group[0])
+    assert np.array_equal(ksize * point_table[1], whole_group[1])
 
 
 @pytest.mark.parametrize("name", ["wr(S3,2)", "(S3,S2)", "wr(D4,2)"])
@@ -392,29 +400,34 @@ def wr_z2_3():
 
 def coset_sizes(emb, dc):
     """The block sizes in cosets, |D_k|/|K|: the units of the coset count."""
-    return [size // emb.subgroup.order for size in dc.sizes]
+    return list(dc.orbits.sizes)
 
 
 def lookup(emb, dc):
-    """The block of any ids, through the embedding's coset lookup."""
-    return lambda ids: dc.coset_block[emb.coset_index(ids)]
+    """The block of any ids, through the walked left cosets."""
+    return lambda ids: dc.orbits.block_of[emb.coset_index(ids)]
+
+
+def rep_ids(emb, dc):
+    """The least id of each block: the least id on its least point."""
+    return emb.coset_reps[list(dc.orbits.representatives)]
 
 
 def corrupt_kernel(monkeypatch, entry, amount, calls):
-    """Add amount at c[i][j][k] of hecke's kernel table on the given calls:
-    structure_constants' call 0 counts at the representatives, call 1 at the
-    second elements of the blocks."""
+    """Add amount at c[i][j][k] of hecke's count on the given calls:
+    structure_constants' call 0 counts at the least points, call 1 at the
+    second points of the blocks."""
     i, j, k = entry
     made = itertools.count()
 
-    def kernel(group, block_of, sizes, *args):
+    def kernel(name, left, sizes, *args):
         r = len(sizes)
-        keys, counts = block_product_counts(group, block_of, sizes, *args)
+        keys, counts = block_pair_counts(name, left, sizes, *args)
         if next(made) in calls:
             return bumped(keys, counts, (i * r + j) * r + k, amount, r)
         return keys, counts
 
-    monkeypatch.setattr("gelfand.hecke.block_product_counts", kernel)
+    monkeypatch.setattr("gelfand.hecke.block_pair_counts", kernel)
 
 
 def bumped(keys, counts, key, amount, r):
@@ -427,7 +440,7 @@ def bumped(keys, counts, key, amount, r):
 
 def test_kernel_rejects_target_outside_its_block():
     grp, emb, dc = wr_z2_3()
-    targets = list(dc.representatives)
+    targets = rep_ids(emb, dc).tolist()
     targets[1], targets[2] = targets[2], targets[1]
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
         block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, emb.coset_reps)
@@ -437,7 +450,7 @@ def test_kernel_rejects_a_column_of_targets():
     # one target per block: the representatives beside the second elements
     # are shape (r, 2), two tables' worth, and the kernel counts one
     grp, emb, dc = wr_z2_3()
-    targets = np.stack([dc.representatives, dc.representatives], axis=1)
+    targets = np.stack([rep_ids(emb, dc), rep_ids(emb, dc)], axis=1)
     with pytest.raises(InvalidParameterError, match=rf"shape \({dc.rank}, 2\)"):
         block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, emb.coset_reps)
 
@@ -447,7 +460,7 @@ def test_kernel_enforces_counting_identity():
     sizes = coset_sizes(emb, dc)
     sizes[1] += 1
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, lookup(emb, dc), sizes, dc.representatives, emb.coset_reps)
+        block_product_counts(grp, lookup(emb, dc), sizes, rep_ids(emb, dc), emb.coset_reps)
 
 
 def test_kernel_rejects_a_list_that_is_not_a_transversal():
@@ -457,7 +470,7 @@ def test_kernel_rejects_a_list_that_is_not_a_transversal():
     elements[1] = emb.image[1]
     with pytest.raises(InternalConsistencyError, match="counting identity"):
         block_product_counts(
-            grp, lookup(emb, dc), coset_sizes(emb, dc), dc.representatives, elements
+            grp, lookup(emb, dc), coset_sizes(emb, dc), rep_ids(emb, dc), elements
         )
 
 
@@ -477,13 +490,23 @@ def test_kernel_rejects_a_block_covered_in_part():
     ids=["0", "-1"],
 )
 def test_structure_constants_need_a_transversal_that_covers_every_block(dropped, message):
-    # coset 0 is K, all of block 0, which the kernel leaves out as
-    # uncovered, so the unit row is missing; the last coset is one of several
-    # in its block, which the kernel refuses as covered in part
+    # the transversal without the element of one point: point 0 is x0, all
+    # of block 0, which the count leaves out as uncovered, so the unit row
+    # is missing; the last point is one of several in its block, which the
+    # count refuses as covered in part
     _, emb, dc = wr_z2_3()
-    vars(emb)["coset_reps"] = np.delete(emb.coset_reps, dropped)
+    at = int(np.flatnonzero(emb.transversal_points == dropped % emb.index)[0])
+
+    class Dropped(WreathEmbedding):
+        @property
+        def transversal_points(self):
+            return np.delete(super().transversal_points, at)
+
+        def back_points(self, targets):
+            return np.delete(super().back_points(targets), at, axis=1)
+
     with pytest.raises(InternalConsistencyError, match=message):
-        structure_constants(emb, dc)
+        structure_constants(Dropped(emb.subgroup, emb.parent), dc)
 
 
 def test_representative_recount_is_enforced(monkeypatch):
@@ -518,11 +541,13 @@ def test_associativity_past_the_int64_bound_is_refused(monkeypatch):
 
 
 def test_structure_constants_count_each_target_twice(monkeypatch):
-    # two kernel calls: [G:K] products per target at the representatives and
-    # as many at the second elements, 2 r [G:K] in all
+    # two counts over the walked cosets of K's ids: [G:K] products per target
+    # at the least points and as many at the second points, 2 r [G:K] in
+    # all; on X, no product in G
     emb = build_pair("wr(S3,2)")
     grp = emb.parent
-    dc = double_cosets(emb)
+    generic = SubgroupEmbedding(emb.subgroup, grp, emb.map)
+    dc = double_cosets(generic)
     products = []
     mul_many = grp.mul_many
 
@@ -531,5 +556,120 @@ def test_structure_constants_count_each_target_twice(monkeypatch):
         return mul_many(xs, ys)
 
     monkeypatch.setattr(grp, "mul_many", counting)
-    structure_constants(emb, dc)
+    assert structure_constants(emb, double_cosets(emb)) is not None
+    assert products == []
+    structure_constants(generic, dc)
     assert sum(products) == 2 * dc.rank * emb.index
+
+
+# ---------------------------------------------------------------------------
+# the engine on X against the engine on the walked cosets of K's ids
+
+
+# the pairs of perfbench/workloads.py, and two past them
+ORACLE_PAIRS = LADDER + ("wr(Z3,4)", "wr(D4,3)", "wr(Z2,5)", "wr(S3,4)", "wr(Z1,7)")
+
+
+@pytest.mark.parametrize("spec", ORACLE_PAIRS)
+def test_x_engine_equals_the_id_engine(spec):
+    emb = build_pair(spec)
+    generic = SubgroupEmbedding(emb.subgroup, emb.parent, emb.map)
+    on_x, on_ids = double_cosets(emb), double_cosets(generic)
+    assert on_x.orbits == on_ids.orbits
+    assert on_x.sizes == on_ids.sizes
+    assert on_x.recount_points == on_ids.recount_points
+    assert structure_constants(emb, on_x) == structure_constants(generic, on_ids)
+    assert np.array_equal(dense_constants(emb, on_x), dense_constants(generic, on_ids))
+
+
+def closed_form_table(base, n):
+    """ROADMAP item 1's intersection numbers of (B wr S_n, B wr S_(n-1)):
+    block 0 is x0, block x + 1 the fixed point (n-1, x) for base ids x >= 1
+    (block "x" = x + 1, and 0 for x = 0), block 1 = * the other (n-1) |B|
+    points.  p[x][y][x y] = 1, p[*][x][*] = p[x][*][*] = 1,
+    p[*][*][x] = (n-1)|B|, p[*][*][*] = (n-2)|B|, and 0 elsewhere."""
+    order = base.order
+    r = order + 1
+    block = [0] + list(range(2, r))  # of base id x
+    p = np.zeros((r, r, r), dtype=np.int64)
+    for x in range(order):
+        for y in range(order):
+            p[block[x], block[y], block[base.mul(x, y)]] = 1
+        p[1, block[x], 1] = p[block[x], 1, 1] = 1
+        p[1, 1, block[x]] = (n - 1) * order
+    p[1, 1, 1] = (n - 2) * order
+    return p
+
+
+@pytest.mark.parametrize(
+    "base, n", [("S3", 10), ("Z3", 12), ("D4", 6), ("S4", 20), ("S5", 8), ("S3", 3), ("Z1", 4)]
+)
+def test_intersection_numbers_match_the_closed_form_past_the_ids(base, n):
+    base = build_group(base)
+    emb = build_pair(f"wr({base.name},{n})", on_points=True)
+    dc = double_cosets(emb)
+    assert dc.rank == base.order + 1
+    p = stack_block_counts(_point_counts(emb, dc, dc.orbits.representatives), dc.rank, range(dc.rank))
+    assert np.array_equal(p, closed_form_table(base, n))
+    witness = structure_constants(emb, dc)
+    assert (witness is None) == is_abelian(base)
+
+
+def test_dense_constants_past_int64_are_exact():
+    # |K| = 20! and p up to 20: c passes 2^63, so it is held as Python ints
+    emb = build_pair("wr(Z1,21)", on_points=True)
+    c = dense_constants(emb, double_cosets(emb))
+    expected = closed_form_table(build_group("Z1"), 21).astype(object) * math.factorial(20)
+    assert c.dtype == object and c.tolist() == expected.tolist()
+    assert int(c[1, 1, 0]) == 20 * math.factorial(20) >= 2**63
+
+
+@pytest.mark.parametrize("spec", ["wr(S3,3)", "wr(D4,3)", "wr(Z2,4)", "wr(S3xZ2,2)"])
+def test_action_on_x_is_the_product(spec):
+    # s . (g . x0) = (s g) . x0 for every id g, at each generator of G and
+    # at seeded random elements s
+    emb = build_pair(spec)
+    group = emb.parent
+    ids = np.arange(group.order, dtype=np.int64)
+
+    def point(xs):
+        """The number of g . x0 = (p(n-1), b_(p(n-1))) for ids g."""
+        base, top = group.decode_many(xs)
+        last = group._top_images(top)[-1].astype(np.int64)
+        return emb.transversal_points[last * group.base_group.order + base[last, np.arange(len(xs))]]
+
+    at = point(ids)
+    rng = np.random.default_rng(7)
+    for s in list(group.generators) + rng.integers(0, group.order, 5).tolist():
+        moves = emb._moves([group.decode(s)])[0]
+        assert np.array_equal(moves[at], point(group.mul_many(s, ids))), s
+
+
+LADDER_COMMANDS = [
+    pytest.param(spec, command, id=f"{spec}-{command[0]}")
+    for spec in LADDER + ("wr(S5,8)",)
+    for command in (("hecke", "--show-constants"), ("pair-check", "--method", "hecke"))
+]
+
+
+@pytest.mark.parametrize("spec, command", LADDER_COMMANDS)
+def test_hecke_route_reads_no_id(spec, command, monkeypatch, tmp_path, capsys):
+    # with K's ids, the batched ops of the wreath products and their
+    # decoder all refused, the Hecke-only commands answer as before
+    name, *flags = command
+    argv = [name, spec, *flags, "--format", "machine", "--cache-dir", str(tmp_path)]
+    expected = None
+    if spec != "wr(S5,8)":  # past the 2^62 ids: no batched op could run
+        assert cli_main(argv) == 0
+        expected = capsys.readouterr().out
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"an id was read for {spec}")
+
+    monkeypatch.setattr(WreathEmbedding, "_k_ids", refuse)
+    for op in ("mul_many", "inv_many", "mul_all", "arith_mul_many", "arith_inv_many", "decode_many"):
+        monkeypatch.setattr(WreathProduct, op, refuse)
+    assert cli_main(argv) == 0
+    out = capsys.readouterr().out
+    assert expected in (None, out)
+    assert json.loads(out)["rank"] == (121 if spec == "wr(S5,8)" else json.loads(expected)["rank"])

@@ -18,6 +18,7 @@ from gelfand import (
     WreathElement,
     WreathProduct,
     conjugacy_classes,
+    double_cosets,
     embed_wreath_subgroup,
     verify_group_axioms,
 )
@@ -303,9 +304,9 @@ def test_digit_table_is_int32_past_int16_ids():
         ("Z2", 7), ("S3", 4), ("S3xZ2", 2), ("Z5", 3),
     ],
 )
-def test_points_by_chunks_equal_the_whole_array(spec, n, monkeypatch):
-    """coset_reps is the least id of each point g . x0 and coset_index
-    numbers the points by it, as found here over every id at once."""
+def test_points_by_chunks_equal_the_whole_array(spec, n):
+    """X's closed-form numbering orders the points g . x0 by the least id
+    on them, as found here over every id at once."""
     embedding = embed_wreath_subgroup(build_group(spec), n)
     group = embedding.parent
     ids = np.arange(group.order, dtype=np.int64)
@@ -314,51 +315,41 @@ def test_points_by_chunks_equal_the_whole_array(spec, n, monkeypatch):
     point = last * group.base_group.order + base[last, ids]
     first = np.full(embedding.index, group.order, dtype=np.int64)
     np.minimum.at(first, point, ids)
-    order = np.argsort(first)
-    number = np.empty_like(order)
-    number[order] = np.arange(len(order))
-    monkeypatch.setattr(wreath, "BATCH_LIMIT", 100)  # many chunks, one partial
-    assert np.array_equal(embedding.coset_reps, first[order])
-    assert np.array_equal(embedding.coset_index(ids), number[point])
+    by_least_id = np.argsort(first)
+    assert np.array_equal(embedding.transversal_points[by_least_id], np.arange(embedding.index))
 
 
-def _relabelled(embedding, a, b):
-    """The embedding with cosets a and b swapped by coset_index."""
+def _swapped(embedding, a, b):
+    """The embedding with the points a and b swapped in every image of its
+    action, which is then no action."""
 
-    class Relabelled(WreathEmbedding):
-        def coset_index(self, ids):
-            coset = super().coset_index(ids)
-            return np.where(coset == a, b, np.where(coset == b, a, coset))
+    class Swapped(WreathEmbedding):
+        def _act(self, *args):
+            number = super()._act(*args)
+            return np.where(number == a, b, np.where(number == b, a, number))
 
-    return Relabelled(embedding.subgroup, embedding.parent)
+    return Swapped(embedding.subgroup, embedding.parent)
 
 
 @pytest.mark.parametrize(
     "a, b, message",
     [
-        (1, 2, "not equivariant: generator"),  # two cosets other than K's
-        (6, 0, "of K moves the point x0"),  # K's generators lie in coset 0
+        (1, 2, "the transversal element of point 1 takes x0 to point 2"),
+        (6, 0, "of K moves the point x0"),  # x0 is point 0
     ],
 )
 def test_cosets_by_the_action_reject_corrupted_points(a, b, message):
     embedding = embed_wreath_subgroup(SymmetricGroup(3), 2)
-    assert "coset_reps" not in vars(embedding)  # built lazily
     with pytest.raises(InternalConsistencyError, match=message):
-        _relabelled(embedding, a, b).coset_reps
+        double_cosets(_swapped(embedding, a, b))
 
 
 def test_cosets_by_the_action_reject_a_point_with_too_many_ids():
-    # coset 2 merged into coset 1: its representative, id 2, is found in
-    # coset 1, so the identity takes it off its point, and the
-    # representatives no longer reach every point
+    # G's base generators alone fix the coordinate of every point, so the
+    # action is not transitive, and x0 would hold more ids than |K|
     embedding = embed_wreath_subgroup(SymmetricGroup(3), 2)
-
-    class Merged(WreathEmbedding):
-        def coset_index(self, ids):
-            coset = super().coset_index(ids)
-            return np.where(coset == 2, 1, coset)
-
-    broken = Merged(embedding.subgroup, embedding.parent)
-    message = "generator 0 takes coset representative 2 off"
+    group = embedding.parent
+    vars(group)["generator_elements"] = group.generator_elements[:-2]
+    message = r"the generators of wr\(S3,2\) are not transitive on its 12 points"
     with pytest.raises(InternalConsistencyError, match=message):
-        broken.coset_reps
+        double_cosets(embedding)
