@@ -694,11 +694,24 @@ class WreathEmbedding(SubgroupEmbedding):
 
     def check_double_cosets(self, blocks: GroupPartition) -> None:
         """Check the lemma's premises that point_moves leaves, else
-        InternalConsistencyError: G's generators act transitively on X, and
-        u_z x0 = (tau_j(n-1), x e) = (j, x e) is z at every point z = (j, x).
-        The K-orbits are then the double cosets, whatever the blocks."""
+        InternalConsistencyError: every generator (b; p) of G takes the
+        points of coordinate j to coordinate p(j), G's generators act
+        transitively on X, and u_z x0 = (tau_j(n-1), x e) = (j, x e) is z at
+        every point z = (j, x).  The K-orbits are then the double cosets,
+        whatever the blocks."""
         group = self.parent
-        if orbit_labels(self._moves(group.generator_elements)).any():
+        gens = group.generator_elements
+        moves = self._moves(gens)
+        j = self._points // group.base_group.order
+        tops = np.array([g.top for g in gens], dtype=np.int64)[:, j]
+        off = np.argwhere(self._points[moves] // group.base_group.order != tops)
+        if len(off):
+            g, z = off[0]
+            raise InternalConsistencyError(
+                f"the action on X is not equivariant: generator {gens[g]} takes point "
+                f"{z} of coordinate {j[z]} to point {moves[g, z]}, off coordinate {tops[g, z]}"
+            )
+        if orbit_labels(moves).any():
             raise InternalConsistencyError(
                 f"the generators of {group.name} are not transitive on its {self.index} points"
             )

@@ -334,7 +334,8 @@ def _swapped(embedding, a, b):
 @pytest.mark.parametrize(
     "a, b, message",
     [
-        (1, 2, "the transversal element of point 1 takes x0 to point 2"),
+        (1, 2, "not equivariant: generator"),  # coordinates 0 and 1
+        (1, 7, "the transversal element of point 1 takes x0 to point 7"),
         (6, 0, "of K moves the point x0"),  # x0 is point 0
     ],
 )
