@@ -27,6 +27,7 @@ import base64
 import binascii
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -436,7 +437,10 @@ def cached_character_table(
 ) -> CharacterTable:
     """Load from cache_dir when valid, else compute and store.
 
-    cache_dir=None disables caching entirely.
+    cache_dir=None disables caching entirely.  An entry that fails to load
+    (unreadable, malformed, or failing validation) is recomputed and
+    overwritten, and one line on stderr names its path and the reason;
+    stdout is untouched.
     """
     if cache_dir is None:
         return character_table(group, seed=seed)
@@ -445,11 +449,11 @@ def cached_character_table(
     except OSError as exc:
         raise InvalidParameterError(f"cannot create cache directory {cache_dir!r}: {exc.strerror}")
     path = os.path.join(cache_dir, f"{group.name}.chartab")
-    if os.path.exists(path):
+    if os.path.isfile(path):  # anything else there is no entry, and fails the write
         try:
             return load_character_table(path, group)
-        except (OSError, ValueError, InternalConsistencyError):
-            pass  # stale or corrupt entry: recompute and overwrite
+        except (OSError, ValueError, InternalConsistencyError) as exc:
+            print(f"gelfand: recomputing {path}: {exc}", file=sys.stderr)
     table = character_table(group, seed=seed)
     try:
         save_character_table(table, path)

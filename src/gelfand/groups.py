@@ -42,18 +42,26 @@ character is read off the conjugacy classes: by Frobenius reciprocity here
 wreath embedding, which builds K's ids only when a test reads them.
 Conjugacy classes are a
 ``GroupPartition``: a read-only int64 block label per id, blocks numbered by
-minimal id; embedding maps are read-only int64 too.
+minimal id, with the representatives (those minimal ids) and the sizes;
+embedding maps are read-only int64 too.
 
 Every group states what its construction fixes: ``generators`` (ids that
 generate it) and ``class_count`` (its number of conjugacy classes, or None
 when unknown), so limits on the class count apply before any class is
-computed.  ``conjugacy_classes`` is the one entry point for classes: it takes
-a label per id from ``group.class_labels()`` (conjugation orbits by
-default; wreath products override it with their type pass) and checks any
-labelling exactly: the generators must generate the group, the labels must be
-invariant under conjugation by every generator, and their count must equal
-``class_count``.  It keeps the checked partition on the group, so a group's
-classes are labelled and checked once, however many callers ask.
+computed.  ``conjugacy_classes`` is the one entry point for classes, and it
+keeps the partition that ``group.class_partition()`` gives on the group, so
+a group's classes are found and checked once, however many callers ask.  By
+default that labels every id by ``group.class_labels()`` (conjugation
+orbits) and checks the labelling exactly (``check_class_labels``): the
+generators must generate the group, the labels must be invariant under
+conjugation by every generator, and their count must equal
+``class_count``.  A wreath product knows its classes in closed form: it
+gives their representatives and sizes from its types with no id labelled,
+as a ``LazyClassPartition``, whose ``block_of`` is labelled by the type
+pass, put through the same checks and required to equal the closed form
+only when first read, that is when a product is counted.  The generators'
+rows x s, proven to reach every id, are kept on the group too, so
+``is_abelian`` and the class checks prove a group's generators once.
 ``orbit_labels`` is the one orbit routine: over ``right_products`` it finds
 what generators generate, over conjugation the default class labels, and
 over the moves of K's generators on G/K the double cosets.
@@ -138,9 +146,13 @@ def perm_rank_many(perms: np.ndarray) -> np.ndarray:
     """perm_rank of every permutation in a positions-first array."""
     n = len(perms)
     rank = np.zeros(perms.shape[1:], dtype=np.int64)
+    smaller = np.empty(perms.shape[1:], dtype=np.int8)
     for i in range(n):
-        smaller = (perms[i + 1 :] < perms[i]).sum(axis=0)
-        rank = rank * (n - i) + smaller
+        smaller[...] = 0  # the later images below image i, one int8 row at a time
+        for later in perms[i + 1 :]:
+            smaller += later < perms[i]
+        rank *= n - i
+        rank += smaller
     return rank
 
 
@@ -267,6 +279,9 @@ class FiniteGroup:
     class_count: int | None = None
     # set by conjugacy_classes once its checks pass
     _classes: GroupPartition | None = None
+    # the rows x * s of the generators s, set by _generator_products once
+    # they are proven to reach every id
+    _generator_rows: np.ndarray | None = None
 
     def mul(self, a: int, b: int) -> int:
         raise NotImplementedError
@@ -320,13 +335,27 @@ class FiniteGroup:
             return None
         return cayley_tables(self)
 
+    def class_partition(self) -> GroupPartition:
+        """The conjugacy classes, numbered by minimal id, as conjugacy_classes
+        keeps them: class_labels() checked by check_class_labels, numbered by
+        GroupPartition.from_labels, and their count checked against
+        class_count.  Groups that know their representatives and sizes in
+        closed form override it (a wreath product returns a
+        LazyClassPartition, which labels its ids on the first read of
+        block_of)."""
+        classes = GroupPartition.from_labels(check_class_labels(self, self.class_labels()))
+        _check_class_count(self, classes.count)
+        return classes
+
     def class_labels(self) -> np.ndarray:
         """A conjugacy-class label for every id, equal iff the ids are conjugate.
 
         The orbits of x -> s x s^-1 for the generators s, by orbit_labels
         (2 |G| products per generator); orbit sizes must divide |G|.  Groups
         that know their classes better override it (wreath products label
-        every id by its type).  conjugacy_classes numbers them by minimal id.
+        every id by its type).  The labels are checked and numbered by
+        minimal id by class_partition, or by the first read of a
+        LazyClassPartition's block_of.
         """
         conjugates = [self.mul_many(self.mul_all(s, left=True), self.inv(s)) for s in self.generators]
         labels = orbit_labels(np.reshape(conjugates, (-1, self.order)))
@@ -710,7 +739,7 @@ class GroupPartition:
     sizes: tuple[int, ...]
 
     def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
+        if not isinstance(other, GroupPartition):
             return NotImplemented
         same = (self.representatives, self.sizes) == (other.representatives, other.sizes)
         return same and np.array_equal(self.block_of, other.block_of)
@@ -726,6 +755,91 @@ class GroupPartition:
     @property
     def count(self) -> int:
         return len(self.sizes)
+
+
+class LazyClassPartition(GroupPartition):
+    """The conjugacy classes of a group whose representatives (the minimal
+    id of each class, ascending) and sizes are known in closed form, with no
+    label per id until block_of is first read.
+
+    That read labels every id by group.class_labels(), checks the labels by
+    check_class_labels (the generators generate G, and the labels are
+    invariant under conjugation by each of them) and requires them to be
+    exactly the classes given (_number_class_labels).  The count needs no
+    check there: the closed form's count was checked against class_count.
+    The checked partition is then kept on the group, as conjugacy_classes
+    keeps any, and every later read, from this partition or another,
+    returns its block_of; a failed check keeps nothing, so a later read
+    fails it again.  The group does not keep this partition, which refers
+    to it: a reference cycle would outlive the group's last use.
+    """
+
+    def __init__(self, group: FiniteGroup, representatives, sizes):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "representatives", tuple(representatives))
+        object.__setattr__(self, "sizes", tuple(sizes))
+
+    def __repr__(self) -> str:
+        # the dataclass repr would read block_of, labelling every id
+        return f"{type(self).__name__}({self.group.name}, {self.count} classes)"
+
+    @property
+    def block_of(self) -> np.ndarray:
+        group = self.group
+        if group._classes is None:
+            labels = check_class_labels(group, group.class_labels())
+            block_of = _number_class_labels(group, labels, self.representatives, self.sizes)
+            group._classes = GroupPartition(block_of, self.representatives, self.sizes)
+        return group._classes.block_of
+
+
+def _number_class_labels(
+    group: FiniteGroup, labels: np.ndarray, representatives: Sequence[int], sizes: Sequence[int]
+) -> np.ndarray:
+    """The class of every id, read-only int64, from int64 labels that must
+    be exactly the classes whose minimal ids and sizes are given, else
+    InternalConsistencyError: the labels of the representatives are
+    distinct, every id's label is one of them, no id lies below the
+    representative of its class, and each class has the size given.  Each
+    label is numbered by one searchsorted into the representatives' sorted
+    labels, so the |G| labels are never sorted."""
+    reps = np.array(representatives, dtype=np.int64)
+    r = len(reps)
+    by_label = np.argsort(labels[reps])
+    keys = labels[reps[by_label]]
+    distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+    if distinct != r:
+        raise InternalConsistencyError(
+            f"{group.name} has {distinct} class labels, but {r} conjugacy classes"
+        )
+    at = np.searchsorted(keys, labels)
+    np.minimum(at, r - 1, out=at)
+    stray = np.flatnonzero(keys.take(at) != labels)
+    if len(stray):
+        raise InternalConsistencyError(
+            f"id {stray[0]} of {group.name} has a class label that no class representative has"
+        )
+    block_of = by_label.take(at)
+    del at
+    # ids reps[k] .. reps[k+1] - 1 lie in classes 0..k iff none lies below
+    # the representative of its class
+    below = np.flatnonzero(np.maximum.reduceat(block_of, reps) > np.arange(r))
+    if len(below):
+        k = below[0]
+        raise InternalConsistencyError(
+            f"an id of {group.name} between {reps[k]} and the next class representative "
+            "lies in a class whose representative is larger"
+        )
+    counts = np.bincount(block_of, minlength=r)
+    bad = np.flatnonzero(counts != np.array(sizes, dtype=np.int64))
+    if len(bad):
+        k = bad[0]
+        raise InternalConsistencyError(
+            f"the class of {reps[k]} in {group.name} has {counts[k]} elements, but "
+            f"{sizes[k]} by a centralizer of order {group.order // sizes[k]}"
+        )
+    block_of.setflags(write=False)
+    return block_of
 
 
 def right_products(group: FiniteGroup, generators: Sequence[int]) -> np.ndarray:
@@ -790,16 +904,22 @@ def full_embedding(group: FiniteGroup) -> SubgroupEmbedding:
 def _generator_products(group: FiniteGroup) -> np.ndarray:
     """right_products of the generators, checked to generate all of G: the
     rows right[i][x] = x * generators[i] must reach every id from the
-    identity."""
-    right = right_products(group, group.generators)
-    labels = orbit_labels(right)
-    reached = int(np.count_nonzero(labels == labels[group.identity]))
-    if reached != group.order:
-        raise InternalConsistencyError(
-            f"generators {group.generators} of {group.name} generate {reached} "
-            f"of its {group.order} elements"
-        )
-    return right
+    identity.  The checked rows are kept on the group (read-only), so its
+    generators are proven once however many checks read them (is_abelian,
+    check_class_labels, SubgroupEmbedding.validate); a failed check keeps
+    nothing."""
+    if group._generator_rows is None:
+        right = right_products(group, group.generators)
+        labels = orbit_labels(right)
+        reached = int(np.count_nonzero(labels == labels[group.identity]))
+        if reached != group.order:
+            raise InternalConsistencyError(
+                f"generators {group.generators} of {group.name} generate {reached} "
+                f"of its {group.order} elements"
+            )
+        right.setflags(write=False)
+        group._generator_rows = right
+    return group._generator_rows
 
 
 class CayleyTables(NamedTuple):
@@ -906,39 +1026,56 @@ def build_cayley_tables(
 def conjugacy_classes(group: FiniteGroup) -> GroupPartition:
     """Conjugacy classes as a partition numbered by minimal element id.
 
-    The labels come from group.class_labels() (conjugation orbits, or a
-    group's own labelling) and are checked exactly here, whatever produced
-    them; a violation raises InternalConsistencyError:
+    The one entry point for classes: group.class_partition() gives them,
+    and the partition is stored on the group and returned by every later
+    call, so a group's classes are found and checked once; a group that
+    failed a check keeps nothing and fails it again.  Every labelling is
+    checked exactly, whatever produced it (check_class_labels), and a
+    violation raises InternalConsistencyError:
     - the generators generate the group (the identity's orbit is all of G);
     - the labels are invariant under conjugation by every generator, so
       every label is a union of classes;
     - the label count equals group.class_count, when known, so every label
       is exactly one class.
-    Costs two mul_all rows per generator: x * s for every x (the orbit) and
-    s * x (invariance: s x s^-1 has the label of x for every x iff s y has
-    the label of y s for every y).  The partition is stored on the group once
-    every check has passed and returned by every later call; a group that
-    failed a check fails it again.
+    A group that knows its classes in closed form (a wreath product) gives
+    a LazyClassPartition instead: its representatives and sizes are checked
+    by its own construction (and kept by it), and its ids are labelled, put
+    through every check above and required to equal the closed form only on
+    the first read of block_of, which keeps the labelled partition here.
     """
     if group._classes is not None:
         return group._classes
-    labels = np.asarray(group.class_labels(), dtype=np.int64)
-    right = _generator_products(group)
-    for s, times_s in zip(group.generators, right):
+    classes = group.class_partition()
+    if not isinstance(classes, LazyClassPartition):  # that keeps itself once labelled
+        group._classes = classes
+    return classes
+
+
+def check_class_labels(group: FiniteGroup, labels) -> np.ndarray:
+    """The labels of every id as int64, checked to be unions of conjugacy
+    classes, else InternalConsistencyError: the generators generate the
+    group (_generator_products), and the labels are invariant under
+    conjugation by every generator s: s x s^-1 has the label of x for every
+    x iff s y has the label of y s for every y.  Costs one mul_all row s y
+    per generator beside the rows x s kept on the group."""
+    labels = np.asarray(labels, dtype=np.int64)
+    for s, times_s in zip(group.generators, _generator_products(group)):
         bad = np.flatnonzero(labels[group.mul_all(s, left=True)] != labels[times_s])
         if len(bad):
             raise InternalConsistencyError(
                 f"class labels of {group.name} are not invariant under "
                 f"conjugation by generator {s} (s y and y s differ at y = {bad[0]})"
             )
-    classes = GroupPartition.from_labels(labels)
-    if group.class_count is not None and classes.count != group.class_count:
+    return labels
+
+
+def _check_class_count(group: FiniteGroup, count: int) -> None:
+    """count must equal group.class_count, when known: InternalConsistencyError."""
+    if group.class_count is not None and count != group.class_count:
         raise InternalConsistencyError(
-            f"{group.name} has {classes.count} class labels, but {group.class_count} "
+            f"{group.name} has {count} class labels, but {group.class_count} "
             "conjugacy classes"
         )
-    group._classes = classes
-    return classes
 
 
 def block_product_counts(

@@ -195,7 +195,8 @@ def check_pair(
                 raise
             report.gelfand_character = SKIPPED
         else:
-            # labelled and checked here; the table reads the stored partition
+            # the closed form, found and checked here and kept by the group; the
+            # table labels the ids only if it has to count products
             conjugacy_classes(wreath)
             table = cached_character_table(wreath, cache_dir, seed=seed)
             multiplicities = decompose_induced_trivial(embedding, table)

@@ -46,13 +46,21 @@ Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
 Kerber, *The Representation Theory of the Symmetric Group*, ch. 4; Macdonald,
 *Symmetric Functions and Hall Polynomials*, ch. I app. B).  So the classes
-are indexed by the multipartitions of n over the base classes, their count is
-known from the construction, and ``WreathProduct.class_labels`` labels every
-element by a walk on the id grid: the cursors p^-t(i) of a block of tops are
-found once, and every id then takes exactly n - 1 steps, one base
-``mul_many`` each on all n points.  ``groups.conjugacy_classes`` checks the
-labels, and the pass checks every class size against the centralizer order
-of its type.
+are indexed by the multipartitions of n over the base classes, and their
+count is known from the construction.  ``WreathProduct.class_partition``
+gives them in closed form, with no id labelled: by the lemma in
+``WreathProduct._closed_classes`` the least id of every class has e off the
+largest point of each top cycle and a base class representative on it, so
+the representatives are the least such id of each type, and the sizes are
+|G| / |C(type)|.  Which element of that form is least in each type depends
+on n and the base's class count r alone (``_least_of_types``, kept per
+process like S_n's tables).  A warm character table reads nothing more.  Only when a product is counted
+(``chartab.class_coefficients``) is ``block_of`` read, and then
+``WreathProduct.class_labels`` keys every element by its type in a walk on
+the id grid (the cursors p^-t(i) of a block of tops are found once, and
+every id then takes exactly n - 1 steps, one base ``mul_many`` each on all
+n points), and ``groups.LazyClassPartition`` checks the keys as any
+labelling and requires them to be the closed form's classes and sizes.
 """
 
 from __future__ import annotations
@@ -68,8 +76,10 @@ from .groups import (
     _BATCH_ORDER_LIMIT,
     FiniteGroup,
     GroupPartition,
+    LazyClassPartition,
     SubgroupEmbedding,
     SymmetricGroup,
+    _check_class_count,
     conjugacy_classes,
     orbit_labels,
     perm_compose,
@@ -101,6 +111,127 @@ def _by_chunks(function, *arrays) -> np.ndarray:
         part = slice(start, start + BATCH_LIMIT)
         out[part] = function(*(a[part] for a in flat))
     return out.reshape(shape)
+
+
+def _base_digits(codes: np.ndarray, radix: int, n: int) -> np.ndarray:
+    """The n base ids of every code, big-endian in the given radix, with the
+    coordinates on axis 0, as int64."""
+    digits = np.empty((n,) + codes.shape, dtype=np.int64)
+    for i in range(n - 1, -1, -1):
+        codes, digits[i] = np.divmod(codes, radix)
+    return digits
+
+
+@functools.lru_cache(maxsize=None)
+def _top_shapes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(shapes, ranks): every cycle shape of S_n, as the length of each
+    cycle at its largest point and 0 at every other point ((count, n) int8,
+    one row per shape), and the least rank of a permutation of that shape.
+    Both depend on n alone, so they are found once per process and shared
+    read-only, as perm_indexer(n) shares S_n's tables.
+
+    Every permutation is walked, BATCH_LIMIT at a time, read from S_n's
+    rank -> image table when it has one, else by Lehmer codes: from p, the
+    powers p^t, t = 2..n-1, each one flat gather, give the largest point of
+    every cycle (the maximum over the powers) and its length (the steps
+    before p^t(i) = i).  The first permutation of each shape in a block,
+    and then over the blocks in rank order, is the least."""
+    idx = perm_indexer(n)
+    points = np.arange(n, dtype=np.int8)
+    found = []
+    for start in range(0, idx.count, BATCH_LIMIT):
+        ranks = np.arange(start, min(start + BATCH_LIMIT, idx.count), dtype=np.int64)
+        p = perm_unrank_many(n, ranks) if idx.images is None else idx.images[:, start : start + BATCH_LIMIT]
+        p = np.ascontiguousarray(p.T)  # row t: the images of permutation t
+        rows = (np.arange(len(ranks), dtype=np.int64) * n)[:, None]
+        largest = np.maximum(p, points)
+        open_ = p != points  # p^s(i) != i for s = 1..t
+        length = 1 + open_.astype(np.int8)
+        cursor = p
+        for _ in range(n - 2):
+            cursor = p.take(rows + cursor)
+            np.maximum(largest, cursor, out=largest)
+            open_ &= cursor != points
+            length += open_
+        shapes = np.where(largest == points, length, np.int8(0))
+        keys = np.zeros(len(ranks), dtype=np.int64)
+        for column in shapes.T:  # Horner in radix n + 1: exact to n = 15, 1.3e12 tops
+            keys *= n + 1
+            keys += column
+        keys, first = np.unique(keys, return_index=True)
+        found.append((keys, shapes[first], ranks[first]))
+    keys, shapes, ranks = (np.concatenate(part) for part in zip(*found))
+    first = np.unique(keys, return_index=True)[1]  # the earliest block's: least
+    shapes, ranks = shapes[first], ranks[first]
+    shapes.setflags(write=False)
+    ranks.setflags(write=False)
+    return shapes, ranks
+
+
+@functools.lru_cache(maxsize=None)
+def _least_of_types(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(classes, ranks, types) for B wr S_n over a base of r classes: for
+    every type, the least element of T' (WreathProduct._closed_classes) of
+    that type, as the base class index on each point ((count, n) int64, 0
+    off the largest point of every cycle) and the rank of its top, and the
+    type as its cycles' codes (m - 1) r + c + 1 sorted ((n, count), 0 for
+    none); in the order of the least ids, read-only.
+
+    The ids of T' compare alike over every base with r classes: an id is
+    code n! + rank, and the code has the class representative rep_c at the
+    largest point of each cycle and e = rep_0 = 0 elsewhere, so as the
+    representatives ascend with c, codes compare as the class vectors do
+    lexicographically, that is as the same ids over Z_r.  So these depend on
+    n and r alone, are found once per process and shared, as
+    perm_indexer(n) shares S_n's tables.
+
+    T' has r (r + 1) ... (r + n - 1) elements, one per top and choice of
+    base class on each of its cycles.  Their codes and types depend on the
+    top only through its shape (_top_shapes), so only the least top of
+    each shape is taken, with its r^k choices for k cycles, at most
+    BATCH_LIMIT elements at once (the choices of one shape past that).  The
+    type is read off the construction, no base product needed: a cycle of
+    length m whose largest point holds the representative of class c has
+    that representative as its cycle product, so it is the cycle (m, c).
+    """
+    shapes, ranks = _top_shapes(n)
+    shapes = shapes.astype(np.int64)
+    leads = shapes > 0
+    cycle = np.cumsum(leads, axis=1) - 1  # the number of each leader's cycle
+    counts = r ** leads.sum(axis=1)  # r^k elements per shape with k cycles
+    ends = np.cumsum(counts)
+    firsts = ends - counts  # the elements of shape j are firsts[j]..ends[j] - 1
+    found = []
+    start = 0
+    while start < len(shapes):  # whole shapes, at most BATCH_LIMIT elements (or one shape)
+        stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + BATCH_LIMIT, "right")))
+        shape = np.repeat(np.arange(start, stop), counts[start:stop])
+        choice = np.arange(firsts[start], ends[stop - 1]) - firsts[shape]
+        lead = leads[shape]
+        # the class on each cycle: choice in radix r, one digit per cycle
+        classes = choice[:, None] // r ** np.maximum(cycle[shape], 0) % r * lead
+        codes = np.where(lead, (shapes[shape] - 1) * r + 1 + classes, 0)
+        found.append((classes, ranks[shape], np.sort(codes, axis=1)))
+        start = stop
+    classes, tops, codes = (np.concatenate(part) for part in zip(*found))
+    # a type's key: its sorted codes, Horner in radix n r + 1, below
+    # (n r + 1)^n; the ids over Z_r, below r^n n! <= |G|
+    radix = n * r + 1
+    keys = np.zeros(len(tops), dtype=np.int64)
+    for column in codes.T:
+        keys *= radix
+        keys += column
+    ids = classes @ r ** np.arange(n - 1, -1, -1, dtype=np.int64) * math.factorial(n) + tops
+    order = np.lexsort((ids, keys))  # by type, then id: the least id of a type first
+    keys, ids = keys[order], ids[order]
+    least = np.ones(len(keys), dtype=bool)
+    least[1:] = keys[1:] != keys[:-1]
+    order = order[least][np.argsort(ids[least])]
+    types = codes[order].T.copy()
+    classes, tops = classes[order], tops[order]
+    for array in (classes, tops, types):
+        array.setflags(write=False)
+    return classes, tops, types
 
 
 def wreath_order(
@@ -231,8 +362,7 @@ class WreathProduct(FiniteGroup):
         digits = np.empty((n, count), dtype=dtype)
         for start in range(0, count, BATCH_LIMIT):
             code = np.arange(start, min(start + BATCH_LIMIT, count), dtype=np.int64)
-            for i in range(n - 1, -1, -1):
-                code, digits[i, start : start + BATCH_LIMIT] = np.divmod(code, order)
+            digits[:, start : start + BATCH_LIMIT] = _base_digits(code, order, n)
         digits.setflags(write=False)
         return digits
 
@@ -346,11 +476,13 @@ class WreathProduct(FiniteGroup):
         count = self.order // tops  # |B|^n codes
         out = np.empty((count, tops), dtype=np.int64)
         step = max(1, BATCH_LIMIT // tops)
+        if left:  # c beside the digits in their shape: no broadcast in mul_many
+            cs = np.repeat(c[:, None], min(step, count), axis=1)
         for start in range(0, count, step):
             codes = np.arange(start, min(start + step, count), dtype=np.int64)
             if left:
-                new = self._codes(base_group.mul_many(c[:, None], self._digits_at(back[:, None], codes)))
-                new = new[:, None]
+                digits = self._digits_at(back[:, None], codes)
+                new = self._codes(base_group.mul_many(cs[:, : len(codes)], digits))[:, None]
             else:
                 new = codes[:, None]
                 b = self._digits[:, start : start + step]
@@ -374,11 +506,29 @@ class WreathProduct(FiniteGroup):
         at = np.empty((len(points), tops), dtype=np.int8)
         for start in range(0, tops, BATCH_LIMIT):
             part = slice(start, start + BATCH_LIMIT)
-            p = perm_unrank_many(self.n, np.arange(start, min(start + BATCH_LIMIT, tops)))
+            p = self._every_top[:, part]
             # (q p)(i) = q(p(i)); (p q)(i) = p(q(i))
             new_top[part] = perm_rank_many(q_image[p] if left else p[q_image])
             at[:, part] = p[points]
         return new_top, at
+
+    @functools.cached_property
+    def _every_top(self) -> np.ndarray:
+        """The images of every top in rank order, positions first, int8
+        and read-only: S_n's shared rank -> image table when it has one,
+        else unranked once per group by Lehmer codes, BATCH_LIMIT tops at a
+        time.  The passes over every top (class_labels, mul_all past
+        n = 6) read it; its n n! bytes are no more than one
+        of their int64 rows over the ids for n <= 8."""
+        images = self._idx.images
+        if images is None:
+            tops = self._nfact
+            images = np.empty((self.n, tops), dtype=np.int8)
+            for start in range(0, tops, BATCH_LIMIT):
+                ranks = np.arange(start, min(start + BATCH_LIMIT, tops), dtype=np.int64)
+                images[:, start : start + BATCH_LIMIT] = perm_unrank_many(self.n, ranks)
+            images.setflags(write=False)
+        return images
 
     def _top_images(self, ranks: np.ndarray) -> np.ndarray:
         """The images of the tops of the given ranks, positions first (as
@@ -412,8 +562,67 @@ class WreathProduct(FiniteGroup):
             base_count = conjugacy_classes(self.base_group).count
         return multipartition_count(base_count, self.n)
 
+    def class_partition(self) -> LazyClassPartition:
+        """The classes in closed form (_closed_classes), with no id labelled:
+        LazyClassPartition labels them on the first read of block_of."""
+        return LazyClassPartition(self, *self._closed_classes)
+
+    @functools.cached_property
+    def _closed_classes(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(representatives, sizes): the least id and the size of every
+        type, computed once per group.
+
+        Lemma.  Let T' be the set of (b; p) with b_j = e on every point j of
+        p that is not the largest point of its cycle, and b_j a base class
+        representative (the least id of its base class) on the largest point
+        of each cycle.  Then the least id of every class lies in T'.  Proof:
+        conjugating by a base element (h; id) turns entry i into
+        h_i b_i h_(p^-1(i))^-1, so along each cycle every entry but one can
+        be made e, and leaving the one at the cycle's largest point lowers
+        the big-endian code most, as every other point of the cycle comes
+        before it; conjugating by a constant h on the cycle then turns that
+        entry into any member of its base class, the least of them its
+        representative.  So the least code over the class, and then the
+        least top among the elements with that code, are met in T'.  This
+        needs e to be id 0, the least id, which holds for every base and is
+        checked here.
+
+        The least element of T' of every type, as base class indices and a
+        top, comes from _least_of_types(n, r); its id here puts the base's
+        class representatives in.  The size of a type is |G| / |C(type)|
+        (_centralizer_orders).  Exact checks, else InternalConsistencyError:
+        the type count equals class_count, the representatives strictly
+        ascend and the sizes sum to |G|.
+        """
+        base_group, n, tops = self.base_group, self.n, self._nfact
+        if self.order > _BATCH_ORDER_LIMIT:
+            raise ResourceLimitError(f"|{self.name}| = {self.order} does not fit batched int64 ids")
+        if base_group.identity != 0:
+            raise InternalConsistencyError(
+                f"the identity of {base_group.name} is id {base_group.identity}, not 0: "
+                f"the least ids of the classes of {self.name} are not read off its types"
+            )
+        base_classes = conjugacy_classes(base_group)
+        r = base_classes.count
+        classes, ranks, types = _least_of_types(n, r)
+        weights = base_group.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        reps = np.array(base_classes.representatives, dtype=np.int64)[classes] @ weights
+        reps = reps * tops + ranks
+        _check_class_count(self, len(reps))
+        if (np.diff(reps) <= 0).any():
+            raise InternalConsistencyError(f"two types of {self.name} share a least id")
+        centralizers = self._centralizer_orders(types, base_classes.sizes, r)
+        sizes = [self.order // c for c in centralizers]
+        if sum(sizes) != self.order or any(c * z != self.order for c, z in zip(centralizers, sizes)):
+            raise InternalConsistencyError(
+                f"the classes of {self.name} by type have {sum(sizes)} elements, not "
+                f"|G| = {self.order}: a centralizer order does not divide |G|, or the "
+                "types are not all the classes"
+            )
+        return tuple(reps.tolist()), tuple(sizes)
+
     def class_labels(self) -> np.ndarray:
-        """Label every id by its type, by a walk of n - 1 steps per id.
+        """Label every id by its type key, by a walk of n - 1 steps per id.
 
         For x = ((g); p), the cycle of p through point i, of length m, has the
         cycle product g_i g_(p^-1(i)) ... g_(p^-(m-1)(i)), coordinate i of x^m.
@@ -421,7 +630,8 @@ class WreathProduct(FiniteGroup):
         over the cycles of p, and two elements are conjugate iff their types
         agree (James & Kerber, The Representation Theory of the Symmetric
         Group, ch. 4).  Every point carries the code (m - 1) r + class of its
-        cycle, so the n codes of an id, sorted, are its type.
+        cycle, so the n codes of an id, sorted, are its type, and the label
+        is their Horner key in radix n r.
 
         The walk runs on the grid of the ids code * n! + top, one block of
         at most BATCH_LIMIT tops at a time: the cursors p^-t(i) of the
@@ -430,11 +640,9 @@ class WreathProduct(FiniteGroup):
         off them.  Then every id of a block of codes takes exactly n - 1
         steps, one base mul_many each on all n points, multiplying in the
         digit at the cursor; an extra identity row of the digit table answers
-        the point n.
-
-        Each class size must equal |G| / |C(type)| with
-        |C(type)| = prod (m |C_G(c)|)^a a!, a = a_(m,c) the number of cycles
-        of length m and class c; else InternalConsistencyError.
+        the point n.  The keys are not sorted here: the first read of the
+        class partition's block_of numbers them by the representatives'
+        keys and checks the classes' sizes.
         """
         base_group, n, tops = self.base_group, self.n, self._nfact
         base_classes = conjugacy_classes(base_group)
@@ -451,8 +659,7 @@ class WreathProduct(FiniteGroup):
         for top_start in range(0, tops, BATCH_LIMIT):
             top_stop = min(top_start + BATCH_LIMIT, tops)
             width = top_stop - top_start
-            ranks = np.arange(top_start, top_stop)
-            p = self._top_images(ranks)
+            p = self._every_top[:, top_start:top_stop]
             back = np.full((n + 1, width), n, dtype=np.int64)
             back[:n] = perm_inverse_many(p)
             columns = np.arange(width)
@@ -478,42 +685,30 @@ class WreathProduct(FiniteGroup):
                 for row in typed:
                     block *= radix
                     block += row
-        keys, label = np.unique(key.ravel(), return_inverse=True)
-        types = np.empty((n, len(keys)), dtype=np.int64)
-        for i in range(n - 1, -1, -1):
-            keys, types[i] = np.divmod(keys, radix)
-        self._check_class_sizes(types, np.bincount(label), base_classes.sizes, r)
-        return label
+        return key.ravel()
 
-    def _check_class_sizes(self, types, sizes, base_sizes, r) -> None:
-        """sizes[t] == |G| / |C(type t)| for the sorted codes types[:, t].
+    def _centralizer_orders(self, types, base_sizes, r) -> list[int]:
+        """|C(type)| = prod (m |C_B(c)|)^a a! for the sorted cycle codes
+        types[:, t] of every type t, (m - 1) r + c + 1 per cycle of length m
+        and base class c, 0 for none; a = a_(m,c) is the number of cycles
+        with that code and |C_B(c)| = |B| / |c|.
 
-        The runs of equal codes of every column are found at once; each run
-        of a points with code (m - 1) r + c is a / m cycles of length m and
-        base class c, and the centralizer orders are exact Python integers,
-        one factor per run."""
+        The runs of equal codes of every column are found at once, and the
+        orders are exact Python integers, one factor per run."""
         base_order, n = self.base_group.order, self.n
         rows = types.T  # row t holds the n sorted codes of type t
         new_run = np.ones(rows.shape, dtype=bool)
         new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
         starts = np.flatnonzero(new_run)
         flat = rows.ravel()
-        points = np.diff(starts, append=flat.size)
-        centralizers = [1] * len(sizes)
-        whole = [True] * len(sizes)
-        for t, code, a in zip((starts // n).tolist(), flat[starts].tolist(), points.tolist()):
-            m, c = divmod(code, r)
-            m += 1
-            cycles, rest = divmod(a, m)
-            whole[t] = whole[t] and rest == 0
-            centralizers[t] *= (m * (base_order // base_sizes[c])) ** cycles * math.factorial(cycles)
-        for size, centralizer, ok in zip(sizes.tolist(), centralizers, whole):
-            if not ok or centralizer * size != self.order:
-                raise InternalConsistencyError(
-                    f"a class of {self.name} has {size} elements, but its type "
-                    f"has a centralizer of order {centralizer} in a group of "
-                    f"order {self.order}"
-                )
+        runs = np.diff(starts, append=flat.size)
+        centralizers = [1] * len(rows)
+        for t, code, a in zip((starts // n).tolist(), flat[starts].tolist(), runs.tolist()):
+            if code:  # a run of 0s holds no cycle
+                m, c = divmod(code - 1, r)
+                m += 1
+                centralizers[t] *= (m * (base_order // base_sizes[c])) ** a * math.factorial(a)
+        return centralizers
 
 
 class WreathEmbedding(SubgroupEmbedding):
@@ -593,8 +788,8 @@ class WreathEmbedding(SubgroupEmbedding):
     def permutation_character(self, classes: GroupPartition) -> tuple[int, ...]:
         """pi(C_j) = #{points of X fixed by the class representative (b; p)}
         = |B| #{j : p(j) = j, b_j = e}, since (b; p) fixes (j, x) iff
-        p(j) = j and b_j x = x.  One decode_many of the r representatives;
-        no product and no id of K.
+        p(j) = j and b_j x = x.  The r representatives are decoded by divmod,
+        with no digit table: no product, no other id of G and no id of K.
 
         The action on X is transitive, so Burnside's count
         sum_j |C_j| pi(C_j) = |G| must hold in exact integers; a wrong class
@@ -602,7 +797,8 @@ class WreathEmbedding(SubgroupEmbedding):
         InternalConsistencyError.
         """
         group = self.parent
-        base, top = group.decode_many(np.array(classes.representatives, dtype=np.int64))
+        code, top = np.divmod(np.array(classes.representatives, dtype=np.int64), group._nfact)
+        base = _base_digits(code, group.base_group.order, group.n)
         p = group._top_images(top)
         fixed = (p == np.arange(group.n)[:, None]) & (base == group.base_group.identity)
         pi = (group.base_group.order * fixed.sum(axis=0)).tolist()

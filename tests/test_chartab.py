@@ -571,6 +571,18 @@ def test_cache_loads_a_table_written_before_the_smallest_classes_method():
     assert np.max(np.abs(loaded.values - computed.values)) < 1e-9
 
 
+def test_a_warm_load_reads_no_id_of_g():
+    # the cached reps and sizes lines are checked against the closed form of
+    # the wreath classes, so loading and decomposing label no id of G
+    emb = build_pair("wr(S3,3)")
+    group = emb.parent
+    path = os.path.join(os.path.dirname(__file__), "data", "wr(S3,3).chartab")
+    table = load_character_table(path, group)
+    assert max(decompose_induced_trivial(emb, table)) == 2
+    assert group._classes is None  # no id labelled
+    assert "_digits" not in vars(group) and group._generator_rows is None
+
+
 def test_cache_rejects_corruption(tmp_path):
     grp = SymmetricGroup(3)
     t = character_table(grp)

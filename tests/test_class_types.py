@@ -27,7 +27,14 @@ from gelfand import (
     is_abelian,
     subgroup_from_generators,
 )
-from gelfand.groups import FiniteGroup, orbit_labels, right_products
+from gelfand.groups import (
+    FiniteGroup,
+    GroupPartition,
+    LazyClassPartition,
+    check_class_labels,
+    orbit_labels,
+    right_products,
+)
 from gelfand.specs import build_group
 
 
@@ -68,6 +75,19 @@ def test_typed_classes_by_chunks_equal_the_whole_pass(spec, n, monkeypatch):
     assert conjugacy_classes(_wreath(spec, n)) == whole
 
 
+@pytest.mark.parametrize("n, r", [(5, 2), (7, 1), (3, 5)])
+def test_type_tables_by_blocks_equal_one_block(n, r, monkeypatch):
+    # both tables are kept per process, so the blocks are walked uncached
+    shapes, types = gelfand.wreath._top_shapes(n), gelfand.wreath._least_of_types(n, r)
+    # partial blocks, and shapes with more choices (5^3) than one block holds
+    monkeypatch.setattr(gelfand.wreath, "BATCH_LIMIT", 7)
+    for whole, blocks in (
+        (shapes, gelfand.wreath._top_shapes.__wrapped__(n)),
+        (types, gelfand.wreath._least_of_types.__wrapped__(n, r)),
+    ):
+        assert all(np.array_equal(a, b) for a, b in zip(whole, blocks))
+
+
 def test_typed_classes_over_a_base_of_unknown_class_count():
     # a generated subgroup states no class count; the wreath walks its base
     base = subgroup_from_generators(SymmetricGroup(4), [1, 6]).subgroup
@@ -75,6 +95,44 @@ def test_typed_classes_over_a_base_of_unknown_class_count():
     w = WreathProduct(base, 2)
     assert w.class_count == conjugacy_classes(_by_orbits(WreathProduct(base, 2))).count
     assert conjugacy_classes(w) == conjugacy_classes(_by_orbits(WreathProduct(base, 2)))
+
+
+# the pairs on which the closed form was first matched against the labels
+CLOSED_FORM_PAIRS = [
+    ("S3", 2), ("S3", 3), ("Z3", 4), ("D4", 3), ("D4", 4), ("Z2", 4), ("Z2", 5),
+    ("Z2", 6), ("Z1", 5), ("Z1", 6), ("Z1", 7), ("S4", 2), ("S4", 3), ("Z3", 5),
+    ("S3xZ2", 2), ("D5", 2), ("Z2xZ2", 3),
+]
+
+
+@pytest.mark.parametrize("spec, n", CLOSED_FORM_PAIRS)
+def test_closed_form_equals_the_labelled_classes(spec, n):
+    w = _wreath(spec, n)
+    closed = conjugacy_classes(w)
+    assert w._classes is None  # no id labelled yet
+    # numbered independently: check_class_labels and np.unique, no closed form
+    labelled = GroupPartition.from_labels(check_class_labels(w, w.class_labels()))
+    assert (closed.representatives, closed.sizes) == (labelled.representatives, labelled.sizes)
+    assert np.array_equal(closed.block_of, labelled.block_of)
+
+
+def _corrupted(classes):
+    """Ways to break the closed form of wr(S3,2): (reps, sizes, message)."""
+    reps, sizes = classes.representatives, classes.sizes
+    last = int(np.flatnonzero(classes.block_of == len(reps) - 1)[-1])  # a later member
+    assert sizes[2:4] == (6, 18)
+    yield reps, sizes[:2] + (sizes[3], sizes[2]) + sizes[4:], "centralizer"
+    yield reps[:-1] + (last,), sizes, "whose representative is larger"
+    yield reps[:1] + (reps[2],) * 2 + reps[3:], sizes, "8 class labels, but 9"
+
+
+def test_corrupted_closed_form_fails_at_the_first_block_of_read():
+    for reps, sizes, message in _corrupted(conjugacy_classes(_wreath("S3", 2))):
+        lazy = LazyClassPartition(_wreath("S3", 2), reps, sizes)
+        for _ in range(2):  # a failed check keeps nothing, so it fails again
+            with pytest.raises(InternalConsistencyError, match=message):
+                lazy.block_of
+        assert lazy.group._classes is None
 
 
 def _groups():
@@ -141,14 +199,14 @@ def test_corrupted_label_breaks_invariance():
     w.class_labels = lambda: labels
     for _ in range(2):  # a failed check stores nothing, so it fails again
         with pytest.raises(InternalConsistencyError, match="not invariant under conjugation"):
-            conjugacy_classes(w)
+            conjugacy_classes(w).block_of  # a wreath labels its ids on this first read
 
 
 def test_non_generating_set_falls_short_of_the_group():
     w = _wreath("S3", 3)
     w.generators = w.generators[:-1]  # no n-cycle: coordinate 2 stays fixed
     with pytest.raises(InternalConsistencyError, match=f"of its {w.order} elements"):
-        conjugacy_classes(w)
+        conjugacy_classes(w).block_of
     s4 = SymmetricGroup(4)
     s4.generators = s4.generators[:1]
     with pytest.raises(InternalConsistencyError, match="generate 2 of its 24"):
@@ -166,7 +224,7 @@ def test_wrong_class_size_fails_the_centralizer_check(monkeypatch):
 
     monkeypatch.setattr(gelfand.wreath, "conjugacy_classes", sizes_swapped)
     with pytest.raises(InternalConsistencyError, match="centralizer"):
-        conjugacy_classes(_wreath("S3", 2))
+        conjugacy_classes(_wreath("S3", 2)).block_of
 
 
 def test_label_count_must_equal_the_class_count():

@@ -89,7 +89,11 @@ def test_cache_entry_with_a_nan_value_is_recomputed(capsys, tmp_path):
     lines[7] = "values " + base64.b64encode(values.tobytes()).decode()
     path.write_text("\n".join(lines) + "\n")
     code, out, err = run(capsys, *args)
-    assert (code, out, err) == (0, clean, "")
+    assert (code, out) == (0, clean)
+    # stdout is unchanged; stderr names the rejected entry and the reason
+    assert err.splitlines() == [
+        f"gelfand: recomputing {path}: character table of wr(S3,2) has non-finite values"
+    ]
     rewritten = path.read_text().splitlines()[7]
     assert np.isfinite(np.frombuffer(base64.b64decode(rewritten[len("values "):]), dtype="<c16")).all()
 

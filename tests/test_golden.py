@@ -3,8 +3,10 @@
 Machine records hold integers, booleans and names only, never a timing, so
 stdout depends neither on the host nor on the run.  The stdout of each
 command below is kept in tests/data/golden/<name>.jsonl; a change that alters
-any record alters one of those files.  Regenerate them (a change to name as
-such), all or the named ones, with:
+any record alters one of those files.  A command that caches character
+tables runs twice on one cache directory, so the warm path (tables read back
+and re-validated, none rejected) must give the same bytes.  Regenerate the
+files (a change to name as such), all or the named ones, with:
 
     PYTHONPATH=src python tests/test_golden.py [name ...]
 """
@@ -51,9 +53,18 @@ def machine_output(name: str, cache_dir: str) -> str:
     return out.getvalue()
 
 
+# commands that cache character tables; their second run reads them back
+WARM = ("pair-check", "scan", "group")
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_machine_output_equals_its_golden_file(name, tmp_path):
-    assert machine_output(name, str(tmp_path)) == (GOLDEN / f"{name}.jsonl").read_text()
+def test_machine_output_equals_its_golden_file(name, tmp_path, capsys):
+    golden = (GOLDEN / f"{name}.jsonl").read_text()
+    assert machine_output(name, str(tmp_path)) == golden
+    if COMMANDS[name][0] in WARM:
+        capsys.readouterr()
+        assert machine_output(name, str(tmp_path)) == golden
+        assert capsys.readouterr().err == ""  # no cache entry was rejected
 
 
 if __name__ == "__main__":
