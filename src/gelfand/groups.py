@@ -212,7 +212,8 @@ def _spread(scalar: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 class _PermIndexer:
     """Rank/unrank permutations of n points, with a cached list when small,
-    and S_n's tables when n! <= TABLE_ORDER_LIMIT (n <= 6), shared by every
+    S_n's tables when n! <= TABLE_ORDER_LIMIT (n <= 6) and the images of
+    every permutation once a pass over all of them asks, shared by every
     S_n and every wreath top on n points in the process."""
 
     def __init__(self, n: int):
@@ -243,12 +244,16 @@ class _PermIndexer:
         return cayley_tables(SymmetricGroup(self.n))
 
     @functools.cached_property
-    def images(self) -> np.ndarray | None:
+    def images(self) -> np.ndarray:
         """images[:, rank] is the permutation of that rank, positions first
-        (int8), when S_n is tabled; None past TABLE_ORDER_LIMIT."""
-        if self.count > TABLE_ORDER_LIMIT:
-            return None
-        images = perm_unrank_many(self.n, np.arange(self.count))
+        (int8, read-only): n n! bytes, built on first read by Lehmer codes,
+        TABLE_ORDER_LIMIT ranks at a time.  Read it only to pass over every
+        permutation, or when S_n is tabled (tables is not None); past that,
+        a few permutations unrank by perm_unrank_many."""
+        images = np.empty((self.n, self.count), dtype=np.int8)
+        for start in range(0, self.count, TABLE_ORDER_LIMIT):
+            ranks = np.arange(start, min(start + TABLE_ORDER_LIMIT, self.count), dtype=np.int64)
+            images[:, start : start + TABLE_ORDER_LIMIT] = perm_unrank_many(self.n, ranks)
         images.setflags(write=False)
         return images
 
@@ -798,13 +803,17 @@ def _number_class_labels(
 ) -> np.ndarray:
     """The class of every id, read-only int64, from int64 labels that must
     be exactly the classes whose minimal ids and sizes are given, else
-    InternalConsistencyError: the labels of the representatives are
-    distinct, every id's label is one of them, no id lies below the
-    representative of its class, and each class has the size given.  Each
-    label is numbered by one searchsorted into the representatives' sorted
-    labels, so the |G| labels are never sorted."""
+    InternalConsistencyError: the first representative is id 0, the labels
+    of the representatives are distinct, every id's label is one of them,
+    no id lies below the representative of its class, and each class has
+    the size given.  Each label is numbered by one searchsorted into the
+    representatives' sorted labels, so the |G| labels are never sorted."""
     reps = np.array(representatives, dtype=np.int64)
     r = len(reps)
+    if reps[0] != 0:  # the ids below it would be in no class, and unchecked below
+        raise InternalConsistencyError(
+            f"the least class representative of {group.name} is id {reps[0]}, not 0"
+        )
     by_label = np.argsort(labels[reps])
     keys = labels[reps[by_label]]
     distinct = 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))

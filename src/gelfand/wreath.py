@@ -54,13 +54,19 @@ largest point of each top cycle and a base class representative on it, so
 the representatives are the least such id of each type, and the sizes are
 |G| / |C(type)|.  Which element of that form is least in each type depends
 on n and the base's class count r alone (``_least_of_types``, kept per
-process like S_n's tables).  A warm character table reads nothing more.  Only when a product is counted
+process like S_n's tables), and it is found from the least permutation of
+each cycle shape, which is read off the set partitions of the n points with
+no permutation walked (``_top_shapes``).  A warm character table reads
+nothing more.  Only when a product is counted
 (``chartab.class_coefficients``) is ``block_of`` read, and then
 ``WreathProduct.class_labels`` keys every element by its type in a walk on
 the id grid (the cursors p^-t(i) of a block of tops are found once, and
 every id then takes exactly n - 1 steps, one base ``mul_many`` each on all
 n points), and ``groups.LazyClassPartition`` checks the keys as any
 labelling and requires them to be the closed form's classes and sizes.
+The passes over every top (``class_labels``, ``mul_all`` past n = 6) read
+the images of S_n's permutations from ``perm_indexer(n).images``, one
+table per n in the process.
 """
 
 from __future__ import annotations
@@ -130,38 +136,45 @@ def _top_shapes(n: int) -> tuple[np.ndarray, np.ndarray]:
     Both depend on n alone, so they are found once per process and shared
     read-only, as perm_indexer(n) shares S_n's tables.
 
-    Every permutation is walked, BATCH_LIMIT at a time, read from S_n's
-    rank -> image table when it has one, else by Lehmer codes: from p, the
-    powers p^t, t = 2..n-1, each one flat gather, give the largest point of
-    every cycle (the maximum over the powers) and its length (the steps
-    before p^t(i) = i).  The first permutation of each shape in a block,
-    and then over the blocks in rank order, is the least."""
-    idx = perm_indexer(n)
-    points = np.arange(n, dtype=np.int8)
-    found = []
-    for start in range(0, idx.count, BATCH_LIMIT):
-        ranks = np.arange(start, min(start + BATCH_LIMIT, idx.count), dtype=np.int64)
-        p = perm_unrank_many(n, ranks) if idx.images is None else idx.images[:, start : start + BATCH_LIMIT]
-        p = np.ascontiguousarray(p.T)  # row t: the images of permutation t
-        rows = (np.arange(len(ranks), dtype=np.int64) * n)[:, None]
-        largest = np.maximum(p, points)
-        open_ = p != points  # p^s(i) != i for s = 1..t
-        length = 1 + open_.astype(np.int8)
-        cursor = p
-        for _ in range(n - 2):
-            cursor = p.take(rows + cursor)
-            np.maximum(largest, cursor, out=largest)
-            open_ &= cursor != points
-            length += open_
-        shapes = np.where(largest == points, length, np.int8(0))
-        keys = np.zeros(len(ranks), dtype=np.int64)
-        for column in shapes.T:  # Horner in radix n + 1: exact to n = 15, 1.3e12 tops
-            keys *= n + 1
-            keys += column
-        keys, first = np.unique(keys, return_index=True)
-        found.append((keys, shapes[first], ranks[first]))
-    keys, shapes, ranks = (np.concatenate(part) for part in zip(*found))
-    first = np.unique(keys, return_index=True)[1]  # the earliest block's: least
+    No permutation is walked.  A shape is fixed by the cycles as sets, and
+    among the permutations with given cycles the least in rank (in the
+    lexicographic order of their images) takes every point to the next
+    larger point of its cycle and the largest to the least: the choices on
+    different cycles are independent, and on a cycle a_1 < ... < a_m the
+    image of a_k is at least a_(k+1), as a_1..a_k must not close before
+    a_m.  So the least permutation of every shape is one of these, one per
+    set partition of the n points: Bell(n) of them (21,147 at n = 9, against
+    9! = 362,880 permutations), built a point at a time as restricted
+    growth strings (each point joins a block already open or opens one).
+    """
+    blocks = np.zeros((1, 1), dtype=np.int8)  # blocks[k, i]: the block of point i
+    opened = np.ones(1, dtype=np.int64)  # the blocks open in each partition
+    for _ in range(1, n):
+        choices = opened + 1
+        rows = np.repeat(np.arange(len(blocks)), choices)
+        block = np.arange(len(rows)) - np.repeat(np.cumsum(choices) - choices, choices)
+        blocks = np.column_stack([blocks[rows], block.astype(np.int8)])
+        opened = np.maximum(opened[rows], block + 1)
+    count = len(blocks)
+    rows = np.arange(count)
+    # from the last point down: p(i) is the next point of its block, and
+    # least[k, b] ends as the least point of block b
+    least = np.full((count, n), -1, dtype=np.int8)
+    p = np.empty((n, count), dtype=np.int8)
+    for i in range(n - 1, -1, -1):
+        p[i] = least[rows, blocks[:, i]]
+        least[rows, blocks[:, i]] = i
+    largest = p < 0
+    p[largest] = least[rows, blocks.T][largest]
+    sizes = (blocks[:, :, None] == blocks[:, None, :]).sum(axis=2)  # of each point's block
+    shapes = np.where(largest.T, sizes, 0).astype(np.int8)
+    keys = np.zeros(count, dtype=np.int64)
+    for column in shapes.T:  # Horner in radix n + 1: exact to n = 15
+        keys *= n + 1
+        keys += column
+    ranks = perm_rank_many(p)
+    order = np.lexsort((ranks, keys))  # by shape, the least rank first
+    first = order[np.unique(keys[order], return_index=True)[1]]
     shapes, ranks = shapes[first], ranks[first]
     shapes.setflags(write=False)
     ranks.setflags(write=False)
@@ -292,8 +305,9 @@ class WreathProduct(FiniteGroup):
     digit table, multiplies the n coordinates by one call of the base
     group's ``mul_many`` and re-encodes.  For n! <= TABLE_ORDER_LIMIT (n <= 6)
     the tops compose by S_n's table and their images come from its rank ->
-    image table, both kept on ``perm_indexer(n)``; past it, by Lehmer codes.
-    The scalar ops do the same one element at a time.
+    image table, both kept on ``perm_indexer(n)``; past it, by Lehmer codes
+    (a pass over every top reads that image table at any n).  The scalar
+    ops do the same one element at a time.
     """
 
     def __init__(
@@ -494,48 +508,29 @@ class WreathProduct(FiniteGroup):
 
     def _tops_times(self, q: int, left: bool, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(new_top, at): the rank of q p (left) or p q for every top p, as
-        int64, and at[k] = p(points[k]) for every top p, in rank order; by
-        S_n's table when it has one, else by Lehmer codes, BATCH_LIMIT tops
-        at a time."""
-        tables, tops = self._top.cayley_tables, self._nfact
+        int64, and at[k] = p(points[k]) for every top p, in rank order, read
+        off perm_indexer(n)'s images of every top; the ranks by S_n's table
+        when it has one, else by Lehmer codes, BATCH_LIMIT tops at a time."""
+        tables, tops, images = self._top.cayley_tables, self._nfact, self._idx.images
+        at = images[points]
         if tables is not None:
             row = tables.products[q * tops : (q + 1) * tops] if left else tables.products[q::tops]
-            return row.astype(np.int64), self._idx.images[points]
+            return row.astype(np.int64), at
         q_image = np.array(self._idx.unrank(q), dtype=np.int8)
         new_top = np.empty(tops, dtype=np.int64)
-        at = np.empty((len(points), tops), dtype=np.int8)
         for start in range(0, tops, BATCH_LIMIT):
-            part = slice(start, start + BATCH_LIMIT)
-            p = self._every_top[:, part]
+            p = images[:, start : start + BATCH_LIMIT]
             # (q p)(i) = q(p(i)); (p q)(i) = p(q(i))
-            new_top[part] = perm_rank_many(q_image[p] if left else p[q_image])
-            at[:, part] = p[points]
+            new_top[start : start + BATCH_LIMIT] = perm_rank_many(q_image[p] if left else p[q_image])
         return new_top, at
-
-    @functools.cached_property
-    def _every_top(self) -> np.ndarray:
-        """The images of every top in rank order, positions first, int8
-        and read-only: S_n's shared rank -> image table when it has one,
-        else unranked once per group by Lehmer codes, BATCH_LIMIT tops at a
-        time.  The passes over every top (class_labels, mul_all past
-        n = 6) read it; its n n! bytes are no more than one
-        of their int64 rows over the ids for n <= 8."""
-        images = self._idx.images
-        if images is None:
-            tops = self._nfact
-            images = np.empty((self.n, tops), dtype=np.int8)
-            for start in range(0, tops, BATCH_LIMIT):
-                ranks = np.arange(start, min(start + BATCH_LIMIT, tops), dtype=np.int64)
-                images[:, start : start + BATCH_LIMIT] = perm_unrank_many(self.n, ranks)
-            images.setflags(write=False)
-        return images
 
     def _top_images(self, ranks: np.ndarray) -> np.ndarray:
         """The images of the tops of the given ranks, positions first (as
-        perm_unrank_many gives them): from S_n's rank -> image table when it
-        has one, else by Lehmer codes."""
-        images = self._idx.images
-        return perm_unrank_many(self.n, ranks) if images is None else images.take(ranks, axis=1)
+        perm_unrank_many gives them): from S_n's rank -> image table when S_n
+        is tabled, else by Lehmer codes."""
+        if self._top.cayley_tables is None:
+            return perm_unrank_many(self.n, ranks)
+        return self._idx.images.take(ranks, axis=1)
 
     @functools.cached_property
     def generator_elements(self) -> tuple[WreathElement, ...]:
@@ -659,7 +654,7 @@ class WreathProduct(FiniteGroup):
         for top_start in range(0, tops, BATCH_LIMIT):
             top_stop = min(top_start + BATCH_LIMIT, tops)
             width = top_stop - top_start
-            p = self._every_top[:, top_start:top_stop]
+            p = self._idx.images[:, top_start:top_stop]
             back = np.full((n + 1, width), n, dtype=np.int64)
             back[:n] = perm_inverse_many(p)
             columns = np.arange(width)

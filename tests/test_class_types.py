@@ -10,6 +10,8 @@ centralizer order of its type; each check has a test here that breaks it.
 """
 
 import dataclasses
+import itertools
+import math
 import types
 
 import numpy as np
@@ -40,8 +42,11 @@ from gelfand.specs import build_group
 
 def _by_orbits(group):
     """The same group with its classes found as the orbits of conjugation by
-    its generators (FiniteGroup.class_labels), not by its own labelling."""
+    its generators (FiniteGroup.class_labels), not by its own labelling, and
+    numbered by GroupPartition.from_labels (FiniteGroup.class_partition),
+    not by a closed form."""
     group.class_labels = types.MethodType(FiniteGroup.class_labels, group)
+    group.class_partition = types.MethodType(FiniteGroup.class_partition, group)
     return group
 
 
@@ -76,16 +81,31 @@ def test_typed_classes_by_chunks_equal_the_whole_pass(spec, n, monkeypatch):
 
 
 @pytest.mark.parametrize("n, r", [(5, 2), (7, 1), (3, 5)])
-def test_type_tables_by_blocks_equal_one_block(n, r, monkeypatch):
-    # both tables are kept per process, so the blocks are walked uncached
-    shapes, types = gelfand.wreath._top_shapes(n), gelfand.wreath._least_of_types(n, r)
+def test_type_table_by_blocks_equals_one_block(n, r, monkeypatch):
+    # the table is kept per process, so the blocks are walked uncached
+    whole = gelfand.wreath._least_of_types(n, r)
     # partial blocks, and shapes with more choices (5^3) than one block holds
     monkeypatch.setattr(gelfand.wreath, "BATCH_LIMIT", 7)
-    for whole, blocks in (
-        (shapes, gelfand.wreath._top_shapes.__wrapped__(n)),
-        (types, gelfand.wreath._least_of_types.__wrapped__(n, r)),
-    ):
-        assert all(np.array_equal(a, b) for a, b in zip(whole, blocks))
+    blocks = gelfand.wreath._least_of_types.__wrapped__(n, r)
+    assert all(np.array_equal(a, b) for a, b in zip(whole, blocks))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_least_top_of_each_shape_is_the_first_in_a_walk_of_s_n(n):
+    # itertools lists the permutations in rank order, so the first of each
+    # shape is its least
+    least = {}
+    for rank, p in enumerate(itertools.permutations(range(n))):
+        shape = [0] * n
+        for i in range(n):
+            cycle = [i]
+            while p[cycle[-1]] != i:
+                cycle.append(p[cycle[-1]])
+            shape[max(cycle)] = len(cycle)
+        least.setdefault(tuple(shape), rank)
+    shapes, ranks = gelfand.wreath._top_shapes(n)
+    assert dict(zip(map(tuple, shapes.tolist()), ranks.tolist())) == least
+    assert len(least) == math.comb(2 * n, n) // (n + 1)  # the Catalan number
 
 
 def test_typed_classes_over_a_base_of_unknown_class_count():
@@ -124,6 +144,7 @@ def _corrupted(classes):
     yield reps, sizes[:2] + (sizes[3], sizes[2]) + sizes[4:], "centralizer"
     yield reps[:-1] + (last,), sizes, "whose representative is larger"
     yield reps[:1] + (reps[2],) * 2 + reps[3:], sizes, "8 class labels, but 9"
+    yield (1,) + reps[1:], sizes, "least class representative of wr.S3,2. is id 1, not 0"
 
 
 def test_corrupted_closed_form_fails_at_the_first_block_of_read():
