@@ -8,17 +8,22 @@ over any set S of classes whose spectrum is simple already gives all of them,
 and degrees and character values follow (J. D. Dixon, "High speed
 computation of group characters", Numer. Math. 10, 1967; G. J. A. Schneider,
 "Dixon's character table algorithm revisited", J. Symbolic Comput. 9, 1990).
-Row A_i costs |C_i| products per target class, so S is grown from the
-smallest classes until the spectrum splits.  Scaled by the class sizes,
-D^-1/2 A_i D^1/2 with D = diag(|C_k|), the class matrices of a class and
-of its inverse class are each other's transposes, so the combination is
-made Hermitian and solved by the symmetric eigensolver.  Its orthonormal
-eigenvectors u give every degree as d = sqrt(|G|) |u[0]| and every value
-as chi(z_k) = d u[k] / (u[0] sqrt(|C_k|)).  The eigensolve is floating
-point, but every table is validated against the orthogonality relations and
-every verdict downstream with integer identities, so rounding error cannot
-flip an answer silently: anything that fails to round cleanly aborts instead
-of guessing.
+Row A_i costs |C_i| products per target class, so S is taken from the
+smallest classes: first the fewest that hold r members, r the class count,
+since one attempt (a kernel call and an r x r eigensolve) costs about as
+much as counting r members, and then steps that at least double them until
+the spectrum splits.  The combination is summed straight from the kernel's
+sparse table of the rows counted, never from dense (rows, r, r) stacks.
+Scaled by the class sizes, D^-1/2 A_i D^1/2 with D = diag(|C_k|), the
+class matrices of a class and of its inverse class are each other's
+transposes, so the combination is made Hermitian and solved by the
+symmetric eigensolver.  Its orthonormal eigenvectors u give every degree as
+d = sqrt(|G|) |u[0]| and every value as
+chi(z_k) = d u[k] / (u[0] sqrt(|C_k|)).  The eigensolve is floating point,
+but every table is validated against the orthogonality relations and every
+verdict downstream with integer identities, so rounding error cannot flip
+an answer silently: anything that fails to round cleanly aborts instead of
+guessing.
 """
 
 from __future__ import annotations
@@ -45,7 +50,6 @@ from .groups import (
     SubgroupEmbedding,
     block_product_counts,
     conjugacy_classes,
-    stack_block_counts,
 )
 
 CLASS_LIMIT = 80
@@ -80,26 +84,45 @@ class CharacterTable:
         return self.classes.count
 
 
-def class_coefficients(group: FiniteGroup, classes: GroupPartition, rows) -> np.ndarray:
+def class_coefficients(
+    group: FiniteGroup, classes: GroupPartition, rows
+) -> tuple[np.ndarray, np.ndarray]:
     """The rows A_i of the class matrices, (A_i)[j][k] = a[i][j][k] =
     #{(x,y) in C_i x C_j : x*y = z_k} for the class reps z_k, for the classes
-    i in rows, as a (len(rows), r, r) int64 array in the order of rows.
+    i in rows, as the kernel's sparse table (keys, counts): the nonzero
+    entries only, keys (i*r + j)*r + k ascending.
 
     The shared block kernel over the members of those classes, sum |C_i|
-    products per target, its sparse table scattered straight into the rows
-    asked (len(rows) r^2 entries, never r^3); the kernel also enforces the
-    counting identity sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.
-    rows = range(r) gives the whole table.
+    products per target; the kernel also enforces the counting identity
+    sum_k a[i][j][k] |C_k| = |C_i| |C_j| on every row.  Every key's row is
+    in rows, so groups.stack_block_counts(table, r, rows) gives the dense
+    (len(rows), r, r) rows, and rows = range(r) the whole table.
     """
-    r = classes.count
-    asked = np.zeros(r, dtype=bool)
+    asked = np.zeros(classes.count, dtype=bool)
     asked[np.asarray(rows, dtype=np.int64)] = True
     elements = np.flatnonzero(asked[classes.block_of])
-    table = block_product_counts(
+    return block_product_counts(
         group, classes.block_of.take, classes.sizes, classes.representatives, elements
     )
-    # every key's row i is asked: the kernel counts the rows of the members only
-    return stack_block_counts(table, r, rows)
+
+
+def class_combination(table: tuple[np.ndarray, np.ndarray], r: int, rows, t) -> np.ndarray:
+    """sum_n t[n] A_(rows[n]) as a dense (r, r) array, from the sparse table
+    (keys, counts) of class_coefficients for those rows: one bincount over
+    its nonzero entries, the real and imaginary parts of complex t side by
+    side.  O(nnz) work and memory; no (len(rows), r, r) array is built."""
+    keys, counts = table
+    t = np.asarray(t)
+    weight = np.zeros(r, dtype=t.dtype)
+    weight[np.asarray(rows, dtype=np.int64)] = t
+    i, jk = np.divmod(keys, r * r)
+    terms = weight[i] * counts
+    if not np.iscomplexobj(terms):
+        return np.bincount(jk, terms, minlength=r * r).reshape(r, r)
+    # (re, im) of entry jk at 2 jk and 2 jk + 1: complex128's own layout
+    parts = np.add.outer(2 * jk, np.arange(2)).ravel()
+    total = np.bincount(parts, terms.view(np.float64), minlength=2 * r * r)
+    return total.view(np.complex128).reshape(r, r)
 
 
 def validate_character_table(table: CharacterTable) -> None:
@@ -219,6 +242,22 @@ def _table_of(group: FiniteGroup, classes: GroupPartition, h) -> CharacterTable:
     return table
 
 
+def class_steps(sizes) -> tuple[np.ndarray, tuple[int, ...]]:
+    """(by_size, ends): the classes by ascending (size, id), and the end of
+    each step of character_table's S in that order.  The first step is the
+    fewest classes whose members reach r = len(sizes) (or all of them),
+    every later one the fewest that at least double the members so far."""
+    by_size = np.argsort(sizes, kind="stable")
+    members = np.cumsum(np.asarray(sizes, dtype=np.int64)[by_size])
+    r = len(sizes)
+    ends = []
+    goal = r
+    while not ends or ends[-1] < r:
+        ends.append(min(r, int(np.searchsorted(members, goal)) + 1))
+        goal = 2 * members[ends[-1] - 1]
+    return by_size, tuple(ends)
+
+
 def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     """Compute and fully validate the character table of a finite group.
 
@@ -227,23 +266,29 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     count is not known from its construction is refused past CLASS_LIMIT
     before the class algebra is built.
 
-    The classes are taken by ascending (size, id) into a set S, each step
-    adding the fewest classes that at least double sum_{i in S} |C_i| and
-    counting only their rows (class_coefficients).  Scaled by the class
-    sizes, B_i = D^-1/2 A_i D^1/2 with D = diag(|C_k|), the class of
-    inverses i' of class i has B_i' = B_i^T, since |C_k| a[i][j][k] =
-    |C_j| a[i'][k][j].  So C = sum_{i in S} t_i B_i gives the Hermitian
-    H = C + C^H, with eigenvalue 2 Re sum t_i omega_chi(K_i) on the central
-    character of chi, and one symmetric eigensolve (_extract_rows) yields
-    every row.  The t_i are drawn from the seeded random stream, so results
-    are reproducible: real when every class is its own inverse class (H is
-    then real symmetric), else complex, which keeps a character apart from
-    its complex conjugate.  Each step draws t for its new rows only and adds
-    their term; a collision of the eigenvalues, or any other defect, grows
-    S.  Once S holds every class, defective combinations are retried with
-    fresh coefficients for every row up to _MAX_ATTEMPTS times; persistent
-    failure raises NumericalQualityError with the number of attempts and
-    the last diagnostic.
+    The classes are taken by ascending (size, id) into a set S: first the
+    fewest whose members sum_{i in S} |C_i| reach r, then, step by step,
+    the fewest that at least double them, counting only the rows each step
+    adds (class_coefficients).  A step costs a kernel call and an r x r
+    eigensolve, about as much as counting r members, so a first step
+    smaller than r members spends more on failed attempts than it saves in
+    products.  Scaled by the class sizes, B_i = D^-1/2 A_i D^1/2 with
+    D = diag(|C_k|), the class of inverses i' of class i has B_i' = B_i^T,
+    since |C_k| a[i][j][k] = |C_j| a[i'][k][j].  So C = sum_{i in S} t_i B_i
+    gives the Hermitian H = C + C^H, with eigenvalue 2 Re sum t_i
+    omega_chi(K_i) on the central character of chi, and one symmetric
+    eigensolve (_extract_rows) yields every row.  The t_i are drawn from the
+    seeded random stream in the order of the rows asked, so results are
+    reproducible: real when every class is its own inverse class (H is then
+    real symmetric), else complex, which keeps a character apart from its
+    complex conjugate.  Each step draws t for its new rows only and adds
+    their term, summed from the step's sparse table (class_combination).
+    A collision of the eigenvalues, or any other defect, grows S.  Once S
+    holds every class, defective combinations are retried with fresh
+    coefficients for every row up to _MAX_ATTEMPTS times, from the steps'
+    tables (O(nnz) entries, never r^3); persistent failure raises
+    NumericalQualityError with the number of attempts and the last
+    diagnostic.
     """
     check_limits(group)
     classes = conjugacy_classes(group)
@@ -255,36 +300,30 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
         raise InternalConsistencyError(
             f"{group.name}: class 0 is not the identity singleton ({group.identity},)"
         )
-    # the classes by (size, id), and the members of the first e + 1 of them
-    by_size = np.argsort(classes.sizes, kind="stable")
-    members = np.cumsum(np.array(classes.sizes)[by_size])
+    by_size, ends = class_steps(classes.sizes)
     root = np.sqrt(np.array(classes.sizes, dtype=np.float64))
     scale = root / root[:, None]  # B_i[j][k] = a[i][j][k] sqrt(|C_k| / |C_j|)
     inverses = classes.block_of[group.inv_many(classes.representatives)]
     real = np.array_equal(inverses, np.arange(r))
     rng = np.random.default_rng(seed)
 
-    def combine(rows):
+    def combine(rows, table):
         """sum_i t_i A_i over the rows, with t_i freshly drawn."""
         t = rng.standard_normal(len(rows) if real else 2 * len(rows))
-        return np.tensordot(t if real else t.view(np.complex128), rows, axes=(0, 0))
+        return class_combination(table, r, rows, t if real else t.view(np.complex128))
 
-    counted = []  # the rows of S, in the order of by_size
+    counted = []  # (rows, sparse table) of each step of S
     combination = 0.0  # sum_{i in S} t_i A_i
-    chosen = 0
     attempts = 0
     last = "no attempt made"
-    while chosen < r:
-        # the fewest next classes that at least double the members of S
-        goal = 2 * members[chosen - 1] if chosen else 2
-        end = min(r, int(np.searchsorted(members, goal)) + 1)
-        counted.append(class_coefficients(group, classes, by_size[chosen:end]).astype(np.float64))
-        combination = combination + combine(counted[-1])
-        chosen = end
+    for start, end in zip((0,) + ends, ends):
+        rows = by_size[start:end]
+        counted.append((rows, class_coefficients(group, classes, rows)))
+        combination = combination + combine(*counted[-1])
         # a collision or any other defect grows S; with every class, retry
-        for retry in range(_MAX_ATTEMPTS if chosen == r else 1):
+        for retry in range(_MAX_ATTEMPTS if end == r else 1):
             if retry:
-                combination = sum(combine(rows) for rows in counted)
+                combination = sum(combine(*step) for step in counted)
             attempts += 1
             c = combination * scale
             try:

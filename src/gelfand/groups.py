@@ -98,6 +98,9 @@ _PERM_MATERIALIZE_LIMIT = 40320
 # Groups up to this order multiply and invert by a gather from their Cayley
 # table: int16 ids, at most 8 MiB per table.
 TABLE_ORDER_LIMIT = 2048
+# A block-kernel batch may hold this many products even past |G|: a small
+# group counting all its rows would otherwise pay one call per target.
+KERNEL_BATCH_FLOOR = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +594,12 @@ class SubgroupEmbedding:
 
     @functools.cached_property
     def image(self) -> np.ndarray:
-        image = np.unique(self.map)
+        """The ids of K in the parent, strictly ascending; a map that sends
+        two ids to one is not injective: InternalConsistencyError.  Sorted,
+        not np.unique, which imports numpy.ma."""
+        image = np.sort(self.map)
+        if not (image[1:] > image[:-1]).all():
+            raise InternalConsistencyError(f"embedding of {self.subgroup.name} is not injective")
         image.setflags(write=False)
         return image
 
@@ -1106,8 +1114,8 @@ def block_product_counts(
     (a class partition's ``block_of.take``).  sizes are the block sizes in
     units of the elements.  targets has shape (r,), one target per block,
     and targets[k] must lie in block k.  Each mul_many call holds at most
-    |G| products (at least one target).  The keying and the checks are
-    block_pair_counts'.
+    max(|G|, KERNEL_BATCH_FLOOR) products (at least one target).  The keying
+    and the checks are block_pair_counts'.
     """
     r = len(sizes)
     targets = np.asarray(targets, dtype=np.int64)
@@ -1125,9 +1133,8 @@ def block_product_counts(
         products = group.mul_many(np.tile(inverses, len(batch)), np.repeat(batch, m))
         return block_of(products).reshape(len(batch), m)
 
-    return block_pair_counts(
-        group.name, looked[r:], sizes, targets, looked[:r], right_blocks, max(1, group.order // m)
-    )
+    step = max(1, max(group.order, KERNEL_BATCH_FLOOR) // m)
+    return block_pair_counts(group.name, looked[r:], sizes, targets, looked[:r], right_blocks, step)
 
 
 def block_pair_counts(

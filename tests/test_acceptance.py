@@ -28,6 +28,7 @@ from gelfand import (
     parse_pair_spec,
 )
 from gelfand.cli import main as cli_main
+from gelfand.groups import stack_block_counts
 from gelfand.hecke import dense_constants
 from hecke_oracle import (
     BiInvariantFunction,
@@ -234,7 +235,9 @@ def test_criterion_8_counting_identities():
             ), spec
             cc = b.table.classes
             assert np.array_equal(
-                class_coefficients(grp, cc, range(cc.count)),
+                stack_block_counts(
+                    class_coefficients(grp, cc, range(cc.count)), cc.count, range(cc.count)
+                ),
                 bucketed_constants(grp, members(cc), cc.representatives),
             ), spec
 

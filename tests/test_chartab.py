@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import gelfand.chartab
+import gelfand.groups
 from gelfand import (
     CyclicGroup,
     DihedralGroup,
@@ -31,7 +32,14 @@ from gelfand import (
     save_character_table,
     subgroup_from_generators,
 )
-from gelfand.chartab import ORDER_LIMIT, cached_character_table, validate_character_table
+from gelfand.chartab import (
+    ORDER_LIMIT,
+    cached_character_table,
+    class_combination,
+    class_steps,
+    validate_character_table,
+)
+from gelfand.groups import stack_block_counts
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
 from gelfand.wreath import WreathEmbedding
@@ -49,10 +57,20 @@ def s3_pair():
 # class multiplication coefficients
 
 
+def _group(spec):
+    return build_pair(spec).parent if spec.startswith("wr(") else build_group(spec)
+
+
+def whole_table(group, classes):
+    """Every row A_i of the class matrices, dense: (r, r, r) int64."""
+    r = classes.count
+    return stack_block_counts(class_coefficients(group, classes, range(r)), r, range(r))
+
+
 def test_class_coefficients_abelian():
     grp = CyclicGroup(5)
     cc = conjugacy_classes(grp)
-    a = class_coefficients(grp, cc, range(cc.count))
+    a = whole_table(grp, cc)
     for i in range(5):
         for j in range(5):
             k = grp.mul(i, j)  # singleton classes: ids are the representatives
@@ -64,7 +82,7 @@ def test_class_coefficients_abelian():
 def test_class_coefficients_s3():
     s3 = SymmetricGroup(3)
     cc = conjugacy_classes(s3)
-    a = class_coefficients(s3, cc, range(cc.count))
+    a = whole_table(s3, cc)
     # three transposition pairs square to the identity
     assert a[1, 1, 0] == 3
     # the identity class factors z_k uniquely: a[0][j][k] = [j == k]
@@ -76,7 +94,7 @@ def test_class_coefficients_s3():
 def test_class_coefficients_counting_identity():
     for grp in (SymmetricGroup(4), DihedralGroup(4)):
         cc = conjugacy_classes(grp)
-        a = class_coefficients(grp, cc, range(cc.count))
+        a = whole_table(grp, cc)
         sizes = np.array(cc.sizes, dtype=np.int64)
         assert np.array_equal(a @ sizes, np.outer(sizes, sizes))
 
@@ -101,11 +119,11 @@ def test_rows_counted_equal_the_full_table(spec, monkeypatch):
 
     monkeypatch.setattr(gelfand.chartab, "class_coefficients", recording)
     character_table(grp)
-    full = class_coefficients(grp, cc, range(cc.count))
+    full = whole_table(grp, cc)
     rows = [i for step, _ in counted for i in step]
     assert len(set(rows)) == len(rows)
     for step, a in counted:
-        assert np.array_equal(a, full[step]), (spec, step)
+        assert np.array_equal(stack_block_counts(a, cc.count, step), full[step]), (spec, step)
 
 
 @pytest.mark.parametrize("spec", ("S4", "Z7", "Z3xS3", "wr(Z3,2)") + BENCHMARK_PAIRS)
@@ -114,9 +132,9 @@ def test_size_scaled_class_matrices_are_transposes_of_the_inverse_class(spec):
     # in C_i x C_j x C_k with x y = z, the right one as x^-1 z = y.  So
     # D^-1/2 A_i D^1/2 is the transpose of D^-1/2 A_i' D^1/2, D = diag(|C_k|),
     # which makes character_table's combination Hermitian
-    grp = build_pair(spec).parent if spec.startswith("wr(") else build_group(spec)
+    grp = _group(spec)
     cc = conjugacy_classes(grp)
-    a = class_coefficients(grp, cc, range(cc.count))
+    a = whole_table(grp, cc)
     sizes = np.array(cc.sizes, dtype=np.int64)
     inverse = cc.block_of[grp.inv_many(cc.representatives)]
     assert np.array_equal(a * sizes, a[inverse].transpose(0, 2, 1) * sizes[:, None])
@@ -158,6 +176,103 @@ def test_character_table_counts_under_one_percent_of_the_products(monkeypatch):
     monkeypatch.setattr(grp, "inv_many", counting_inv)
     character_table(grp)
     assert 0 < sum(products) < 0.01 * r * grp.order
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_PAIRS + ("S3", "Z80", "wr(Z10,2)"))
+def test_step_schedule(spec, monkeypatch):
+    # the first step is the fewest classes by (size, id) holding r members,
+    # or all of them; every later step the fewest that at least double them
+    grp = _group(spec)
+    cc = conjugacy_classes(grp)
+    r = cc.count
+    by_size, ends = class_steps(cc.sizes)
+    assert by_size.tolist() == sorted(range(r), key=lambda i: (cc.sizes[i], i))
+    members = np.cumsum(np.array(cc.sizes)[by_size]).tolist()
+    assert ends[-1] == r and list(ends) == sorted(set(ends))
+    goal = r
+    for end in ends:
+        assert end == r or members[end - 1] >= goal, (spec, ends)
+        assert end == 1 or members[end - 2] < goal, (spec, ends)
+        goal = 2 * members[end - 1]
+    # character_table counts exactly these steps, until one succeeds
+    steps = []
+
+    def recording(group, classes, rows):
+        steps.append(list(rows))
+        return class_coefficients(group, classes, rows)
+
+    monkeypatch.setattr(gelfand.chartab, "class_coefficients", recording)
+    character_table(grp, seed=1)
+    slices = [by_size[start:end].tolist() for start, end in zip((0,) + ends, ends)]
+    assert steps == slices[: len(steps)]
+
+
+@pytest.mark.parametrize("spec", ("wr(D4,3)", "wr(Z3,4)", "Z80"))
+def test_sparse_combination_equals_the_dense_stack(spec):
+    # sum_n t[n] A_(rows[n]) from the sparse table equals the tensordot of
+    # the dense rows, for real and complex t, on a first step and on all rows
+    grp = _group(spec)
+    cc = conjugacy_classes(grp)
+    r = cc.count
+    by_size, ends = class_steps(cc.sizes)
+    rng = np.random.default_rng(5)
+    for rows in (by_size[: ends[0]], by_size):
+        table = class_coefficients(grp, cc, rows)
+        dense = stack_block_counts(table, r, rows).astype(np.float64)
+        for t in (rng.standard_normal(len(rows)),
+                  rng.standard_normal(2 * len(rows)).view(np.complex128)):
+            combined = class_combination(table, r, rows, t)
+            expected = np.tensordot(t, dense, axes=(0, 0))
+            assert combined.shape == (r, r) and combined.dtype == expected.dtype
+            assert np.max(np.abs(combined - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_character_table_stacks_no_dense_rows(monkeypatch):
+    # the combination is summed from the sparse tables, also on the retries
+    # with every class
+    def refuse(*args):
+        raise AssertionError("dense rows stacked")
+
+    monkeypatch.setattr(gelfand.groups, "stack_block_counts", refuse)
+    monkeypatch.setattr(gelfand.chartab, "stack_block_counts", refuse, raising=False)
+    for spec in ("S3", "Z80", "wr(D4,3)", "wr(Z3,4)"):
+        validate_character_table(character_table(_group(spec), seed=1))
+    grp = _group("wr(Z3,2)")
+    steps = len(class_steps(conjugacy_classes(grp).sizes)[1])
+    extract = gelfand.chartab._extract_rows
+    calls = []
+
+    def collide_at_first(*args):
+        calls.append(None)
+        if len(calls) <= steps + 1:  # every step and the first retry fail
+            raise NumericalQualityError("eigenvalues of the random combination collide")
+        return extract(*args)
+
+    monkeypatch.setattr(gelfand.chartab, "_extract_rows", collide_at_first)
+    validate_character_table(character_table(grp))
+    assert len(calls) == steps + 2
+
+
+# eigensolve attempts per table at seed 1, at most: 28 per character-cold
+# pass (its four tables and their bases) came down to 13
+ATTEMPTS_AT_SEED_1 = {
+    "wr(Z1,5)": 1, "wr(S3,2)": 2, "wr(Z2,4)": 2, "wr(Z1,6)": 2, "wr(S4,2)": 3,
+    "wr(S3,3)": 2, "wr(Z3,4)": 2, "wr(D4,3)": 3, "wr(Z2,5)": 1,
+}
+
+
+@pytest.mark.parametrize("spec", BENCHMARK_PAIRS)
+def test_eigensolve_attempts_at_seed_1(spec, monkeypatch):
+    extract = gelfand.chartab._extract_rows
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return extract(*args)
+
+    monkeypatch.setattr(gelfand.chartab, "_extract_rows", counting)
+    character_table(build_pair(spec).parent, seed=1)
+    assert len(calls) <= ATTEMPTS_AT_SEED_1[spec]
 
 
 # ---------------------------------------------------------------------------

@@ -325,7 +325,9 @@ def test_kernel_matches_bucketing_oracle():
     for grp, emb in small_pairs():
         cc = conjugacy_classes(grp)
         assert np.array_equal(
-            class_coefficients(grp, cc, range(cc.count)),
+            stack_block_counts(
+                class_coefficients(grp, cc, range(cc.count)), cc.count, range(cc.count)
+            ),
             bucketed_constants(grp, members(cc), cc.representatives),
         ), grp.name
     ladder = [(emb.parent, emb) for emb in map(build_pair, LADDER[2:])]

@@ -2,12 +2,16 @@
 
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gelfand
 from gelfand import (
     CyclicGroup,
     InternalConsistencyError,
@@ -209,6 +213,35 @@ def test_validate_rejects_broken_maps(mapping, message):
     embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), mapping)
     with pytest.raises(InternalConsistencyError, match=message):
         embedding.validate()
+
+
+def test_image_is_strictly_ascending_or_refused():
+    z6 = CyclicGroup(6)
+    assert SubgroupEmbedding(CyclicGroup(3), z6, (4, 0, 2)).image.tolist() == [0, 2, 4]
+    for mapping in ((0, 0), (0, 3, 0)):
+        embedding = SubgroupEmbedding(CyclicGroup(len(mapping)), z6, mapping)
+        with pytest.raises(InternalConsistencyError, match="is not injective"):
+            embedding.image
+
+
+def test_image_of_a_generic_embedding_loads_no_numpy_ma():
+    # np.unique would import numpy.ma (+0.5 MiB) on its first call
+    code = (
+        "import sys\n"
+        "from gelfand import CyclicGroup, SubgroupEmbedding\n"
+        "embedding = SubgroupEmbedding(CyclicGroup(2), CyclicGroup(6), (0, 3))\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "assert embedding.image.tolist() == [0, 3]\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gelfand.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
 
 
 def test_validate_catches_two_swapped_non_generator_entries():
