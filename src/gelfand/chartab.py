@@ -51,6 +51,7 @@ from .groups import (
     block_product_counts,
     conjugacy_classes,
 )
+from .wreath import WreathEmbedding
 
 CLASS_LIMIT = 80
 ORDER_LIMIT = 2_000_000
@@ -173,14 +174,14 @@ def _extract_rows(h, sizes, order):
     D = diag(|C_k|), so its orthonormal eigenvectors u are the central
     characters scaled by D^-1/2: u[k] = phase sqrt(|C_k|) chi(z_k) / sqrt(|G|).
     Hence d = sqrt(|G|) |u[0]| and chi(z_k) = d u[k] / (u[0] sqrt(|C_k|)),
-    for every eigenvector at once.  The eigenvalues alone are screened for a
-    collision first; most rejected attempts stop there.
+    for every eigenvector at once.  One eigh call gives both; its
+    eigenvalues are screened for a collision first.
     """
     r = len(h)
-    evals = np.linalg.eigvalsh(h)  # ascending
+    evals, u = np.linalg.eigh(h)  # ascending eigenvalues, eigenvectors in columns
     if r > 1 and np.diff(evals).min() < 1e-6 * (1.0 + np.abs(evals).max()):
         raise NumericalQualityError("eigenvalues of the random combination collide")
-    u = np.linalg.eigh(h)[1].T  # one eigenvector per row
+    u = u.T  # one eigenvector per row
     identity = u[:, 0]
     if np.abs(identity).min() < 1e-12:
         raise NumericalQualityError("central character vanishes on the identity class")
@@ -337,7 +338,7 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
 
 
 def permutation_character(
-    embedding: SubgroupEmbedding, classes: GroupPartition
+    embedding: SubgroupEmbedding | WreathEmbedding, classes: GroupPartition
 ) -> tuple[int, ...]:
     """pi(C_j) = number of left cosets xK fixed by a member of C_j, per class,
     in the form the embedding's type gives:
@@ -363,7 +364,7 @@ def _round_multiplicity(value: complex, what: str) -> int:
 
 
 def decompose_induced_trivial(
-    embedding: SubgroupEmbedding, table: CharacterTable
+    embedding: SubgroupEmbedding | WreathEmbedding, table: CharacterTable
 ) -> tuple[int, ...]:
     """Multiplicities <perm char, chi_i>, one per irrep, in table row order.
 

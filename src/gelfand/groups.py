@@ -31,16 +31,16 @@ checks, of ``right_products`` (generation, ``is_abelian``,
 ``subgroup_from_generators``, K's rows in ``SubgroupEmbedding.validate``)
 come from ``mul_all``; every other loop over the elements of a group (left
 cosets, the block kernel, the embedding's products in G) runs on
-``mul_many``.  A ``SubgroupEmbedding`` gives the Hecke route G/K as points:
-here its left cosets walked over the parent (``coset_reps``,
-``coset_index``), with the moves of K's generators, the transversal and
-the points u_c^-1 y read off products in G; a wreath embedding
-(``wreath.WreathEmbedding``) gives the same from its action on
-X = {0..n-1} x B, with no id of G or K.  The permutation
+``mul_many``.  A ``SubgroupEmbedding`` holds K's ids in G and gives the
+Hecke route G/K as points: its left cosets walked over the parent
+(``coset_reps``, ``coset_index``), with the moves of K's generators, the
+transversal and the points u_c^-1 y read off products in G.  A wreath
+embedding (``wreath.WreathEmbedding``) is not one: it gives the same
+points from its action on X = {0..n-1} x B, with no id of G or K, and
+the routes read either embedding by those members alone.  The permutation
 character is read off the conjugacy classes: by Frobenius reciprocity here
 (``SubgroupEmbedding.permutation_character``), as fixed points on X by a
-wreath embedding, which builds K's ids only when a test reads them.
-Conjugacy classes are a
+wreath embedding.  Conjugacy classes are a
 ``GroupPartition``: a read-only int64 block label per id, blocks numbered by
 minimal id, with the representatives (those minimal ids) and the sizes;
 embedding maps are read-only int64 too.
@@ -567,16 +567,20 @@ class GeneratedSubgroup(FiniteGroup):
         self.generators = tuple(self._index[g] for g in generators)
 
     def mul(self, a: int, b: int) -> int:
-        p = self.parent.mul(self.ids[a], self.ids[b])
+        return self._own(self.parent.mul(self.ids[a], self.ids[b]), "multiplication")
+
+    def inv(self, a: int) -> int:
+        return self._own(self.parent.inv(self.ids[a]), "inversion")
+
+    def _own(self, p: int, under: str) -> int:
+        """The subgroup id of parent id p; a p outside the subgroup means it
+        is not closed: InternalConsistencyError."""
         try:
             return self._index[p]
         except KeyError:
             raise InternalConsistencyError(
-                f"subgroup of {self.parent.name} not closed under multiplication"
+                f"subgroup of {self.parent.name} not closed under {under}"
             ) from None
-
-    def inv(self, a: int) -> int:
-        return self._index[self.parent.inv(self.ids[a])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -644,8 +648,8 @@ class SubgroupEmbedding:
         return coset_of, reps
 
     # G/K as points, read by hecke: the left cosets walked above, the
-    # transversal u_c = coset_reps[c].  A wreath embedding overrides these
-    # five members with its action on X, with no id of G or K.
+    # transversal u_c = coset_reps[c].  A wreath embedding gives these five
+    # members from its action on X, with no id of G or K.
 
     @property
     def base_point(self) -> int:

@@ -6,11 +6,13 @@ exactly and commutativity is compared entry by entry, so the answer cannot be
 corrupted by rounding.
 
 The algebra is read off the points G/K, numbered by the least id of each left
-coset, with x0 = K.  The embedding gives them: a generic
-``SubgroupEmbedding`` as its walked left cosets, a wreath embedding as the
-points X = {0..n-1} x B of the action of B wr S_n, with no id of G or K
-(``wreath.WreathEmbedding``).  Everything here is the one engine over those
-points.  The double cosets KgK are the K-orbits on G/K, KgK <-> K g x0,
+coset, with x0 = K.  The embedding gives them: a ``SubgroupEmbedding``, which
+holds K's ids, as its walked left cosets; a ``wreath.WreathEmbedding``, which
+holds none, as the points X = {0..n-1} x B of the action of B wr S_n, with
+no id of G or K.  Both give the same five members (``base_point``,
+``point_moves``, ``transversal_points``, ``back_points``,
+``check_double_cosets``), and everything here is the one engine over them.
+The double cosets KgK are the K-orbits on G/K, KgK <-> K g x0,
 found by ``groups.orbit_labels`` from the moves of K's generators and
 numbered by least point, which is the least id of each double coset, so K
 is block 0.  The Hecke algebra is the algebra of orbitals of G on G/K
@@ -74,6 +76,7 @@ from .groups import (
     orbit_labels,
     stack_block_counts,
 )
+from .wreath import WreathEmbedding
 
 # The count looks up at most this many points u_z^-1 y per batch of
 # targets, so its (targets, [G:K]) temporaries stay bounded at any rank.
@@ -97,7 +100,7 @@ class DoubleCosetDecomposition:
         return len(self.sizes)
 
 
-def double_cosets(embedding: SubgroupEmbedding) -> DoubleCosetDecomposition:
+def double_cosets(embedding: SubgroupEmbedding | WreathEmbedding) -> DoubleCosetDecomposition:
     """The K-orbits on the points G/K, from the moves of K's generators.
 
     Orbits labelled by their least point number the blocks by least point.
@@ -169,7 +172,7 @@ def _first_difference(table, other) -> tuple[int, int, int] | None:
 
 
 def structure_constants(
-    embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
+    embedding: SubgroupEmbedding | WreathEmbedding, cosets: DoubleCosetDecomposition
 ) -> Witness | None:
     """Count p[i][j][k] once, check it against the identities in the module
     docstring, and return the first noncommutative entry of c = |K| p, or
@@ -236,7 +239,7 @@ def structure_constants(
 
 
 def dense_constants(
-    embedding: SubgroupEmbedding, cosets: DoubleCosetDecomposition
+    embedding: SubgroupEmbedding | WreathEmbedding, cosets: DoubleCosetDecomposition
 ) -> np.ndarray:
     """The (r, r, r) table c[i][j][k] = |K| p[i][j][k], stacked from the
     count at the least points: int64, or exact Python integers where |K| p

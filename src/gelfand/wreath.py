@@ -39,8 +39,8 @@ u_z^-1 y, from base products on X alone, with no id of G or K.  Past the
 ``point_budget``), and its batched id ops are refused.  The permutation
 character is the fixed-point count on X, |G| #{j : p(j) = j, b_j = e} at
 (b; p), read off the decoded class representatives, so the character route
-reads no id of G wr S_(n-1) either: its ids are built and proven only when
-a test first reads them.
+reads no id of G wr S_(n-1) either.  A ``WreathEmbedding`` is that action
+and nothing more: it holds no id of K and walks no left coset.
 
 Conjugacy classes come from types, not from conjugation orbits: the class of
 an element is fixed by the base class of each top cycle's product (James &
@@ -83,7 +83,6 @@ from .groups import (
     FiniteGroup,
     GroupPartition,
     LazyClassPartition,
-    SubgroupEmbedding,
     SymmetricGroup,
     _check_class_count,
     conjugacy_classes,
@@ -706,7 +705,8 @@ class WreathProduct(FiniteGroup):
         return centralizers
 
 
-class WreathEmbedding(SubgroupEmbedding):
+@dataclass(frozen=True, eq=False)
+class WreathEmbedding:
     """K = B wr S_(n-1) in G = B wr S_n as embed_wreath_subgroup embeds it,
     read off the action of G on the n |B| points X = {0..n-1} x B,
 
@@ -734,51 +734,17 @@ class WreathEmbedding(SubgroupEmbedding):
     (n-1, x^-1 x') at j' = j, else (j' - [j' > j], x').
 
     The permutation character is the fixed-point count on X, from the class
-    representatives alone.  Nothing here is indexed by the ids of G, and
-    K's ids (``map`` and ``image``) are built only when first read, which
-    only the tests do; validate() proves them then, once.
+    representatives alone.  Nothing here is indexed by the ids of G, and no
+    id of K is held: the members are those that ``hecke`` and ``chartab``
+    read, as they read a ``groups.SubgroupEmbedding``'s.
     """
 
-    def __init__(self, subgroup: WreathProduct, parent: WreathProduct):
-        object.__setattr__(self, "subgroup", subgroup)
-        object.__setattr__(self, "parent", parent)
-
-    def __repr__(self) -> str:
-        # the dataclass repr of SubgroupEmbedding would read map, building K
-        return f"{type(self).__name__}({self.subgroup.name} in {self.parent.name})"
+    subgroup: WreathProduct
+    parent: WreathProduct
 
     @property
-    def map(self) -> np.ndarray:
-        """K's ids in G, built on the first read of map or image and proven
-        by validate() then; a failed proof keeps nothing."""
-        if "map" not in self.__dict__:
-            self.__dict__["map"] = self._k_ids()  # validate reads it
-            try:
-                self.validate()
-            except BaseException:
-                del self.__dict__["map"]
-                self.__dict__.pop("image", None)
-                raise
-        return self.__dict__["map"]
-
-    @property
-    def image(self) -> np.ndarray:
-        """K's ids in G, ascending; read first, they are built and proven
-        through map, whose proof computes (and keeps) them once."""
-        self.map
-        return super().image
-
-    def _k_ids(self) -> np.ndarray:
-        """Every id of K decoded, widened by the identity at coordinate n - 1
-        and a top that fixes n - 1, and encoded in G: read-only int64."""
-        parent, sub = self.parent, self.subgroup
-        base, top = sub.decode_many(np.arange(sub.order, dtype=np.int64))
-        fixed = np.ones((1, sub.order), dtype=np.int64)
-        widened_base = np.vstack([base, parent.base_group.identity * fixed])
-        widened_top = np.vstack([perm_unrank_many(sub.n, top), sub.n * fixed])
-        mapping = parent.encode_many(widened_base, perm_rank_many(widened_top))
-        mapping.setflags(write=False)
-        return mapping
+    def index(self) -> int:
+        return self.parent.order // self.subgroup.order
 
     def permutation_character(self, classes: GroupPartition) -> tuple[int, ...]:
         """pi(C_j) = #{points of X fixed by the class representative (b; p)}
@@ -926,8 +892,8 @@ def embed_wreath_subgroup(
 
     The last coordinate carries the identity and the top permutation fixes
     the last point; any conjugate embedding gives the same verdicts.  No id
-    of either group is touched here: K's ids are built and proven on their
-    first read (WreathEmbedding.map).  The size budget bounds |G wr S_n|
+    of either group is touched here or later: K is the stabilizer of x0 on
+    X (WreathEmbedding).  The size budget bounds |G wr S_n|
     (wreath_order), or with on_points, for a pair read only on X by the
     Hecke route, the points (point_budget): then the orders are not
     bounded, and ids past 2^62 are refused by the batched ops.

@@ -18,13 +18,41 @@ lists, never through ``GroupPartition.from_labels``.  ``per_id`` reads a
 embedding's walked left cosets, which number G/K as the points do
 (``test_cosets_by_the_action_equal_the_walk`` checks that on wreath
 pairs), so it compares with these partitions.
+
+A wreath embedding holds no id of K, so every read of K's ids here, and in
+the tests, goes through ``id_embedding``: K's ids built from its
+construction and proven by ``SubgroupEmbedding.validate``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gelfand.groups import GroupPartition, subgroup_from_generators
+from gelfand.groups import (
+    GroupPartition,
+    SubgroupEmbedding,
+    perm_rank_many,
+    perm_unrank_many,
+    subgroup_from_generators,
+)
+
+
+def id_embedding(embedding) -> SubgroupEmbedding:
+    """The embedding as K's ids in G: a SubgroupEmbedding as it is; for a
+    wreath embedding, every id of K = B wr S_(n-1) decoded, widened by e at
+    coordinate n - 1 and a top that fixes n - 1, encoded in G and proven by
+    validate()."""
+    if isinstance(embedding, SubgroupEmbedding):
+        return embedding
+    parent, sub = embedding.parent, embedding.subgroup
+    base, top = sub.decode_many(np.arange(sub.order, dtype=np.int64))
+    fixed = np.ones((1, sub.order), dtype=np.int64)
+    widened_base = np.vstack([base, parent.base_group.identity * fixed])
+    widened_top = np.vstack([perm_unrank_many(sub.n, top), sub.n * fixed])
+    ids = parent.encode_many(widened_base, perm_rank_many(widened_top))
+    k_ids = SubgroupEmbedding(sub, parent, ids)
+    k_ids.validate()
+    return k_ids
 
 
 def members(partition) -> tuple[tuple[int, ...], ...]:
@@ -38,7 +66,8 @@ def members(partition) -> tuple[tuple[int, ...], ...]:
 def per_id(embedding, cosets) -> GroupPartition:
     """The double cosets as a partition of G: the block of every id and the
     least id of every block, read through the walked left cosets
-    (embedding.coset_index and coset_reps)."""
+    (coset_index and coset_reps of id_embedding)."""
+    embedding = id_embedding(embedding)
     ids = np.arange(embedding.parent.order, dtype=np.int64)
     block_of = cosets.orbits.block_of[embedding.coset_index(ids)]
     reps = embedding.coset_reps[list(cosets.orbits.representatives)]
@@ -93,7 +122,7 @@ def conjugacy_classes(group) -> GroupPartition:
 
 def double_cosets(group, embedding) -> GroupPartition:
     """K g K expanded element by element, blocks numbered by minimal id."""
-    image = embedding.image.tolist()
+    image = id_embedding(embedding).image.tolist()
     mul = group.mul
     block_of = [-1] * group.order
     blocks = []
@@ -113,7 +142,7 @@ def double_cosets(group, embedding) -> GroupPartition:
 
 def permutation_character(group, embedding, classes) -> tuple[int, ...]:
     """Fixed left cosets xK of each class representative, coset by coset."""
-    image = embedding.image.tolist()
+    image = id_embedding(embedding).image.tolist()
     mul = group.mul
     coset_of = [-1] * group.order
     coset_reps = []

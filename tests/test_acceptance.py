@@ -36,7 +36,7 @@ from hecke_oracle import (
     convolve,
     convolve_via_constants,
 )
-from scalar_oracle import members, per_id
+from scalar_oracle import id_embedding, members, per_id
 
 SYMMETRIC_PAIRS = ["wr(Z1,3)", "wr(Z1,4)", "wr(Z1,5)"]
 ABELIAN_PAIRS = ["wr(Z2,2)", "wr(Z2,3)", "wr(Z3,2)", "wr(Z2xZ2,2)"]
@@ -212,7 +212,7 @@ def test_criterion_8_counting_identities():
             covered = sorted(x for block in members(dc) for x in block)
             assert covered == list(range(grp.order)), spec
             # |KgK| * |K ∩ g^-1 K g| = |K|^2
-            image = set(emb.image.tolist())
+            image = set(id_embedding(emb).image.tolist())
             ksq = emb.subgroup.order ** 2
             for block, g in zip(members(dc), dc.representatives):
                 ginv = grp.inv(g)

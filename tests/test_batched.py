@@ -275,7 +275,7 @@ def test_cosets_by_the_action_equal_the_walk(pairspec):
     the walk's, once its transversal is taken in X's order."""
     embedding = build_pair(pairspec)
     group = embedding.parent
-    walked = SubgroupEmbedding(embedding.subgroup, group, embedding.map)
+    walked = scalar_oracle.id_embedding(embedding)
     base, top = group.decode_many(walked.coset_reps)
     last = np.array([group._idx.unrank(t)[-1] for t in top.tolist()], dtype=np.int64)
     point = last * group.base_group.order + base[last, np.arange(len(last))]
@@ -366,13 +366,14 @@ def test_label_arrays_are_read_only_int64():
     embedding = build_pair("wr(S3,2)")
     group = embedding.parent
     cosets = double_cosets(embedding)
+    k_ids = scalar_oracle.id_embedding(embedding)
     arrays = (
         conjugacy_classes(group).block_of,
         cosets.orbits.block_of,
         embedding.transversal_points,
         dense_constants(embedding, cosets),
-        embedding.map,
-        embedding.image,
+        k_ids.map,
+        k_ids.image,
     )
     for labels in arrays:
         assert labels.dtype == np.int64

@@ -42,7 +42,6 @@ from gelfand.chartab import (
 from gelfand.groups import stack_block_counts
 from gelfand.reports import build_pair
 from gelfand.specs import build_group
-from gelfand.wreath import WreathEmbedding
 
 import scalar_oracle
 from scalar_oracle import commutator_subgroup
@@ -476,10 +475,11 @@ def test_permutation_character_rejects_labels_that_are_not_classes():
 
 def test_character_route_reads_no_left_cosets():
     # pi comes from G's classes alone, so G/K is left to the Hecke route,
-    # and K's ids (map, image) are never built
+    # and a wreath embedding has no left cosets or ids of K to read
     emb = embed_wreath_subgroup(SymmetricGroup(3), 2)
     decompose_induced_trivial(emb, character_table(emb.parent))
-    assert {"coset_reps", "_cosets", "map", "image"}.isdisjoint(vars(emb))
+    assert not isinstance(emb, SubgroupEmbedding)
+    assert not any(hasattr(emb, name) for name in ("coset_reps", "_cosets", "map", "image"))
 
 
 def test_burnside_count_rejects_labels_that_are_not_classes():
@@ -509,8 +509,8 @@ def test_permutation_character_on_x_equals_the_forms_that_read_k(spec):
     classes = conjugacy_classes(group)
     on_x = permutation_character(emb, classes)
     assert {"map", "image"}.isdisjoint(vars(emb))
-    # Frobenius on a generic embedding of K's ids, built and proven lazily
-    generic = SubgroupEmbedding(emb.subgroup, group, emb.map)
+    # Frobenius on a generic embedding of K's ids, built and proven here
+    generic = scalar_oracle.id_embedding(emb)
     assert on_x == permutation_character(generic, classes)
     # the definition: the left cosets c with z rep_c in c, over walked cosets
     reps = generic.coset_reps
@@ -528,7 +528,8 @@ def test_character_route_reads_no_id_of_k(spec, tmp_path, monkeypatch):
     def refuse(self):
         raise AssertionError(f"K's ids were read for {spec}")
 
-    monkeypatch.setattr(WreathEmbedding, "_k_ids", refuse)
+    # a wreath embedding holds no id of K, and none is proven
+    assert not isinstance(build_pair(spec), SubgroupEmbedding)
     monkeypatch.setattr(SubgroupEmbedding, "validate", refuse)
     cold = check_pair(spec, method="character", cache_dir=tmp_path)
     assert (tmp_path / f"{spec}.chartab").exists()

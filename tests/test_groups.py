@@ -17,7 +17,14 @@ from gelfand import (
     subgroup_from_generators,
     verify_group_axioms,
 )
-from gelfand.groups import TABLE_ORDER_LIMIT, perm_compose, perm_inverse, perm_rank, perm_unrank
+from gelfand.groups import (
+    TABLE_ORDER_LIMIT,
+    GeneratedSubgroup,
+    perm_compose,
+    perm_inverse,
+    perm_rank,
+    perm_unrank,
+)
 from scalar_oracle import commutator_subgroup, members
 
 
@@ -212,6 +219,22 @@ def test_subgroup_whole_s4():
 def test_subgroup_rejects_bad_generator():
     with pytest.raises(InvalidParameterError):
         subgroup_from_generators(CyclicGroup(4), [9])
+
+
+def test_subgroup_refuses_a_parent_result_outside_it():
+    # {0, 3} in a Z6 whose mul and inv are off by one: 3 3 = 1, 3^-1 = 4
+    class OffByOne(CyclicGroup):
+        def mul(self, a, b):
+            return (a + b + 1) % self.k
+
+        def inv(self, a):
+            return (1 - a) % self.k
+
+    sub = GeneratedSubgroup(OffByOne(6), (0, 3), (3,))
+    with pytest.raises(InternalConsistencyError, match="not closed under multiplication$"):
+        sub.mul(1, 1)
+    with pytest.raises(InternalConsistencyError, match="not closed under inversion$"):
+        sub.inv(1)
 
 
 def test_lagrange_over_all_cyclic_subgroups():

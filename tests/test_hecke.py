@@ -39,7 +39,7 @@ from hecke_oracle import (
     convolve,
     convolve_via_constants,
 )
-from scalar_oracle import members, per_id
+from scalar_oracle import id_embedding, members, per_id
 
 
 def s3_pair():
@@ -100,7 +100,7 @@ def test_double_cosets_make_two_mul_many_calls_at_any_rank(spec, rank):
     # batch K g, which the K g check and the coset size identity read; the
     # left cosets are read and checked beforehand.  On X, no product in G
     emb = build_pair(spec)
-    generic = SubgroupEmbedding(emb.subgroup, emb.parent, emb.map)
+    generic = id_embedding(emb)
     generic.coset_reps
     group = emb.parent
     calls = []
@@ -168,7 +168,7 @@ def test_coset_size_identity():
     emb = embed_wreath_subgroup(CyclicGroup(2), 3)
     grp = emb.parent
     labels = per_id(emb, double_cosets(emb))
-    image = set(emb.image.tolist())
+    image = set(id_embedding(emb).image.tolist())
     ksq = emb.subgroup.order ** 2
     for block, g in zip(members(labels), labels.representatives):
         ginv = grp.inv(g)
@@ -215,9 +215,10 @@ def test_block_functions_are_bi_invariant():
     grp = emb.parent
     dc = double_cosets(emb)
     f = [b * 3 - 1 for b in per_id(emb, dc).block_of.tolist()]
+    image = id_embedding(emb).image.tolist()
     for x in range(grp.order):
-        for k in emb.image.tolist():
-            for k2 in emb.image.tolist():
+        for k in image:
+            for k2 in image:
                 assert f[grp.mul(k, grp.mul(x, k2))] == f[x]
 
 
@@ -369,7 +370,7 @@ def test_transversal_count_at_second_elements_matches_whole_group(spec):
     dc = double_cosets(emb)
     second = dc.recount_points
     labels = per_id(emb, dc)
-    ids = emb.coset_reps[list(second)]  # the least id on each point
+    ids = id_embedding(emb).coset_reps[list(second)]  # the least id on each point
     assert labels.block_of[ids].tolist() == list(range(dc.rank))
     for points, z, target in zip(dc.orbits.sizes, dc.orbits.representatives, second):
         assert (target != z) == (points > 1)
@@ -407,12 +408,13 @@ def coset_sizes(emb, dc):
 
 def lookup(emb, dc):
     """The block of any ids, through the walked left cosets."""
-    return lambda ids: dc.orbits.block_of[emb.coset_index(ids)]
+    walked = id_embedding(emb)
+    return lambda ids: dc.orbits.block_of[walked.coset_index(ids)]
 
 
 def rep_ids(emb, dc):
     """The least id of each block: the least id on its least point."""
-    return emb.coset_reps[list(dc.orbits.representatives)]
+    return id_embedding(emb).coset_reps[list(dc.orbits.representatives)]
 
 
 def corrupt_kernel(monkeypatch, entry, amount, calls):
@@ -444,8 +446,9 @@ def test_kernel_rejects_target_outside_its_block():
     grp, emb, dc = wr_z2_3()
     targets = rep_ids(emb, dc).tolist()
     targets[1], targets[2] = targets[2], targets[1]
+    reps = id_embedding(emb).coset_reps
     with pytest.raises(InternalConsistencyError, match="lie in blocks"):
-        block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, emb.coset_reps)
+        block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, reps)
 
 
 def test_kernel_rejects_a_column_of_targets():
@@ -453,23 +456,26 @@ def test_kernel_rejects_a_column_of_targets():
     # are shape (r, 2), two tables' worth, and the kernel counts one
     grp, emb, dc = wr_z2_3()
     targets = np.stack([rep_ids(emb, dc), rep_ids(emb, dc)], axis=1)
+    reps = id_embedding(emb).coset_reps
     with pytest.raises(InvalidParameterError, match=rf"shape \({dc.rank}, 2\)"):
-        block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, emb.coset_reps)
+        block_product_counts(grp, lookup(emb, dc), coset_sizes(emb, dc), targets, reps)
 
 
 def test_kernel_enforces_counting_identity():
     grp, emb, dc = wr_z2_3()
     sizes = coset_sizes(emb, dc)
     sizes[1] += 1
+    reps = id_embedding(emb).coset_reps
     with pytest.raises(InternalConsistencyError, match="counting identity"):
-        block_product_counts(grp, lookup(emb, dc), sizes, rep_ids(emb, dc), emb.coset_reps)
+        block_product_counts(grp, lookup(emb, dc), sizes, rep_ids(emb, dc), reps)
 
 
 def test_kernel_rejects_a_list_that_is_not_a_transversal():
     # K twice (the identity and another element of K), the coset of reps[1] never
     grp, emb, dc = wr_z2_3()
-    elements = emb.coset_reps.copy()
-    elements[1] = emb.image[1]
+    walked = id_embedding(emb)
+    elements = walked.coset_reps.copy()
+    elements[1] = walked.image[1]
     with pytest.raises(InternalConsistencyError, match="counting identity"):
         block_product_counts(
             grp, lookup(emb, dc), coset_sizes(emb, dc), rep_ids(emb, dc), elements
@@ -548,7 +554,7 @@ def test_structure_constants_count_each_target_twice(monkeypatch):
     # all; on X, no product in G
     emb = build_pair("wr(S3,2)")
     grp = emb.parent
-    generic = SubgroupEmbedding(emb.subgroup, grp, emb.map)
+    generic = id_embedding(emb)
     dc = double_cosets(generic)
     products = []
     mul_many = grp.mul_many
@@ -575,7 +581,7 @@ ORACLE_PAIRS = LADDER + ("wr(Z3,4)", "wr(D4,3)", "wr(Z2,5)", "wr(S3,4)", "wr(Z1,
 @pytest.mark.parametrize("spec", ORACLE_PAIRS)
 def test_x_engine_equals_the_id_engine(spec):
     emb = build_pair(spec)
-    generic = SubgroupEmbedding(emb.subgroup, emb.parent, emb.map)
+    generic = id_embedding(emb)
     on_x, on_ids = double_cosets(emb), double_cosets(generic)
     assert on_x.orbits == on_ids.orbits
     assert on_x.sizes == on_ids.sizes
@@ -656,8 +662,9 @@ LADDER_COMMANDS = [
 
 @pytest.mark.parametrize("spec, command", LADDER_COMMANDS)
 def test_hecke_route_reads_no_id(spec, command, monkeypatch, tmp_path, capsys):
-    # with K's ids, the batched ops of the wreath products and their
-    # decoder all refused, the Hecke-only commands answer as before
+    # a wreath embedding holds no id of K, and with the batched ops of the
+    # wreath products and their decoder all refused, the Hecke-only
+    # commands answer as before
     name, *flags = command
     argv = [name, spec, *flags, "--format", "machine", "--cache-dir", str(tmp_path)]
     expected = None
@@ -668,7 +675,7 @@ def test_hecke_route_reads_no_id(spec, command, monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError(f"an id was read for {spec}")
 
-    monkeypatch.setattr(WreathEmbedding, "_k_ids", refuse)
+    assert not issubclass(WreathEmbedding, SubgroupEmbedding)
     for op in ("mul_many", "inv_many", "mul_all", "arith_mul_many", "arith_inv_many", "decode_many"):
         monkeypatch.setattr(WreathProduct, op, refuse)
     assert cli_main(argv) == 0

@@ -24,11 +24,15 @@ from gelfand import (
     conjugacy_classes,
     double_cosets,
     embed_wreath_subgroup,
+    permutation_character,
+    subgroup_from_generators,
     verify_group_axioms,
 )
 from gelfand import wreath
+from gelfand.reports import build_pair
 from gelfand.specs import build_group
 from gelfand.wreath import WreathEmbedding
+from scalar_oracle import id_embedding
 
 
 def test_orders():
@@ -141,7 +145,7 @@ def test_embedding_is_homomorphism_exhaustively():
     # exhaustive over all pairs with the scalar oracle, independent of the
     # generator check in validate (Z2 wr S3 has 48 elements)
     for base, n in ((CyclicGroup(2), 3), (SymmetricGroup(3), 2), (CyclicGroup(2), 4)):
-        emb = embed_wreath_subgroup(base, n)
+        emb = id_embedding(embed_wreath_subgroup(base, n))
         k, parent = emb.subgroup, emb.parent
         for a in range(k.order):
             for b in range(k.order):
@@ -151,7 +155,7 @@ def test_embedding_is_homomorphism_exhaustively():
 
 
 def test_embedding_fixes_last_coordinate():
-    emb = embed_wreath_subgroup(CyclicGroup(3), 3)
+    emb = id_embedding(embed_wreath_subgroup(CyclicGroup(3), 3))
     parent = emb.parent
     for x in emb.map:
         el = parent.decode(x)
@@ -159,37 +163,36 @@ def test_embedding_fixes_last_coordinate():
         assert el.top[-1] == 2
 
 
-def test_embedding_builds_and_proves_k_on_first_read(monkeypatch):
-    # read first, the image is sorted once, by the proof that it triggers
-    proven, sorted_images = [], []
-    validate = SubgroupEmbedding.validate
-    monkeypatch.setattr(SubgroupEmbedding, "validate", lambda self: proven.append(validate(self)))
-    image = vars(SubgroupEmbedding)["image"]
-    sort = image.func
+@pytest.mark.parametrize(
+    "spec", ["wr(S3,2)", "wr(S3,3)", "wr(D4,3)", "wr(Z3,4)", "wr(Z2,5)", "wr(Z1,6)"]
+)
+def test_widened_generators_generate_the_stabilizer_of_x0(spec):
+    # K's generators, widened by e at coordinate n - 1 and a top that fixes
+    # n - 1, generate exactly Stab(x0) = {b_(n-1) = e, p(n-1) = n - 1}:
+    # |B|^(n-1) (n-1)! ids, those of K's construction
+    emb = build_pair(spec)
+    group, k = emb.parent, emb.subgroup
+    identity = group.base_group.identity
+    gens = [
+        group.encode(WreathElement(g.base + (identity,), g.top + (k.n,)))
+        for g in k.generator_elements
+    ]
+    stabilizer = subgroup_from_generators(group, gens)
+    base, top = group.decode_many(stabilizer.image)
+    assert (base[k.n] == identity).all() and (group._top_images(top)[k.n] == k.n).all()
+    assert len(stabilizer.image) == group.base_group.order**k.n * math.factorial(k.n)
+    assert np.array_equal(stabilizer.image, id_embedding(emb).image)
 
-    def counting_sort(self):
-        sorted_images.append(sort(self))
-        return sorted_images[-1]
 
-    monkeypatch.setattr(image, "func", counting_sort)
-    emb = embed_wreath_subgroup(CyclicGroup(3), 3)
-    assert proven == [] and {"map", "image"}.isdisjoint(vars(emb))
-    assert len(emb.image) == emb.subgroup.order == 18
-    assert emb.map[emb.subgroup.identity] == emb.parent.identity
-    assert len(proven) == len(sorted_images) == 1
-
-
-def test_embedding_keeps_no_ids_that_failed_their_proof(monkeypatch):
-    # two entries of K's map swapped: every read of K's ids fails the proof
-    emb = embed_wreath_subgroup(CyclicGroup(2), 4)
-    mapping = emb.map.copy()
-    mapping[[5, 6]] = mapping[[6, 5]]
-    monkeypatch.setattr(WreathEmbedding, "_k_ids", lambda self: mapping)
-    broken = WreathEmbedding(emb.subgroup, emb.parent)
-    for _ in range(2):
-        with pytest.raises(InternalConsistencyError, match="not a homomorphism"):
-            broken.image
-        assert {"map", "image"}.isdisjoint(vars(broken))
+def test_wreath_embedding_holds_no_ids_of_k():
+    # the action on X is all it is, before and after both routes read it
+    emb = embed_wreath_subgroup(SymmetricGroup(3), 3)
+    removed = ("map", "image", "coset_reps", "coset_index", "_cosets", "validate")
+    assert not isinstance(emb, SubgroupEmbedding)
+    assert not any(hasattr(emb, name) for name in removed)
+    double_cosets(emb)
+    permutation_character(emb, conjugacy_classes(emb.parent))
+    assert not any(hasattr(emb, name) for name in removed)
 
 
 def test_embedding_rejects_n_below_two():
@@ -246,7 +249,7 @@ def test_image_of_a_generic_embedding_loads_no_numpy_ma():
 
 def test_validate_catches_two_swapped_non_generator_entries():
     # |K| = 384 > 200: the check is exhaustive at every size
-    emb = embed_wreath_subgroup(CyclicGroup(2), 5)
+    emb = id_embedding(embed_wreath_subgroup(CyclicGroup(2), 5))
     k = emb.subgroup
     assert k.order == 384
     a, b = [x for x in range(1, k.order) if x not in k.generators][:2]
@@ -282,8 +285,8 @@ def test_validate_costs_one_parent_product_per_element_and_generator(monkeypatch
     monkeypatch.setattr(WreathProduct, "mul_many", counting)
     emb = embed_wreath_subgroup(CyclicGroup(2), 5)
     assert len(emb.subgroup.generators) == 3
-    assert counted == []  # K's ids are built and proven on their first read
-    emb.map
+    assert counted == []  # the embedding builds no id of K
+    id_embedding(emb)
     assert sum(counted) == 3 * 384
 
 
