@@ -14,6 +14,10 @@ since one attempt (a kernel call and an r x r eigensolve) costs about as
 much as counting r members, and then steps that at least double them until
 the spectrum splits.  The combination is summed straight from the kernel's
 sparse table of the rows counted, never from dense (rows, r, r) stacks.
+Dixon's method asks only that the coefficients t_i of the combination be
+generic, so they are Gaussians from the standard library's
+random.Random(seed): numpy.random would cost every process that computes a
+table ~5 MiB and ~17 ms to import.
 Scaled by the class sizes, D^-1/2 A_i D^1/2 with D = diag(|C_k|), the
 class matrices of a class and of its inverse class are each other's
 transposes, so the combination is made Hermitian and solved by the
@@ -32,6 +36,7 @@ import base64
 import binascii
 import math
 import os
+import random
 import sys
 import threading
 from dataclasses import dataclass
@@ -278,12 +283,16 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     since |C_k| a[i][j][k] = |C_j| a[i'][k][j].  So C = sum_{i in S} t_i B_i
     gives the Hermitian H = C + C^H, with eigenvalue 2 Re sum t_i
     omega_chi(K_i) on the central character of chi, and one symmetric
-    eigensolve (_extract_rows) yields every row.  The t_i are drawn from the
-    seeded random stream in the order of the rows asked, so results are
-    reproducible: real when every class is its own inverse class (H is then
-    real symmetric), else complex, which keeps a character apart from its
-    complex conjugate.  Each step draws t for its new rows only and adds
-    their term, summed from the step's sparse table (class_combination).
+    eigensolve (_extract_rows) yields every row.  The t_i are Gaussians
+    drawn by random.Random(seed).gauss in the order of the rows asked, so
+    results are reproducible: real when every class is its own inverse
+    class (H is then real symmetric), else complex, a real and an imaginary
+    part per row in turn, which keeps a character apart from its complex
+    conjugate.  Any generic t serves, and the stdlib stream spares the
+    import of numpy.random (~5 MiB).  A negative seed, whose stream is its
+    absolute value's, raises InvalidParameterError.  Each step draws t for
+    its new rows only and adds their term, summed from the step's sparse
+    table (class_combination).
     A collision of the eigenvalues, or any other defect, grows S.  Once S
     holds every class, defective combinations are retried with fresh
     coefficients for every row up to _MAX_ATTEMPTS times, from the steps'
@@ -291,6 +300,8 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     NumericalQualityError with the number of attempts and the last
     diagnostic.
     """
+    if seed < 0:  # Random(-s) draws Random(s)'s stream: one seed, one stream
+        raise InvalidParameterError(f"seed must be a non-negative integer, got {seed}")
     check_limits(group)
     classes = conjugacy_classes(group)
     r = classes.count
@@ -306,11 +317,11 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
     scale = root / root[:, None]  # B_i[j][k] = a[i][j][k] sqrt(|C_k| / |C_j|)
     inverses = classes.block_of[group.inv_many(classes.representatives)]
     real = np.array_equal(inverses, np.arange(r))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     def combine(rows, table):
         """sum_i t_i A_i over the rows, with t_i freshly drawn."""
-        t = rng.standard_normal(len(rows) if real else 2 * len(rows))
+        t = np.array([rng.gauss(0.0, 1.0) for _ in range(len(rows) if real else 2 * len(rows))])
         return class_combination(table, r, rows, t if real else t.view(np.complex128))
 
     counted = []  # (rows, sparse table) of each step of S

@@ -300,7 +300,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:  # numpy's seeded streams take none; refuse it before any work
+        if args.seed < 0:  # Random(-s) draws Random(s)'s stream; refuse it before any work
             raise InvalidParameterError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except SpecParseError as exc:

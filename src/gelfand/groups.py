@@ -990,6 +990,9 @@ def build_cayley_tables(
       reach every id, so T is associative (two m^2 gathers per generator);
     - e occurs in every row, so every x has a right inverse, and T, with its
       identity and associative, is a group.
+    The last two proofs read T in blocks of max(1, 2^14 // m) rows, so
+    their temporaries hold at most 2^14 entries (or one row) at a time,
+    not m^2.
     """
     m = right.shape[1]
     ids = np.arange(m, dtype=np.int64)
@@ -1018,12 +1021,17 @@ def build_cayley_tables(
             f"generators {tuple(generators)} of {name} generate "
             f"{np.count_nonzero(reached)} of its {m} elements"
         )
+    step = max(1, 2**14 // m)  # rows per block of the proofs below
+    blocks = [slice(a, a + step) for a in range(0, m, step)]
     for s, times_s, s_times in zip(generators, right, left):
         if not np.array_equal(table[:, s], times_s):
             raise InternalConsistencyError(
                 f"column {s} of the Cayley table of {name} is not x * {s}"
             )
-        if not (table[times_s] == table.take(s_times, axis=1, mode="clip")).all():
+        if not all(
+            (table[times_s[b]] == table[b].take(s_times, axis=1, mode="clip")).all()
+            for b in blocks
+        ):
             raise InternalConsistencyError(
                 f"the Cayley table of {name} fails Light's associativity test "
                 f"at generator {s}: (x s) y != x (s y)"
@@ -1032,7 +1040,7 @@ def build_cayley_tables(
         raise InternalConsistencyError(
             f"{identity} is not the identity of the Cayley table of {name}"
         )
-    inverses = np.argmax(table == identity, axis=1)
+    inverses = np.concatenate([np.argmax(table[b] == identity, axis=1) for b in blocks])
     missing = np.flatnonzero(table[ids, inverses] != identity)
     if len(missing):
         raise InternalConsistencyError(

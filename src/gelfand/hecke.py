@@ -218,8 +218,8 @@ def structure_constants(
             np.add.at(out[t], k, a[t, i] * b[t, j] * counts)
         return out
 
-    # row t of f, g and h is triple t; the stdlib stream, as numpy.random
-    # costs the Hecke-only CLI ~5 MiB to import
+    # row t of f, g and h is triple t; drawn, as the character route's t_i,
+    # from the stdlib stream, since importing numpy.random costs ~5 MiB
     draw = random.Random(0).choices(range(-5, 6), k=9 * r)
     f, g, h = np.array(draw, dtype=np.int64).reshape(3, 3, r)
     left, right = product(product(f, g), h), product(f, product(g, h))

@@ -252,9 +252,7 @@ def _generator_rows(group):
     return right, left
 
 
-@pytest.mark.parametrize("side", [0, 1])
-@pytest.mark.parametrize("generator", [0, 1])
-def test_table_build_rejects_one_corrupted_generator_row(side, generator):
+def _reject_swapped_products(side, generator, swap):
     # S6 has 720 > 200 elements
     s6 = build_group("S6")
     rows = _generator_rows(s6)
@@ -262,9 +260,24 @@ def test_table_build_rejects_one_corrupted_generator_row(side, generator):
     assert np.array_equal(tables.products, s6.cayley_tables.products)
     # swap two products of one generator: its row stays a permutation
     row = rows[side][generator]
-    row[[100, 500]] = row[[500, 100]]
+    row[swap] = row[swap[::-1]]
     with pytest.raises(InternalConsistencyError, match="Cayley table of S6"):
         build_cayley_tables(s6.name, s6.identity, s6.generators, *rows)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("generator", [0, 1])
+def test_table_build_rejects_one_corrupted_generator_row(side, generator):
+    _reject_swapped_products(side, generator, [100, 500])
+
+
+# the proofs read S6's table in blocks of 2^14 // 720 = 22 rows, the last
+# one 704..719: a swap inside it, and one across it and the block before
+@pytest.mark.parametrize("swap", [[706, 719], [700, 719]])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("generator", [0, 1])
+def test_table_build_rejects_a_swap_at_the_last_row_block(side, generator, swap):
+    _reject_swapped_products(side, generator, swap)
 
 
 @pytest.mark.parametrize("pairspec", BENCHMARK_PAIRS)

@@ -3,6 +3,8 @@
 import base64
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gelfand import (
     DirectProductGroup,
     GroupPartition,
     InternalConsistencyError,
+    InvalidParameterError,
     NumericalQualityError,
     ResourceLimitError,
     SubgroupEmbedding,
@@ -416,6 +419,41 @@ def test_determinism_and_seed():
     # table must represent the same characters
     assert a.degrees == c.degrees
     assert np.max(np.abs(a.values - c.values)) < 1e-6
+
+
+def test_negative_seed_is_refused():
+    # random.Random(-s) draws the stream of Random(s): refusing -s keeps one
+    # stream per seed
+    with pytest.raises(InvalidParameterError, match="non-negative integer, got -1"):
+        character_table(SymmetricGroup(4), seed=-1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        'assert cli.main(["pair-check", "wr(S3,3)", "--method", "both", "--cache-dir", cache]) == 0',
+        'assert cli.main(["pair-check", "wr(S3,3)", "--method", "character", "--cache-dir", cache]) == 0',
+        "character_table(SymmetricGroup(4))",
+    ],
+    ids=["pair-check-both", "pair-check-character", "character_table-S4"],
+)
+def test_character_route_loads_no_numpy_random(call, tmp_path):
+    # the t_i come from the stdlib stream: numpy.random costs ~5 MiB to import
+    code = (
+        "import sys\n"
+        "from gelfand import SymmetricGroup, character_table, cli\n"
+        f"cache = {str(tmp_path / 'cold')!r}\n"
+        f"{call}\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(gelfand.chartab.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_persistent_failure_names_the_attempts_and_classes(monkeypatch):
