@@ -49,6 +49,7 @@ from .chartab import (
     load_character_table,
     permutation_character,
     save_character_table,
+    wreath_character_table,
 )
 from .partitions import (
     BranchingPrediction,

@@ -1,4 +1,15 @@
-"""Complex character tables via the class-algebra eigenvector method.
+"""Complex character tables: any group's by the class-algebra eigenvector
+method, a wreath group's in closed form from its base's table.
+
+The table of G = B wr S_n that a pair check reads is
+wreath_character_table(G, table of B): its irreducibles are the
+multipartitions of n over Irr(B) and its classes the types, so T = X M^T,
+X from the characters of the S_k (Murnaghan–Nakayama) and M from B's
+values on the cycles of each type.  No id of G is labelled and no product
+counted; the degrees are exact integers that column 0 must round to, and
+the table passes the same ordering and validation as any other.  The
+eigenvector method below stays for every other group, the bases included,
+and it is the closed form's oracle in the tests.
 
 The class sums K_i span the center of the group algebra; their
 multiplication coefficients K_i K_j = sum_k a[i][j][k] K_k are exact integer
@@ -34,6 +45,7 @@ from __future__ import annotations
 
 import base64
 import binascii
+import functools
 import math
 import os
 import random
@@ -56,7 +68,8 @@ from .groups import (
     block_product_counts,
     conjugacy_classes,
 )
-from .wreath import WreathEmbedding
+from .partitions import partitions_of, symmetric_character
+from .wreath import BATCH_LIMIT, WreathEmbedding, WreathProduct, _horner, _least_of_types
 
 CLASS_LIMIT = 80
 ORDER_LIMIT = 2_000_000
@@ -221,12 +234,12 @@ def check_limits(group: FiniteGroup, class_count: int | None = None) -> None:
         )
 
 
-def _table_of(group: FiniteGroup, classes: GroupPartition, h) -> CharacterTable:
-    """The validated table from the eigenvectors of h, a Hermitian combination
-    of size-scaled class matrices; raises NumericalQualityError or
-    InternalConsistencyError."""
+def _table_of(group: FiniteGroup, classes: GroupPartition, degrees, rows) -> CharacterTable:
+    """The validated table of the rows of character values (one column per
+    class) with their integer degrees, the rows in the table's order; raises
+    NumericalQualityError or InternalConsistencyError."""
     r = classes.count
-    degrees, rows = _extract_rows(h, np.array(classes.sizes, dtype=np.float64), group.order)
+    degrees = np.asarray(degrees, dtype=np.int64)
     trivial = np.max(np.abs(rows - 1.0), axis=1) <= _INTEGRALITY_TOL
     if np.count_nonzero(trivial) != 1:
         raise NumericalQualityError("trivial character not uniquely identified")
@@ -313,7 +326,8 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
             f"{group.name}: class 0 is not the identity singleton ({group.identity},)"
         )
     by_size, ends = class_steps(classes.sizes)
-    root = np.sqrt(np.array(classes.sizes, dtype=np.float64))
+    sizes = np.array(classes.sizes, dtype=np.float64)
+    root = np.sqrt(sizes)
     scale = root / root[:, None]  # B_i[j][k] = a[i][j][k] sqrt(|C_k| / |C_j|)
     inverses = classes.block_of[group.inv_many(classes.representatives)]
     real = np.array_equal(inverses, np.arange(r))
@@ -339,13 +353,119 @@ def character_table(group: FiniteGroup, *, seed: int = 0) -> CharacterTable:
             attempts += 1
             c = combination * scale
             try:
-                return _table_of(group, classes, c + c.conj().T)
+                return _table_of(group, classes, *_extract_rows(c + c.conj().T, sizes, group.order))
             except (NumericalQualityError, InternalConsistencyError) as exc:
                 last = str(exc)
     raise NumericalQualityError(
         f"character table of {group.name} failed after {attempts} attempts, the last "
         f"{_MAX_ATTEMPTS} with all {r} classes: {last}"
     )
+
+
+@functools.lru_cache(maxsize=None)
+def _symmetric_tables(n: int) -> tuple[dict, np.ndarray]:
+    """(index, chi): the partitions of 0..n numbered, and chi[a][b] the
+    character chi^a of S_k at cycle type b when |a| = |b| = k, else 0, as
+    float64, read-only (partitions.symmetric_character).  chi[()][()] = 1
+    makes an empty component a unit.  They depend on n alone, so they are
+    found once per process."""
+    shapes = [p for k in range(n + 1) for p in partitions_of(k)]
+    index = {p: i for i, p in enumerate(shapes)}
+    chi = np.zeros((len(shapes), len(shapes)))
+    for k in range(n + 1):
+        same_size = partitions_of(k)
+        for a in same_size:
+            for b in same_size:
+                chi[index[a], index[b]] = symmetric_character(a, b)
+    chi.setflags(write=False)
+    return index, chi
+
+
+def wreath_character_table(group: WreathProduct, base: CharacterTable) -> CharacterTable:
+    """The character table of G = B wr S_n in closed form from the table of
+    B: no id of G is labelled and no product is counted.
+
+    The classes of G are the types: multisets of cycles (m, c), c the class
+    of B of the cycle's product (wreath._least_of_types gives them in the
+    order of G's classes).  The irreducibles of G are the multipartitions
+    lambda of n over Irr(B) (James & Kerber, ch. 4; Macdonald, I, App. B),
+    and both are indexed alike: a part m of lambda(gamma) is the code
+    (m - 1) r + gamma + 1, as a cycle (m, c) is (m - 1) r + c + 1, with r
+    the class count of B.  Then T = X M^T:
+    - X[lambda][mu] = prod_gamma chi^lambda(gamma)(mu(gamma)), the
+      characters of the S_k, k <= n (Murnaghan–Nakayama), and 0 unless
+      |lambda(gamma)| = |mu(gamma)| for every gamma;
+    - M[rho][mu] = sum of prod_i gamma_i(c_i) over the assignments of the
+      cycles (m_i, c_i) of rho to irreducibles gamma_i that give mu, the
+      coefficient of prod_gamma p_mu(gamma)(gamma) in
+      prod_i sum_gamma gamma(c_i) p_(m_i)(gamma), with gamma(c) as B's
+      table gives it, unconjugated, summed BATCH_LIMIT assignments at a
+      time.
+    The degrees are exact integers,
+    n! prod_gamma f^lambda(gamma) d_gamma^|lambda(gamma)| / |lambda(gamma)|!,
+    and column 0, the identity's class, must round to them, else
+    InternalConsistencyError; the rows are then ordered and validated as
+    character_table's are (_table_of).
+    """
+    n = group.n
+    base_classes = conjugacy_classes(group.base_group)
+    if base.group_name != group.base_group.name or base.classes.sizes != base_classes.sizes:
+        raise InvalidParameterError(
+            f"the table of {base.group_name} is not the table of the base of {group.name}"
+        )
+    classes = conjugacy_classes(group)  # the types' count and sizes checked there
+    r = base_classes.count
+    # one row per class, in the order conjugacy_classes checked: its sorted
+    # codes, 0s first
+    codes = _least_of_types(n, r)[2].T
+    count = len(codes)
+    keys = _horner(codes, n * r + 1)
+    by_key = np.argsort(keys)
+    index, chi = _symmetric_tables(n)
+    # the partition lambda(gamma) of every type read as a multipartition
+    # (unit: the empty partition), and its exact degree
+    shapes = np.full((count, r), index[()], dtype=np.int64)
+    degrees = []
+    for t, row in enumerate(codes.tolist()):
+        parts: dict[int, list[int]] = {}
+        for code in row:
+            if code:
+                m, gamma = divmod(code - 1, r)
+                parts.setdefault(gamma, []).insert(0, m + 1)  # codes ascend
+        product, arrangements = 1, math.factorial(n)
+        for gamma, shape in parts.items():
+            k = sum(shape)
+            shapes[t, gamma] = index[tuple(shape)]
+            product *= int(chi[index[tuple(shape)], index[(1,) * k]]) * base.degrees[gamma] ** k
+            arrangements //= math.factorial(k)  # exact: a multinomial coefficient
+        degrees.append(arrangements * product)
+    x = np.ones((count, count))
+    for column in shapes.T:
+        x *= chi[np.ix_(column, column)]
+    m = np.zeros(count * count, dtype=np.complex128)
+    gamma_at = np.asarray(base.values, dtype=np.complex128)  # [gamma, c] = gamma(c)
+    cycles = np.count_nonzero(codes, axis=1)
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(cycles == k)
+        if not len(rows):
+            continue
+        lengths, c = np.divmod(codes[rows, n - k :] - 1, r)
+        assignments = r**k
+        total = len(rows) * assignments
+        for start in range(0, total, BATCH_LIMIT):
+            t, a = np.divmod(np.arange(start, min(start + BATCH_LIMIT, total)), assignments)
+            gammas = a[:, None] // r ** np.arange(k) % r  # the irreducible of each cycle
+            key = _horner(np.sort(lengths[t] * r + gammas + 1, axis=1), n * r + 1)
+            mu = by_key[np.searchsorted(keys, key, sorter=by_key)]
+            np.add.at(m, rows[t] * count + mu, gamma_at[gammas, c[t]].prod(axis=1))
+    values = x @ m.reshape(count, count).T
+    off = np.abs(values[:, 0] - degrees) > _INTEGRALITY_TOL * np.maximum(1, degrees)
+    if off.any():
+        raise InternalConsistencyError(
+            f"the closed-form table of {group.name} has {values[off, 0][0]} at the identity, "
+            "not its degree"
+        )
+    return _table_of(group, classes, degrees, values)
 
 
 def permutation_character(
@@ -484,17 +604,21 @@ def load_character_table(path, group: FiniteGroup) -> CharacterTable:
 
 
 def cached_character_table(
-    group: FiniteGroup, cache_dir, *, seed: int = 0
+    group: FiniteGroup, cache_dir, *, seed: int = 0, compute=None
 ) -> CharacterTable:
     """Load from cache_dir when valid, else compute and store.
 
-    cache_dir=None disables caching entirely.  An entry that fails to load
-    (unreadable, malformed, or failing validation) is recomputed and
-    overwritten, and one line on stderr names its path and the reason;
-    stdout is untouched.
+    The table is computed by compute(), when given (check_pair passes the
+    closed form of a wreath group, wreath_character_table), else by
+    character_table(group, seed=seed).  cache_dir=None disables caching
+    entirely.  An entry that fails to load (unreadable, malformed, or
+    failing validation) is recomputed and overwritten, and one line on
+    stderr names its path and the reason; stdout is untouched.
     """
+    if compute is None:
+        compute = functools.partial(character_table, group, seed=seed)
     if cache_dir is None:
-        return character_table(group, seed=seed)
+        return compute()
     try:
         os.makedirs(cache_dir, exist_ok=True)
     except OSError as exc:
@@ -505,7 +629,7 @@ def cached_character_table(
             return load_character_table(path, group)
         except (OSError, ValueError, InternalConsistencyError) as exc:
             print(f"gelfand: recomputing {path}: {exc}", file=sys.stderr)
-    table = character_table(group, seed=seed)
+    table = compute()
     try:
         save_character_table(table, path)
     except OSError as exc:

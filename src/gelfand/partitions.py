@@ -4,7 +4,9 @@ Partitions are tuples of weakly decreasing positive ints; a multipartition is
 a tuple of partitions.  Inducing a representation up one level adds a single
 box to one component, weighted by that component's irreducible dimension; the
 induced trivial representation therefore decomposes into l+1 explicit terms
-whose squared multiplicities predict the double-coset rank.
+whose squared multiplicities predict the double-coset rank.  The characters
+of S_k come from the Murnaghan–Nakayama rule (symmetric_character); the
+closed-form tables of wreath groups are built from them.
 
 Orderings are deterministic everywhere: partitions list in reverse
 lexicographic order, prediction terms by component index.
@@ -12,6 +14,7 @@ lexicographic order, prediction terms by component index.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InvalidParameterError, SpecParseError
@@ -83,6 +86,35 @@ def multipartition_count(components: int, n: int) -> int:
     for m in range(1, n + 1):
         a.append(components * sum(sigma[j] * a[m - j] for j in range(1, m + 1)) // m)
     return a[n]
+
+
+@functools.lru_cache(maxsize=None)
+def symmetric_character(shape: Partition, cycles: Partition) -> int:
+    """chi^shape of S_k at the class of cycle type cycles, |shape| = |cycles| = k,
+    by the Murnaghan–Nakayama rule, memoized for the process.
+
+    The rim hooks of length m = cycles[0] are the moves of one bead of the
+    beta-set {shape[i] + l - 1 - i} (l parts) down m places to a free
+    position, with sign (-1)^(beads passed); the rest of the cycles then
+    act on the smaller shape.
+    """
+    if sum(shape) != sum(cycles):
+        raise InvalidParameterError(f"shape {shape} and cycle type {cycles} have different sizes")
+    if not cycles:
+        return 1
+    m, rest = cycles[0], cycles[1:]
+    length = len(shape)
+    beads = [part + length - 1 - i for i, part in enumerate(shape)]  # descending
+    total = 0
+    for bead in beads:
+        to = bead - m
+        if to < 0 or to in beads:
+            continue
+        passed = sum(1 for other in beads if to < other < bead)
+        moved = sorted((to if b == bead else b for b in beads), reverse=True)
+        smaller = tuple(p for i, b in enumerate(moved) if (p := b - (length - 1 - i)) > 0)
+        total += (-1) ** passed * symmetric_character(smaller, rest)
+    return total
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from . import __version__
-from .chartab import cached_character_table, check_limits, decompose_induced_trivial
+from .chartab import (
+    cached_character_table,
+    check_limits,
+    decompose_induced_trivial,
+    wreath_character_table,
+)
 from .errors import InvalidParameterError, ResourceLimitError
 from .groups import conjugacy_classes, is_abelian
 from .hecke import double_cosets, is_commutative, structure_constants
@@ -139,6 +145,10 @@ def check_pair(
     group past the limits raises ResourceLimitError with method="character";
     with method="both" it degrades to the Hecke criterion alone (itself a
     complete exact verdict) and marks the character verdict "skipped".
+    Within the limits the wreath group's table is computed in closed form
+    from the base's table (chartab.wreath_character_table), the one this
+    check already holds: a base past the limits has a wreath group past
+    them too, with |B|^n n! > |B| elements and more classes than B.
 
     The branching prediction needs only the base group's degrees.  A base
     within the limits reads them from its (cached) character table; an
@@ -164,13 +174,15 @@ def check_pair(
     timings["build"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    base_table = None
     try:
         check_limits(base)
     except ResourceLimitError:
         # an abelian group has |G| linear characters; otherwise no prediction
         degrees = (1,) * base.order if report.base_abelian else None
     else:
-        degrees = cached_character_table(base, cache_dir, seed=seed).degrees
+        base_table = cached_character_table(base, cache_dir, seed=seed)
+        degrees = base_table.degrees
     if degrees is not None:
         prediction = induced_trivial_prediction(degrees, n)
         report.predicted_term_count = prediction.term_count
@@ -195,10 +207,12 @@ def check_pair(
                 raise
             report.gelfand_character = SKIPPED
         else:
-            # the closed form, found and checked here and kept by the group; the
-            # table labels the ids only if it has to count products
+            # the classes and the table in closed form, from the base's table:
+            # no id of the wreath group is labelled, and no product counted
             conjugacy_classes(wreath)
-            table = cached_character_table(wreath, cache_dir, seed=seed)
+            table = cached_character_table(
+                wreath, cache_dir, compute=partial(wreath_character_table, wreath, base_table)
+            )
             multiplicities = decompose_induced_trivial(embedding, table)
             report.multiplicities = tuple(sorted(m for m in multiplicities if m))
             report.gelfand_character = max(multiplicities) <= 1

@@ -56,9 +56,13 @@ the representatives are the least such id of each type, and the sizes are
 on n and the base's class count r alone (``_least_of_types``, kept per
 process like S_n's tables), and it is found from the least permutation of
 each cycle shape, which is read off the set partitions of the n points with
-no permutation walked (``_top_shapes``).  A warm character table reads
-nothing more.  Only when a product is counted
-(``chartab.class_coefficients``) is ``block_of`` read, and then
+no permutation walked (``_top_shapes``).  A pair check's character table,
+cold or warm, reads nothing more: the types index its columns and, read
+over the base's irreducibles, its rows, and it is computed in closed form
+from the base's table (``chartab.wreath_character_table``) or loaded.  Only
+Dixon–Schneider on G itself (``chartab.character_table``, the closed
+form's oracle in the tests) counts products
+(``chartab.class_coefficients``) and so reads ``block_of``; then
 ``WreathProduct.class_labels`` keys every element by its type in a walk on
 the id grid (the cursors p^-t(i) of a block of tops are found once, and
 every id then takes exactly n - 1 steps, one base ``mul_many`` each on all
@@ -127,6 +131,16 @@ def _base_digits(codes: np.ndarray, radix: int, n: int) -> np.ndarray:
     return digits
 
 
+def _horner(rows: np.ndarray, radix: int) -> np.ndarray:
+    """The int64 key of every row of digits below radix, its first digit
+    the most significant (Horner)."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for column in rows.T:
+        keys *= radix
+        keys += column
+    return keys
+
+
 @functools.lru_cache(maxsize=None)
 def _top_shapes(n: int) -> tuple[np.ndarray, np.ndarray]:
     """(shapes, ranks): every cycle shape of S_n, as the length of each
@@ -167,10 +181,7 @@ def _top_shapes(n: int) -> tuple[np.ndarray, np.ndarray]:
     p[largest] = least[rows, blocks.T][largest]
     sizes = (blocks[:, :, None] == blocks[:, None, :]).sum(axis=2)  # of each point's block
     shapes = np.where(largest.T, sizes, 0).astype(np.int8)
-    keys = np.zeros(count, dtype=np.int64)
-    for column in shapes.T:  # Horner in radix n + 1: exact to n = 15
-        keys *= n + 1
-        keys += column
+    keys = _horner(shapes, n + 1)  # exact to n = 15
     ranks = perm_rank_many(p)
     order = np.lexsort((ranks, keys))  # by shape, the least rank first
     first = order[np.unique(keys[order], return_index=True)[1]]
@@ -228,11 +239,7 @@ def _least_of_types(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     classes, tops, codes = (np.concatenate(part) for part in zip(*found))
     # a type's key: its sorted codes, Horner in radix n r + 1, below
     # (n r + 1)^n; the ids over Z_r, below r^n n! <= |G|
-    radix = n * r + 1
-    keys = np.zeros(len(tops), dtype=np.int64)
-    for column in codes.T:
-        keys *= radix
-        keys += column
+    keys = _horner(codes, n * r + 1)
     ids = classes @ r ** np.arange(n - 1, -1, -1, dtype=np.int64) * math.factorial(n) + tops
     order = np.lexsort((ids, keys))  # by type, then id: the least id of a type first
     keys, ids = keys[order], ids[order]

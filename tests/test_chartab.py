@@ -2,6 +2,8 @@
 
 import base64
 import dataclasses
+import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,9 @@ import numpy as np
 import pytest
 
 import gelfand.chartab
+import gelfand.cli
 import gelfand.groups
+import gelfand.reports
 from gelfand import (
     CyclicGroup,
     DihedralGroup,
@@ -22,6 +26,7 @@ from gelfand import (
     ResourceLimitError,
     SubgroupEmbedding,
     SymmetricGroup,
+    WreathProduct,
     check_pair,
     character_table,
     class_coefficients,
@@ -31,9 +36,11 @@ from gelfand import (
     full_embedding,
     is_abelian,
     load_character_table,
+    multipartitions,
     permutation_character,
     save_character_table,
     subgroup_from_generators,
+    wreath_character_table,
 )
 from gelfand.chartab import (
     ORDER_LIMIT,
@@ -323,6 +330,115 @@ def test_wreath_class_count_matches_multipartition_count():
         assert conjugacy_classes(w).count == len(multipartitions(l, n))
 
 
+# the closed form's oracle is Dixon–Schneider on G itself; the extra pairs
+# have complex (Z3, Z4), dihedral and product bases, and wr(S6,2) 77 classes
+CLOSED_FORM_PAIRS = BENCHMARK_PAIRS + (
+    "wr(Z3,3)", "wr(Z4,3)", "wr(D4,2)", "wr(D5,2)", "wr(Z2xZ2,3)", "wr(S3xZ2,2)", "wr(S6,2)",
+)
+
+
+def _closed_form(spec):
+    group = build_pair(spec).parent
+    return group, wreath_character_table(group, character_table(group.base_group))
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_PAIRS)
+def test_closed_form_table_equals_dixon_schneider(spec):
+    group, closed = _closed_form(spec)
+    computed = character_table(group)
+    for part in ("representatives", "sizes"):
+        assert getattr(closed.classes, part) == getattr(computed.classes, part)
+    assert closed.degrees == computed.degrees
+    # equal as row sets: every row of each table is within 1e-8 of exactly
+    # one row of the other
+    distance = np.abs(closed.values[:, None, :] - computed.values[None, :, :]).max(axis=2)
+    close = distance < 1e-8
+    assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all(), spec
+
+
+def _hook_degree(shape):
+    """f^shape by the hook length formula, independent of Murnaghan–Nakayama."""
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            below = sum(1 for other in shape[i + 1 :] if other > j)
+            hooks *= part - j + below
+    return math.factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_PAIRS)
+def test_closed_form_degrees_are_exact(spec):
+    # one degree per multipartition lambda of n over Irr(B):
+    # n! / prod |lambda(gamma)|! * prod f^lambda(gamma) d_gamma^|lambda(gamma)|
+    group, closed = _closed_form(spec)
+    base = character_table(group.base_group).degrees
+    expected = []
+    for mp in multipartitions(len(base), group.n):
+        degree = math.factorial(group.n)
+        for shape, d in zip(mp, base):
+            degree = degree * _hook_degree(shape) * d ** sum(shape) // math.factorial(sum(shape))
+        expected.append(degree)
+    assert closed.degrees == tuple(sorted(expected))
+    assert all(type(d) is int for d in closed.degrees)
+    assert sum(d * d for d in closed.degrees) == group.order
+    # column 0, the identity's class, rounds to them
+    identity = closed.values[:, 0]
+    assert np.array_equal(np.rint(identity.real).astype(np.int64), closed.degrees)
+    assert np.abs(identity - np.array(closed.degrees)).max() < 1e-8
+
+
+def test_closed_form_refuses_another_base_table():
+    group = build_pair("wr(S3,2)").parent
+    with pytest.raises(InvalidParameterError, match="not the table of the base"):
+        wreath_character_table(group, character_table(CyclicGroup(3)))
+
+
+def test_closed_form_rejects_values_off_the_exact_degrees():
+    # S3's degree 2 stated as 3: the exact degrees no longer match column 0
+    group = build_pair("wr(S3,2)").parent
+    base = character_table(group.base_group)
+    wrong = dataclasses.replace(base, degrees=(1, 1, 3))
+    with pytest.raises(InternalConsistencyError, match="at the identity, not its degree"):
+        wreath_character_table(group, wrong)
+
+
+def test_cold_character_check_labels_no_id_of_g(tmp_path, monkeypatch):
+    # the closed form reads the types alone: no type walk, no row over G and
+    # no proof of G's generators; the base is labelled and proven as before
+    seen = []
+    pairs = []
+    for name in ("class_labels", "mul_all"):
+        real = getattr(WreathProduct, name)
+
+        def recording(self, *args, _real=real, _name=name, **kwargs):
+            seen.append((_name, self.name))
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(WreathProduct, name, recording)
+    products = gelfand.groups._generator_products
+
+    def proving(group):
+        seen.append(("_generator_products", group.name))
+        return products(group)
+
+    monkeypatch.setattr(gelfand.groups, "_generator_products", proving)
+    build = gelfand.reports.build_pair
+
+    def building(*args, **kwargs):
+        pairs.append(build(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(gelfand.reports, "build_pair", building)
+    argv = ["pair-check", "wr(S4,2)", "--method", "character", "--format", "machine"]
+    assert gelfand.cli.main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    (embedding,) = pairs
+    group = embedding.parent
+    assert (tmp_path / "wr(S4,2).chartab").exists()
+    assert [call for call in seen if call[1] == group.name] == []
+    assert ("_generator_products", "S4") in seen
+    assert group._generator_rows is None and group._classes is None
+
+
 def test_z4_values_are_fourth_roots_of_unity():
     t = character_table(CyclicGroup(4))
     rounded = set(np.round(t.values, 6).flatten())
@@ -428,22 +544,33 @@ def test_negative_seed_is_refused():
         character_table(SymmetricGroup(4), seed=-1)
 
 
+# argparse's gettext imports locale on the first message it formats
+_ARGPARSE = ["_locale", "locale"]
+
+
 @pytest.mark.parametrize(
-    "call",
+    "call, loads",
     [
-        'assert cli.main(["pair-check", "wr(S3,3)", "--method", "both", "--cache-dir", cache]) == 0',
-        'assert cli.main(["pair-check", "wr(S3,3)", "--method", "character", "--cache-dir", cache]) == 0',
-        "character_table(SymmetricGroup(4))",
+        ('assert cli.main(["pair-check", "wr(S3,3)", "--method", "both", "--cache-dir", cache]) == 0',
+         _ARGPARSE),
+        ('assert cli.main(["pair-check", "wr(S3,3)", "--method", "character", "--cache-dir", cache]) == 0',
+         _ARGPARSE),
+        ("character_table(SymmetricGroup(4))", []),
     ],
     ids=["pair-check-both", "pair-check-character", "character_table-S4"],
 )
-def test_character_route_loads_no_numpy_random(call, tmp_path):
-    # the t_i come from the stdlib stream: numpy.random costs ~5 MiB to import
+def test_character_route_loads_no_numpy_random(call, loads, tmp_path):
+    # the t_i come from the stdlib stream: numpy.random costs ~5 MiB to import.
+    # Nor may the call load any other module past those it has always
+    # loaded (loads): a new import shows in every process's peak RSS
     code = (
-        "import sys\n"
+        "import json, sys\n"
         "from gelfand import SymmetricGroup, character_table, cli\n"
         f"cache = {str(tmp_path / 'cold')!r}\n"
+        "before = set(sys.modules)\n"
         f"{call}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "print(json.dumps([m for m in ('scipy', 'sympy', 'fractions') if m in sys.modules]))\n"
         "print('numpy.random' in sys.modules)\n"
     )
     env = dict(os.environ)
@@ -453,7 +580,10 @@ def test_character_route_loads_no_numpy_random(call, tmp_path):
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    loaded, heavy, numpy_random = proc.stdout.splitlines()[-3:]
+    assert numpy_random == "False"
+    assert json.loads(heavy) == []
+    assert set(json.loads(loaded)) <= set(loads), loaded
 
 
 def test_persistent_failure_names_the_attempts_and_classes(monkeypatch):

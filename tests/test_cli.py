@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gelfand
+from gelfand import CyclicGroup, InternalConsistencyError, conjugacy_classes
 from gelfand.chartab import _CACHE_MAGIC, _CACHE_VERSION
 from gelfand.cli import main
 from gelfand.wreath import WreathProduct
@@ -640,7 +641,16 @@ def test_wrong_wreath_class_count_is_an_internal_failure(capsys, tmp_path, monke
         values = np.unique(labels)
         return np.where(labels == values[-1], values[-2], labels)
 
+    # a pair check reads the closed form alone, so the labels are read where
+    # the ids are labelled: the first read of block_of
     monkeypatch.setattr(WreathProduct, "class_labels", one_class_short)
+    classes = conjugacy_classes(WreathProduct(CyclicGroup(2), 3))
+    with pytest.raises(InternalConsistencyError, match="class labels, but"):
+        classes.block_of
+    # and a pair check's closed form, one class short of the count stated
+    # by the construction, exits 4 with the same message
+    count = WreathProduct.class_count.func
+    monkeypatch.setattr(WreathProduct, "class_count", property(lambda self: count(self) - 1))
     code, _, err = run(capsys, "pair-check", "wr(Z2,3)", "--cache-dir", str(tmp_path))
     assert code == 4
     assert "internal failure" in err and "class labels, but" in err

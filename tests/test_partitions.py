@@ -1,6 +1,8 @@
 """Partitions, extensions, multipartitions and branching predictions."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +17,7 @@ from gelfand import (
     parse_partition,
     partitions_of,
 )
-from gelfand.partitions import multipartition_count
+from gelfand.partitions import multipartition_count, symmetric_character
 from partitions_oracle import branch_induce
 
 
@@ -235,3 +237,53 @@ def test_multipartition_count_matches_the_enumeration():
         multipartition_count(0, 3)
     with pytest.raises(InvalidParameterError):
         multipartition_count(2, -1)
+
+
+def test_symmetric_characters_of_s4():
+    # rows (4), (3,1), (2,2), (2,1,1), (1^4); columns the same cycle types
+    shapes = partitions_of(4)
+    table = [[symmetric_character(a, b) for b in shapes] for a in shapes]
+    assert table == [
+        [1, 1, 1, 1, 1],
+        [-1, 0, -1, 1, 3],
+        [0, -1, 2, 0, 2],
+        [1, 0, -1, -1, 3],
+        [-1, 1, 1, -1, 1],
+    ]
+
+
+def _centralizer(cycles):
+    """z_cycles = prod m^a a! over the cycle lengths m, a of each."""
+    out = 1
+    for m in set(cycles):
+        a = cycles.count(m)
+        out *= m**a * math.factorial(a)
+    return out
+
+
+def _hook_degree(shape):
+    hooks = 1
+    for i, part in enumerate(shape):
+        for j in range(part):
+            hooks *= part - j + sum(1 for other in shape[i + 1 :] if other > j)
+    return math.factorial(sum(shape)) // hooks
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_symmetric_characters_are_orthonormal_with_hook_degrees(k):
+    # sum over cycle types of chi^a(b) chi^c(b) / z_b = [a = c], exactly,
+    # and chi^a(1^k) is the hook length formula's f^a
+    shapes = partitions_of(k)
+    for a in shapes:
+        assert symmetric_character(a, (1,) * k) == _hook_degree(a)
+        for c in shapes:
+            inner = sum(
+                Fraction(symmetric_character(a, b) * symmetric_character(c, b), _centralizer(b))
+                for b in shapes
+            )
+            assert inner == (a == c), (a, c)
+
+
+def test_symmetric_character_refuses_different_sizes():
+    with pytest.raises(InvalidParameterError, match="different sizes"):
+        symmetric_character((2, 1), (2,))
