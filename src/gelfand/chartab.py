@@ -7,9 +7,14 @@ multipartitions of n over Irr(B) and its classes the types, so T = X M^T,
 X from the characters of the S_k (Murnaghan–Nakayama) and M from B's
 values on the cycles of each type.  No id of G is labelled and no product
 counted; the degrees are exact integers that column 0 must round to, and
-the table passes the same ordering and validation as any other.  The
-eigenvector method below stays for every other group, the bases included,
-and it is the closed form's oracle in the tests.
+the table passes the same ordering and validation as any other.  What
+depends on n and on r, B's class count, alone is a plan built once per
+process (_closed_form_plan): X, each type's degree factor and exponents,
+and M's index, the position in M of every assignment of a type's cycles
+to irreducibles with the values of B it reads.  A pair pays one gather of
+B's values and a product per assignment, one sum into M, X M^T and its
+exact degrees.  The eigenvector method below stays for every other group,
+the bases included, and it is the closed form's oracle in the tests.
 
 The class sums K_i span the center of the group algebra; their
 multiplication coefficients K_i K_j = sum_k a[i][j][k] K_k are exact integer
@@ -69,7 +74,7 @@ from .groups import (
     conjugacy_classes,
 )
 from .partitions import partitions_of, symmetric_character
-from .wreath import BATCH_LIMIT, WreathEmbedding, WreathProduct, _horner, _least_of_types
+from .wreath import WreathEmbedding, WreathProduct, _least_of_types, _type_runs
 
 CLASS_LIMIT = 80
 ORDER_LIMIT = 2_000_000
@@ -381,6 +386,101 @@ def _symmetric_tables(n: int) -> tuple[dict, np.ndarray]:
     return index, chi
 
 
+@dataclass(frozen=True, eq=False)
+class _ClosedFormPlan:
+    """What the closed form of B wr S_n takes from n and r, the class count
+    of B, alone (_closed_form_plan); every array is read-only.
+
+    - x: X[lambda][mu] = prod_gamma chi^lambda(gamma)(mu(gamma)), float64,
+      count x count;
+    - factors: n! prod_gamma f^lambda(gamma) / |lambda(gamma)|! per type,
+      and exponents: |lambda(gamma)| per type and gamma, so the degree of
+      lambda is its factor times prod_gamma d_gamma^|lambda(gamma)|;
+    - targets: the flat index rho count + mu into M of every assignment of
+      the cycles of a type rho to irreducibles, by cycle count, then type,
+      then assignment (the order in which M sums them);
+    - reads: per cycle count k, the (gamma_i, c_i) that each assignment with
+      k cycles reads, as the flat index gamma_i r + c_i into B's table.
+    """
+
+    x: np.ndarray
+    factors: tuple[int, ...]
+    exponents: tuple[tuple[int, ...], ...]
+    targets: np.ndarray
+    reads: tuple[np.ndarray, ...]
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_form_plan(n: int, r: int) -> _ClosedFormPlan:
+    """The plan of the closed form of every B wr S_n over a base of r
+    classes, built once per process, as _least_of_types(n, r) and
+    _symmetric_tables(n) are.  The types are the rows and columns, in
+    _least_of_types order; a part m of lambda(gamma) is read off a run of a
+    cycles (m, gamma) (wreath._type_runs).  Its index holds sum_rho r^k(rho)
+    assignments, k(rho) the cycles of rho: at most 8,107 within the class
+    limit (n = 2, r = 11)."""
+    types = _least_of_types(n, r)[2].T  # row t: the sorted codes of type t, 0s first
+    count = len(types)
+    t, m, c, a = _type_runs(n, r)
+    index, chi = _symmetric_tables(n)
+    # lambda(gamma) of every type, keyed by its multiplicities as
+    # sum a (n + 1)^(m - 1) (below (n + 1)^n), and its size |lambda(gamma)|
+    keys = np.zeros((count, r), dtype=np.int64)
+    np.add.at(keys, (t, c), a * (n + 1) ** (m - 1))
+    sizes = np.zeros((count, r), dtype=np.int64)
+    np.add.at(sizes, (t, c), m * a)
+    known = np.array([sum((n + 1) ** (part - 1) for part in shape) for shape in index])
+    by_known = np.argsort(known)
+    shapes = by_known[np.searchsorted(known, keys, sorter=by_known)]  # () where empty
+    # X by one flat gather per gamma, multiplied in gamma order from ones: its
+    # entries are exact, but its zeros' signs reach the saved values' bits
+    x = np.ones((count, count))
+    flat = chi.ravel()
+    for column in shapes.T:
+        x *= flat.take(column[:, None] * len(chi) + column)
+    # f^lambda(gamma) = chi^lambda(gamma)(1^k): exact in int64, and so is
+    # every factor, as f^lambda <= |lambda|! makes it at most n!
+    columns = np.array([index[(1,) * k] for k in range(n + 1)])
+    f = np.rint(chi[shapes, columns[sizes]]).astype(np.int64)
+    factorials = np.array([math.factorial(k) for k in range(n + 1)], dtype=np.int64)
+    factors = math.factorial(n) // factorials[sizes].prod(axis=1) * f.prod(axis=1)
+    # M's index.  A multiset of codes is keyed by sum (n + 1)^(code - 1),
+    # unique as no code is met more than n times, so an assignment's key is
+    # a sum over its cycles, with no sort
+    if (n + 1) ** (n * r) > 2**63:
+        raise ResourceLimitError(f"the types of B wr S_{n} over {r} classes have no int64 key")
+    weight = (n + 1) ** np.arange(n * r, dtype=np.int64)
+    type_keys = np.concatenate([[0], weight]).take(types).sum(axis=1)
+    by_key = np.argsort(type_keys)
+    cycles = np.count_nonzero(types, axis=1)
+    targets, reads = [], []
+    for k in range(1, n + 1):
+        rows = np.flatnonzero(cycles == k)
+        if not len(rows):
+            continue
+        lengths, classes = np.divmod(types[rows, n - k :] - 1, r)
+        # the r^k assignments a of the cycles to irreducibles, cycle i's at
+        # digit i of a in radix r: (rows, r^k) blocks, row by row
+        digits = np.arange(r**k)[:, None] // r ** np.arange(k) % r
+        key = 0
+        for i in range(k):
+            key = key + weight.take(lengths[:, i, None] * r + digits[:, i])
+        mu = by_key[np.searchsorted(type_keys, key, sorter=by_key)]
+        targets.append((rows[:, None] * count + mu).ravel())
+        read = digits * r + classes[:, None, :]
+        reads.append(read.reshape(-1, k).astype(np.min_scalar_type(r * r - 1)))
+    targets = np.concatenate(targets).astype(np.min_scalar_type(count * count - 1))
+    for array in (x, targets, *reads):
+        array.setflags(write=False)
+    return _ClosedFormPlan(
+        x=x,
+        factors=tuple(factors.tolist()),
+        exponents=tuple(map(tuple, sizes.tolist())),
+        targets=targets,
+        reads=tuple(reads),
+    )
+
+
 def wreath_character_table(group: WreathProduct, base: CharacterTable) -> CharacterTable:
     """The character table of G = B wr S_n in closed form from the table of
     B: no id of G is labelled and no product is counted.
@@ -399,14 +499,20 @@ def wreath_character_table(group: WreathProduct, base: CharacterTable) -> Charac
       cycles (m_i, c_i) of rho to irreducibles gamma_i that give mu, the
       coefficient of prod_gamma p_mu(gamma)(gamma) in
       prod_i sum_gamma gamma(c_i) p_(m_i)(gamma), with gamma(c) as B's
-      table gives it, unconjugated, summed BATCH_LIMIT assignments at a
-      time.
+      table gives it, unconjugated.
     The degrees are exact integers,
     n! prod_gamma f^lambda(gamma) d_gamma^|lambda(gamma)| / |lambda(gamma)|!,
     and column 0, the identity's class, must round to them, else
     InternalConsistencyError; the rows are then ordered and validated as
     character_table's are (_table_of).
+
+    Everything that depends on n and r alone, X, the degrees' factors and
+    M's index, is the plan (_closed_form_plan), built once per process after
+    check_limits refuses G past the limits.  A pair pays one gather of B's
+    values with a product over each assignment's cycles, one sum into M,
+    X M^T, its degrees, and the ordering and validation.
     """
+    check_limits(group)
     n = group.n
     base_classes = conjugacy_classes(group.base_group)
     if base.group_name != group.base_group.name or base.classes.sizes != base_classes.sizes:
@@ -414,51 +520,17 @@ def wreath_character_table(group: WreathProduct, base: CharacterTable) -> Charac
             f"the table of {base.group_name} is not the table of the base of {group.name}"
         )
     classes = conjugacy_classes(group)  # the types' count and sizes checked there
-    r = base_classes.count
-    # one row per class, in the order conjugacy_classes checked: its sorted
-    # codes, 0s first
-    codes = _least_of_types(n, r)[2].T
-    count = len(codes)
-    keys = _horner(codes, n * r + 1)
-    by_key = np.argsort(keys)
-    index, chi = _symmetric_tables(n)
-    # the partition lambda(gamma) of every type read as a multipartition
-    # (unit: the empty partition), and its exact degree
-    shapes = np.full((count, r), index[()], dtype=np.int64)
-    degrees = []
-    for t, row in enumerate(codes.tolist()):
-        parts: dict[int, list[int]] = {}
-        for code in row:
-            if code:
-                m, gamma = divmod(code - 1, r)
-                parts.setdefault(gamma, []).insert(0, m + 1)  # codes ascend
-        product, arrangements = 1, math.factorial(n)
-        for gamma, shape in parts.items():
-            k = sum(shape)
-            shapes[t, gamma] = index[tuple(shape)]
-            product *= int(chi[index[tuple(shape)], index[(1,) * k]]) * base.degrees[gamma] ** k
-            arrangements //= math.factorial(k)  # exact: a multinomial coefficient
-        degrees.append(arrangements * product)
-    x = np.ones((count, count))
-    for column in shapes.T:
-        x *= chi[np.ix_(column, column)]
+    plan = _closed_form_plan(n, base_classes.count)
+    count = classes.count
+    degrees = [
+        factor * math.prod(map(pow, base.degrees, exponents))
+        for factor, exponents in zip(plan.factors, plan.exponents)
+    ]
+    gamma_at = np.asarray(base.values, dtype=np.complex128).ravel()  # [gamma r + c] = gamma(c)
+    products = np.concatenate([gamma_at[read].prod(axis=1) for read in plan.reads])
     m = np.zeros(count * count, dtype=np.complex128)
-    gamma_at = np.asarray(base.values, dtype=np.complex128)  # [gamma, c] = gamma(c)
-    cycles = np.count_nonzero(codes, axis=1)
-    for k in range(1, n + 1):
-        rows = np.flatnonzero(cycles == k)
-        if not len(rows):
-            continue
-        lengths, c = np.divmod(codes[rows, n - k :] - 1, r)
-        assignments = r**k
-        total = len(rows) * assignments
-        for start in range(0, total, BATCH_LIMIT):
-            t, a = np.divmod(np.arange(start, min(start + BATCH_LIMIT, total)), assignments)
-            gammas = a[:, None] // r ** np.arange(k) % r  # the irreducible of each cycle
-            key = _horner(np.sort(lengths[t] * r + gammas + 1, axis=1), n * r + 1)
-            mu = by_key[np.searchsorted(keys, key, sorter=by_key)]
-            np.add.at(m, rows[t] * count + mu, gamma_at[gammas, c[t]].prod(axis=1))
-    values = x @ m.reshape(count, count).T
+    np.add.at(m, plan.targets, products)
+    values = plan.x @ m.reshape(count, count).T
     off = np.abs(values[:, 0] - degrees) > _INTEGRALITY_TOL * np.maximum(1, degrees)
     if off.any():
         raise InternalConsistencyError(
@@ -485,32 +557,29 @@ def permutation_character(
     return embedding.permutation_character(classes)
 
 
-def _round_multiplicity(value: complex, what: str) -> int:
-    m = round(value.real)
-    if m < 0 or abs(value - m) > _INTEGRALITY_TOL:
-        raise NumericalQualityError(
-            f"{what} = {value} does not round to a non-negative integer"
-        )
-    return m
-
-
 def decompose_induced_trivial(
     embedding: SubgroupEmbedding | WreathEmbedding, table: CharacterTable
 ) -> tuple[int, ...]:
     """Multiplicities <perm char, chi_i>, one per irrep, in table row order.
 
     m_i = (1/|G|) sum_k |C_k| perm(k) conj(chi_i(k)); each must round to a
-    non-negative integer, and they are checked against the exact identities
-    sum_i m_i d_i = [G:K] and m_0 = 1.
+    non-negative integer within 1e-6, imaginary part included (all rounded
+    in one pass; the error names the first that does not), and they are
+    checked against the exact identities sum_i m_i d_i = [G:K] and m_0 = 1.
     """
     group = embedding.parent
     sizes = np.array(table.classes.sizes, dtype=np.float64)
     perm = np.array(permutation_character(embedding, table.classes))
     values = table.values.conj() @ (sizes * perm) / group.order
-    ms = tuple(
-        _round_multiplicity(complex(v), f"multiplicity of irrep {i}")
-        for i, v in enumerate(values)
-    )
+    rounded = np.rint(values.real)
+    off = (rounded < 0) | ~(np.abs(values - rounded) <= _INTEGRALITY_TOL)
+    if off.any():
+        i = int(np.argmax(off))
+        raise NumericalQualityError(
+            f"multiplicity of irrep {i} = {complex(values[i])} does not round to a "
+            "non-negative integer"
+        )
+    ms = tuple(rounded.astype(np.int64).tolist())
     weighted = sum(m * d for m, d in zip(ms, table.degrees))
     if weighted != embedding.index:
         raise InternalConsistencyError(

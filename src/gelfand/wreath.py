@@ -253,6 +253,28 @@ def _least_of_types(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return classes, tops, types
 
 
+@functools.lru_cache(maxsize=None)
+def _type_runs(n: int, r: int) -> np.ndarray:
+    """The runs of equal cycles of every type of B wr S_n over a base of r
+    classes, as a read-only (4, runs) int64 array of rows (t, m, c, a): type
+    t (in _least_of_types order) has a = a_(m,c) cycles of length m whose
+    product lies in base class c.  They depend on n and r alone, so they are
+    found once per process, for the class sizes
+    (WreathProduct._centralizer_orders) and the closed-form character table
+    (chartab._closed_form_plan)."""
+    rows = _least_of_types(n, r)[2].T  # row t holds the n sorted codes of type t
+    new_run = np.ones(rows.shape, dtype=bool)
+    new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
+    starts = np.flatnonzero(new_run)
+    flat = rows.ravel()
+    counts = np.diff(starts, append=flat.size)
+    cycles = flat[starts] > 0  # a run of 0s holds no cycle
+    m, c = np.divmod(flat[starts[cycles]] - 1, r)
+    runs = np.stack([starts[cycles] // n, m + 1, c, counts[cycles]])
+    runs.setflags(write=False)
+    return runs
+
+
 def wreath_order(
     base_group: FiniteGroup, n: int, size_budget: int | None = DEFAULT_SIZE_BUDGET
 ) -> int:
@@ -324,8 +346,18 @@ class WreathProduct(FiniteGroup):
         self.n = n
         self.name = f"wr({base_group.name},{n})"
         self._nfact = math.factorial(n)
-        self._idx = perm_indexer(n)
-        self._top = SymmetricGroup(n)  # tabled through perm_indexer(n) for n <= 6
+
+    @functools.cached_property
+    def _idx(self):
+        """S_n's ranks, shared through perm_indexer(n), found on first use:
+        the character route reads no top of K = B wr S_(n-1), and listing
+        S_8 costs ~15 ms."""
+        return perm_indexer(self.n)
+
+    @functools.cached_property
+    def _top(self) -> SymmetricGroup:
+        """S_n, tabled through perm_indexer(n) for n <= 6, on first use."""
+        return SymmetricGroup(self.n)
 
     # no table of its own: each product is already a few gathers in the
     # base's and S_n's tables, while its own table costs (1 + 2 |gens|) |G|^2
@@ -605,14 +637,14 @@ class WreathProduct(FiniteGroup):
             )
         base_classes = conjugacy_classes(base_group)
         r = base_classes.count
-        classes, ranks, types = _least_of_types(n, r)
+        classes, ranks, _ = _least_of_types(n, r)
         weights = base_group.order ** np.arange(n - 1, -1, -1, dtype=np.int64)
         reps = np.array(base_classes.representatives, dtype=np.int64)[classes] @ weights
         reps = reps * tops + ranks
         _check_class_count(self, len(reps))
         if (np.diff(reps) <= 0).any():
             raise InternalConsistencyError(f"two types of {self.name} share a least id")
-        centralizers = self._centralizer_orders(types, base_classes.sizes, r)
+        centralizers = self._centralizer_orders(base_classes.sizes, r)
         sizes = [self.order // c for c in centralizers]
         if sum(sizes) != self.order or any(c * z != self.order for c, z in zip(centralizers, sizes)):
             raise InternalConsistencyError(
@@ -688,27 +720,14 @@ class WreathProduct(FiniteGroup):
                     block += row
         return key.ravel()
 
-    def _centralizer_orders(self, types, base_sizes, r) -> list[int]:
-        """|C(type)| = prod (m |C_B(c)|)^a a! for the sorted cycle codes
-        types[:, t] of every type t, (m - 1) r + c + 1 per cycle of length m
-        and base class c, 0 for none; a = a_(m,c) is the number of cycles
-        with that code and |C_B(c)| = |B| / |c|.
-
-        The runs of equal codes of every column are found at once, and the
-        orders are exact Python integers, one factor per run."""
-        base_order, n = self.base_group.order, self.n
-        rows = types.T  # row t holds the n sorted codes of type t
-        new_run = np.ones(rows.shape, dtype=bool)
-        new_run[:, 1:] = rows[:, 1:] != rows[:, :-1]
-        starts = np.flatnonzero(new_run)
-        flat = rows.ravel()
-        runs = np.diff(starts, append=flat.size)
-        centralizers = [1] * len(rows)
-        for t, code, a in zip((starts // n).tolist(), flat[starts].tolist(), runs.tolist()):
-            if code:  # a run of 0s holds no cycle
-                m, c = divmod(code - 1, r)
-                m += 1
-                centralizers[t] *= (m * (base_order // base_sizes[c])) ** a * math.factorial(a)
+    def _centralizer_orders(self, base_sizes, r) -> list[int]:
+        """|C(type)| = prod (m |C_B(c)|)^a a! over the runs (m, c, a) of
+        every type (_type_runs), with |C_B(c)| = |B| / |c|: exact Python
+        integers, one factor per run."""
+        base_order = self.base_group.order
+        centralizers = [1] * len(_least_of_types(self.n, r)[1])
+        for t, m, c, a in zip(*_type_runs(self.n, r).tolist()):
+            centralizers[t] *= (m * (base_order // base_sizes[c])) ** a * math.factorial(a)
         return centralizers
 
 

@@ -342,9 +342,7 @@ def _closed_form(spec):
     return group, wreath_character_table(group, character_table(group.base_group))
 
 
-@pytest.mark.parametrize("spec", CLOSED_FORM_PAIRS)
-def test_closed_form_table_equals_dixon_schneider(spec):
-    group, closed = _closed_form(spec)
+def _assert_equals_dixon_schneider(group, closed):
     computed = character_table(group)
     for part in ("representatives", "sizes"):
         assert getattr(closed.classes, part) == getattr(computed.classes, part)
@@ -353,7 +351,55 @@ def test_closed_form_table_equals_dixon_schneider(spec):
     # one row of the other
     distance = np.abs(closed.values[:, None, :] - computed.values[None, :, :]).max(axis=2)
     close = distance < 1e-8
-    assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all(), spec
+    assert (close.sum(axis=0) == 1).all() and (close.sum(axis=1) == 1).all(), group.name
+
+
+@pytest.mark.parametrize("spec", CLOSED_FORM_PAIRS)
+def test_closed_form_table_equals_dixon_schneider(spec):
+    _assert_equals_dixon_schneider(*_closed_form(spec))
+
+
+def test_bases_with_one_class_count_share_one_plan():
+    # D4 and Z5 both have 5 classes: the plan of n = 3, r = 5 serves both
+    plan = gelfand.chartab._closed_form_plan
+    plan.cache_clear()
+    tables = [_closed_form(spec) for spec in ("wr(D4,3)", "wr(Z5,3)")]
+    info = plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+    for group, closed in tables:
+        _assert_equals_dixon_schneider(group, closed)
+
+
+@pytest.mark.parametrize("n, r", [(3, 5), (2, 11), (9, 1)])
+def test_plan_arrays_are_read_only(n, r):
+    plan = gelfand.chartab._closed_form_plan(n, r)
+    arrays = [plan.x, plan.targets, *plan.reads]
+    assert arrays and not any(array.flags.writeable for array in arrays)
+    assert isinstance(plan.factors, tuple) and isinstance(plan.exponents, tuple)
+    # one target per assignment: sum over the types of r^(cycles)
+    assert len(plan.targets) == sum(len(read) for read in plan.reads)
+
+
+def test_closed_form_past_the_class_limit_is_refused_before_a_plan():
+    # wr(Z13,2) has 104 classes, over CLASS_LIMIT = 80
+    group = build_pair("wr(Z13,2)").parent
+    base = character_table(group.base_group)
+    plan = gelfand.chartab._closed_form_plan
+    plan.cache_clear()
+    with pytest.raises(ResourceLimitError, match="104 conjugacy classes"):
+        wreath_character_table(group, base)
+    assert plan.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("spec", ["wr(Z3,4)", "wr(D4,3)"])
+def test_closed_form_saves_the_golden_bytes(spec, tmp_path):
+    # written by the closed form as it summed M assignment by assignment,
+    # before the plan; a complex base (Z3) and a dihedral one
+    path = tmp_path / f"{spec}.chartab"
+    save_character_table(_closed_form(spec)[1], path)
+    golden = os.path.join(os.path.dirname(__file__), "data", f"{spec}.chartab")
+    with open(golden, "rb") as fh:
+        assert path.read_bytes() == fh.read()
 
 
 def _hook_degree(shape):
@@ -776,6 +822,26 @@ def _doctored_s3_table(**changes):
 def test_decompose_rejects_a_non_integral_multiplicity():
     values = np.array(character_table(SymmetricGroup(3)).values)
     values[2] *= 0.5  # standard character halved: m_2 = 1/2
+    emb, t = _doctored_s3_table(values=values)
+    with pytest.raises(NumericalQualityError, match="multiplicity of irrep 2"):
+        decompose_induced_trivial(emb, t)
+
+
+def test_decompose_names_the_first_multiplicity_that_fails():
+    # the sign row replaced by minus the trivial one: m_1 = -1 comes before
+    # the halved m_2 = 1/2
+    values = np.array(character_table(SymmetricGroup(3)).values)
+    values[1] = -values[0]
+    values[2] *= 0.5
+    emb, t = _doctored_s3_table(values=values)
+    with pytest.raises(NumericalQualityError, match=r"multiplicity of irrep 1 = \(-1"):
+        decompose_induced_trivial(emb, t)
+
+
+def test_decompose_counts_the_imaginary_part():
+    # m_2 = 1 - 1e-3 i: its real part rounds, its imaginary part does not
+    values = np.array(character_table(SymmetricGroup(3)).values, dtype=np.complex128)
+    values[2] = values[2] + 1e-3j * values[2]
     emb, t = _doctored_s3_table(values=values)
     with pytest.raises(NumericalQualityError, match="multiplicity of irrep 2"):
         decompose_induced_trivial(emb, t)

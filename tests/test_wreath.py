@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 import gelfand
+import gelfand.cli
+import gelfand.groups
 from gelfand import (
     CyclicGroup,
     InternalConsistencyError,
@@ -193,6 +195,25 @@ def test_wreath_embedding_holds_no_ids_of_k():
     double_cosets(emb)
     permutation_character(emb, conjugacy_classes(emb.parent))
     assert not any(hasattr(emb, name) for name in removed)
+
+
+@pytest.mark.parametrize("method, listed", [("character", [9]), ("hecke", []), ("both", [9])])
+def test_pair_check_lists_no_permutation_of_k(method, listed, tmp_path, monkeypatch):
+    # S_n is listed on first use only: the routes read no top of
+    # K = Z1 wr S_8, and only the character route's decode of G's class
+    # representatives reads S_9
+    seen = []
+    real = gelfand.groups.perm_indexer
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    monkeypatch.setattr(gelfand.groups, "perm_indexer", recording)
+    monkeypatch.setattr(wreath, "perm_indexer", recording)
+    argv = ["pair-check", "wr(Z1,9)", "--method", method, "--format", "machine"]
+    assert gelfand.cli.main(argv + ["--cache-dir", str(tmp_path)]) == 0
+    assert seen == listed
 
 
 def test_embedding_rejects_n_below_two():
